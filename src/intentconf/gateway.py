@@ -11,10 +11,12 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
 
-import requests
 import yaml
+
+if TYPE_CHECKING:
+    import requests
 
 from .retrieval import count_tokens
 
@@ -121,6 +123,10 @@ class HttpProvider:
     """
 
     def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
+        # Imported here: requests and what it loads hold about 13 MB, which
+        # runs on the mock provider never need.
+        import requests
+
         self.config = config
         self._session = session or requests.Session()
 
@@ -141,6 +147,8 @@ class HttpProvider:
         key = os.environ.get(self.config.api_key_env) if self.config.api_key_env else None
         if key:
             headers["Authorization"] = f"Bearer {key}"
+        import requests
+
         started = time.perf_counter()
         try:
             response = self._session.post(

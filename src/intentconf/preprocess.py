@@ -5,12 +5,18 @@ fence-wrapped, or truncated text. This module finds the configuration,
 parses it strictly (duplicate keys are an error, the root must be a
 mapping), and re-serializes it into one canonical form so downstream
 diffing and deployment always see identical bytes for identical trees.
+
+Parsing runs on libyaml when PyYAML was built with it. Text that libyaml
+reads differently from PyYAML's own scanner, and every error report, goes
+through the pure-Python loader, so results and messages are the same
+either way.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import yaml
 
@@ -46,8 +52,42 @@ class ConfigDocument:
     source_text: str = ""
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate mapping keys instead of last-wins."""
+class _NodeError(yaml.constructor.ConstructorError):
+    """A constructor failure at one node, with the 0-based line the node ends on."""
+
+    def __init__(self, problem: str, node):
+        super().__init__(None, None, problem, node.start_mark)
+        self.end_line = node.end_mark.line
+
+
+class _KeyClash(_NodeError):
+    """A repeated or unhashable mapping key."""
+
+
+# Well-formed YAML can still name values no constructor can build, and
+# PyYAML's constructors then raise plain exceptions: ValueError for
+# "2024-02-30" or "!!int abc", KeyError for "!!bool maybe", IndexError for
+# an empty "!!int", AttributeError for "!!timestamp x", TypeError for
+# "!!map" over a sequence.
+_VALUE_ERRORS = (ValueError, TypeError, LookupError, AttributeError)
+
+
+class _ValueErrorsAtNodes:
+    """Loader mixin: a constructor that fails on a node's value raises _NodeError."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep=deep)
+        except _VALUE_ERRORS as exc:
+            raise _NodeError(f"invalid {node.tag} value: {exc}", node) from exc
+
+
+class _PyUniqueKeyLoader(_ValueErrorsAtNodes, yaml.SafeLoader):
+    """Pure-Python SafeLoader that rejects duplicate mapping keys instead of last-wins."""
+
+
+class _UniqueKeyLoader(_ValueErrorsAtNodes, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The same loader on libyaml, when PyYAML was built with it."""
 
 
 def _construct_mapping(loader, node, deep=False):
@@ -55,23 +95,57 @@ def _construct_mapping(loader, node, deep=False):
     for key_node, value_node in node.value:
         key = loader.construct_object(key_node, deep=deep)
         if isinstance(key, (dict, list)):
-            raise yaml.constructor.ConstructorError(
-                None, None, "unhashable mapping key", key_node.start_mark
-            )
+            raise _KeyClash("unhashable mapping key", key_node)
         if key in mapping:
-            raise yaml.constructor.ConstructorError(
-                None,
-                None,
-                f"duplicate key {key!r}",
-                key_node.start_mark,
-            )
+            raise _KeyClash(f"duplicate key {key!r}", key_node)
         mapping[key] = loader.construct_object(value_node, deep=deep)
     return mapping
 
 
-_UniqueKeyLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
+for _loader in (_PyUniqueKeyLoader, _UniqueKeyLoader):
+    _loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping)
+
+# What loading can raise besides a YAMLError: RecursionError for nesting
+# deeper than the interpreter allows, UnicodeEncodeError from libyaml for a
+# lone surrogate, and the value errors above when they come from the part
+# of a collection constructor that runs after its node returned.
+_NON_YAML_ERRORS = (*_VALUE_ERRORS, RecursionError)
+_LOAD_ERRORS = (yaml.YAMLError, *_NON_YAML_ERRORS)
+
+# Where libyaml and PyYAML's scanner disagree, found by comparing the two
+# on generated text. libyaml accepts tabs PyYAML rejects, skips a byte
+# order mark at the start of any line, rejects %-directives PyYAML
+# accepts, reads an empty node tagged "!" as '' where PyYAML reads None,
+# lets a block scalar header run into a comment ("|#"), rejects a ':'
+# followed by a flow indicator ("{a:}"), decodes %-escapes in tags
+# differently, and lets a plain scalar inside a flow collection hold a '?'.
+# Every branch opens with a literal, so the regex engine skips ahead to
+# those characters instead of trying each branch at every position.
+_LIBYAML_DIFFERS = re.compile(
+    r"\t|\ufeff|%(?<![^\n]%)|!(?<![^\s\[{,:?-]!)(?=[\s,\[\]{}]|$)|!(?=\S*%)"
+    r"|\|(?=[-+\d]*#)|>(?=[-+\d]*#)|:(?=[,\[\]{}])",
+    re.MULTILINE,
 )
+# libyaml's composer recurses on the C stack once per nesting level, and
+# every level opens with one of these characters. 1000 levels fit in a
+# 512 KiB thread stack.
+_NESTING_CHARS = "[{-?:"
+_MAX_LIBYAML_NESTING = 1000
+
+
+def _loader_for(text: str):
+    if (
+        _LIBYAML_DIFFERS.search(text)
+        or ("?" in text and ("[" in text or "{" in text))
+        or sum(map(text.count, _NESTING_CHARS)) > _MAX_LIBYAML_NESTING
+    ):
+        return _PyUniqueKeyLoader
+    return _UniqueKeyLoader
+
+
+def _load_documents(text: str, loader) -> list:
+    """The non-empty documents of ``text``; raises what the loader raises."""
+    return [d for d in yaml.load_all(text, Loader=loader) if d is not None]
 
 
 def _mark_position(exc: yaml.YAMLError) -> tuple[int | None, int | None]:
@@ -81,16 +155,45 @@ def _mark_position(exc: yaml.YAMLError) -> tuple[int | None, int | None]:
     return mark.line + 1, mark.column + 1
 
 
-def _try_parse_mapping(text: str) -> dict | None:
-    """Parse ``text`` as a single-document mapping; None on any failure."""
+_DOCUMENT_MARKER = re.compile(r"^(?:---|\.\.\.|%)", re.MULTILINE)
+_FIRST_CONTENT = re.compile(r"^[ \t]*[^\s#]", re.MULTILINE)
+
+
+def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
+    """Parse ``text`` as a single-document mapping.
+
+    Returns ``(mapping, 0)`` or ``(None, keep)``. Every text made of the
+    first m lines of ``text``, for keep < m, fails too, because it holds
+    all the lines that decided this failure:
+    - a scanner, parser or composer error is found on the line of its mark,
+      reading no further than the next line;
+    - a value no constructor can build is decided by the lines up to the
+      end of its node and the next, and so is a key clash, unless an alias
+      ('*') brought the key node back from earlier;
+    - with no document marker or directive there is one document, and the
+      first line with content decides whether its root is a mapping.
+    Any other failure gives keep = all lines but the last.
+    """
+    last = text.count("\n")
     try:
-        docs = [d for d in yaml.load_all(text, Loader=_UniqueKeyLoader)]
-    except yaml.YAMLError:
-        return None
-    non_empty = [d for d in docs if d is not None]
-    if len(non_empty) != 1 or not isinstance(non_empty[0], dict):
-        return None
-    return non_empty[0]
+        docs = _load_documents(text, _loader_for(text))
+    except _NodeError as exc:
+        if isinstance(exc, _KeyClash) and "*" in text:
+            return None, last
+        return None, min(last, exc.end_line + 1)
+    except yaml.constructor.ConstructorError:  # its mark need not bound what it read
+        return None, last
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        return None, last if mark is None else min(last, mark.line + 1)
+    except _LOAD_ERRORS:
+        return None, last
+    if len(docs) == 1 and isinstance(docs[0], dict):
+        return docs[0], 0
+    if _DOCUMENT_MARKER.search(text):
+        return None, last
+    content = _FIRST_CONTENT.search(text)
+    return None, min(last, text.count("\n", 0, content.start())) if content else 0
 
 
 def _fenced_blocks(text: str) -> list[str]:
@@ -118,35 +221,54 @@ def _fenced_blocks(text: str) -> list[str]:
     return blocks
 
 
-def _largest_parsable_span(text: str) -> str | None:
-    """Largest contiguous run of lines that parses as a mapping root.
+# A mapping needs a ':', '{' or '?' indicator or a '!' tag ("!!map" alone
+# is an empty mapping) on at least one of its lines. A tag starts a token,
+# so a '!' counts when it begins the line or follows whitespace or a byte
+# order mark.
+_MAPPING_SIGNAL = re.compile(r"[:{?!](?<![^\s\ufeff]!)")
+_NON_PRINTABLE = yaml.reader.Reader.NON_PRINTABLE
 
-    Scans spans longest-first; among equal lengths the earliest wins.
+
+def _largest_parsable_span(text: str) -> tuple[str, dict] | None:
+    """Largest contiguous run of lines that parses as a mapping root, and its tree.
+
+    The longest span wins; among equal lengths the earliest wins. Each
+    start line is tried with the longest end that could still win, and the
+    end only moves down, past every end that ``_try_parse_mapping`` shows
+    must fail. Spans without a mapping signal, or holding a character YAML
+    forbids, are never parsed.
     """
     lines = text.splitlines()
     n = len(lines)
-    for length in range(n, 0, -1):
-        for start in range(0, n - length + 1):
-            candidate = "\n".join(lines[start : start + length])
-            if not candidate.strip():
-                continue
-            if _try_parse_mapping(candidate) is not None:
-                return candidate
-    return None
+    # first_signal[i] / first_forbidden[i]: the first such line at or after i.
+    first_signal = [n] * (n + 1)
+    first_forbidden = [n] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        first_signal[i] = i if _MAPPING_SIGNAL.search(lines[i]) else first_signal[i + 1]
+        forbidden = _NON_PRINTABLE.search(lines[i])
+        first_forbidden[i] = i if forbidden else first_forbidden[i + 1]
+    best = None
+    best_len = 0
+    for start in range(n):
+        end = first_forbidden[start]
+        while end - start > best_len and end > first_signal[start]:
+            candidate = "\n".join(lines[start:end])
+            tree, keep = _try_parse_mapping(candidate)
+            if tree is not None:
+                best, best_len = (candidate, tree), end - start
+                break
+            end = start + keep
+    return best
 
 
-def extract_config_text(raw: str) -> str:
-    """Pull the YAML configuration text out of a raw model reply.
-
-    Preference order: the whole reply if it already parses as a mapping,
-    then the first fenced block that does, then the largest contiguous
-    line span that does.
-    """
-    if _try_parse_mapping(raw) is not None:
-        return raw
+def _extract(raw: str) -> tuple[str, dict]:
+    tree, _ = _try_parse_mapping(raw)
+    if tree is not None:
+        return raw, tree
     for block in _fenced_blocks(raw):
-        if _try_parse_mapping(block) is not None:
-            return block
+        tree, _ = _try_parse_mapping(block)
+        if tree is not None:
+            return block, tree
     span = _largest_parsable_span(raw)
     if span is not None:
         return span
@@ -156,26 +278,44 @@ def extract_config_text(raw: str) -> str:
     )
 
 
+def extract_config_text(raw: str) -> str:
+    """Pull the YAML configuration text out of a raw model reply.
+
+    Preference order: the whole reply if it already parses as a mapping,
+    then the first fenced block that does, then the largest contiguous
+    line span that does.
+    """
+    return _extract(raw)[0]
+
+
 def parse_config(text: str) -> ConfigDocument:
     """Parse extracted text strictly into a ConfigDocument."""
     try:
-        docs = list(yaml.load_all(text, Loader=_UniqueKeyLoader))
-    except yaml.YAMLError as exc:
-        line, column = _mark_position(exc)
-        raise StructuralError(
-            StructuralErrorKind.PARSE_FAILURE, str(exc), line=line, column=column
-        ) from exc
-    non_empty = [d for d in docs if d is not None]
-    if len(non_empty) > 1:
+        docs = _load_documents(text, _loader_for(text))
+    except _LOAD_ERRORS:
+        # libyaml words and places its errors differently; the Python loader
+        # decides every failure, so reports read the same with or without it.
+        try:
+            docs = _load_documents(text, _PyUniqueKeyLoader)
+        except yaml.YAMLError as exc:
+            line, column = _mark_position(exc)
+            raise StructuralError(
+                StructuralErrorKind.PARSE_FAILURE, str(exc), line=line, column=column
+            ) from exc
+        except _NON_YAML_ERRORS as exc:
+            raise StructuralError(
+                StructuralErrorKind.PARSE_FAILURE, f"{type(exc).__name__}: {exc}"
+            ) from exc
+    if len(docs) > 1:
         raise StructuralError(
             StructuralErrorKind.MULTIPLE_DOCUMENTS_AMBIGUOUS,
-            f"reply contains {len(non_empty)} YAML documents; expected exactly one",
+            f"reply contains {len(docs)} YAML documents; expected exactly one",
         )
-    if not non_empty:
+    if not docs:
         raise StructuralError(
             StructuralErrorKind.PARSE_FAILURE, "reply parses to an empty document"
         )
-    root = non_empty[0]
+    root = docs[0]
     if not isinstance(root, dict):
         raise StructuralError(
             StructuralErrorKind.PARSE_FAILURE,
@@ -185,8 +325,9 @@ def parse_config(text: str) -> ConfigDocument:
 
 
 def preprocess_reply(raw: str) -> ConfigDocument:
-    """extract_config_text followed by parse_config."""
-    return parse_config(extract_config_text(raw))
+    """Extract the configuration and keep the tree extraction already parsed."""
+    text, root = _extract(raw)
+    return ConfigDocument(root=root, source_text=text)
 
 
 def serialize_config(document: ConfigDocument | dict) -> str:

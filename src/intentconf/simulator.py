@@ -27,6 +27,7 @@ from .validation import resolve_path
 
 DEFAULT_CPU_RATE = 0.04  # dollars per core-hour
 DEFAULT_MEM_RATE = 0.004  # dollars per GiB-hour
+SHELL_DEPLOY_TIMEOUT_S = 120.0  # one real-cluster CLI call; the child is killed after it
 
 GIB = 2**30
 
@@ -233,7 +234,9 @@ def extract_resources(
         notes.append(f"replicas not set; default {profile.default_replicas} applied")
     try:
         replicas = int(replicas_raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
+        raise QuantityError(f"replicas value {replicas_raw!r} is not an integer")
+    if isinstance(replicas_raw, float) and replicas != replicas_raw:
         raise QuantityError(f"replicas value {replicas_raw!r} is not an integer")
     if isinstance(replicas_raw, bool) or replicas < 1:
         raise QuantityError(f"replicas value {replicas_raw!r} must be an integer >= 1")
@@ -371,7 +374,12 @@ def shell_deploy(
     if kube_context:
         command += ["--context", kube_context]
     try:
-        proc = subprocess.run(command, capture_output=True, text=True)
+        proc = subprocess.run(
+            command, capture_output=True, text=True, timeout=SHELL_DEPLOY_TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        reason = f"{cli} did not finish within {SHELL_DEPLOY_TIMEOUT_S:g} s"
+        return DeploymentOutcome(success=False, failure_reason=reason, logs=f"Error: {reason}")
     finally:
         os.unlink(manifest)
     logs = proc.stdout + ("\n" + proc.stderr if proc.stderr else "")
@@ -392,12 +400,10 @@ class SimulatedDeployer:
     def deploy(self, config: ConfigDocument, system: str) -> DeploymentOutcome:
         try:
             extraction = extract_resources(config, system, self.profiles)
-        except QuantityError as exc:
-            return DeploymentOutcome(
-                success=False,
-                failure_reason=str(exc),
-                logs=f"Error: {exc}",
-            )
+        except (QuantityError, UnknownSystemProfile) as exc:
+            # args[0], not str(): str() of a KeyError quotes its message.
+            reason = exc.args[0]
+            return DeploymentOutcome(success=False, failure_reason=reason, logs=f"Error: {reason}")
         outcome = apply(self.model, extraction.spec)
         if extraction.notes:
             notes = "\n".join(f"note: {note}" for note in extraction.notes)

@@ -213,6 +213,29 @@ class TestRunChain:
         assert first.reached is Stage.STRUCTURAL
         assert first.stages_passed == (Stage.GENERATION,)
 
+    def test_unconstructible_value_is_structural_feedback(self):
+        outcome = run_chain(
+            REQUEST,
+            OptimizationProfile.for_name("ip"),
+            deps_for(script_for("case", ["expires: 2024-02-30", GOOD_CONFIG])),
+        )
+        assert outcome.resolved and outcome.attempts_used == 2
+        first = outcome.attempt_history[0]
+        assert first.feedback.failed_stage is Stage.STRUCTURAL
+        assert first.stages_passed == (Stage.GENERATION,)
+
+    def test_unknown_system_is_deployment_feedback(self):
+        request = GenerationRequest(system="nosuchsystem", prompt=REQUEST.prompt, intent=REQUEST.intent)
+        outcome = run_chain(
+            request,
+            OptimizationProfile.for_name("ip"),
+            deps_for(script_for("case", [GOOD_CONFIG] * 3)),
+        )
+        assert not outcome.resolved and outcome.attempts_used == 3
+        for attempt in outcome.attempt_history:
+            assert attempt.feedback.failed_stage is Stage.DEPLOYMENT
+            assert "no resource profile for system 'nosuchsystem'" in attempt.feedback.render()
+
     def test_budget_safety(self):
         outcome = run_chain(
             REQUEST,

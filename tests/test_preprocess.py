@@ -5,6 +5,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import intentconf.preprocess as preprocess_mod
 from intentconf.preprocess import (
     ConfigDocument,
     StructuralError,
@@ -226,3 +227,194 @@ class TestRoundTrip:
     def test_config_document_equality_semantics(self):
         doc = ConfigDocument(root={"a": 1}, source_text="a: 1")
         assert doc == ConfigDocument(root={"a": 1}, source_text="a: 1")
+
+
+# The brute-force extraction the pruned search must reproduce: every span,
+# longest first, earliest first among equals, parsed by the pure-Python
+# loader, with constructor errors counted as failures.
+ORACLE_ERRORS = (yaml.YAMLError, ValueError, TypeError, LookupError, AttributeError, RecursionError)
+
+
+def oracle_mapping(text):
+    try:
+        docs = [d for d in yaml.load_all(text, Loader=preprocess_mod._PyUniqueKeyLoader)]
+    except ORACLE_ERRORS:
+        return None
+    non_empty = [d for d in docs if d is not None]
+    if len(non_empty) != 1 or not isinstance(non_empty[0], dict):
+        return None
+    return non_empty[0]
+
+
+def oracle_largest_span(text):
+    lines = text.splitlines()
+    n = len(lines)
+    for length in range(n, 0, -1):
+        for start in range(0, n - length + 1):
+            candidate = "\n".join(lines[start : start + length])
+            if not candidate.strip():
+                continue
+            tree = oracle_mapping(candidate)
+            if tree is not None:
+                return candidate, tree
+    return None
+
+
+def oracle_preprocess(raw):
+    """("ok", source_text, tree) or ("error", kind), as preprocess_reply decides."""
+    for text in [raw, *preprocess_mod._fenced_blocks(raw)]:
+        tree = oracle_mapping(text)
+        if tree is not None:
+            return "ok", text, tree
+    span = oracle_largest_span(raw)
+    if span is not None:
+        return ("ok", *span)
+    return "error", StructuralErrorKind.NO_YAML_FOUND
+
+
+def outcome(raw):
+    try:
+        document = preprocess_reply(raw)
+    except StructuralError as exc:
+        return "error", exc.kind
+    return "ok", document.source_text, document.root
+
+
+REPLY_LINES = (
+    # mapping lines, indented lines, duplicates
+    "a: 1", "b: two", "a: 2", "name: web", "  c: 3", "    deep: true", "  - x", "- y", "- a: 1",
+    # prose with and without colons, bullets, markdown headings and comments
+    "Note: memory is set to 1Gi.", "Label: some words.", "Tip: two: colons.",
+    "Here is the configuration", "Hope that helps!", "Great !", "- Note: a bullet.",
+    "## Summary: words", "# comment: with colon", "~",
+    # blank and whitespace-only lines, fences, document markers
+    "", "   ", "```", "```yaml", "---", "...", "--- a: 1",
+    # flow collections, closed and open, and what libyaml reads differently in them
+    "{a: 1}", "{a: 1", "x: [1, {y: 2}]", "[1, 2", "a: [", "  b]", "}", "]", "{a:}", "[a?b]",
+    # explicit keys, some spanning lines
+    "? k", ": v", "? [1]", "  ? k", "x y: 1", "? x", "  y",
+    # tags, including the bare "!" libyaml reads differently
+    "!!map", "!!str", "x: !!str 5", "! a: 1", "a: !", "- !", "{a: !}", "[!, 1]", "! :", "!%00 x",
+    # values no constructor can build
+    "expires: 2024-02-30", "f: !!int abc", "g: !!bool maybe", "t: !!timestamp x", "n: !!int",
+    "? !!set {a}",
+    # aliases, one of them a repeated key
+    "&a a: 1", "b: *a", "*a", "<<: *a", "*a : 2",
+    # open quotes
+    "q: 'open", 'r: "open', "close'",
+    # block scalars
+    "s: |", "t: >-", "  text line", "u: |#x",
+    # tabs, which libyaml accepts in more places than PyYAML, and a byte order mark
+    "\tk: v", "k:\tv", "k: v\tw", "\ufeffb: 2",
+    # directives
+    "%YAML 1.1", "%YAML 1.2", "%YAML 1.3", "%FOO bar",
+    # a character YAML forbids
+    "ctl\x01: x",
+)
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=250, deadline=None)
+    @given(st.lists(st.sampled_from(REPLY_LINES), max_size=10), st.booleans())
+    def test_pruned_search_matches_oracle(self, lines, trailing_newline):
+        raw = "\n".join(lines) + ("\n" if trailing_newline else "")
+        assert outcome(raw) == oracle_preprocess(raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "Sure thing, here it is.\n" + YAML_BODY + "\nNote: memory is set to 4Gi.",
+            "a:\tb\nc: 1\nd: 2",
+            "%YAML 1.3\n---\na: 1",
+            "!\n---\na: 1",
+            "a: 1\n\ufeffb: 2",
+            "a: |#x\nb: 1",
+            "{a:}",
+            "a: !%00 x\nb: 1",
+            "{a?b}",
+            "x y z: 1\n? x\n  y\n  z\n: 2",
+            "x y z: 1\n? x\n  y\n  z\n]",
+            "a: 1\n---\nb: 2",
+            "&k a: 1\nb: 2\n*k : 3",
+            "- Note: a bullet.\n- Tip: another.\nc: 1",
+            "~\n---\n- a\nb: 1",
+            "e: 2024-02-30\nf: 1\ng: 2",
+            "a: 1\nexpires: 2024-02-30\nb: 2",
+            "words\nctl\x01: x\na: 1\nb: 2",
+        ],
+    )
+    def test_known_hard_replies(self, raw):
+        assert outcome(raw) == oracle_preprocess(raw)
+
+
+class CountingYaml:
+    """Stands in for ``yaml`` inside the preprocess module, counting load_all calls."""
+
+    def __init__(self):
+        self.load_all_calls = 0
+
+    def load_all(self, *args, **kwargs):
+        self.load_all_calls += 1
+        return yaml.load_all(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(yaml, name)
+
+
+class TestWorkBound:
+    def test_colon_free_prose_needs_linear_parses(self, monkeypatch):
+        counter = CountingYaml()
+        monkeypatch.setattr(preprocess_mod, "yaml", counter)
+        lines = [f"Sentence number {i} says nothing about the deployment at all." for i in range(120)]
+        with pytest.raises(StructuralError) as info:
+            preprocess_reply("\n".join(lines))
+        assert info.value.kind is StructuralErrorKind.NO_YAML_FOUND
+        assert counter.load_all_calls <= 2 * len(lines)
+
+    def test_clean_reply_parses_once(self, monkeypatch):
+        counter = CountingYaml()
+        monkeypatch.setattr(preprocess_mod, "yaml", counter)
+        assert preprocess_reply(YAML_BODY).root == YAML_TREE
+        assert counter.load_all_calls == 1
+
+    def test_deep_nesting_fails_without_crashing(self):
+        # 50,000 nested sequences overflow the C stack in libyaml's composer.
+        with pytest.raises(StructuralError) as info:
+            preprocess_reply("- " * 50_000 + "a: 1")
+        assert info.value.kind is StructuralErrorKind.NO_YAML_FOUND
+
+
+class TestConstructorErrors:
+    @pytest.mark.parametrize(
+        "text",
+        ["expires: 2024-02-30", "a: !!int abc", "a: !!bool maybe", "!!map\n- 1", "a: !!timestamp x", "a: !!int"],
+    )
+    def test_parse_failure_not_crash(self, text):
+        with pytest.raises(StructuralError) as info:
+            parse_config(text)
+        assert info.value.kind is StructuralErrorKind.PARSE_FAILURE
+
+    def test_rejected_span_leaves_the_rest(self):
+        assert extract_config_text("expires: 2024-02-30\na: 1\nb: 2") == "a: 1\nb: 2"
+
+
+class TestErrorReports:
+    @pytest.mark.parametrize(
+        "text", ["a: [unclosed", "a: 1\n b: 2\nc", "a: 'open", "key: value: other", "a:\tb\n c"]
+    )
+    def test_syntax_errors_read_as_pyyamls_own(self, text):
+        with pytest.raises(yaml.YAMLError) as expected:
+            list(yaml.load_all(text, Loader=yaml.SafeLoader))
+        with pytest.raises(StructuralError) as info:
+            parse_config(text)
+        mark = expected.value.problem_mark
+        assert info.value.detail == str(expected.value)
+        assert (info.value.line, info.value.column) == (mark.line + 1, mark.column + 1)
+
+    def test_duplicate_key_report(self):
+        with pytest.raises(StructuralError) as info:
+            parse_config("a: 1\na: 2")
+        assert info.value.detail == (
+            "duplicate key 'a'\n  in \"<unicode string>\", line 2, column 1:\n    a: 2\n    ^"
+        )
+        assert (info.value.line, info.value.column) == (2, 1)

@@ -3,6 +3,7 @@
 import os
 import random
 import stat
+import subprocess
 
 import pytest
 
@@ -11,6 +12,7 @@ from intentconf.simulator import (
     DEFAULT_CPU_RATE,
     DEFAULT_MEM_RATE,
     GIB,
+    SHELL_DEPLOY_TIMEOUT_S,
     BackendUnavailable,
     ClusterModel,
     DeploymentOutcome,
@@ -122,10 +124,10 @@ class TestExtractResources:
             extract_resources({}, "spark")
 
     def test_bad_replicas_value(self):
-        with pytest.raises(QuantityError):
-            extract_resources({"worker": {"replicas": "many"}}, "dask")
-        with pytest.raises(QuantityError):
-            extract_resources({"worker": {"replicas": 0}}, "dask")
+        for value in ("many", 0, 2.7, 0.5, float("inf"), float("nan")):
+            with pytest.raises(QuantityError):
+                extract_resources({"worker": {"replicas": value}}, "dask")
+        assert extract_resources({"worker": {"replicas": 3.0}}, "dask").spec.replicas == 3
 
     def test_custom_profile_paths(self):
         profiles = {
@@ -343,6 +345,21 @@ class TestShellDeploy:
         outcome = shell_deploy(self.CONFIG, kube_context="staging", opt_in=True, cli=name)
         assert "--context staging" in outcome.logs
 
+    def test_timeout_becomes_failure_outcome(self, tmp_path, monkeypatch):
+        name = fake_cli(tmp_path, monkeypatch, "slowctl", "#!/bin/sh\nexit 0\n")
+        calls = []
+
+        def run(command, **kwargs):
+            calls.append(kwargs)
+            raise subprocess.TimeoutExpired(command, kwargs["timeout"])
+
+        monkeypatch.setattr(subprocess, "run", run)
+        outcome = shell_deploy(self.CONFIG, opt_in=True, cli=name)
+        assert calls == [{"capture_output": True, "text": True, "timeout": SHELL_DEPLOY_TIMEOUT_S}]
+        assert not outcome.success
+        assert outcome.failure_reason == f"slowctl did not finish within {SHELL_DEPLOY_TIMEOUT_S:g} s"
+        assert outcome.logs.startswith("Error:")
+
     def test_shell_deployer_wraps_function(self, tmp_path, monkeypatch):
         name = fake_cli(tmp_path, monkeypatch, "okctl", "#!/bin/sh\nexit 0\n")
         deployer = ShellDeployer(opt_in=True, cli=name)
@@ -363,6 +380,13 @@ class TestSimulatedDeployer:
         outcome = deployer.deploy(config, "dask")
         assert not outcome.success
         assert outcome.logs.startswith("Error:")
+
+    def test_unknown_system_becomes_failure_outcome(self):
+        deployer = SimulatedDeployer(model=ClusterModel(nodes=(NODE,)))
+        outcome = deployer.deploy(document_from_tree(DASK_CONFIG), "nosuchsystem")
+        assert not outcome.success
+        assert outcome.failure_reason == "no resource profile for system 'nosuchsystem'"
+        assert outcome.logs == "Error: no resource profile for system 'nosuchsystem'"
 
     def test_fallback_notes_surface_in_logs(self):
         deployer = SimulatedDeployer(model=ClusterModel(nodes=(NODE,)))
