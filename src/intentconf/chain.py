@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -26,21 +26,8 @@ from .prompting import (
     verify_alignment,
 )
 from .retrieval import DEFAULT_TOP_K, Chunk, RetrievalIndex, retrieve
+from .simulator import BenchmarkResult, DeploymentOutcome, filter_logs
 from .validation import Assertion, evaluate
-
-SEVERITY_MARKERS = (
-    "error",
-    "warn",
-    "fatal",
-    "exception",
-    "failed",
-    "denied",
-    "insufficient",
-)
-
-LOG_LINE_CAP = 50
-_HEAD = 25
-_TAIL = 25
 
 
 class Stage(enum.Enum):
@@ -59,27 +46,6 @@ class Stage(enum.Enum):
 
 
 _STAGE_ORDER = {stage: i for i, stage in enumerate(Stage)}
-
-
-def filter_logs(raw: str) -> list[str]:
-    """Keep only failure-relevant lines from raw output.
-
-    Lines survive when they contain a severity marker (case-insensitive);
-    consecutive duplicates collapse to one; above 50 lines the middle is
-    elided, keeping the first and last 25.
-    """
-    kept: list[str] = []
-    for line in raw.splitlines():
-        lowered = line.lower()
-        if not any(marker in lowered for marker in SEVERITY_MARKERS):
-            continue
-        if kept and kept[-1] == line:
-            continue
-        kept.append(line)
-    if len(kept) > LOG_LINE_CAP:
-        omitted = len(kept) - _HEAD - _TAIL
-        kept = kept[:_HEAD] + [f"... {omitted} lines elided ..."] + kept[-_TAIL:]
-    return kept
 
 
 @dataclass(frozen=True)
@@ -137,7 +103,7 @@ class ChainOutcome:
     attempts_used: int
     max_attempts: int
     final_config: ConfigDocument | None
-    benchmark: object | None
+    benchmark: BenchmarkResult | None
     attempt_history: tuple[AttemptRecord, ...]
     total_prompt_tokens: int
     total_completion_tokens: int
@@ -167,8 +133,14 @@ class ChainDeps:
 
 
 @dataclass
-class _AttemptState:
-    stages_passed: list[Stage] = field(default_factory=list)
+class _Attempt:
+    """What one attempt's gate steps produce, and what its model calls cost."""
+
+    number: int
+    reply: str
+    config: ConfigDocument | None = None
+    deployed: DeploymentOutcome | None = None
+    benchmark: BenchmarkResult | None = None
     prompt_tokens: int = 0
     completion_tokens: int = 0
     latency: float = 0.0
@@ -178,9 +150,83 @@ class _AttemptState:
         self.completion_tokens += raw.completion_tokens
         self.latency += raw.latency_seconds
 
-    @property
-    def prior(self) -> Stage | None:
-        return self.stages_passed[-1] if self.stages_passed else None
+
+# A gate step returns None on a pass, or (reason, raw logs) on a failure. Steps
+# call the layers through this module's globals, looked up at call time.
+_Failure = tuple[str, str] | None
+
+
+def _structural(a: _Attempt, request, profile, deps) -> _Failure:
+    """The reply must reduce to one well-formed mapping."""
+    try:
+        a.config = preprocess_reply(a.reply)
+    except StructuralError as exc:
+        return str(exc), f"Error: {exc}"
+    return None
+
+
+def _static_validation(a: _Attempt, request, profile, deps) -> _Failure:
+    report = evaluate(a.config, deps.assertions, case_id=deps.case_id)
+    if report.passed:
+        return None
+    failures = report.failures
+    reason = (
+        f"{len(failures)} of {len(report.results)} assertions failed; "
+        f"first: path {failures[0].assertion.path!r} {failures[0].reason}"
+    )
+    logs = "\n".join(
+        f"Error: assertion failed: path {f.assertion.path!r} {f.reason}" for f in failures
+    )
+    return reason, logs
+
+
+def _alignment(a: _Attempt, request, profile, deps) -> _Failure:
+    """The model re-reads its own output against the intent."""
+    try:
+        verdict = verify_alignment(
+            a.config,
+            request,
+            deps.provider,
+            profile.sampling,
+            metadata={"case": f"{deps.case_id}#verify", "attempt": str(a.number)},
+        )
+    except VerdictUnparseable as exc:
+        a.charge(exc.raw)
+        return "alignment verdict unparseable", f"Error: alignment verdict unparseable: {exc}"
+    a.charge(verdict.raw)
+    if verdict.aligned:
+        return None
+    reason = verdict.reason or "configuration does not reflect the intent"
+    return reason, f"Error: intent misalignment: {reason}"
+
+
+def _deployment(a: _Attempt, request, profile, deps) -> _Failure:
+    a.deployed = deps.deployer.deploy(a.config, request.system)
+    if a.deployed.success:
+        return None
+    return a.deployed.failure_reason or "deployment failed", a.deployed.logs
+
+
+def _runtime_benchmark(a: _Attempt, request, profile, deps) -> _Failure:
+    try:
+        a.benchmark = deps.deployer.benchmark(a.deployed.resources, deps.workload)
+    except ValueError as exc:
+        return str(exc), f"Error: {exc}"
+    return None
+
+
+# Every stage after Generation, in Stage order: (stage, enabled(profile, deps), step).
+GATES = (
+    (Stage.STRUCTURAL, lambda profile, deps: True, _structural),
+    (Stage.STATIC_VALIDATION, lambda profile, deps: bool(deps.assertions), _static_validation),
+    (Stage.COT_VERIFICATION, lambda profile, deps: profile.use_cot, _alignment),
+    (Stage.DEPLOYMENT, lambda profile, deps: deps.deployer is not None, _deployment),
+    (
+        Stage.RUNTIME_BENCHMARK,
+        lambda profile, deps: deps.workload is not None and hasattr(deps.deployer, "benchmark"),
+        _runtime_benchmark,
+    ),
+)
 
 
 def run_chain(
@@ -197,9 +243,7 @@ def run_chain(
     """
     history: list[AttemptRecord] = []
     feedback: FeedbackContext | None = None
-    final_config: ConfigDocument | None = None
-    benchmark_result = None
-    resolved = False
+    resolved: _Attempt | None = None
 
     context_chunks: tuple[Chunk, ...] = ()
     if profile.use_retrieval and deps.index is not None:
@@ -216,10 +260,10 @@ def run_chain(
             feedback=feedback.render() if feedback else "",
         )
         payload = replace(payload, metadata={"case": deps.case_id, "attempt": str(attempt)})
-        state = _AttemptState()
         try:
             raw = complete(payload, profile.effective_sampling, deps.provider)
         except (ProviderUnreachable, ProviderError) as exc:
+            # A provider error ends the chain; it is not feedback for another attempt.
             history.append(
                 AttemptRecord(
                     attempt=attempt,
@@ -234,129 +278,43 @@ def run_chain(
                 )
             )
             break
-        state.charge(raw)
-        state.stages_passed.append(Stage.GENERATION)
+        a = _Attempt(number=attempt, reply=raw.text)
+        a.charge(raw)
 
-        attempt_feedback: FeedbackContext | None = None
-        config: ConfigDocument | None = None
+        stages_passed = [Stage.GENERATION]
+        feedback = None
+        for stage, enabled, step in GATES:
+            if not enabled(profile, deps):
+                continue
+            failure = step(a, request, profile, deps)
+            if failure is not None:
+                feedback = make_feedback(stage, stages_passed[-1], *failure)
+                break
+            stages_passed.append(stage)
 
-        # Structural gate: the reply must reduce to one well-formed mapping.
-        try:
-            config = preprocess_reply(raw.text)
-            state.stages_passed.append(Stage.STRUCTURAL)
-        except StructuralError as exc:
-            attempt_feedback = make_feedback(
-                Stage.STRUCTURAL, state.prior, str(exc), f"Error: {exc}"
-            )
-
-        # Static validation gate, only when the case declares assertions.
-        if attempt_feedback is None and deps.assertions:
-            report = evaluate(config, deps.assertions, case_id=deps.case_id)
-            if report.passed:
-                state.stages_passed.append(Stage.STATIC_VALIDATION)
-            else:
-                failures = report.failures
-                reason = (
-                    f"{len(failures)} of {len(report.results)} assertions failed; "
-                    f"first: path {failures[0].assertion.path!r} {failures[0].reason}"
-                )
-                logs = "\n".join(
-                    f"Error: assertion failed: path {f.assertion.path!r} {f.reason}"
-                    for f in failures
-                )
-                attempt_feedback = make_feedback(
-                    Stage.STATIC_VALIDATION, state.prior, reason, logs
-                )
-
-        # Alignment gate: the model re-reads its own output against the intent.
-        if attempt_feedback is None and profile.use_cot:
-            try:
-                verdict = verify_alignment(
-                    config,
-                    request,
-                    deps.provider,
-                    profile.sampling,
-                    metadata={"case": f"{deps.case_id}#verify", "attempt": str(attempt)},
-                )
-                state.charge(verdict.raw)
-                if verdict.aligned:
-                    state.stages_passed.append(Stage.COT_VERIFICATION)
-                else:
-                    reason = verdict.reason or "configuration does not reflect the intent"
-                    attempt_feedback = make_feedback(
-                        Stage.COT_VERIFICATION,
-                        state.prior,
-                        reason,
-                        f"Error: intent misalignment: {reason}",
-                    )
-            except VerdictUnparseable as exc:
-                state.charge(exc.raw)
-                attempt_feedback = make_feedback(
-                    Stage.COT_VERIFICATION,
-                    state.prior,
-                    "alignment verdict unparseable",
-                    f"Error: alignment verdict unparseable: {exc}",
-                )
-
-        # Deployment gate.
-        deploy_outcome = None
-        if attempt_feedback is None and deps.deployer is not None:
-            deploy_outcome = deps.deployer.deploy(config, request.system)
-            if deploy_outcome.success:
-                state.stages_passed.append(Stage.DEPLOYMENT)
-            else:
-                attempt_feedback = make_feedback(
-                    Stage.DEPLOYMENT,
-                    state.prior,
-                    deploy_outcome.failure_reason or "deployment failed",
-                    deploy_outcome.logs,
-                )
-
-        # Runtime benchmark gate, when the deployer can price the workload.
-        if (
-            attempt_feedback is None
-            and deploy_outcome is not None
-            and deps.workload is not None
-            and hasattr(deps.deployer, "benchmark")
-        ):
-            try:
-                benchmark_result = deps.deployer.benchmark(
-                    deploy_outcome.resources, deps.workload
-                )
-                state.stages_passed.append(Stage.RUNTIME_BENCHMARK)
-            except ValueError as exc:
-                attempt_feedback = make_feedback(
-                    Stage.RUNTIME_BENCHMARK, state.prior, str(exc), f"Error: {exc}"
-                )
-
-        reached = (
-            attempt_feedback.failed_stage if attempt_feedback else state.stages_passed[-1]
-        )
         history.append(
             AttemptRecord(
                 attempt=attempt,
-                stages_passed=tuple(state.stages_passed),
-                reached=reached,
-                feedback=attempt_feedback,
-                prompt_tokens=state.prompt_tokens,
-                completion_tokens=state.completion_tokens,
-                latency_seconds=state.latency,
+                stages_passed=tuple(stages_passed),
+                reached=feedback.failed_stage if feedback else stages_passed[-1],
+                feedback=feedback,
+                prompt_tokens=a.prompt_tokens,
+                completion_tokens=a.completion_tokens,
+                latency_seconds=a.latency,
                 user_message=payload.user_message,
                 response_text=raw.text,
             )
         )
-        if attempt_feedback is None:
-            resolved = True
-            final_config = config
+        if feedback is None:
+            resolved = a
             break
-        feedback = attempt_feedback
 
     return ChainOutcome(
-        resolved=resolved,
+        resolved=resolved is not None,
         attempts_used=history[-1].attempt if history else 0,
         max_attempts=profile.max_chain_attempts,
-        final_config=final_config,
-        benchmark=benchmark_result if resolved else None,
+        final_config=resolved.config if resolved else None,
+        benchmark=resolved.benchmark if resolved else None,
         attempt_history=tuple(history),
         total_prompt_tokens=sum(r.prompt_tokens for r in history),
         total_completion_tokens=sum(r.completion_tokens for r in history),

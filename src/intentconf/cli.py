@@ -121,6 +121,27 @@ def _shots_for(config: AppConfig, profile: prompting.OptimizationProfile, system
     return shots
 
 
+def _chain_deps(
+    config: AppConfig,
+    profile: prompting.OptimizationProfile,
+    system: str,
+    provider,
+    deployer,
+    assertions,
+    case_id: str,
+) -> chain_mod.ChainDeps:
+    return chain_mod.ChainDeps(
+        provider=provider,
+        shots=_shots_for(config, profile, system),
+        index=_build_index(config) if profile.use_retrieval else None,
+        retrieval_k=config.retrieval.k,
+        assertions=assertions,
+        deployer=deployer,
+        workload=config.workload_for(system) if deployer is not None else None,
+        case_id=case_id,
+    )
+
+
 def _echo_attempts(outcome: chain_mod.ChainOutcome) -> None:
     for record in outcome.attempt_history:
         if record.provider_error:
@@ -198,18 +219,8 @@ def generate(
         scenario = scenario or f"cli:{system}"
         assertions = _load_assertions(assertions_path) if assertions_path else ()
         deployer = None if no_deploy else _deployer(config, deploy_backend, real_ok, cluster)
-        workload = None
-        if deployer is not None and hasattr(deployer, "benchmark"):
-            workload = config.workload_for(system)
-        deps = chain_mod.ChainDeps(
-            provider=build_provider(config),
-            shots=_shots_for(config, profile, system),
-            index=_build_index(config) if profile.use_retrieval else None,
-            retrieval_k=config.retrieval.k,
-            assertions=assertions,
-            deployer=deployer,
-            workload=workload,
-            case_id=scenario,
+        deps = _chain_deps(
+            config, profile, system, build_provider(config), deployer, assertions, scenario
         )
         prompt = prompt or f"Write the {system} configuration that satisfies the intent."
         request = prompting.GenerationRequest(system=system, intent=intent, prompt=prompt)
@@ -335,15 +346,8 @@ def chain_cmd(
         )
         provider = build_provider(config, extra_script=harness_mod.load_mock_scripts(dataset))
         deployer = None if no_deploy else _deployer(config, None, False, None)
-        deps = chain_mod.ChainDeps(
-            provider=provider,
-            shots=_shots_for(config, profile, case.system),
-            index=_build_index(config) if profile.use_retrieval else None,
-            retrieval_k=config.retrieval.k,
-            assertions=case.assertions,
-            deployer=deployer,
-            workload=config.workload_for(case.system) if deployer is not None else None,
-            case_id=case.id,
+        deps = _chain_deps(
+            config, profile, case.system, provider, deployer, case.assertions, case.id
         )
         request = prompting.GenerationRequest(
             system=case.system, intent=case.intent, prompt=case.prompt
@@ -391,16 +395,11 @@ def bench(config: AppConfig, dataset: Path | None, profiles: str, workers: int):
         if not profile_list:
             raise AppConfigError("no profiles requested")
         provider = build_provider(config, extra_script=harness_mod.load_mock_scripts(dataset))
+        few_shot = next((p for p in profile_list if p.use_few_shot), None)
         shots_by_system = {}
-        systems = sorted({case.system for case in cases})
-        if any(p.use_few_shot for p in profile_list):
-            if config.shots_path is None:
-                raise AppConfigError("requested profiles need few-shot examples; set paths.shots")
-            for system in systems:
-                shots = prompting.load_shot_library(config.shots_path, system)
-                if not shots:
-                    raise AppConfigError(f"no few-shot examples found for system {system!r}")
-                shots_by_system[system] = shots
+        if few_shot is not None:
+            for system in sorted({case.system for case in cases}):
+                shots_by_system[system] = _shots_for(config, few_shot, system)
         deps = harness_mod.HarnessDeps(
             provider=provider,
             shots_by_system=shots_by_system,

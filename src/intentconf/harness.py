@@ -22,7 +22,7 @@ import yaml
 from .chain import ChainDeps, ChainOutcome, run_chain
 from .gateway import MockScript, Provider, mock_script_from_dict
 from .prompting import FewShotExample, GenerationRequest, OptimizationProfile
-from .retrieval import RetrievalIndex
+from .retrieval import DEFAULT_TOP_K, RetrievalIndex
 from .validation import Assertion, AssertionKind, EmptyCorpus
 
 LEVELS = (1, 2, 3, 4, 5, 6)
@@ -178,7 +178,7 @@ class HarnessDeps:
     provider: Provider
     shots_by_system: Mapping[str, tuple[FewShotExample, ...]] = field(default_factory=dict)
     index: RetrievalIndex | None = None
-    retrieval_k: int = 4
+    retrieval_k: int = DEFAULT_TOP_K
     deployer: object | None = None
     workloads: Mapping[str, object] = field(default_factory=dict)
     default_workload: object | None = None

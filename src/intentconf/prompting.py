@@ -1,6 +1,6 @@
 """Prompt assembly for configuration generation and alignment checks.
 
-A profile names which prompt enhancements are active: plain instruction
+A profile's name says which prompt enhancements are active: plain instruction
 prompting, step-by-step reasoning, retrieved documentation context,
 curated few-shot examples, or all of them combined. build_prompt turns a
 generation request plus the active profile into one payload; the sections
@@ -26,7 +26,17 @@ from .gateway import (
 from .preprocess import ConfigDocument, StructuralError, parse_config, serialize_config
 from .retrieval import Chunk
 
-PROFILE_NAMES = ("ip", "cot", "rag", "fsl", "lads")
+# name -> (use_cot, use_retrieval, use_few_shot); every profile keeps the
+# instruction header.
+_FLAGS = {
+    "ip": (False, False, False),
+    "cot": (True, False, False),
+    "rag": (False, True, False),
+    "fsl": (False, False, True),
+    "lads": (True, True, True),
+}
+
+PROFILE_NAMES = tuple(_FLAGS)
 
 MAX_CHAIN_ATTEMPTS = 3
 
@@ -69,29 +79,29 @@ class VerdictUnparseable(Exception):
 
 @dataclass(frozen=True)
 class OptimizationProfile:
-    """Which prompt enhancements are switched on, plus sampling policy."""
+    """A named set of prompt enhancements, plus sampling policy and attempt budget."""
 
     name: str
-    use_instruction_header: bool = True
-    use_cot: bool = False
-    use_retrieval: bool = False
-    use_few_shot: bool = False
     sampling: SamplingParams = SamplingParams()
     max_chain_attempts: int = MAX_CHAIN_ATTEMPTS
 
     def __post_init__(self):
         if self.name not in PROFILE_NAMES:
-            raise ValueError(f"profile name must be one of {PROFILE_NAMES}, got {self.name!r}")
-        if not self.use_instruction_header:
-            raise ValueError("every profile keeps the instruction header on")
+            raise ValueError(f"unknown profile {self.name!r}; choose from {PROFILE_NAMES}")
         if self.max_chain_attempts < 1:
             raise ValueError("max_chain_attempts must be >= 1")
-        expected = _FLAGS[self.name]
-        actual = (self.use_cot, self.use_retrieval, self.use_few_shot)
-        if actual != expected:
-            raise ValueError(
-                f"profile {self.name!r} implies flags cot/retrieval/few_shot = {expected}, got {actual}"
-            )
+
+    @property
+    def use_cot(self) -> bool:
+        return _FLAGS[self.name][0]
+
+    @property
+    def use_retrieval(self) -> bool:
+        return _FLAGS[self.name][1]
+
+    @property
+    def use_few_shot(self) -> bool:
+        return _FLAGS[self.name][2]
 
     @property
     def effective_sampling(self) -> SamplingParams:
@@ -104,29 +114,7 @@ class OptimizationProfile:
         sampling: SamplingParams | None = None,
         max_chain_attempts: int = MAX_CHAIN_ATTEMPTS,
     ) -> "OptimizationProfile":
-        name = name.lower()
-        if name not in PROFILE_NAMES:
-            raise ValueError(f"unknown profile {name!r}; choose from {PROFILE_NAMES}")
-        cot, rag, fsl = _FLAGS[name]
-        return cls(
-            name=name,
-            use_instruction_header=True,
-            use_cot=cot,
-            use_retrieval=rag,
-            use_few_shot=fsl,
-            sampling=sampling or SamplingParams(),
-            max_chain_attempts=max_chain_attempts,
-        )
-
-
-# name -> (use_cot, use_retrieval, use_few_shot); the header is always on.
-_FLAGS = {
-    "ip": (False, False, False),
-    "cot": (True, False, False),
-    "rag": (False, True, False),
-    "fsl": (False, False, True),
-    "lads": (True, True, True),
-}
+        return cls(name.lower(), sampling or SamplingParams(), max_chain_attempts)
 
 
 @dataclass(frozen=True)
@@ -236,10 +224,6 @@ def build_prompt(
         user_message="\n\n".join(sections),
         metadata=dict(request.metadata),
     )
-
-
-def build_cot_suffix() -> str:
-    return COT_SUFFIX
 
 
 @dataclass(frozen=True)

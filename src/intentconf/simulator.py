@@ -5,7 +5,8 @@ binding resource on failure, and prices a benchmark run with a closed-form
 speedup model: a workload is a serial part plus a perfectly parallel part,
 so completion = t_s + t_p / R for R total cores, and cost grows with the
 core- and memory-hours held. The shell backend hands the canonical YAML to
-a real cluster CLI and is gated behind an explicit opt-in.
+a real cluster CLI and is gated behind an explicit opt-in. filter_logs
+cuts a backend's output down to the lines worth feeding back to the model.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from pathlib import Path
 
 import yaml
 
-from .chain import filter_logs
 from .preprocess import ConfigDocument, serialize_config
 from .validation import resolve_path
 
@@ -30,6 +30,20 @@ DEFAULT_MEM_RATE = 0.004  # dollars per GiB-hour
 SHELL_DEPLOY_TIMEOUT_S = 120.0  # one real-cluster CLI call; the child is killed after it
 
 GIB = 2**30
+
+SEVERITY_MARKERS = (
+    "error",
+    "warn",
+    "fatal",
+    "exception",
+    "failed",
+    "denied",
+    "insufficient",
+)
+
+LOG_LINE_CAP = 50
+_HEAD = 25
+_TAIL = 25
 
 _NUMBER_RE = re.compile(r"^(\d+(?:\.\d+)?)([A-Za-z]*)$")
 
@@ -50,6 +64,27 @@ class InvalidWorkload(ValueError):
 
 class BackendUnavailable(RuntimeError):
     """The real-cluster backend is not opted in or its CLI is missing."""
+
+
+def filter_logs(raw: str) -> list[str]:
+    """Keep only failure-relevant lines from raw output.
+
+    Lines survive when they contain a severity marker (case-insensitive);
+    consecutive duplicates collapse to one; above 50 lines the middle is
+    elided, keeping the first and last 25.
+    """
+    kept: list[str] = []
+    for line in raw.splitlines():
+        lowered = line.lower()
+        if not any(marker in lowered for marker in SEVERITY_MARKERS):
+            continue
+        if kept and kept[-1] == line:
+            continue
+        kept.append(line)
+    if len(kept) > LOG_LINE_CAP:
+        omitted = len(kept) - _HEAD - _TAIL
+        kept = kept[:_HEAD] + [f"... {omitted} lines elided ..."] + kept[-_TAIL:]
+    return kept
 
 
 def parse_quantity(text, kind: str) -> int:
@@ -152,7 +187,7 @@ class DeploymentOutcome:
 
 
 @dataclass(frozen=True)
-class BenchmarkResultDyn:
+class BenchmarkResult:
     completion_seconds: float
     cost_dollars: float
     resources: ResourceSpec
@@ -312,7 +347,7 @@ def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
     )
 
 
-def run_workload(model: ClusterModel, spec: ResourceSpec, workload: Workload) -> BenchmarkResultDyn:
+def run_workload(model: ClusterModel, spec: ResourceSpec, workload: Workload) -> BenchmarkResult:
     """Closed-form completion time and cost for a placed deployment.
 
     With R = replicas x cores per replica: completion = t_s + t_p / R, and
@@ -327,7 +362,7 @@ def run_workload(model: ClusterModel, spec: ResourceSpec, workload: Workload) ->
         spec.memory_bytes / GIB
     )
     cost = (completion / 3600.0) * hourly
-    return BenchmarkResultDyn(completion_seconds=completion, cost_dollars=cost, resources=spec)
+    return BenchmarkResult(completion_seconds=completion, cost_dollars=cost, resources=spec)
 
 
 def load_cluster_model(path: Path | str) -> ClusterModel:
@@ -416,7 +451,7 @@ class SimulatedDeployer:
             )
         return outcome
 
-    def benchmark(self, spec: ResourceSpec, workload: Workload) -> BenchmarkResultDyn:
+    def benchmark(self, spec: ResourceSpec, workload: Workload) -> BenchmarkResult:
         return run_workload(self.model, spec, workload)
 
 

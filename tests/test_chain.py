@@ -1,15 +1,16 @@
 """Log filtering, feedback wording, and the generate/check/repair loop."""
 
+import subprocess
+import sys
+
 import pytest
 
 from intentconf.chain import (
-    LOG_LINE_CAP,
-    SEVERITY_MARKERS,
+    GATES,
     ChainDeps,
     ChainOutcome,
     FeedbackContext,
     Stage,
-    filter_logs,
     make_feedback,
     read_transcript,
     run_chain,
@@ -26,10 +27,13 @@ from intentconf.prompting import FEEDBACK_LABEL, GenerationRequest, Optimization
 from intentconf.retrieval import count_tokens
 from intentconf.simulator import (
     GIB,
+    LOG_LINE_CAP,
+    SEVERITY_MARKERS,
     ClusterModel,
     NodeSpec,
     SimulatedDeployer,
     Workload,
+    filter_logs,
 )
 from intentconf.validation import Assertion, AssertionKind
 
@@ -157,6 +161,26 @@ class TestStage:
         ]
         orders = [s.order for s in Stage]
         assert orders == sorted(orders)
+
+    def test_gate_table_lists_each_later_stage_once_in_order(self):
+        # Stage monotonicity of every attempt record rests on this.
+        assert [stage for stage, _, _ in GATES] == list(Stage)[1:]
+
+    def test_simulator_does_not_import_chain(self):
+        # The package's __init__ re-exports the chain, so the simulator is
+        # imported under a bare package object to see its own imports.
+        code = (
+            "import importlib.util, sys, types\n"
+            "pkg = types.ModuleType('intentconf')\n"
+            "pkg.__path__ = importlib.util.find_spec('intentconf').submodule_search_locations\n"
+            "sys.modules['intentconf'] = pkg\n"
+            "import intentconf.simulator\n"
+            "print('intentconf.chain' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestRunChain:

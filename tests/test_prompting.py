@@ -16,7 +16,6 @@ from intentconf.prompting import (
     OptimizationProfile,
     ProfileViolation,
     VerdictUnparseable,
-    build_cot_suffix,
     build_prompt,
     load_shot_library,
     verify_alignment,
@@ -54,7 +53,6 @@ class TestProfiles:
     )
     def test_flag_mapping(self, name, cot, rag, fsl):
         profile = OptimizationProfile.for_name(name)
-        assert profile.use_instruction_header
         assert (profile.use_cot, profile.use_retrieval, profile.use_few_shot) == (cot, rag, fsl)
 
     def test_for_name_case_insensitive(self):
@@ -65,12 +63,15 @@ class TestProfiles:
             OptimizationProfile.for_name("zero-shot")
 
     def test_header_cannot_be_disabled(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             OptimizationProfile(name="ip", use_instruction_header=False)
+        payload = build_prompt(OptimizationProfile.for_name("ip"), REQUEST)
+        assert payload.system_instructions == INSTRUCTION_HEADER
 
     def test_flags_must_match_name(self):
-        with pytest.raises(ValueError):
-            OptimizationProfile(name="ip", use_cot=True)
+        for keyword in ("use_cot", "use_retrieval", "use_few_shot"):
+            with pytest.raises(TypeError):
+                OptimizationProfile(name="ip", **{keyword: True})
 
     def test_attempt_budget_positive(self):
         with pytest.raises(ValueError):
@@ -222,13 +223,16 @@ class TestBuildPrompt:
 
 class TestCotSuffix:
     def test_contains_reasoning_phrase(self):
-        assert "Let's think step by step" in build_cot_suffix()
+        assert "Let's think step by step" in COT_SUFFIX
 
     def test_stable_across_calls(self):
-        assert build_cot_suffix() == build_cot_suffix() == COT_SUFFIX
+        other = GenerationRequest(system="redis", prompt="p", intent="i")
+        for request in (REQUEST, other, REQUEST):
+            payload = build_prompt(OptimizationProfile.for_name("cot"), request)
+            assert payload.user_message.endswith(COT_SUFFIX)
 
     def test_ends_with_verdict_format_instruction(self):
-        assert build_cot_suffix().rstrip().endswith(
+        assert COT_SUFFIX.rstrip().endswith(
             "VERDICT: ALIGNED or VERDICT: MISALIGNED: <reason>."
         )
 
