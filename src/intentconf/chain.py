@@ -26,7 +26,7 @@ from .prompting import (
     verify_alignment,
 )
 from .retrieval import DEFAULT_TOP_K, Chunk, RetrievalIndex, retrieve
-from .simulator import BenchmarkResult, DeploymentOutcome, filter_logs
+from .simulator import BenchmarkResult, DeploymentOutcome, Workload, filter_logs
 from .validation import Assertion, evaluate
 
 
@@ -128,7 +128,7 @@ class ChainDeps:
     retrieval_k: int = DEFAULT_TOP_K
     assertions: Sequence[Assertion] = ()
     deployer: object | None = None
-    workload: object | None = None
+    workload: Workload | None = None
     case_id: str = ""
 
 
@@ -354,10 +354,22 @@ def write_transcript(
 
 
 def read_transcript(path: Path | str) -> list[dict]:
-    """Parse a transcript back into attempt dicts, in attempt order."""
+    """Parse a transcript back into attempt dicts, in attempt order.
+
+    Raises ValueError for a line that is not a JSON object or whose
+    ``attempt`` is not an integer.
+    """
     entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            entries.append(json.loads(line))
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        entry = json.loads(line)
+        if not isinstance(entry, dict):
+            raise ValueError(f"line {number}: expected a JSON object, got {type(entry).__name__}")
+        attempt = entry.get("attempt", 0)
+        if isinstance(attempt, bool) or not isinstance(attempt, int):
+            raise ValueError(f"line {number}: attempt must be an integer, got {attempt!r}")
+        entries.append(entry)
     entries.sort(key=lambda e: e.get("attempt", 0))
     return entries

@@ -460,11 +460,11 @@ def report(config: AppConfig, transcripts: str, rate: float | None):
     for file in files:
         try:
             entries = chain_mod.read_transcript(file)
-        except (OSError, json.JSONDecodeError) as exc:
+            if entries:
+                stats.append(harness_mod.transcript_stats(entries))
+        except (OSError, ValueError) as exc:
             _fail_usage(f"{file}: {exc}")
             return
-        if entries:
-            stats.append(harness_mod.transcript_stats(entries))
     if not stats:
         _fail_usage("matched transcripts are all empty")
     curve = harness_mod.resolution_curve(stats)
@@ -485,7 +485,8 @@ def report(config: AppConfig, transcripts: str, rate: float | None):
         click.echo(f"resolved by attempt {k}: {curve[k]:.1f}%")
     click.echo("")
     click.echo("max completion tokens and cost per configuration (completion tokens priced):")
-    for row in harness_mod.cost_report(records, rate):
+    cost_rows = harness_mod.cost_report(records, rate)
+    for row in cost_rows:
         click.echo(f"  {row.system}  {row.max_completion_tokens}  $ {row.cost_display}")
     latency_rows = harness_mod.latency_report(records)
     if any(row.calls for row in latency_rows):
@@ -506,7 +507,7 @@ def report(config: AppConfig, transcripts: str, rate: float | None):
                 "max_completion_tokens": row.max_completion_tokens,
                 "cost_dollars": row.cost_display,
             }
-            for row in harness_mod.cost_report(records, rate)
+            for row in cost_rows
         ],
         "latency": [
             {

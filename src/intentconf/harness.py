@@ -129,46 +129,35 @@ def load_dataset(path: Path | str) -> list[BenchmarkCase]:
 def load_mock_scripts(path: Path | str) -> MockScript:
     """Merge every <case id>.mock.yaml under the dataset into one script.
 
-    A file scripts the scenario named by its case id; ``verify`` replies
-    script "<id>#verify"; per-intent sections script "<id>@intentN" (and
-    their verify replies "<id>@intentN#verify").
+    A file scripts the scenario named by its case id, and its ``verify``
+    replies script "<id>#verify". Case ids must be unique across files.
     """
     root = Path(path)
-    script = MockScript()
+    scenarios: dict[str, dict] = {}
+    seen: dict[str, Path] = {}
     for file in sorted(root.rglob("*.mock.yaml")):
         data = yaml.safe_load(file.read_text(encoding="utf-8")) or {}
         if not isinstance(data, Mapping):
             raise DatasetError(f"{file}: mock script must be a YAML mapping")
         case_id = file.name[: -len(".mock.yaml")]
-        scenarios: dict[str, dict] = {}
-        base: dict = {"latency": data.get("latency", 0.0)}
-        if "replies" in data:
-            base["replies"] = data["replies"]
-        if "default" in data:
-            base["default"] = data["default"]
-        scenarios[case_id] = base
-        if "verify" in data or "verify_default" in data:
-            scenarios[f"{case_id}#verify"] = {
-                "replies": data.get("verify"),
-                "default": data.get("verify_default"),
-                "latency": data.get("latency", 0.0),
-            }
-        for n, spec in (data.get("intents") or {}).items():
-            if not isinstance(spec, Mapping):
-                spec = {"replies": spec}
-            scenarios[f"{case_id}@intent{n}"] = {
-                "replies": spec.get("replies"),
-                "default": spec.get("default"),
-                "latency": spec.get("latency", data.get("latency", 0.0)),
-            }
-            if "verify" in spec or "verify_default" in spec:
-                scenarios[f"{case_id}@intent{n}#verify"] = {
-                    "replies": spec.get("verify"),
-                    "default": spec.get("verify_default"),
-                    "latency": spec.get("latency", data.get("latency", 0.0)),
-                }
-        script = script.merged_with(mock_script_from_dict({"scenarios": scenarios}))
-    return script
+        if case_id in seen:
+            raise DatasetError(
+                f"duplicate mock script for case {case_id!r} in {file} "
+                f"(first seen in {seen[case_id]})"
+            )
+        seen[case_id] = file
+        latency = data.get("latency", 0.0)
+        scenarios[case_id] = {
+            "replies": data.get("replies"),
+            "default": data.get("default"),
+            "latency": latency,
+        }
+        scenarios[f"{case_id}#verify"] = {
+            "replies": data.get("verify"),
+            "default": data.get("verify_default"),
+            "latency": latency,
+        }
+    return mock_script_from_dict({"scenarios": scenarios})
 
 
 @dataclass
@@ -179,24 +168,6 @@ class HarnessDeps:
     shots_by_system: Mapping[str, tuple[FewShotExample, ...]] = field(default_factory=dict)
     index: RetrievalIndex | None = None
     retrieval_k: int = DEFAULT_TOP_K
-    deployer: object | None = None
-    workloads: Mapping[str, object] = field(default_factory=dict)
-    default_workload: object | None = None
-
-    def chain_deps(self, case: BenchmarkCase, *, dynamic: bool, case_id: str | None = None) -> ChainDeps:
-        workload = None
-        if dynamic:
-            workload = self.workloads.get(case.system, self.default_workload)
-        return ChainDeps(
-            provider=self.provider,
-            shots=self.shots_by_system.get(case.system, ()),
-            index=self.index,
-            retrieval_k=self.retrieval_k,
-            assertions=case.assertions,
-            deployer=self.deployer if dynamic else None,
-            workload=workload,
-            case_id=case_id if case_id is not None else case.id,
-        )
 
 
 @dataclass(frozen=True)
@@ -231,8 +202,15 @@ def run_static_eval(
         request = GenerationRequest(
             system=case.system, intent=case.intent, prompt=case.prompt
         )
-        outcome = run_chain(request, profile, deps.chain_deps(case, dynamic=False))
-        return profile.name, case, outcome
+        chain_deps = ChainDeps(
+            provider=deps.provider,
+            shots=deps.shots_by_system.get(case.system, ()),
+            index=deps.index,
+            retrieval_k=deps.retrieval_k,
+            assertions=case.assertions,
+            case_id=case.id,
+        )
+        return profile.name, case, run_chain(request, profile, chain_deps)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -241,27 +219,19 @@ def run_static_eval(
         results = [evaluate_one(job) for job in jobs]
 
     levels = tuple(sorted({case.level for case in cases}))
-    by_cell: dict[tuple[str, int], list[bool]] = {}
+    counts = {(p.name, level): (0, 0) for p in profiles for level in levels}
     appendix: list[str] = []
     for profile_name, case, outcome in results:
-        by_cell.setdefault((profile_name, case.level), []).append(outcome.resolved)
+        passed, total = counts[(profile_name, case.level)]
+        counts[(profile_name, case.level)] = (passed + int(outcome.resolved), total + 1)
         for record in outcome.attempt_history:
             if record.provider_error:
                 appendix.append(f"{case.id} [{profile_name}]: {record.provider_error}")
-    rows = {
-        (p.name, level): _percent(sum(flags), len(flags))
-        for p in profiles
-        for level, flags in ((lv, by_cell.get((p.name, lv), [])) for lv in levels)
-    }
-    counts = {
-        (p.name, level): (sum(by_cell.get((p.name, level), [])), len(by_cell.get((p.name, level), [])))
-        for p in profiles
-        for level in levels
-    }
+    rows = {cell: _percent(passed, total) for cell, (passed, total) in counts.items()}
     totals = {}
     for p in profiles:
-        flags = [flag for level in levels for flag in by_cell.get((p.name, level), [])]
-        totals[p.name] = _percent(sum(flags), len(flags))
+        cells = [counts[(p.name, level)] for level in levels]
+        totals[p.name] = _percent(sum(c[0] for c in cells), sum(c[1] for c in cells))
     return AccuracyTable(
         profiles=tuple(p.name for p in profiles),
         levels=levels,
@@ -269,99 +239,6 @@ def run_static_eval(
         totals=totals,
         counts=counts,
         appendix=tuple(sorted(appendix)),
-    )
-
-
-@dataclass(frozen=True)
-class DynamicRow:
-    case_id: str
-    system: str
-    intent_index: int
-    intent: str
-    resolved: bool
-    attempts_used: int
-    completion_seconds: float | None = None
-    cost_dollars: float | None = None
-    cpu_millicores: int | None = None
-    memory_bytes: int | None = None
-    replicas: int | None = None
-
-
-@dataclass(frozen=True)
-class DynamicReport:
-    rows: tuple[DynamicRow, ...]
-    mean_completion_by_intent: dict[int, float]
-    mean_cost_by_intent: dict[int, float]
-    appendix: tuple[str, ...] = ()
-
-
-def run_dynamic_eval(
-    cases: Sequence[BenchmarkCase],
-    profile: OptimizationProfile,
-    intents: Sequence[str],
-    deps: HarnessDeps,
-) -> DynamicReport:
-    """Full chains (deploy + benchmark) for every case under every intent.
-
-    Unresolved rows are kept for the record but excluded from the per-intent
-    means.
-    """
-    if not cases:
-        raise DatasetError("no cases to evaluate")
-    if deps.deployer is None:
-        raise DatasetError("dynamic evaluation needs a deployer")
-    rows: list[DynamicRow] = []
-    appendix: list[str] = []
-    for case in cases:
-        for i, intent in enumerate(intents, start=1):
-            scenario = f"{case.id}@intent{i}"
-            request = GenerationRequest(system=case.system, intent=intent, prompt=case.prompt)
-            outcome = run_chain(
-                request, profile, deps.chain_deps(case, dynamic=True, case_id=scenario)
-            )
-            for record in outcome.attempt_history:
-                if record.provider_error:
-                    appendix.append(f"{scenario}: {record.provider_error}")
-            benchmark = outcome.benchmark
-            if outcome.resolved and benchmark is not None:
-                rows.append(
-                    DynamicRow(
-                        case_id=case.id,
-                        system=case.system,
-                        intent_index=i,
-                        intent=intent,
-                        resolved=True,
-                        attempts_used=outcome.attempts_used,
-                        completion_seconds=benchmark.completion_seconds,
-                        cost_dollars=benchmark.cost_dollars,
-                        cpu_millicores=benchmark.resources.cpu_millicores,
-                        memory_bytes=benchmark.resources.memory_bytes,
-                        replicas=benchmark.resources.replicas,
-                    )
-                )
-            else:
-                rows.append(
-                    DynamicRow(
-                        case_id=case.id,
-                        system=case.system,
-                        intent_index=i,
-                        intent=intent,
-                        resolved=outcome.resolved,
-                        attempts_used=outcome.attempts_used,
-                    )
-                )
-    mean_completion: dict[int, float] = {}
-    mean_cost: dict[int, float] = {}
-    for i in range(1, len(intents) + 1):
-        resolved = [r for r in rows if r.intent_index == i and r.completion_seconds is not None]
-        if resolved:
-            mean_completion[i] = statistics.mean(r.completion_seconds for r in resolved)
-            mean_cost[i] = statistics.mean(r.cost_dollars for r in resolved)
-    return DynamicReport(
-        rows=tuple(rows),
-        mean_completion_by_intent=mean_completion,
-        mean_cost_by_intent=mean_cost,
-        appendix=tuple(appendix),
     )
 
 
@@ -383,7 +260,17 @@ class TranscriptStats:
     latencies: tuple[float, ...]
 
 
+def _number(entry: Mapping, key: str, default, kinds: tuple[type, ...] = (int,)):
+    """``entry[key]``, or the default when absent; a bool is not a number."""
+    value = entry.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"transcript field {key!r} must be {names}, got {value!r}")
+    return value
+
+
 def transcript_stats(entries: Sequence[Mapping]) -> TranscriptStats:
+    """Summarise transcript entries; ValueError when a numeric field is not a number."""
     if not entries:
         raise ValueError("transcript has no attempts")
     last = entries[-1]
@@ -392,11 +279,13 @@ def transcript_stats(entries: Sequence[Mapping]) -> TranscriptStats:
         case_id=str(last.get("case", "")),
         system=str(last.get("system", "")),
         resolved=resolved,
-        attempts_used=int(last.get("attempt", len(entries))),
-        max_attempts=int(last.get("max_attempts", len(entries))),
-        prompt_tokens=sum(int(e.get("prompt_tokens", 0)) for e in entries),
-        completion_tokens=sum(int(e.get("completion_tokens", 0)) for e in entries),
-        latencies=tuple(float(e.get("latency_seconds", 0.0)) for e in entries),
+        attempts_used=_number(last, "attempt", len(entries)),
+        max_attempts=_number(last, "max_attempts", len(entries)),
+        prompt_tokens=sum(_number(e, "prompt_tokens", 0) for e in entries),
+        completion_tokens=sum(_number(e, "completion_tokens", 0) for e in entries),
+        latencies=tuple(
+            float(_number(e, "latency_seconds", 0.0, (int, float))) for e in entries
+        ),
     )
 
 
@@ -426,23 +315,6 @@ class CostRecord:
     completion_tokens: int
     dollars: float
     latency_seconds: tuple[float, ...] = ()
-
-    @classmethod
-    def from_outcome(
-        cls, case_id: str, system: str, outcome: ChainOutcome, rate_per_token: float
-    ) -> "CostRecord":
-        return cls(
-            case_id=case_id,
-            system=system,
-            attempts=outcome.attempts_used,
-            prompt_tokens=outcome.total_prompt_tokens,
-            completion_tokens=outcome.total_completion_tokens,
-            dollars=(outcome.total_prompt_tokens + outcome.total_completion_tokens)
-            * rate_per_token,
-            latency_seconds=tuple(
-                r.latency_seconds for r in outcome.attempt_history
-            ),
-        )
 
 
 @dataclass(frozen=True)

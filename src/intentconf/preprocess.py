@@ -261,33 +261,6 @@ def _largest_parsable_span(text: str) -> tuple[str, dict] | None:
     return best
 
 
-def _extract(raw: str) -> tuple[str, dict]:
-    tree, _ = _try_parse_mapping(raw)
-    if tree is not None:
-        return raw, tree
-    for block in _fenced_blocks(raw):
-        tree, _ = _try_parse_mapping(block)
-        if tree is not None:
-            return block, tree
-    span = _largest_parsable_span(raw)
-    if span is not None:
-        return span
-    raise StructuralError(
-        StructuralErrorKind.NO_YAML_FOUND,
-        "no contiguous region of the reply parses as a YAML mapping",
-    )
-
-
-def extract_config_text(raw: str) -> str:
-    """Pull the YAML configuration text out of a raw model reply.
-
-    Preference order: the whole reply if it already parses as a mapping,
-    then the first fenced block that does, then the largest contiguous
-    line span that does.
-    """
-    return _extract(raw)[0]
-
-
 def parse_config(text: str) -> ConfigDocument:
     """Parse extracted text strictly into a ConfigDocument."""
     try:
@@ -325,9 +298,27 @@ def parse_config(text: str) -> ConfigDocument:
 
 
 def preprocess_reply(raw: str) -> ConfigDocument:
-    """Extract the configuration and keep the tree extraction already parsed."""
-    text, root = _extract(raw)
-    return ConfigDocument(root=root, source_text=text)
+    """Pull the YAML configuration out of a raw model reply.
+
+    Preference order: the whole reply if it already parses as a mapping,
+    then the first fenced block that does, then the largest contiguous
+    line span that does. The document keeps the tree extraction parsed.
+    """
+    tree, _ = _try_parse_mapping(raw)
+    if tree is not None:
+        return ConfigDocument(root=tree, source_text=raw)
+    for block in _fenced_blocks(raw):
+        tree, _ = _try_parse_mapping(block)
+        if tree is not None:
+            return ConfigDocument(root=tree, source_text=block)
+    span = _largest_parsable_span(raw)
+    if span is not None:
+        text, tree = span
+        return ConfigDocument(root=tree, source_text=text)
+    raise StructuralError(
+        StructuralErrorKind.NO_YAML_FOUND,
+        "no contiguous region of the reply parses as a YAML mapping",
+    )
 
 
 def serialize_config(document: ConfigDocument | dict) -> str:
@@ -340,12 +331,3 @@ def serialize_config(document: ConfigDocument | dict) -> str:
         sort_keys=False,
         allow_unicode=True,
     )
-
-
-def document_from_tree(root: dict) -> ConfigDocument:
-    if not isinstance(root, dict):
-        raise StructuralError(
-            StructuralErrorKind.PARSE_FAILURE,
-            f"configuration root must be a mapping, got {type(root).__name__}",
-        )
-    return ConfigDocument(root=root, source_text=serialize_config(root))

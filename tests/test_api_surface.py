@@ -1,0 +1,57 @@
+"""Every public module-level name in the package has a caller outside the tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "intentconf"
+CALLER_DIRS = (ROOT / "src", ROOT / "bench")
+
+
+def _is_click_command(node) -> bool:
+    """Decorated with ``@<group>.command(...)``, ``@click.group(...)`` and the like."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
+            return True
+    return False
+
+
+def _public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_") and not _is_click_command(node):
+                yield node
+
+
+def _references(tree):
+    """(name, line) for every name a module loads, reads as an attribute or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_public_names_have_a_caller_in_src_or_bench():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for directory in CALLER_DIRS
+        for path in sorted(directory.rglob("*.py"))
+    }
+    references = {path: list(_references(tree)) for path, tree in trees.items()}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _public_definitions(trees[path]):
+            own = range(node.lineno, node.end_lineno + 1)
+            used = any(
+                name == node.name and (other != path or line not in own)
+                for other, refs in references.items()
+                for name, line in refs
+            )
+            if not used:
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == [], f"public names only tests call: {unused}"

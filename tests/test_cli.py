@@ -359,6 +359,25 @@ class TestReport:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]\n",
+            '{"attempt": "x"}\n',
+            '{"attempt": 1, "latency_seconds": "slow"}\n',
+            '{"attempt": 1}\n{"attempt": "2"}\n',
+        ],
+        ids=["not-an-object", "attempt-not-a-number", "latency-not-a-number", "mixed-attempts"],
+    )
+    def test_malformed_transcript_is_a_usage_error(self, tmp_path, runner, text):
+        app = make_workspace(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["-c", str(app), "report", "--transcripts", str(bad)])
+        assert result.exit_code == 2, combined(result)
+        assert isinstance(result.exception, SystemExit)
+        assert str(bad) in combined(result)
+
     def test_rate_guard(self, tmp_path, runner):
         app = self.seed_transcripts(tmp_path, runner)
         result = runner.invoke(

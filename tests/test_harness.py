@@ -6,6 +6,7 @@ import random
 import pytest
 import yaml
 
+import intentconf.harness as harness_mod
 from intentconf.chain import run_chain, write_transcript, read_transcript, ChainDeps
 from intentconf.gateway import MockProvider, MockReply, MockScript
 from intentconf.harness import (
@@ -23,12 +24,11 @@ from intentconf.harness import (
     load_mock_scripts,
     render_accuracy_table,
     resolution_curve,
-    run_dynamic_eval,
     run_static_eval,
     transcript_stats,
 )
 from intentconf.prompting import FewShotExample, GenerationRequest, OptimizationProfile
-from intentconf.simulator import GIB, ClusterModel, NodeSpec, SimulatedDeployer, Workload
+from intentconf.retrieval import DEFAULT_TOP_K, build_index
 from intentconf.validation import AssertionKind, EmptyCorpus
 
 GOOD = "worker:\n  replicas: 2"
@@ -138,7 +138,6 @@ class TestLoadMockScripts:
             {
                 "replies": [PROSE, GOOD],
                 "verify_default": "VERDICT: ALIGNED",
-                "intents": {1: {"replies": [GOOD], "verify_default": "VERDICT: ALIGNED"}},
                 "latency": 1.5,
             },
         )
@@ -146,8 +145,6 @@ class TestLoadMockScripts:
         assert script.lookup("c1", 1).text == PROSE
         assert script.lookup("c1", 2) == MockReply(GOOD, 1.5)
         assert script.lookup("c1#verify", 3).text == "VERDICT: ALIGNED"
-        assert script.lookup("c1@intent1", 1).text == GOOD
-        assert script.lookup("c1@intent1#verify", 1).text == "VERDICT: ALIGNED"
 
     def test_merging_across_files(self, tmp_path):
         write_case(tmp_path, "dask", 1, "c1")
@@ -157,6 +154,14 @@ class TestLoadMockScripts:
         script = load_mock_scripts(tmp_path)
         assert script.lookup("c1", 1).text == GOOD
         assert "replicaCount" in script.lookup("c2", 1).text
+
+    def test_duplicate_case_id_names_both_files(self, tmp_path):
+        first = write_mock(tmp_path, "dask", 1, "c1", {"replies": [GOOD]})
+        second = write_mock(tmp_path, "redis", 2, "c1", {"replies": [PROSE]})
+        with pytest.raises(DatasetError) as info:
+            load_mock_scripts(tmp_path)
+        message = str(info.value)
+        assert str(first) in message and str(second) in message
 
 
 def deps_with(script, **kwargs):
@@ -261,84 +266,32 @@ class TestStaticEval:
         with pytest.raises(DatasetError):
             run_static_eval([], [OptimizationProfile.for_name("ip")], deps_with(MockScript()))
 
+    def test_one_static_chain_per_profile_and_case(self, tmp_path, monkeypatch):
+        cases = make_cases(tmp_path, 3)
+        calls = []
 
-DEPLOYER = SimulatedDeployer(model=ClusterModel(nodes=(NodeSpec(16000, 64 * GIB),)))
+        def recording_chain(request, profile, chain_deps):
+            calls.append((profile.name, chain_deps))
+            return run_chain(request, profile, chain_deps)
 
-
-def dask_config(replicas, cores):
-    return (
-        f"worker:\n  replicas: {replicas}\n  resources:\n    limits:\n"
-        f"      cpu: {int(cores * 1000)}m\n      memory: 1Gi"
-    )
-
-
-class TestDynamicEval:
-    def setup_case(self, tmp_path):
-        write_case(tmp_path, "dask", 1, "c1")
-        return load_dataset(tmp_path)
-
-    def test_three_intents_time_and_cost_ordering(self, tmp_path):
-        cases = self.setup_case(tmp_path)
-        # replicas must stay >= 2 to satisfy the case assertion; cores tune R
-        script = MockScript(
-            entries={
-                ("c1@intent1", 1): MockReply(dask_config(2, 0.5)),  # R = 1
-                ("c1@intent2", 1): MockReply(dask_config(2, 2)),  # R = 4
-                ("c1@intent3", 1): MockReply(dask_config(4, 0.5)),  # R = 2
-            }
+        monkeypatch.setattr(harness_mod, "run_chain", recording_chain)
+        shots = (FewShotExample(prompt="p", intent="i", correct_output=GOOD),)
+        index = build_index([("dask/workers.md", "worker replicas set the worker count")])
+        deps = HarnessDeps(
+            provider=MockProvider(MockScript(default_reply=GOOD)),
+            shots_by_system={"dask": shots},
+            index=index,
         )
-        report = run_dynamic_eval(
-            cases,
-            OptimizationProfile.for_name("ip"),
-            ["low cost", "high scalability", "balanced"],
-            deps_with(script, deployer=DEPLOYER, default_workload=Workload(10.0, 100.0)),
+        deps.retrieval_k = DEFAULT_TOP_K + 3  # differs from ChainDeps' own default
+        profiles = [OptimizationProfile.for_name("ip"), OptimizationProfile.for_name("fsl")]
+        run_static_eval(cases, profiles, deps)
+        assert sorted((name, d.case_id) for name, d in calls) == sorted(
+            (p.name, case.id) for p in profiles for case in cases
         )
-        rows = {row.intent_index: row for row in report.rows}
-        assert rows[1].completion_seconds == pytest.approx(110.0)
-        assert rows[2].completion_seconds == pytest.approx(35.0)
-        assert rows[3].completion_seconds == pytest.approx(60.0)
-        assert rows[1].cost_dollars < rows[3].cost_dollars < rows[2].cost_dollars
-        assert rows[2].replicas == 2 and rows[2].cpu_millicores == 2000
-        assert rows[3].replicas == 4 and rows[3].cpu_millicores == 500
-
-    def test_unresolved_rows_excluded_from_means(self, tmp_path):
-        cases = self.setup_case(tmp_path)
-        script = MockScript(
-            entries={("c1@intent1", 1): MockReply(dask_config(2, 0.5))},
-            default_reply=PROSE,
-        )
-        report = run_dynamic_eval(
-            cases,
-            OptimizationProfile.for_name("ip"),
-            ["solid", "doomed"],
-            deps_with(script, deployer=DEPLOYER, default_workload=Workload(10.0, 100.0)),
-        )
-        assert len(report.rows) == 2
-        doomed = [r for r in report.rows if r.intent_index == 2][0]
-        assert not doomed.resolved and doomed.completion_seconds is None
-        assert 1 in report.mean_completion_by_intent
-        assert 2 not in report.mean_completion_by_intent
-
-    def test_single_row_matches_simulator(self, tmp_path):
-        cases = self.setup_case(tmp_path)
-        script = MockScript(entries={("c1@intent1", 1): MockReply(dask_config(2, 0.5))})
-        report = run_dynamic_eval(
-            cases,
-            OptimizationProfile.for_name("ip"),
-            ["only intent"],
-            deps_with(script, deployer=DEPLOYER, default_workload=Workload(10.0, 100.0)),
-        )
-        row = report.rows[0]
-        assert row.completion_seconds == pytest.approx(110.0)
-        assert row.cost_dollars == pytest.approx((110 / 3600) * 0.048, rel=1e-9)
-        assert report.mean_completion_by_intent[1] == pytest.approx(110.0)
-
-    def test_deployer_required(self, tmp_path):
-        cases = self.setup_case(tmp_path)
-        with pytest.raises(DatasetError):
-            run_dynamic_eval(
-                cases, OptimizationProfile.for_name("ip"), ["x"], deps_with(MockScript())
-            )
+        for _, chain_deps in calls:
+            assert chain_deps.deployer is None and chain_deps.workload is None
+            assert chain_deps.retrieval_k == deps.retrieval_k
+            assert chain_deps.index is index and tuple(chain_deps.shots) == shots
 
 
 def stat(resolved, attempts, max_attempts=3):
@@ -460,7 +413,9 @@ class TestTranscriptStats:
             intent="at least two workers",
             assertions=(assertion_from_mapping(DEFAULT_ASSERTION, "inline"),),
         )
-        deps = HarnessDeps(provider=MockProvider(script)).chain_deps(case, dynamic=False)
+        deps = ChainDeps(
+            provider=MockProvider(script), assertions=case.assertions, case_id=case.id
+        )
         outcome = run_chain(
             GenerationRequest(system="dask", prompt=case.prompt, intent=case.intent),
             OptimizationProfile.for_name("ip"),

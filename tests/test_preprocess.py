@@ -10,8 +10,6 @@ from intentconf.preprocess import (
     ConfigDocument,
     StructuralError,
     StructuralErrorKind,
-    document_from_tree,
-    extract_config_text,
     parse_config,
     preprocess_reply,
     serialize_config,
@@ -52,35 +50,35 @@ def naive_largest_span(raw):
 
 class TestExtract:
     def test_identity_when_whole_reply_is_yaml(self):
-        assert extract_config_text(YAML_BODY) == YAML_BODY
+        assert preprocess_reply(YAML_BODY).source_text == YAML_BODY
 
     def test_first_parsing_fence_wins(self):
         raw = "Here is your config:\n```yaml\nreplicas: 2\n```\nLet me explain..."
-        assert extract_config_text(raw) == "replicas: 2"
+        assert preprocess_reply(raw).source_text == "replicas: 2"
 
     def test_non_parsing_fence_is_skipped(self):
         raw = (
             "Look:\n```\njust words no structure\n```\nand then\n"
             "```yaml\nreplicas: 4\n```\ndone"
         )
-        assert extract_config_text(raw) == "replicas: 4"
+        assert preprocess_reply(raw).source_text == "replicas: 4"
 
     def test_fence_preferred_over_larger_bare_span(self):
         raw = "```yaml\na: 1\n```\nNow unfenced:\n" + YAML_BODY
-        assert extract_config_text(raw) == "a: 1"
+        assert preprocess_reply(raw).source_text == "a: 1"
 
     def test_language_tag_irrelevant(self):
         raw = "```json\n{\"a\": 1}\n```"
-        assert parse_config(extract_config_text(raw)).root == {"a": 1}
+        assert parse_config(preprocess_reply(raw).source_text).root == {"a": 1}
 
     def test_unterminated_fence_runs_to_end(self):
         raw = "intro words\n```yaml\nreplicas: 7\nworkers: 2"
-        assert extract_config_text(raw) == "replicas: 7\nworkers: 2"
+        assert preprocess_reply(raw).source_text == "replicas: 7\nworkers: 2"
 
     def test_bare_span_matches_reference_scan(self):
         raw = "Intro prose without structure\n" + YAML_BODY + "\nClosing prose words"
-        assert extract_config_text(raw) == YAML_BODY
-        assert extract_config_text(raw) == naive_largest_span(raw)
+        assert preprocess_reply(raw).source_text == YAML_BODY
+        assert preprocess_reply(raw).source_text == naive_largest_span(raw)
 
     def test_constructed_inputs_against_reference(self):
         bodies = [
@@ -98,13 +96,13 @@ class TestExtract:
         for body in bodies:
             for before, after in wrappers:
                 raw = before + body + after
-                got = extract_config_text(raw)
+                got = preprocess_reply(raw).source_text
                 assert got == naive_largest_span(raw), raw
                 assert got == body
 
     def test_no_candidate_raises(self):
         with pytest.raises(StructuralError) as info:
-            extract_config_text("only prose here\nno structure at all")
+            preprocess_reply("only prose here\nno structure at all").source_text
         assert info.value.kind is StructuralErrorKind.NO_YAML_FOUND
 
     def test_idempotent_on_own_output(self):
@@ -114,8 +112,8 @@ class TestExtract:
             "```yaml\nreplicas: 2\n```\ntrailing",
         ]
         for raw in raws:
-            once = extract_config_text(raw)
-            assert extract_config_text(once) == once
+            once = preprocess_reply(raw).source_text
+            assert preprocess_reply(once).source_text == once
 
 
 class TestParse:
@@ -184,12 +182,8 @@ class TestSerialize:
         assert "caf\u00e9" in out
 
     def test_accepts_document_or_tree(self):
-        doc = document_from_tree({"a": 1})
+        doc = ConfigDocument(root={"a": 1}, source_text="a: 1")
         assert serialize_config(doc) == serialize_config({"a": 1})
-
-    def test_document_from_tree_rejects_non_mapping(self):
-        with pytest.raises(StructuralError):
-            document_from_tree([1, 2])
 
 
 yaml_keys = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
@@ -222,7 +216,7 @@ class TestRoundTrip:
     def test_extraction_survives_prose_wrapping(self, root):
         body = serialize_config(root).rstrip("\n")
         raw = "Certainly, here it is.\n```yaml\n" + body + "\n```\nHope that helps."
-        assert parse_config(extract_config_text(raw)).root == root
+        assert parse_config(preprocess_reply(raw).source_text).root == root
 
     def test_config_document_equality_semantics(self):
         doc = ConfigDocument(root={"a": 1}, source_text="a: 1")
@@ -395,7 +389,7 @@ class TestConstructorErrors:
         assert info.value.kind is StructuralErrorKind.PARSE_FAILURE
 
     def test_rejected_span_leaves_the_rest(self):
-        assert extract_config_text("expires: 2024-02-30\na: 1\nb: 2") == "a: 1\nb: 2"
+        assert preprocess_reply("expires: 2024-02-30\na: 1\nb: 2").source_text == "a: 1\nb: 2"
 
 
 class TestErrorReports:

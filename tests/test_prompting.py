@@ -5,7 +5,7 @@ import random
 import pytest
 
 from intentconf.gateway import RawResponse, SamplingParams
-from intentconf.preprocess import document_from_tree
+from intentconf.preprocess import ConfigDocument, serialize_config
 from intentconf.prompting import (
     COT_SUFFIX,
     FEEDBACK_LABEL,
@@ -38,6 +38,10 @@ SHOTS = (
     ),
 )
 CHUNK = Chunk(doc_id="guide.md", ordinal=3, token_span=(0, 4), text="workers need memory limits")
+
+
+def doc(tree):
+    return ConfigDocument(root=tree, source_text=serialize_config(tree))
 
 
 class TestProfiles:
@@ -253,7 +257,7 @@ class _CaptureProvider:
 
 
 class TestVerifyAlignment:
-    CONFIG = document_from_tree({"replicas": 2, "limits": {"memory": "4Gi"}})
+    CONFIG = doc({"replicas": 2, "limits": {"memory": "4Gi"}})
 
     def run(self, reply, params=None):
         provider = _CaptureProvider(reply)

@@ -7,7 +7,7 @@ import subprocess
 
 import pytest
 
-from intentconf.preprocess import document_from_tree
+from intentconf.preprocess import ConfigDocument, serialize_config
 from intentconf.simulator import (
     DEFAULT_CPU_RATE,
     DEFAULT_MEM_RATE,
@@ -33,6 +33,11 @@ from intentconf.simulator import (
     run_workload,
     shell_deploy,
 )
+
+
+def doc(tree):
+    return ConfigDocument(root=tree, source_text=serialize_config(tree))
+
 
 DASK_CONFIG = {
     "worker": {
@@ -102,7 +107,7 @@ class TestParseQuantity:
 
 class TestExtractResources:
     def test_dask_paths(self):
-        extraction = extract_resources(document_from_tree(DASK_CONFIG), "dask")
+        extraction = extract_resources(doc(DASK_CONFIG), "dask")
         assert extraction.spec == ResourceSpec(
             cpu_millicores=500, memory_bytes=536870912, replicas=2
         )
@@ -310,7 +315,7 @@ def fake_cli(tmp_path, monkeypatch, name, script):
 
 
 class TestShellDeploy:
-    CONFIG = document_from_tree({"replicas": 2})
+    CONFIG = doc({"replicas": 2})
 
     def test_opt_in_required(self):
         with pytest.raises(BackendUnavailable):
@@ -369,28 +374,28 @@ class TestShellDeploy:
 class TestSimulatedDeployer:
     def test_deploy_and_benchmark(self):
         deployer = SimulatedDeployer(model=ClusterModel(nodes=(NODE,)))
-        outcome = deployer.deploy(document_from_tree(DASK_CONFIG), "dask")
+        outcome = deployer.deploy(doc(DASK_CONFIG), "dask")
         assert outcome.success
         result = deployer.benchmark(outcome.resources, Workload(10.0, 100.0))
         assert result.completion_seconds == pytest.approx(110.0)
 
     def test_quantity_error_becomes_failure_outcome(self):
         deployer = SimulatedDeployer(model=ClusterModel(nodes=(NODE,)))
-        config = document_from_tree({"worker": {"replicas": 2, "resources": {"limits": {"cpu": "1Gi"}}}})
+        config = doc({"worker": {"replicas": 2, "resources": {"limits": {"cpu": "1Gi"}}}})
         outcome = deployer.deploy(config, "dask")
         assert not outcome.success
         assert outcome.logs.startswith("Error:")
 
     def test_unknown_system_becomes_failure_outcome(self):
         deployer = SimulatedDeployer(model=ClusterModel(nodes=(NODE,)))
-        outcome = deployer.deploy(document_from_tree(DASK_CONFIG), "nosuchsystem")
+        outcome = deployer.deploy(doc(DASK_CONFIG), "nosuchsystem")
         assert not outcome.success
         assert outcome.failure_reason == "no resource profile for system 'nosuchsystem'"
         assert outcome.logs == "Error: no resource profile for system 'nosuchsystem'"
 
     def test_fallback_notes_surface_in_logs(self):
         deployer = SimulatedDeployer(model=ClusterModel(nodes=(NODE,)))
-        outcome = deployer.deploy(document_from_tree({}), "dask")
+        outcome = deployer.deploy(doc({}), "dask")
         assert outcome.success
         assert "note: replicas not set" in outcome.logs
 

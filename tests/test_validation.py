@@ -5,9 +5,9 @@ import random
 import pytest
 
 from intentconf.preprocess import (
+    ConfigDocument,
     StructuralError,
     StructuralErrorKind,
-    document_from_tree,
     parse_config,
     serialize_config,
 )
@@ -115,7 +115,7 @@ class TestAssertionGuards:
 
 
 def doc(tree):
-    return document_from_tree(tree)
+    return ConfigDocument(root=tree, source_text=serialize_config(tree))
 
 
 class TestEvaluate:
