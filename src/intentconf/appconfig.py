@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-import yaml
-
 from .gateway import (
     HttpProvider,
     MockProvider,
@@ -24,6 +22,7 @@ from .gateway import (
     SamplingParams,
     load_mock_script,
 )
+from .preprocess import LOAD_ERRORS, load_yaml
 from .prompting import MAX_CHAIN_ATTEMPTS
 from .retrieval import DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP, DEFAULT_TOP_K
 from .simulator import Workload
@@ -101,8 +100,8 @@ def load_app_config(path: Path | str | None) -> AppConfig:
     if not path.is_file():
         raise AppConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-    except yaml.YAMLError as exc:
+        data = load_yaml(path.read_text(encoding="utf-8")) or {}
+    except LOAD_ERRORS as exc:
         raise AppConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(data, Mapping):
         raise AppConfigError(f"config file {path} must be a YAML mapping")
@@ -142,6 +141,8 @@ def load_app_config(path: Path | str | None) -> AppConfig:
         chunk_size=int(retrieval_raw.get("chunk_size", DEFAULT_CHUNK_SIZE)),
         overlap=int(retrieval_raw.get("overlap", DEFAULT_OVERLAP)),
     )
+    if retrieval.k < 1:
+        raise AppConfigError(f"retrieval.k must be >= 1, got {retrieval.k}")
 
     paths_raw = data.get("paths") or {}
     resolved: dict[str, Path | None] = {}
@@ -212,8 +213,12 @@ def build_provider(config: AppConfig, extra_script: MockScript | None = None) ->
     """Instantiate the configured provider; mock scripts can be overlaid."""
     if config.provider.kind == "mock":
         script = MockScript()
-        if config.provider.script_path is not None:
-            script = load_mock_script(config.provider.script_path)
+        path = config.provider.script_path
+        if path is not None:
+            try:
+                script = load_mock_script(path)
+            except LOAD_ERRORS as exc:
+                raise AppConfigError(f"provider script {path}: {exc}") from exc
         if extra_script is not None:
             script = script.merged_with(extra_script)
         return MockProvider(script)

@@ -18,14 +18,13 @@ import sys
 from pathlib import Path
 
 import click
-import yaml
 
 from . import chain as chain_mod
 from . import harness as harness_mod
 from . import prompting, retrieval, simulator, validation
 from .appconfig import AppConfig, AppConfigError, build_provider, load_app_config
 from .gateway import ProviderError, ProviderUnreachable
-from .preprocess import StructuralError, parse_config, serialize_config
+from .preprocess import LOAD_ERRORS, StructuralError, load_yaml, parse_config, serialize_config
 from .simulator import (
     GIB,
     BackendUnavailable,
@@ -41,9 +40,13 @@ from .simulator import (
 
 DEFAULT_CLUSTER = ClusterModel(nodes=(NodeSpec(cpu_millicores=4000, memory_bytes=16 * GIB),))
 
+# The errors of bad input: a missing file (OSError) and the domain errors
+# that loaders and constructors raise. Anything else is a bug and exits 1
+# with its traceback.
 _CONFIG_ERRORS = (
     AppConfigError,
     harness_mod.DatasetError,
+    prompting.InvalidProfile,
     prompting.ProfileViolation,
     BackendUnavailable,
     UnknownSystemProfile,
@@ -53,7 +56,6 @@ _CONFIG_ERRORS = (
     ProviderUnreachable,
     ProviderError,
     OSError,
-    ValueError,
 )
 
 
@@ -66,8 +68,19 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-") or "chain"
 
 
+def _from_file(load, path, *args):
+    """``load(path, *args)``, with a malformed file an AppConfigError naming it."""
+    try:
+        return load(path, *args)
+    except LOAD_ERRORS as exc:
+        raise AppConfigError(f"{path}: {exc}") from exc
+
+
 def _load_assertions(path: Path) -> tuple[validation.Assertion, ...]:
-    raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    try:
+        raw = load_yaml(path.read_text(encoding="utf-8"))
+    except LOAD_ERRORS as exc:
+        raise AppConfigError(f"{path}: not valid YAML: {exc}") from exc
     if isinstance(raw, dict) and "assertions" in raw:
         raw = raw["assertions"]
     if not isinstance(raw, list) or not raw:
@@ -79,7 +92,7 @@ def _cluster_model(config: AppConfig, override: str | None) -> ClusterModel:
     path = Path(override) if override else config.cluster_path
     if path is None:
         return DEFAULT_CLUSTER
-    return load_cluster_model(path)
+    return _from_file(load_cluster_model, path)
 
 
 def _deployer(config: AppConfig, backend: str | None, real_ok: bool, cluster: str | None):
@@ -91,7 +104,8 @@ def _deployer(config: AppConfig, backend: str | None, real_ok: bool, cluster: st
                 "--i-understand-this-applies-to-a-real-cluster to confirm"
             )
         return ShellDeployer(opt_in=True)
-    profiles = load_system_profiles(config.system_profiles_path)
+    path = config.system_profiles_path
+    profiles = _from_file(load_system_profiles, path) if path else load_system_profiles()
     return SimulatedDeployer(model=_cluster_model(config, cluster), profiles=profiles)
 
 
@@ -115,7 +129,7 @@ def _shots_for(config: AppConfig, profile: prompting.OptimizationProfile, system
         raise AppConfigError(
             f"profile {profile.name!r} needs few-shot examples; set paths.shots"
         )
-    shots = prompting.load_shot_library(config.shots_path, system)
+    shots = _from_file(prompting.load_shot_library, config.shots_path, system)
     if not shots:
         raise AppConfigError(f"no few-shot examples found for system {system!r}")
     return shots
@@ -216,6 +230,8 @@ def generate(
             sampling=config.sampling,
             max_chain_attempts=max_attempts or config.max_chain_attempts,
         )
+        if not system or not intent:
+            raise AppConfigError("--system and --intent must be non-empty")
         scenario = scenario or f"cli:{system}"
         assertions = _load_assertions(assertions_path) if assertions_path else ()
         deployer = None if no_deploy else _deployer(config, deploy_backend, real_ok, cluster)

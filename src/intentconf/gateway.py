@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
 
-import yaml
-
 if TYPE_CHECKING:
     import requests
 
+from .preprocess import load_yaml
 from .retrieval import count_tokens
 
 DETERMINISTIC_CEILING = 0.1
@@ -269,7 +268,7 @@ def mock_script_from_dict(data: Mapping) -> MockScript:
 
 
 def load_mock_script(path: Path | str) -> MockScript:
-    data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    data = load_yaml(Path(path).read_text(encoding="utf-8")) or {}
     if not isinstance(data, Mapping):
         raise ValueError(f"mock script {path} must be a YAML mapping")
     return mock_script_from_dict(data)

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import yaml
-
 from .chain import ChainDeps, ChainOutcome, run_chain
 from .gateway import MockScript, Provider, mock_script_from_dict
+from .preprocess import LOAD_ERRORS, load_yaml
 from .prompting import FewShotExample, GenerationRequest, OptimizationProfile
 from .retrieval import DEFAULT_TOP_K, RetrievalIndex
 from .validation import Assertion, AssertionKind, EmptyCorpus
@@ -74,8 +73,8 @@ def assertion_from_mapping(raw: Mapping, source: str) -> Assertion:
 
 def _case_from_file(path: Path) -> BenchmarkCase:
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
+        data = load_yaml(path.read_text(encoding="utf-8"))
+    except LOAD_ERRORS as exc:
         raise DatasetError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(data, Mapping):
         raise DatasetError(f"{path}: case file must be a YAML mapping")
@@ -130,13 +129,18 @@ def load_mock_scripts(path: Path | str) -> MockScript:
     """Merge every <case id>.mock.yaml under the dataset into one script.
 
     A file scripts the scenario named by its case id, and its ``verify``
-    replies script "<id>#verify". Case ids must be unique across files.
+    replies script "<id>#verify". Case ids must be unique across files, and
+    a malformed file is a DatasetError naming it.
     """
     root = Path(path)
-    scenarios: dict[str, dict] = {}
+    entries: dict = {}
+    defaults: dict = {}
     seen: dict[str, Path] = {}
     for file in sorted(root.rglob("*.mock.yaml")):
-        data = yaml.safe_load(file.read_text(encoding="utf-8")) or {}
+        try:
+            data = load_yaml(file.read_text(encoding="utf-8")) or {}
+        except LOAD_ERRORS as exc:
+            raise DatasetError(f"{file}: not valid YAML: {exc}") from exc
         if not isinstance(data, Mapping):
             raise DatasetError(f"{file}: mock script must be a YAML mapping")
         case_id = file.name[: -len(".mock.yaml")]
@@ -147,17 +151,25 @@ def load_mock_scripts(path: Path | str) -> MockScript:
             )
         seen[case_id] = file
         latency = data.get("latency", 0.0)
-        scenarios[case_id] = {
-            "replies": data.get("replies"),
-            "default": data.get("default"),
-            "latency": latency,
+        scenarios = {
+            case_id: {
+                "replies": data.get("replies"),
+                "default": data.get("default"),
+                "latency": latency,
+            },
+            f"{case_id}#verify": {
+                "replies": data.get("verify"),
+                "default": data.get("verify_default"),
+                "latency": latency,
+            },
         }
-        scenarios[f"{case_id}#verify"] = {
-            "replies": data.get("verify"),
-            "default": data.get("verify_default"),
-            "latency": latency,
-        }
-    return mock_script_from_dict({"scenarios": scenarios})
+        try:
+            script = mock_script_from_dict({"scenarios": scenarios})
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"{file}: {exc}") from exc
+        entries.update(script.entries)
+        defaults.update(script.scenario_defaults)
+    return MockScript(entries=entries, scenario_defaults=defaults)
 
 
 @dataclass
@@ -212,16 +224,19 @@ def run_static_eval(
         )
         return profile.name, case, run_chain(request, profile, chain_deps)
 
-    if workers > 1:
+    def results():
+        if workers <= 1:
+            yield from map(evaluate_one, jobs)
+            return
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate_one, jobs))
-    else:
-        results = [evaluate_one(job) for job in jobs]
+            yield from pool.map(evaluate_one, jobs)
 
     levels = tuple(sorted({case.level for case in cases}))
     counts = {(p.name, level): (0, 0) for p in profiles for level in levels}
     appendix: list[str] = []
-    for profile_name, case, outcome in results:
+    # Each outcome is folded in as it comes, so only finished outcomes not
+    # yet read are held at once.
+    for profile_name, case, outcome in results():
         passed, total = counts[(profile_name, case.level)]
         counts[(profile_name, case.level)] = (passed + int(outcome.resolved), total + 1)
         for record in outcome.attempt_history:

@@ -9,7 +9,8 @@ diffing and deployment always see identical bytes for identical trees.
 Parsing runs on libyaml when PyYAML was built with it. Text that libyaml
 reads differently from PyYAML's own scanner, and every error report, goes
 through the pure-Python loader, so results and messages are the same
-either way.
+either way. ``load_yaml`` and ``dump_yaml`` give the rest of the package
+safe_load and safe_dump on the same terms.
 """
 
 from __future__ import annotations
@@ -86,7 +87,11 @@ class _PyUniqueKeyLoader(_ValueErrorsAtNodes, yaml.SafeLoader):
     """Pure-Python SafeLoader that rejects duplicate mapping keys instead of last-wins."""
 
 
-class _UniqueKeyLoader(_ValueErrorsAtNodes, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+_C_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_C_SAFE_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+class _UniqueKeyLoader(_ValueErrorsAtNodes, _C_SAFE_LOADER):
     """The same loader on libyaml, when PyYAML was built with it."""
 
 
@@ -108,9 +113,11 @@ for _loader in (_PyUniqueKeyLoader, _UniqueKeyLoader):
 # What loading can raise besides a YAMLError: RecursionError for nesting
 # deeper than the interpreter allows, UnicodeEncodeError from libyaml for a
 # lone surrogate, and the value errors above when they come from the part
-# of a collection constructor that runs after its node returned.
+# of a collection constructor that runs after its node returned (or, in
+# safe_load, from any constructor). A file loader catches LOAD_ERRORS to
+# report a malformed file.
 _NON_YAML_ERRORS = (*_VALUE_ERRORS, RecursionError)
-_LOAD_ERRORS = (yaml.YAMLError, *_NON_YAML_ERRORS)
+LOAD_ERRORS = (yaml.YAMLError, *_NON_YAML_ERRORS)
 
 # Where libyaml and PyYAML's scanner disagree, found by comparing the two
 # on generated text. libyaml accepts tabs PyYAML rejects, skips a byte
@@ -133,14 +140,17 @@ _NESTING_CHARS = "[{-?:"
 _MAX_LIBYAML_NESTING = 1000
 
 
-def _loader_for(text: str):
-    if (
+def _libyaml_reads_alike(text: str) -> bool:
+    """Whether libyaml scans and parses ``text`` as PyYAML's own scanner does."""
+    return not (
         _LIBYAML_DIFFERS.search(text)
         or ("?" in text and ("[" in text or "{" in text))
         or sum(map(text.count, _NESTING_CHARS)) > _MAX_LIBYAML_NESTING
-    ):
-        return _PyUniqueKeyLoader
-    return _UniqueKeyLoader
+    )
+
+
+def _loader_for(text: str):
+    return _UniqueKeyLoader if _libyaml_reads_alike(text) else _PyUniqueKeyLoader
 
 
 def _load_documents(text: str, loader) -> list:
@@ -186,7 +196,7 @@ def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         return None, last if mark is None else min(last, mark.line + 1)
-    except _LOAD_ERRORS:
+    except LOAD_ERRORS:
         return None, last
     if len(docs) == 1 and isinstance(docs[0], dict):
         return docs[0], 0
@@ -265,7 +275,7 @@ def parse_config(text: str) -> ConfigDocument:
     """Parse extracted text strictly into a ConfigDocument."""
     try:
         docs = _load_documents(text, _loader_for(text))
-    except _LOAD_ERRORS:
+    except LOAD_ERRORS:
         # libyaml words and places its errors differently; the Python loader
         # decides every failure, so reports read the same with or without it.
         try:
@@ -321,10 +331,87 @@ def preprocess_reply(raw: str) -> ConfigDocument:
     )
 
 
+def load_yaml(text: str):
+    """``yaml.safe_load(text)``: the same tree, or the same error, on libyaml where it can.
+
+    Duplicate keys are allowed, the last one winning, as in safe_load. Text
+    libyaml reads differently goes to the pure-Python loader, and so does
+    every failure, so errors read as safe_load's own.
+    """
+    if _libyaml_reads_alike(text):
+        try:
+            return yaml.load(text, Loader=_C_SAFE_LOADER)
+        except LOAD_ERRORS:
+            pass
+    return yaml.load(text, Loader=yaml.SafeLoader)
+
+
+# Where the two emitters write the same tree differently, found by comparing
+# them on generated trees. Any character outside these sets can make a
+# scalar double-quoted, and the emitters fold long double-quoted scalars
+# differently; libyaml also escapes characters past U+FFFF that PyYAML
+# prints, and raises UnicodeEncodeError on a lone surrogate. PyYAML writes
+# a key as a simple key while its text and its tag ("!!str") stay under 128
+# characters, libyaml while its UTF-8 bytes are at most 128 (it writes
+# an empty key as a simple key too), so a key of 1 to 122 bytes is simple
+# for both. A root scalar gets a "..." line from PyYAML only.
+_UNPRINTED = {
+    True: re.compile(r"[^\x20-\x7e\xa0-\ud7ff\ue000-\ufefe\uff00-\ufffd]"),
+    False: re.compile(r"[^\x20-\x7e]"),
+}
+_MAX_SIMPLE_KEY_BYTES = 122
+_PLAIN_SCALARS = (int, float, bool, type(None))
+
+
+def _libyaml_emits_alike(tree, allow_unicode) -> bool:
+    """Whether CSafeDumper writes ``tree`` byte for byte as SafeDumper does.
+
+    One walk over the tree, each container once (a repeated one is written
+    as an alias by both). Leaves must be strings or plain scalars: a set,
+    for one, turns its members into keys.
+    """
+    unprinted = _UNPRINTED[bool(allow_unicode)]
+    if type(tree) not in (dict, list):
+        return False
+    seen = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is str:
+            if unprinted.search(node):
+                return False
+        elif kind is dict or kind is list:
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if kind is list:
+                stack.extend(node)
+                continue
+            for key in node:
+                if (
+                    type(key) is not str
+                    or not key
+                    or unprinted.search(key)
+                    or len(key.encode()) > _MAX_SIMPLE_KEY_BYTES
+                ):
+                    return False
+            stack.extend(node.values())
+        elif kind not in _PLAIN_SCALARS:
+            return False
+    return True
+
+
+def dump_yaml(tree, **options) -> str:
+    """``yaml.safe_dump(tree, **options)``, on libyaml when it writes the tree the same."""
+    alike = _libyaml_emits_alike(tree, options.get("allow_unicode"))
+    return yaml.dump(tree, Dumper=_C_SAFE_DUMPER if alike else yaml.SafeDumper, **options)
+
+
 def serialize_config(document: ConfigDocument | dict) -> str:
     """Canonical YAML form: block style, two-space indent, key order preserved."""
     root = document.root if isinstance(document, ConfigDocument) else document
-    return yaml.safe_dump(
+    return dump_yaml(
         root,
         default_flow_style=False,
         indent=2,

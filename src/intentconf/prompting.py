@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import yaml
-
 from .gateway import (
     PromptPayload,
     Provider,
@@ -23,7 +21,15 @@ from .gateway import (
     clamp_for_determinism,
     complete,
 )
-from .preprocess import ConfigDocument, StructuralError, parse_config, serialize_config
+from .preprocess import (
+    LOAD_ERRORS,
+    ConfigDocument,
+    StructuralError,
+    dump_yaml,
+    load_yaml,
+    parse_config,
+    serialize_config,
+)
 from .retrieval import Chunk
 
 # name -> (use_cot, use_retrieval, use_few_shot); every profile keeps the
@@ -65,6 +71,10 @@ ALIGNMENT_HEADER = (
 FEEDBACK_LABEL = "## PREVIOUS ATTEMPT FAILED"
 
 
+class InvalidProfile(ValueError):
+    """No profile has this name or attempt budget."""
+
+
 class ProfileViolation(Exception):
     """A profile requirement cannot be met with the inputs provided."""
 
@@ -87,9 +97,9 @@ class OptimizationProfile:
 
     def __post_init__(self):
         if self.name not in PROFILE_NAMES:
-            raise ValueError(f"unknown profile {self.name!r}; choose from {PROFILE_NAMES}")
+            raise InvalidProfile(f"unknown profile {self.name!r}; choose from {PROFILE_NAMES}")
         if self.max_chain_attempts < 1:
-            raise ValueError("max_chain_attempts must be >= 1")
+            raise InvalidProfile("max_chain_attempts must be >= 1")
 
     @property
     def use_cot(self) -> bool:
@@ -279,20 +289,24 @@ def load_shot_library(root: Path | str, system: str) -> tuple[FewShotExample, ..
     """Few-shot examples for ``system`` from <root>/<system>/*.yaml, sorted by filename.
 
     Each file holds ``prompt``, ``intent``, ``correct_output`` and
-    optionally ``incorrect_output`` with a ``defect_note``.
+    optionally ``incorrect_output`` with a ``defect_note``; a malformed file
+    is a ValueError naming it.
     """
     directory = Path(root) / system
     if not directory.is_dir():
         return ()
     shots = []
     for path in sorted(directory.glob("*.yaml")):
-        data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+        try:
+            data = load_yaml(path.read_text(encoding="utf-8")) or {}
+        except LOAD_ERRORS as exc:
+            raise ValueError(f"shot file {path}: not valid YAML: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(f"shot file {path} must be a YAML mapping")
 
         def _as_text(value) -> str:
             if isinstance(value, dict):
-                return yaml.safe_dump(value, default_flow_style=False, indent=2, sort_keys=False)
+                return dump_yaml(value, default_flow_style=False, indent=2, sort_keys=False)
             return str(value) if value is not None else ""
 
         try:

@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-import yaml
-
-from .preprocess import ConfigDocument, serialize_config
+from .preprocess import ConfigDocument, load_yaml, serialize_config
 from .validation import resolve_path
 
 DEFAULT_CPU_RATE = 0.04  # dollars per core-hour
@@ -214,7 +212,7 @@ def load_system_profiles(path: Path | str | None = None) -> dict[str, SystemProf
         ).read_text(encoding="utf-8")
     else:
         text = Path(path).read_text(encoding="utf-8")
-    data = yaml.safe_load(text) or {}
+    data = load_yaml(text) or {}
     if not isinstance(data, dict):
         raise ValueError("system profile file must be a YAML mapping")
     profiles = {}
@@ -367,7 +365,7 @@ def run_workload(model: ClusterModel, spec: ResourceSpec, workload: Workload) ->
 
 def load_cluster_model(path: Path | str) -> ClusterModel:
     """Cluster model from YAML: a nodes list plus optional pricing rates."""
-    data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    data = load_yaml(Path(path).read_text(encoding="utf-8")) or {}
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise ValueError(f"cluster model {path} must be a mapping with a nodes list")
     nodes = tuple(

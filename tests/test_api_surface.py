@@ -55,3 +55,31 @@ def test_public_names_have_a_caller_in_src_or_bench():
             if not used:
                 unused.append(f"{path.name}:{node.name}")
     assert unused == [], f"public names only tests call: {unused}"
+
+
+YAML_IO = {"load", "safe_load", "load_all", "safe_load_all", "dump", "safe_dump", "dump_all", "safe_dump_all"}
+
+
+def test_yaml_io_goes_through_preprocess():
+    """Only ``preprocess`` uses PyYAML's loaders and dumpers; the rest call
+    ``load_yaml`` and ``dump_yaml``, which pick libyaml only where it reads
+    and writes as PyYAML does."""
+    bypasses = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "preprocess.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in YAML_IO
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "yaml"
+            ):
+                bypasses.append(f"{path.name}:{node.lineno}: yaml.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "yaml":
+                bypasses.extend(
+                    f"{path.name}:{node.lineno}: from yaml import {alias.name}"
+                    for alias in node.names
+                    if alias.name in YAML_IO
+                )
+    assert bypasses == [], f"YAML I/O outside preprocess: {bypasses}"

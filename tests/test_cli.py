@@ -6,6 +6,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import intentconf.chain as chain_mod
 from intentconf.cli import main
 from intentconf.preprocess import parse_config
 
@@ -124,6 +125,39 @@ class TestGenerate:
         assert result.exit_code == 2
         assert "error:" in combined(result)
 
+    def test_value_error_inside_the_chain_is_a_bug(self, tmp_path, runner, monkeypatch):
+        def broken(raw):
+            raise ValueError("a bug, not a usage error")
+
+        monkeypatch.setattr(chain_mod, "preprocess_reply", broken)
+        app = make_workspace(tmp_path, scenarios={"demo": {"replies": [GOOD]}})
+        result = runner.invoke(
+            main,
+            ["-c", str(app), "generate", "--system", "dask", "--intent", "x",
+             "--scenario", "demo", "--no-deploy"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
+        assert "error:" not in combined(result)
+
+    @pytest.mark.parametrize("bad", ["provider script", "cluster model", "retrieval k", "empty intent"])
+    def test_bad_input_is_a_usage_error(self, tmp_path, runner, bad):
+        app = make_workspace(tmp_path, scenarios={"demo": {"replies": [GOOD]}})
+        args = ["-c", str(app), "generate", "--system", "dask", "--scenario", "demo"]
+        intent = "x"
+        if bad == "provider script":
+            (tmp_path / "mock.yaml").write_text("scenarios: [unclosed", encoding="utf-8")
+        elif bad == "cluster model":
+            write_yaml(tmp_path / "cluster.yaml", {"nodes": []})
+            args += ["--cluster", str(tmp_path / "cluster.yaml")]
+        elif bad == "retrieval k":
+            write_yaml(app, {**yaml.safe_load(app.read_text(encoding="utf-8")), "retrieval": {"k": 0}})
+        else:
+            intent = ""
+        result = runner.invoke(main, args + ["--intent", intent])
+        assert result.exit_code == 2, combined(result)
+        assert "error:" in combined(result)
+
     def test_shell_backend_requires_explicit_opt_in(self, tmp_path, runner):
         app = make_workspace(tmp_path, scenarios={"demo": {"replies": [GOOD]}})
         result = runner.invoke(
@@ -190,6 +224,15 @@ class TestValidate:
         )
         assert result.exit_code == 1
         assert "structural error:" in result.output
+
+    def test_invalid_assertions_yaml_names_the_file(self, tmp_path, runner):
+        checks = tmp_path / "bad.yaml"
+        checks.write_text("- path: [unclosed", encoding="utf-8")
+        config = tmp_path / "good.yaml"
+        config.write_text(GOOD, encoding="utf-8")
+        result = runner.invoke(main, ["validate", str(config), "--assertions", str(checks)])
+        assert result.exit_code == 2, combined(result)
+        assert f"error: {checks}: not valid YAML" in combined(result)
 
     def test_bad_assertions_file(self, tmp_path, runner):
         checks = tmp_path / "empty.yaml"
@@ -290,6 +333,16 @@ class TestBench:
         app = make_workspace(tmp_path, dataset={"b1": {}})
         result = runner.invoke(main, ["-c", str(app), "bench", "--profiles", "warp"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("text", ["replies: [unclosed", "replies: 5"])
+    def test_malformed_mock_script_is_a_usage_error(self, tmp_path, runner, text):
+        app = make_workspace(tmp_path, dataset={"b1": {"mock": {"replies": [GOOD]}}})
+        mock = tmp_path / "dataset" / "dask" / "level1" / "b1.mock.yaml"
+        mock.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["-c", str(app), "bench", "--profiles", "ip"])
+        assert result.exit_code == 2, combined(result)
+        assert f"error: {mock}: " in combined(result)
+
 
 
 class TestComplexity:

@@ -163,6 +163,20 @@ class TestLoadMockScripts:
         message = str(info.value)
         assert str(first) in message and str(second) in message
 
+    def test_invalid_yaml_names_the_file(self, tmp_path):
+        path = write_mock(tmp_path, "dask", 1, "c1", {"replies": [GOOD]})
+        path.write_text("replies: [unclosed", encoding="utf-8")
+        with pytest.raises(DatasetError) as info:
+            load_mock_scripts(tmp_path)
+        assert str(info.value).startswith(f"{path}: not valid YAML")
+
+    @pytest.mark.parametrize("mock", [{"replies": 5}, {"replies": {"one": GOOD}}, {"latency": "slow"}])
+    def test_bad_value_names_the_file(self, tmp_path, mock):
+        path = write_mock(tmp_path, "dask", 1, "c1", mock)
+        with pytest.raises(DatasetError) as info:
+            load_mock_scripts(tmp_path)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 def deps_with(script, **kwargs):
     return HarnessDeps(provider=MockProvider(script), **kwargs)

@@ -10,6 +10,8 @@ from intentconf.preprocess import (
     ConfigDocument,
     StructuralError,
     StructuralErrorKind,
+    dump_yaml,
+    load_yaml,
     parse_config,
     preprocess_reply,
     serialize_config,
@@ -412,3 +414,155 @@ class TestErrorReports:
             "duplicate key 'a'\n  in \"<unicode string>\", line 2, column 1:\n    a: 2\n    ^"
         )
         assert (info.value.line, info.value.column) == (2, 1)
+
+
+# The routed loader and dumper against PyYAML's own safe_load and safe_dump.
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+
+
+def load_outcome(load, text):
+    """("ok", repr of the tree) or ("error", type, message); None when it recursed too deep."""
+    try:
+        return "ok", repr(load(text))
+    except RecursionError:
+        return None
+    except Exception as exc:  # the oracle's own exception, whatever it is
+        return "error", type(exc), str(exc)
+
+
+def c_load(text):
+    return yaml.load(text, Loader=yaml.CSafeLoader)
+
+
+class TestLoadYaml:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(REPLY_LINES), max_size=8), st.booleans())
+    def test_same_tree_or_error_as_safe_load(self, lines, trailing_newline):
+        text = "\n".join(lines) + ("\n" if trailing_newline else "")
+        expected = load_outcome(yaml.safe_load, text)
+        if expected is not None:
+            assert load_outcome(load_yaml, text) == expected
+
+    def test_duplicate_keys_last_wins(self):
+        assert load_yaml("a: 1\na: 2") == {"a": 2}
+
+    # Each text is one that libyaml reads differently from PyYAML's scanner,
+    # so a routing rule left out hands it to libyaml and the result changes.
+    @needs_libyaml
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a: b\tc",  # a tab PyYAML rejects
+            "- x\n\ufeff",  # a byte order mark at a line start
+            "a: !",  # an empty node tagged "!"
+            "a: |#x\n  b",  # a block scalar header running into a comment
+            "[a?b]",  # a '?' inside a flow plain scalar
+        ],
+    )
+    def test_routing_rules(self, text):
+        expected = load_outcome(yaml.safe_load, text)
+        assert load_outcome(c_load, text) != expected
+        assert load_outcome(load_yaml, text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "%YAML 1.3\n---\na: 1",  # libyaml rejects what PyYAML accepts
+            "a: 1\n\ufeffb: 2",
+            "{a:}",
+            "a: [unclosed",  # both fail; the message must be PyYAML's
+            "a: 1\n b: 2\nc",
+            "expires: 2024-02-30",  # a constructor error
+        ],
+    )
+    def test_failures_are_decided_by_pyyaml(self, text):
+        assert load_outcome(load_yaml, text) == load_outcome(yaml.safe_load, text)
+
+    def test_deep_nesting_stays_off_libyaml(self):
+        # libyaml's composer recurses on the C stack; PyYAML's stops at the
+        # interpreter's recursion limit.
+        with pytest.raises(RecursionError):
+            load_yaml("- " * 1500 + "a")
+
+
+SERIALIZE_OPTIONS = dict(default_flow_style=False, indent=2, sort_keys=False, allow_unicode=True)
+SHOT_OPTIONS = dict(default_flow_style=False, indent=2, sort_keys=False)
+OPTION_SETS = (SERIALIZE_OPTIONS, SHOT_OPTIONS)
+
+# Characters both emitters print as they are (the non-ASCII ones only with
+# allow_unicode), and characters that make a scalar escaped or unprintable.
+PRINTED_CHARS = list("abcxyz   ::--#'\"!&*?{}[],|>%@`~.0123") + ["\u00e9", "\u4e2d", "\xa0"]
+OTHER_CHARS = ["\n", "\t", "\x07", "\x85", "\u2028", "\ufeff", "\U0001f600", "\ud800"]
+dump_text = st.one_of(
+    st.text(st.sampled_from(alphabet), min_size=low, max_size=high)
+    for alphabet in (PRINTED_CHARS, PRINTED_CHARS + OTHER_CHARS)
+    for low, high in ((0, 12), (60, 200))
+)
+dump_keys = dump_text | st.text(st.sampled_from(PRINTED_CHARS), min_size=110, max_size=140) | st.integers()
+dump_scalars = (
+    dump_text
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sets(dump_text, max_size=2)
+)
+dump_trees = st.recursive(
+    dump_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(dump_keys, inner, max_size=4),
+    max_leaves=30,
+)
+dump_roots = st.lists(dump_trees, max_size=3) | st.dictionaries(dump_keys, dump_trees, max_size=3)
+
+
+def c_dump(tree, options):
+    try:
+        return yaml.dump(tree, Dumper=yaml.CSafeDumper, **options)
+    except Exception as exc:  # libyaml's own failure, e.g. on a lone surrogate
+        return type(exc)
+
+
+class TestDumpYaml:
+    @needs_libyaml
+    @settings(max_examples=400, deadline=None)
+    @given(dump_roots, st.sampled_from(OPTION_SETS))
+    def test_libyaml_trees_emit_as_safe_dump(self, tree, options):
+        expected = yaml.safe_dump(tree, **options)
+        assert dump_yaml(tree, **options) == expected
+        if preprocess_mod._libyaml_emits_alike(tree, options.get("allow_unicode")):
+            assert c_dump(tree, options) == expected
+
+    def test_plain_config_goes_to_libyaml(self):
+        assert preprocess_mod._libyaml_emits_alike(YAML_TREE, True)
+        assert preprocess_mod._libyaml_emits_alike({"name": "caf\u00e9"}, True)
+
+    def test_repeated_and_cyclic_containers(self):
+        shared = [1, 2]
+        cyclic = []
+        cyclic.append(cyclic)
+        for tree in ({"a": shared, "b": shared}, cyclic):
+            assert dump_yaml(tree, **SERIALIZE_OPTIONS) == yaml.safe_dump(tree, **SERIALIZE_OPTIONS)
+
+    # Each tree is one the two emitters write differently, so a routing
+    # rule left out hands it to libyaml and the output changes.
+    @needs_libyaml
+    @pytest.mark.parametrize(
+        "tree, options",
+        [
+            ({"": 1}, SERIALIZE_OPTIONS),  # an empty key
+            ({"k" * 123: 1}, SERIALIZE_OPTIONS),  # a key past PyYAML's simple-key length
+            ({"\u00e9" * 65: 1}, SERIALIZE_OPTIONS),  # a key past libyaml's, in UTF-8 bytes
+            ({10**124: 1}, SERIALIZE_OPTIONS),  # a long key that is not a string
+            ({"\U0001f600": 1}, SERIALIZE_OPTIONS),  # a key with a character past U+FFFF
+            ({"a": "\ud800"}, SERIALIZE_OPTIONS),  # a lone surrogate
+            ({"a": "x\x07" + "a b" * 40}, SERIALIZE_OPTIONS),  # a long escaped string
+            ({"a": "\u00e9 b" * 30}, SHOT_OPTIONS),  # the same, escaped for want of allow_unicode
+            ({"a": "\U0001f600"}, SERIALIZE_OPTIONS),  # a character past U+FFFF
+            ({"a": {""}}, SERIALIZE_OPTIONS),  # a set, whose members are keys
+            ("a", SERIALIZE_OPTIONS),  # a root scalar
+        ],
+    )
+    def test_routing_rules(self, tree, options):
+        expected = yaml.safe_dump(tree, **options)
+        assert c_dump(tree, options) != expected
+        assert dump_yaml(tree, **options) == expected

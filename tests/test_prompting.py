@@ -353,6 +353,12 @@ class TestShotLibrary:
     def test_unknown_system_is_empty(self, tmp_path):
         assert load_shot_library(tmp_path, "spark") == ()
 
+    def test_invalid_yaml_names_path(self, tmp_path):
+        self.write(tmp_path, "dask", "bad.yaml", "prompt: [unclosed\n")
+        with pytest.raises(ValueError) as info:
+            load_shot_library(tmp_path, "dask")
+        assert "bad.yaml: not valid YAML" in str(info.value)
+
     def test_malformed_file_names_path(self, tmp_path):
         self.write(tmp_path, "dask", "bad.yaml", "prompt: p\nintent: i\ncorrect_output: '- 1'\n")
         with pytest.raises(ValueError) as info:
