@@ -21,78 +21,64 @@ import click
 
 from . import chain as chain_mod
 from . import harness as harness_mod
-from . import prompting, retrieval, simulator, validation
+from . import prompting, retrieval, validation
 from .appconfig import AppConfig, AppConfigError, build_provider, load_app_config
 from .gateway import ProviderError, ProviderUnreachable
-from .preprocess import LOAD_ERRORS, StructuralError, load_yaml, parse_config, serialize_config
+from .preprocess import InputError, StructuralError, load_yaml_file, parse_config, serialize_config
 from .simulator import (
     GIB,
     BackendUnavailable,
     ClusterModel,
     NodeSpec,
-    QuantityError,
     ShellDeployer,
     SimulatedDeployer,
-    UnknownSystemProfile,
     load_cluster_model,
     load_system_profiles,
 )
 
 DEFAULT_CLUSTER = ClusterModel(nodes=(NodeSpec(cpu_millicores=4000, memory_bytes=16 * GIB),))
 
-# The errors of bad input: a missing file (OSError) and the domain errors
-# that loaders and constructors raise. Anything else is a bug and exits 1
-# with its traceback.
-_CONFIG_ERRORS = (
-    AppConfigError,
-    harness_mod.DatasetError,
-    prompting.InvalidProfile,
-    prompting.ProfileViolation,
+# Bad input: a file or option that is malformed (InputError, which names the
+# file and key), a path that cannot be read or written, and the refusals a
+# command makes before it can run. Anything else is a bug and exits 1 with
+# its traceback.
+_USAGE_ERRORS = (
+    InputError,
+    OSError,
     BackendUnavailable,
-    UnknownSystemProfile,
-    QuantityError,
-    retrieval.InvalidChunking,
-    validation.PathSyntaxError,
+    prompting.ProfileViolation,
     ProviderUnreachable,
     ProviderError,
-    OSError,
 )
 
 
-def _fail_usage(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
+class _Main(click.Group):
+    """The command group: bad input from any command exits 2 with one line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except _USAGE_ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(2)
 
 
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-") or "chain"
 
 
-def _from_file(load, path, *args):
-    """``load(path, *args)``, with a malformed file an AppConfigError naming it."""
-    try:
-        return load(path, *args)
-    except LOAD_ERRORS as exc:
-        raise AppConfigError(f"{path}: {exc}") from exc
-
-
 def _load_assertions(path: Path) -> tuple[validation.Assertion, ...]:
-    try:
-        raw = load_yaml(path.read_text(encoding="utf-8"))
-    except LOAD_ERRORS as exc:
-        raise AppConfigError(f"{path}: not valid YAML: {exc}") from exc
+    raw = load_yaml_file(path, mapping=False)
     if isinstance(raw, dict) and "assertions" in raw:
         raw = raw["assertions"]
     if not isinstance(raw, list) or not raw:
-        raise AppConfigError(f"{path}: assertions file must hold a non-empty list")
+        raise InputError(f"{path}: assertions file must hold a non-empty list")
     return tuple(harness_mod.assertion_from_mapping(a, str(path)) for a in raw)
 
 
 def _cluster_model(config: AppConfig, override: str | None) -> ClusterModel:
     path = Path(override) if override else config.cluster_path
-    if path is None:
-        return DEFAULT_CLUSTER
-    return _from_file(load_cluster_model, path)
+    return DEFAULT_CLUSTER if path is None else load_cluster_model(path)
 
 
 def _deployer(config: AppConfig, backend: str | None, real_ok: bool, cluster: str | None):
@@ -104,8 +90,7 @@ def _deployer(config: AppConfig, backend: str | None, real_ok: bool, cluster: st
                 "--i-understand-this-applies-to-a-real-cluster to confirm"
             )
         return ShellDeployer(opt_in=True)
-    path = config.system_profiles_path
-    profiles = _from_file(load_system_profiles, path) if path else load_system_profiles()
+    profiles = load_system_profiles(config.system_profiles_path)
     return SimulatedDeployer(model=_cluster_model(config, cluster), profiles=profiles)
 
 
@@ -129,7 +114,7 @@ def _shots_for(config: AppConfig, profile: prompting.OptimizationProfile, system
         raise AppConfigError(
             f"profile {profile.name!r} needs few-shot examples; set paths.shots"
         )
-    shots = _from_file(prompting.load_shot_library, config.shots_path, system)
+    shots = prompting.load_shot_library(config.shots_path, system)
     if not shots:
         raise AppConfigError(f"no few-shot examples found for system {system!r}")
     return shots
@@ -167,7 +152,7 @@ def _echo_attempts(outcome: chain_mod.ChainOutcome) -> None:
             click.echo(f"attempt {record.attempt}: {record.feedback.summary}")
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.option(
     "--config",
     "-c",
@@ -180,10 +165,7 @@ def _echo_attempts(outcome: chain_mod.ChainOutcome) -> None:
 @click.pass_context
 def main(ctx: click.Context, config_path: Path | None):
     """Generate, validate, deploy, and evaluate cluster configurations."""
-    try:
-        ctx.obj = load_app_config(config_path)
-    except AppConfigError as exc:
-        _fail_usage(str(exc))
+    ctx.obj = load_app_config(config_path)
 
 
 @main.command()
@@ -224,26 +206,22 @@ def generate(
     cluster: str | None,
 ):
     """Turn an intent into a validated, deployed configuration."""
-    try:
-        profile = prompting.OptimizationProfile.for_name(
-            profile_name or config.profile,
-            sampling=config.sampling,
-            max_chain_attempts=max_attempts or config.max_chain_attempts,
-        )
-        if not system or not intent:
-            raise AppConfigError("--system and --intent must be non-empty")
-        scenario = scenario or f"cli:{system}"
-        assertions = _load_assertions(assertions_path) if assertions_path else ()
-        deployer = None if no_deploy else _deployer(config, deploy_backend, real_ok, cluster)
-        deps = _chain_deps(
-            config, profile, system, build_provider(config), deployer, assertions, scenario
-        )
-        prompt = prompt or f"Write the {system} configuration that satisfies the intent."
-        request = prompting.GenerationRequest(system=system, intent=intent, prompt=prompt)
-        outcome = chain_mod.run_chain(request, profile, deps)
-    except _CONFIG_ERRORS as exc:
-        _fail_usage(str(exc))
-        return
+    profile = prompting.OptimizationProfile.for_name(
+        profile_name or config.profile,
+        sampling=config.sampling,
+        max_chain_attempts=max_attempts or config.max_chain_attempts,
+    )
+    if not system or not intent:
+        raise AppConfigError("--system and --intent must be non-empty")
+    scenario = scenario or f"cli:{system}"
+    assertions = _load_assertions(assertions_path) if assertions_path else ()
+    deployer = None if no_deploy else _deployer(config, deploy_backend, real_ok, cluster)
+    deps = _chain_deps(
+        config, profile, system, build_provider(config), deployer, assertions, scenario
+    )
+    prompt = prompt or f"Write the {system} configuration that satisfies the intent."
+    request = prompting.GenerationRequest(system=system, intent=intent, prompt=prompt)
+    outcome = chain_mod.run_chain(request, profile, deps)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     transcript = transcript or config.output_dir / f"{_slug(scenario)}.jsonl"
@@ -276,11 +254,7 @@ def generate(
 @click.option("--case-id", default="", help="Label used in the report output.")
 def validate(config_file: Path, assertions_path: Path, case_id: str):
     """Statically check an existing configuration file."""
-    try:
-        assertions = _load_assertions(assertions_path)
-    except _CONFIG_ERRORS as exc:
-        _fail_usage(str(exc))
-        return
+    assertions = _load_assertions(assertions_path)
     try:
         document = parse_config(config_file.read_text(encoding="utf-8"))
     except StructuralError as exc:
@@ -316,12 +290,8 @@ def deploy(
     except StructuralError as exc:
         click.echo(f"structural error: {exc}", err=True)
         sys.exit(1)
-    try:
-        deployer = _deployer(config, deploy_backend, real_ok, cluster)
-        outcome = deployer.deploy(document, system)
-    except _CONFIG_ERRORS as exc:
-        _fail_usage(str(exc))
-        return
+    deployer = _deployer(config, deploy_backend, real_ok, cluster)
+    outcome = deployer.deploy(document, system)
     if outcome.logs:
         click.echo(outcome.logs)
     if outcome.success:
@@ -347,31 +317,25 @@ def chain_cmd(
     transcript: Path | None,
 ):
     """Replay one benchmark case through the full loop."""
-    try:
-        dataset = dataset or config.dataset_path
-        if dataset is None:
-            raise AppConfigError("no dataset configured; pass --dataset or set paths.dataset")
-        cases = {case.id: case for case in harness_mod.load_dataset(dataset)}
-        if case_id not in cases:
-            raise AppConfigError(f"case {case_id!r} not found under {dataset}")
-        case = cases[case_id]
-        profile = prompting.OptimizationProfile.for_name(
-            profile_name or config.profile,
-            sampling=config.sampling,
-            max_chain_attempts=config.max_chain_attempts,
-        )
-        provider = build_provider(config, extra_script=harness_mod.load_mock_scripts(dataset))
-        deployer = None if no_deploy else _deployer(config, None, False, None)
-        deps = _chain_deps(
-            config, profile, case.system, provider, deployer, case.assertions, case.id
-        )
-        request = prompting.GenerationRequest(
-            system=case.system, intent=case.intent, prompt=case.prompt
-        )
-        outcome = chain_mod.run_chain(request, profile, deps)
-    except _CONFIG_ERRORS as exc:
-        _fail_usage(str(exc))
-        return
+    dataset = dataset or config.dataset_path
+    if dataset is None:
+        raise AppConfigError("no dataset configured; pass --dataset or set paths.dataset")
+    cases = {case.id: case for case in harness_mod.load_dataset(dataset)}
+    if case_id not in cases:
+        raise AppConfigError(f"case {case_id!r} not found under {dataset}")
+    case = cases[case_id]
+    profile = prompting.OptimizationProfile.for_name(
+        profile_name or config.profile,
+        sampling=config.sampling,
+        max_chain_attempts=config.max_chain_attempts,
+    )
+    provider = build_provider(config, extra_script=harness_mod.load_mock_scripts(dataset))
+    deployer = None if no_deploy else _deployer(config, None, False, None)
+    deps = _chain_deps(config, profile, case.system, provider, deployer, case.assertions, case.id)
+    request = prompting.GenerationRequest(
+        system=case.system, intent=case.intent, prompt=case.prompt
+    )
+    outcome = chain_mod.run_chain(request, profile, deps)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     transcript = transcript or config.output_dir / f"{_slug(case.id)}.jsonl"
     transcript.parent.mkdir(parents=True, exist_ok=True)
@@ -392,40 +356,36 @@ def chain_cmd(
 @click.pass_obj
 def bench(config: AppConfig, dataset: Path | None, profiles: str, workers: int):
     """Run the static-validation benchmark and emit the accuracy table."""
-    try:
-        dataset = dataset or config.dataset_path
-        if dataset is None:
-            raise AppConfigError("no dataset configured; pass --dataset or set paths.dataset")
-        cases = harness_mod.load_dataset(dataset)
-        if not cases:
-            raise harness_mod.DatasetError(f"no cases found under {dataset}")
-        profile_list = [
-            prompting.OptimizationProfile.for_name(
-                name.strip(),
-                sampling=config.sampling,
-                max_chain_attempts=config.max_chain_attempts,
-            )
-            for name in profiles.split(",")
-            if name.strip()
-        ]
-        if not profile_list:
-            raise AppConfigError("no profiles requested")
-        provider = build_provider(config, extra_script=harness_mod.load_mock_scripts(dataset))
-        few_shot = next((p for p in profile_list if p.use_few_shot), None)
-        shots_by_system = {}
-        if few_shot is not None:
-            for system in sorted({case.system for case in cases}):
-                shots_by_system[system] = _shots_for(config, few_shot, system)
-        deps = harness_mod.HarnessDeps(
-            provider=provider,
-            shots_by_system=shots_by_system,
-            index=_build_index(config) if any(p.use_retrieval for p in profile_list) else None,
-            retrieval_k=config.retrieval.k,
+    dataset = dataset or config.dataset_path
+    if dataset is None:
+        raise AppConfigError("no dataset configured; pass --dataset or set paths.dataset")
+    cases = harness_mod.load_dataset(dataset)
+    if not cases:
+        raise harness_mod.DatasetError(f"no cases found under {dataset}")
+    profile_list = [
+        prompting.OptimizationProfile.for_name(
+            name.strip(),
+            sampling=config.sampling,
+            max_chain_attempts=config.max_chain_attempts,
         )
-        table = harness_mod.run_static_eval(cases, profile_list, deps, workers=workers)
-    except _CONFIG_ERRORS as exc:
-        _fail_usage(str(exc))
-        return
+        for name in profiles.split(",")
+        if name.strip()
+    ]
+    if not profile_list:
+        raise AppConfigError("no profiles requested")
+    provider = build_provider(config, extra_script=harness_mod.load_mock_scripts(dataset))
+    few_shot = next((p for p in profile_list if p.use_few_shot), None)
+    shots_by_system = {}
+    if few_shot is not None:
+        for system in sorted({case.system for case in cases}):
+            shots_by_system[system] = _shots_for(config, few_shot, system)
+    deps = harness_mod.HarnessDeps(
+        provider=provider,
+        shots_by_system=shots_by_system,
+        index=_build_index(config) if any(p.use_retrieval for p in profile_list) else None,
+        retrieval_k=config.retrieval.k,
+    )
+    table = harness_mod.run_static_eval(cases, profile_list, deps, workers=workers)
     rendered = harness_mod.render_accuracy_table(table)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     (config.output_dir / "accuracy.txt").write_text(rendered, encoding="utf-8")
@@ -445,13 +405,13 @@ def complexity(patterns: tuple[str, ...]):
     for pattern in patterns:
         paths.extend(Path(p) for p in sorted(_glob.glob(pattern, recursive=True)))
     if not paths:
-        _fail_usage(f"no files match {', '.join(patterns)}")
+        raise InputError(f"no files match {', '.join(patterns)}")
     documents = []
     for path in paths:
         try:
             documents.append(parse_config(path.read_text(encoding="utf-8")))
         except (OSError, StructuralError) as exc:
-            _fail_usage(f"{path}: {exc}")
+            raise InputError(f"{path}: {exc}") from exc
     summary = validation.aggregate_complexity(documents)
     click.echo(f"Configs    {summary.count}")
     click.echo(f"Max Keys   {summary.max_key_count}")
@@ -468,10 +428,10 @@ def report(config: AppConfig, transcripts: str, rate: float | None):
     """Aggregate transcripts: resolution curve, cost rows, latency stats."""
     files = [Path(p) for p in sorted(_glob.glob(transcripts, recursive=True))]
     if not files:
-        _fail_usage(f"no transcripts match {transcripts!r}")
+        raise InputError(f"no transcripts match {transcripts!r}")
     rate = rate if rate is not None else config.rate_per_token
     if rate <= 0:
-        _fail_usage(f"rate must be > 0, got {rate}")
+        raise InputError(f"rate must be > 0, got {rate}")
     stats = []
     for file in files:
         try:
@@ -479,10 +439,9 @@ def report(config: AppConfig, transcripts: str, rate: float | None):
             if entries:
                 stats.append(harness_mod.transcript_stats(entries))
         except (OSError, ValueError) as exc:
-            _fail_usage(f"{file}: {exc}")
-            return
+            raise InputError(f"{file}: {exc}") from exc
     if not stats:
-        _fail_usage("matched transcripts are all empty")
+        raise InputError("matched transcripts are all empty")
     curve = harness_mod.resolution_curve(stats)
     records = [
         harness_mod.CostRecord(

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
 if TYPE_CHECKING:
     import requests
 
-from .preprocess import load_yaml
+from .preprocess import InputError, convert, load_yaml_file
 from .retrieval import count_tokens
 
 DETERMINISTIC_CEILING = 0.1
@@ -245,16 +245,23 @@ def _coerce_replies(raw, scenario: str) -> dict[int, str]:
 
 
 def mock_script_from_dict(data: Mapping) -> MockScript:
-    """Build a MockScript from the parsed script-file structure."""
+    """Build a MockScript from the parsed script-file structure.
+
+    A value of the wrong shape is a ValueError naming its key.
+    """
     default_reply = str(data.get("default", "") or "")
-    default_latency = float(data.get("latency", 0.0) or 0.0)
+    default_latency = convert(data.get("latency") or 0.0, float, "latency")
+    scenarios = data.get("scenarios") or {}
+    if not isinstance(scenarios, Mapping):
+        raise ValueError(f"scenarios must be a mapping, got {scenarios!r}")
     entries: dict[tuple[str, int], MockReply] = {}
     scenario_defaults: dict[str, MockReply] = {}
-    for scenario, spec in (data.get("scenarios") or {}).items():
+    for scenario, spec in scenarios.items():
         scenario = str(scenario)
         if not isinstance(spec, Mapping):
             spec = {"replies": spec}
-        latency = float(spec.get("latency", default_latency) or 0.0)
+        where = f"mock scenario {scenario!r}: latency"
+        latency = convert(spec.get("latency", default_latency) or 0.0, float, where)
         for attempt, text in _coerce_replies(spec.get("replies"), scenario).items():
             entries[(scenario, attempt)] = MockReply(text, latency)
         if "default" in spec and spec["default"] is not None:
@@ -268,10 +275,12 @@ def mock_script_from_dict(data: Mapping) -> MockScript:
 
 
 def load_mock_script(path: Path | str) -> MockScript:
-    data = load_yaml(Path(path).read_text(encoding="utf-8")) or {}
-    if not isinstance(data, Mapping):
-        raise ValueError(f"mock script {path} must be a YAML mapping")
-    return mock_script_from_dict(data)
+    """The provider script in ``path``; an InputError naming the file when it is malformed."""
+    data = load_yaml_file(path)
+    try:
+        return mock_script_from_dict(data)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 class MockProvider:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .chain import ChainDeps, ChainOutcome, run_chain
 from .gateway import MockScript, Provider, mock_script_from_dict
-from .preprocess import LOAD_ERRORS, load_yaml
+from .preprocess import InputError, convert, load_yaml_file
 from .prompting import FewShotExample, GenerationRequest, OptimizationProfile
 from .retrieval import DEFAULT_TOP_K, RetrievalIndex
 from .validation import Assertion, AssertionKind, EmptyCorpus
@@ -27,7 +27,7 @@ from .validation import Assertion, AssertionKind, EmptyCorpus
 LEVELS = (1, 2, 3, 4, 5, 6)
 
 
-class DatasetError(Exception):
+class DatasetError(InputError):
     """A case file is malformed or the dataset is inconsistent."""
 
 
@@ -72,12 +72,7 @@ def assertion_from_mapping(raw: Mapping, source: str) -> Assertion:
 
 
 def _case_from_file(path: Path) -> BenchmarkCase:
-    try:
-        data = load_yaml(path.read_text(encoding="utf-8"))
-    except LOAD_ERRORS as exc:
-        raise DatasetError(f"{path}: not valid YAML: {exc}") from exc
-    if not isinstance(data, Mapping):
-        raise DatasetError(f"{path}: case file must be a YAML mapping")
+    data = load_yaml_file(path, DatasetError)
     for key in ("id", "system", "level", "prompt", "intent", "assertions"):
         if key not in data:
             raise DatasetError(f"{path}: missing required key {key!r}")
@@ -86,17 +81,22 @@ def _case_from_file(path: Path) -> BenchmarkCase:
         raise DatasetError(f"{path}: assertions must be a non-empty list")
     if not str(data["prompt"]).strip() or not str(data["intent"]).strip():
         raise DatasetError(f"{path}: prompt and intent must be non-empty")
+    features = data.get("features") or []
+    if not isinstance(features, list):
+        raise DatasetError(f"{path}: features must be a list, got {features!r}")
+    assertions = tuple(assertion_from_mapping(a, str(path)) for a in raw_assertions)
+    level = convert(data["level"], int, f"{path}: level", DatasetError)
     try:
         return BenchmarkCase(
             id=str(data["id"]),
             system=str(data["system"]),
-            level=int(data["level"]),
+            level=level,
             prompt=str(data["prompt"]),
             intent=str(data["intent"]),
-            assertions=tuple(assertion_from_mapping(a, str(path)) for a in raw_assertions),
-            features_tested=tuple(str(f) for f in data.get("features") or ()),
+            assertions=assertions,
+            features_tested=tuple(str(f) for f in features),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # the level range
         raise DatasetError(f"{path}: {exc}") from exc
 
 
@@ -137,12 +137,7 @@ def load_mock_scripts(path: Path | str) -> MockScript:
     defaults: dict = {}
     seen: dict[str, Path] = {}
     for file in sorted(root.rglob("*.mock.yaml")):
-        try:
-            data = load_yaml(file.read_text(encoding="utf-8")) or {}
-        except LOAD_ERRORS as exc:
-            raise DatasetError(f"{file}: not valid YAML: {exc}") from exc
-        if not isinstance(data, Mapping):
-            raise DatasetError(f"{file}: mock script must be a YAML mapping")
+        data = load_yaml_file(file, DatasetError)
         case_id = file.name[: -len(".mock.yaml")]
         if case_id in seen:
             raise DatasetError(
@@ -165,7 +160,7 @@ def load_mock_scripts(path: Path | str) -> MockScript:
         }
         try:
             script = mock_script_from_dict({"scenarios": scenarios})
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise DatasetError(f"{file}: {exc}") from exc
         entries.update(script.entries)
         defaults.update(script.scenario_defaults)

@@ -10,7 +10,9 @@ Parsing runs on libyaml when PyYAML was built with it. Text that libyaml
 reads differently from PyYAML's own scanner, and every error report, goes
 through the pure-Python loader, so results and messages are the same
 either way. ``load_yaml`` and ``dump_yaml`` give the rest of the package
-safe_load and safe_dump on the same terms.
+safe_load and safe_dump on the same terms, and ``load_yaml_file`` is the
+one reader of the package's input files: whatever is wrong with a file,
+the error is an InputError whose message names the file once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import yaml
 
@@ -114,10 +117,9 @@ for _loader in (_PyUniqueKeyLoader, _UniqueKeyLoader):
 # deeper than the interpreter allows, UnicodeEncodeError from libyaml for a
 # lone surrogate, and the value errors above when they come from the part
 # of a collection constructor that runs after its node returned (or, in
-# safe_load, from any constructor). A file loader catches LOAD_ERRORS to
-# report a malformed file.
+# safe_load, from any constructor).
 _NON_YAML_ERRORS = (*_VALUE_ERRORS, RecursionError)
-LOAD_ERRORS = (yaml.YAMLError, *_NON_YAML_ERRORS)
+_LOAD_ERRORS = (yaml.YAMLError, *_NON_YAML_ERRORS)
 
 # Where libyaml and PyYAML's scanner disagree, found by comparing the two
 # on generated text. libyaml accepts tabs PyYAML rejects, skips a byte
@@ -196,7 +198,7 @@ def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         return None, last if mark is None else min(last, mark.line + 1)
-    except LOAD_ERRORS:
+    except _LOAD_ERRORS:
         return None, last
     if len(docs) == 1 and isinstance(docs[0], dict):
         return docs[0], 0
@@ -275,7 +277,7 @@ def parse_config(text: str) -> ConfigDocument:
     """Parse extracted text strictly into a ConfigDocument."""
     try:
         docs = _load_documents(text, _loader_for(text))
-    except LOAD_ERRORS:
+    except _LOAD_ERRORS:
         # libyaml words and places its errors differently; the Python loader
         # decides every failure, so reports read the same with or without it.
         try:
@@ -341,9 +343,50 @@ def load_yaml(text: str):
     if _libyaml_reads_alike(text):
         try:
             return yaml.load(text, Loader=_C_SAFE_LOADER)
-        except LOAD_ERRORS:
+        except _LOAD_ERRORS:
             pass
     return yaml.load(text, Loader=yaml.SafeLoader)
+
+
+class InputError(ValueError):
+    """A file or value the user supplied does not read or has the wrong shape."""
+
+
+def load_yaml_file(path, error: type[InputError] = InputError, *, mapping: bool = True):
+    """The YAML tree in ``path``, a file path or a package resource.
+
+    With ``mapping`` the top level must be a mapping, and an empty file
+    reads as ``{}``. A file that does not read, does not load or has another
+    top level raises ``error`` with a message that names the file once.
+    """
+    if isinstance(path, str):
+        path = Path(path)
+    try:
+        tree = load_yaml(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except _LOAD_ERRORS as exc:
+        raise error(f"{path}: not valid YAML: {exc}") from exc
+    if not mapping:
+        return tree
+    if tree is None:
+        return {}
+    if not isinstance(tree, dict):
+        raise error(f"{path}: the top level must be a YAML mapping, got {type(tree).__name__}")
+    return tree
+
+
+_KIND_NOUNS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def convert(value, kind: type, where: str, error: type[InputError] = InputError):
+    """``kind(value)`` for a scalar read from a file; ``error`` naming ``where`` otherwise."""
+    if not isinstance(value, (dict, list)):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise error(f"{where} must be {_KIND_NOUNS[kind]}, got {value!r}")
 
 
 # Where the two emitters write the same tree differently, found by comparing

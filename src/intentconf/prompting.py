@@ -22,11 +22,11 @@ from .gateway import (
     complete,
 )
 from .preprocess import (
-    LOAD_ERRORS,
     ConfigDocument,
+    InputError,
     StructuralError,
     dump_yaml,
-    load_yaml,
+    load_yaml_file,
     parse_config,
     serialize_config,
 )
@@ -71,7 +71,7 @@ ALIGNMENT_HEADER = (
 FEEDBACK_LABEL = "## PREVIOUS ATTEMPT FAILED"
 
 
-class InvalidProfile(ValueError):
+class InvalidProfile(InputError):
     """No profile has this name or attempt budget."""
 
 
@@ -290,19 +290,14 @@ def load_shot_library(root: Path | str, system: str) -> tuple[FewShotExample, ..
 
     Each file holds ``prompt``, ``intent``, ``correct_output`` and
     optionally ``incorrect_output`` with a ``defect_note``; a malformed file
-    is a ValueError naming it.
+    is an InputError naming it.
     """
     directory = Path(root) / system
     if not directory.is_dir():
         return ()
     shots = []
     for path in sorted(directory.glob("*.yaml")):
-        try:
-            data = load_yaml(path.read_text(encoding="utf-8")) or {}
-        except LOAD_ERRORS as exc:
-            raise ValueError(f"shot file {path}: not valid YAML: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValueError(f"shot file {path} must be a YAML mapping")
+        data = load_yaml_file(path)
 
         def _as_text(value) -> str:
             if isinstance(value, dict):
@@ -320,5 +315,5 @@ def load_shot_library(root: Path | str, system: str) -> tuple[FewShotExample, ..
                 )
             )
         except ValueError as exc:
-            raise ValueError(f"shot file {path}: {exc}") from exc
+            raise InputError(f"{path}: {exc}") from exc
     return tuple(shots)

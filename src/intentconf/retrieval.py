@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .preprocess import InputError
+
 DEFAULT_CHUNK_SIZE = 5000
 DEFAULT_OVERLAP = 500
 DEFAULT_TOP_K = 4
@@ -135,12 +137,18 @@ def build_index(
 
 
 def load_corpus(root: Path | str) -> list[tuple[str, str]]:
-    """Read every *.md / *.txt file under ``root``; the file path is the doc id."""
+    """Read every *.md / *.txt file under ``root``; the file path is the doc id.
+
+    A file that is not UTF-8 text is an InputError naming it.
+    """
     root = Path(root)
     docs = []
     for path in sorted(root.rglob("*")):
         if path.suffix.lower() in (".md", ".txt") and path.is_file():
-            docs.append((str(path.relative_to(root)), path.read_text(encoding="utf-8")))
+            try:
+                docs.append((str(path.relative_to(root)), path.read_text(encoding="utf-8")))
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     return docs
 
 

@@ -11,6 +11,7 @@ cuts a backend's output down to the lines worth feeding back to the model.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import shutil
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from .preprocess import ConfigDocument, load_yaml, serialize_config
+from .preprocess import ConfigDocument, InputError, convert, load_yaml_file, serialize_config
 from .validation import resolve_path
 
 DEFAULT_CPU_RATE = 0.04  # dollars per core-hour
@@ -45,7 +46,11 @@ _TAIL = 25
 
 _NUMBER_RE = re.compile(r"^(\d+(?:\.\d+)?)([A-Za-z]*)$")
 
-_MEMORY_SUFFIXES = {"Ki": 2**10, "Mi": 2**20, "Gi": 2**30}
+# Units per suffix: cpu in millicores, memory in bytes.
+_SCALES = {
+    "cpu": {"m": 1, "": 1000},
+    "memory": {"": 1, "Ki": 2**10, "Mi": 2**20, "Gi": 2**30},
+}
 
 
 class QuantityError(ValueError):
@@ -90,33 +95,28 @@ def parse_quantity(text, kind: str) -> int:
 
     cpu quantities come back in millicores ("250m" -> 250, "2" -> 2000);
     memory quantities in bytes, with binary suffixes Ki/Mi/Gi ("1Gi" ->
-    1073741824). Suffixes from the other dimension, negatives, and
-    anything else off-grammar raise QuantityError.
+    1073741824). Suffixes from the other dimension, negatives, infinities,
+    NaN and anything else off-grammar raise QuantityError.
     """
-    if kind not in ("cpu", "memory"):
+    scales = _SCALES.get(kind)
+    if scales is None:
         raise ValueError(f"kind must be 'cpu' or 'memory', got {kind!r}")
     if isinstance(text, bool):
         raise QuantityError(f"{kind} quantity must be a number or string, got {text!r}")
     if isinstance(text, (int, float)):
-        if text < 0:
-            raise QuantityError(f"{kind} quantity must be non-negative, got {text!r}")
-        value, suffix = float(text), ""
+        value, suffix = text, ""
     else:
         match = _NUMBER_RE.match(str(text).strip())
         if not match:
             raise QuantityError(f"malformed {kind} quantity {text!r}")
         value, suffix = float(match.group(1)), match.group(2)
-    if kind == "cpu":
-        if suffix == "m":
-            return round(value)
-        if suffix == "":
-            return round(value * 1000)
-        raise QuantityError(f"suffix {suffix!r} is not valid for cpu quantities: {text!r}")
-    if suffix == "":
-        return round(value)
-    if suffix in _MEMORY_SUFFIXES:
-        return round(value * _MEMORY_SUFFIXES[suffix])
-    raise QuantityError(f"suffix {suffix!r} is not valid for memory quantities: {text!r}")
+    if suffix not in scales:
+        raise QuantityError(f"suffix {suffix!r} is not valid for {kind} quantities: {text!r}")
+    # An int stays exact; NaN fails both comparisons.
+    scaled = value * scales[suffix]
+    if not 0 <= scaled < math.inf:
+        raise QuantityError(f"{kind} quantity must be finite and non-negative, got {text!r}")
+    return round(scaled)
 
 
 @dataclass(frozen=True)
@@ -204,30 +204,32 @@ class SystemProfile:
     default_memory: str = "512Mi"
 
 
+_PROFILE_PATHS = ("replicas_path", "cpu_path", "memory_path")
+_DEFAULT_KINDS = {"replicas": int, "cpu": str, "memory": str}
+
+
 def load_system_profiles(path: Path | str | None = None) -> dict[str, SystemProfile]:
-    """Profiles from a YAML file; the bundled registry when no path is given."""
-    if path is None:
-        text = (
-            importlib_resources.files("intentconf").joinpath("data/system_profiles.yaml")
-        ).read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    data = load_yaml(text) or {}
-    if not isinstance(data, dict):
-        raise ValueError("system profile file must be a YAML mapping")
+    """Profiles from a YAML file; the bundled registry when no path is given.
+
+    A malformed file is an InputError naming it and the system.
+    """
+    source = path or importlib_resources.files("intentconf").joinpath("data/system_profiles.yaml")
     profiles = {}
-    for system, spec in data.items():
-        if not isinstance(spec, dict):
-            raise ValueError(f"profile for {system!r} must be a mapping")
+    for system, spec in load_yaml_file(source).items():
+        where = f"{source}: {system}"
+        if not isinstance(spec, dict) or not all(key in spec for key in _PROFILE_PATHS):
+            raise InputError(f"{where} must be a mapping with {', '.join(_PROFILE_PATHS)}")
         defaults = spec.get("defaults") or {}
+        if not isinstance(defaults, dict):
+            raise InputError(f"{where}.defaults must be a mapping, got {defaults!r}")
         profiles[str(system)] = SystemProfile(
-            system=str(system),
-            replicas_path=str(spec["replicas_path"]),
-            cpu_path=str(spec["cpu_path"]),
-            memory_path=str(spec["memory_path"]),
-            default_replicas=int(defaults.get("replicas", 1)),
-            default_cpu=str(defaults.get("cpu", "500m")),
-            default_memory=str(defaults.get("memory", "512Mi")),
+            str(system),
+            *(convert(spec[key], str, f"{where}.{key}") for key in _PROFILE_PATHS),
+            **{
+                f"default_{key}": convert(defaults[key], kind, f"{where}.defaults.{key}")
+                for key, kind in _DEFAULT_KINDS.items()
+                if key in defaults
+            },
         )
     return profiles
 
@@ -364,22 +366,34 @@ def run_workload(model: ClusterModel, spec: ResourceSpec, workload: Workload) ->
 
 
 def load_cluster_model(path: Path | str) -> ClusterModel:
-    """Cluster model from YAML: a nodes list plus optional pricing rates."""
-    data = load_yaml(Path(path).read_text(encoding="utf-8")) or {}
-    if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
-        raise ValueError(f"cluster model {path} must be a mapping with a nodes list")
-    nodes = tuple(
-        NodeSpec(
-            cpu_millicores=parse_quantity(node.get("cpu", 0), "cpu"),
-            memory_bytes=parse_quantity(node.get("memory", 0), "memory"),
-        )
-        for node in data["nodes"]
-    )
-    return ClusterModel(
-        nodes=nodes,
-        cpu_rate=float(data.get("cpu_rate", DEFAULT_CPU_RATE)),
-        mem_rate=float(data.get("mem_rate", DEFAULT_MEM_RATE)),
-    )
+    """Cluster model from YAML: a nodes list plus optional pricing rates.
+
+    A malformed file is an InputError naming it and the key.
+    """
+    data = load_yaml_file(path)
+    if not isinstance(data.get("nodes"), list):
+        raise InputError(f"{path}: nodes must be a list, got {data.get('nodes')!r}")
+    nodes = []
+    for n, node in enumerate(data["nodes"]):
+        if not isinstance(node, dict):
+            raise InputError(f"{path}: nodes[{n}] must be a mapping, got {node!r}")
+        try:
+            nodes.append(
+                NodeSpec(
+                    cpu_millicores=parse_quantity(node.get("cpu", 0), "cpu"),
+                    memory_bytes=parse_quantity(node.get("memory", 0), "memory"),
+                )
+            )
+        except ValueError as exc:  # a QuantityError, or a capacity of zero
+            raise InputError(f"{path}: nodes[{n}]: {exc}") from exc
+    rates = {
+        key: convert(data.get(key, default), float, f"{path}: {key}")
+        for key, default in (("cpu_rate", DEFAULT_CPU_RATE), ("mem_rate", DEFAULT_MEM_RATE))
+    }
+    try:
+        return ClusterModel(nodes=tuple(nodes), **rates)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def shell_deploy(

@@ -19,7 +19,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .preprocess import ConfigDocument, StructuralError
+from .preprocess import ConfigDocument
 
 FLOAT_TOLERANCE = 1e-9
 
@@ -162,13 +162,11 @@ class ValidationReport:
     """Outcome of checking one configuration against a benchmark case."""
 
     case_id: str
-    structural_ok: bool
     results: tuple[AssertionResult, ...] = ()
-    structural_detail: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.structural_ok and all(r.passed for r in self.results)
+        return all(r.passed for r in self.results)
 
     @property
     def failures(self) -> tuple[AssertionResult, ...]:
@@ -212,24 +210,13 @@ def _check(assertion: Assertion, root: dict) -> AssertionResult:
 
 
 def evaluate(
-    config: ConfigDocument | StructuralError,
+    config: ConfigDocument,
     assertions: Sequence[Assertion],
     case_id: str = "",
 ) -> ValidationReport:
-    """Check a configuration (or its structural failure) against assertions.
-
-    A structural error fails the whole report; no assertion is evaluated
-    against a tree that never materialized.
-    """
-    if isinstance(config, StructuralError):
-        return ValidationReport(
-            case_id=case_id,
-            structural_ok=False,
-            results=(),
-            structural_detail=str(config),
-        )
+    """Check a configuration against assertions."""
     results = tuple(_check(a, config.root) for a in assertions)
-    return ValidationReport(case_id=case_id, structural_ok=True, results=results)
+    return ValidationReport(case_id=case_id, results=results)
 
 
 @dataclass(frozen=True)

@@ -83,3 +83,30 @@ def test_yaml_io_goes_through_preprocess():
                     if alias.name in YAML_IO
                 )
     assert bypasses == [], f"YAML I/O outside preprocess: {bypasses}"
+
+
+def test_file_reading_goes_through_preprocess():
+    """Only ``preprocess`` loads YAML text or catches what loading raises; the
+    rest read their files with ``load_yaml_file``, so a malformed file is
+    reported the same way wherever it is read."""
+    bypasses = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "preprocess.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "load_yaml":
+                    bypasses.append(f"{path.name}:{node.lineno}: calls load_yaml")
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                if name.lstrip("_") == "LOAD_ERRORS":
+                    bypasses.append(f"{path.name}:{node.lineno}: {name}")
+            elif isinstance(node, ast.ImportFrom):
+                bypasses.extend(
+                    f"{path.name}:{node.lineno}: imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.lstrip("_") == "LOAD_ERRORS"
+                )
+    assert bypasses == [], f"file reading outside preprocess: {bypasses}"

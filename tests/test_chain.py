@@ -214,16 +214,26 @@ class TestRunChain:
         assert first.feedback.failed_stage is Stage.STATIC_VALIDATION
         assert "assertions failed" in first.feedback.summary
 
-    def test_insufficient_memory_repair(self):
+    @pytest.mark.parametrize(
+        "first,reason",
+        [
+            (BIG_MEMORY_CONFIG, "insufficient memory"),
+            (GOOD_CONFIG.replace("500m", ".inf"), "cpu quantity must be finite"),
+            (GOOD_CONFIG.replace("512Mi", ".inf"), "memory quantity must be finite"),
+            (GOOD_CONFIG.replace("500m", ".nan"), "cpu quantity must be finite"),
+        ],
+        ids=["insufficient memory", "cpu inf", "memory inf", "cpu nan"],
+    )
+    def test_deployment_failure_is_repaired(self, first, reason):
         outcome = run_chain(
             REQUEST,
             OptimizationProfile.for_name("ip"),
-            deps_for(script_for("case", [BIG_MEMORY_CONFIG, GOOD_CONFIG])),
+            deps_for(script_for("case", [first, GOOD_CONFIG])),
         )
         assert outcome.resolved and outcome.attempts_used == 2
         summary = outcome.attempt_history[0].feedback.summary
         assert "Deployment failed after StaticValidation succeeded" in summary
-        assert "insufficient memory" in summary
+        assert reason in summary
 
     def test_structural_failure_records_stage(self):
         outcome = run_chain(

@@ -140,11 +140,29 @@ class TestGenerate:
         assert isinstance(result.exception, ValueError)
         assert "error:" not in combined(result)
 
-    @pytest.mark.parametrize("bad", ["provider script", "cluster model", "retrieval k", "empty intent"])
+    # App config keys of the wrong type: the override and the key the message names.
+    APP_TYPOS = {
+        "attempts many": ({"max_chain_attempts": "many"}, "max_chain_attempts"),
+        "retrieval k x": ({"retrieval": {"k": "x"}}, "retrieval.k"),
+        "timeout slow": ({"provider": {"timeout_seconds": "slow"}}, "provider.timeout_seconds"),
+        "rate cheap": ({"cost": {"rate_per_token": "cheap"}}, "cost.rate_per_token"),
+        "chunk size list": ({"retrieval": {"chunk_size": [1]}}, "retrieval.chunk_size"),
+        "overlap past chunk": ({"retrieval": {"overlap": 5000}}, "retrieval.overlap"),
+        "workloads list": ({"workloads": ["a"]}, "workloads"),
+        "provider list": ({"provider": ["a"]}, "provider"),
+        "paths list": ({"paths": ["a"]}, "paths"),
+    }
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["provider script", "cluster model", "retrieval k", "empty intent", *APP_TYPOS,
+         "cluster cpu inf", "profiles not a mapping", "docs not utf-8"],
+    )
     def test_bad_input_is_a_usage_error(self, tmp_path, runner, bad):
         app = make_workspace(tmp_path, scenarios={"demo": {"replies": [GOOD]}})
         args = ["-c", str(app), "generate", "--system", "dask", "--scenario", "demo"]
         intent = "x"
+        named = None  # (file, key): the message names each once, the key right after the file
         if bad == "provider script":
             (tmp_path / "mock.yaml").write_text("scenarios: [unclosed", encoding="utf-8")
         elif bad == "cluster model":
@@ -152,11 +170,36 @@ class TestGenerate:
             args += ["--cluster", str(tmp_path / "cluster.yaml")]
         elif bad == "retrieval k":
             write_yaml(app, {**yaml.safe_load(app.read_text(encoding="utf-8")), "retrieval": {"k": 0}})
+        elif bad in self.APP_TYPOS:
+            override, key = self.APP_TYPOS[bad]
+            write_yaml(app, {**yaml.safe_load(app.read_text(encoding="utf-8")), **override})
+            named = (app, key)
+        elif bad == "cluster cpu inf":
+            cluster = write_yaml(tmp_path / "cluster.yaml", {"nodes": [{"cpu": float("inf"), "memory": "1Gi"}]})
+            args += ["--cluster", str(cluster)]
+            named = (cluster, "nodes[0]")
+        elif bad == "profiles not a mapping":
+            profiles = write_yaml(tmp_path / "profiles.yaml", {"dask": [1]})
+            paths = {"output": "out", "system_profiles": "profiles.yaml"}
+            write_yaml(app, {**yaml.safe_load(app.read_text(encoding="utf-8")), "paths": paths})
+            named = (profiles.resolve(), "dask")
+        elif bad == "docs not utf-8":
+            (tmp_path / "docs").mkdir()
+            (tmp_path / "docs" / "a.md").write_bytes(b"\xff\xfe not text")
+            config = {**yaml.safe_load(app.read_text(encoding="utf-8")), "profile": "rag"}
+            write_yaml(app, {**config, "paths": {"output": "out", "docs": "docs"}})
+            args += ["--no-deploy"]
         else:
             intent = ""
         result = runner.invoke(main, args + ["--intent", intent])
         assert result.exit_code == 2, combined(result)
         assert "error:" in combined(result)
+        if named is not None:
+            file, key = named
+            line = next(line for line in combined(result).splitlines() if line.startswith("error:"))
+            rest = line.removeprefix(f"error: {file}: ")
+            assert rest != line and str(file) not in rest, line
+            assert rest.startswith(key) and rest.count(key) == 1, line
 
     def test_shell_backend_requires_explicit_opt_in(self, tmp_path, runner):
         app = make_workspace(tmp_path, scenarios={"demo": {"replies": [GOOD]}})

@@ -94,6 +94,11 @@ class TestParseQuantity:
             ("12 Mi", "memory"),
             (True, "cpu"),
             (-2, "memory"),
+            (float("inf"), "cpu"),
+            (float("inf"), "memory"),
+            (float("nan"), "cpu"),
+            pytest.param("1" + "0" * 400, "cpu", id="1e400-cpu"),
+            pytest.param("1" + "0" * 300 + "Gi", "memory", id="1e300Gi-memory"),
         ],
     )
     def test_rejections(self, text, kind):

@@ -6,8 +6,6 @@ import pytest
 
 from intentconf.preprocess import (
     ConfigDocument,
-    StructuralError,
-    StructuralErrorKind,
     parse_config,
     serialize_config,
 )
@@ -194,14 +192,6 @@ class TestEvaluate:
         report = evaluate(doc({"name": "abc"}), [Assertion("name", AssertionKind.LENGTH, expected=3)])
         assert not report.passed
         assert "TypeMismatch" in report.results[0].reason
-
-    def test_structural_error_fails_everything(self):
-        error = StructuralError(StructuralErrorKind.PARSE_FAILURE, "boom")
-        report = evaluate(error, [Assertion("a", AssertionKind.EXISTS)], case_id="c1")
-        assert not report.structural_ok
-        assert not report.passed
-        assert report.results == ()
-        assert "boom" in report.structural_detail
 
     def test_permuting_assertions_preserves_verdict(self):
         tree = {"a": 1, "b": {"c": 2}, "d": [1, 2]}
