@@ -137,7 +137,7 @@ class _Attempt:
     """What one attempt's gate steps produce, and what its model calls cost."""
 
     number: int
-    reply: str
+    reply: str = ""
     config: ConfigDocument | None = None
     deployed: DeploymentOutcome | None = None
     benchmark: BenchmarkResult | None = None
@@ -260,51 +260,46 @@ def run_chain(
             feedback=feedback.render() if feedback else "",
         )
         payload = replace(payload, metadata={"case": deps.case_id, "attempt": str(attempt)})
+        a = _Attempt(number=attempt)
+        stages_passed: list[Stage] = []
+        reached = Stage.GENERATION
+        feedback = None
+        provider_error = ""
         try:
             raw = complete(payload, profile.effective_sampling, deps.provider)
+            a.reply = raw.text
+            a.charge(raw)
+            stages_passed.append(Stage.GENERATION)
+            for stage, enabled, step in GATES:
+                if not enabled(profile, deps):
+                    continue
+                reached = stage
+                failure = step(a, request, profile, deps)
+                if failure is not None:
+                    feedback = make_feedback(stage, stages_passed[-1], *failure)
+                    break
+                stages_passed.append(stage)
         except (ProviderUnreachable, ProviderError) as exc:
-            # A provider error ends the chain; it is not feedback for another attempt.
-            history.append(
-                AttemptRecord(
-                    attempt=attempt,
-                    stages_passed=(),
-                    reached=Stage.GENERATION,
-                    feedback=None,
-                    prompt_tokens=0,
-                    completion_tokens=0,
-                    latency_seconds=0.0,
-                    user_message=payload.user_message,
-                    provider_error=str(exc),
-                )
-            )
-            break
-        a = _Attempt(number=attempt, reply=raw.text)
-        a.charge(raw)
-
-        stages_passed = [Stage.GENERATION]
-        feedback = None
-        for stage, enabled, step in GATES:
-            if not enabled(profile, deps):
-                continue
-            failure = step(a, request, profile, deps)
-            if failure is not None:
-                feedback = make_feedback(stage, stages_passed[-1], *failure)
-                break
-            stages_passed.append(stage)
+            # A provider error, in the Generation call or the alignment
+            # check's, ends the chain; it is not feedback for another attempt.
+            provider_error = str(exc)
 
         history.append(
             AttemptRecord(
                 attempt=attempt,
                 stages_passed=tuple(stages_passed),
-                reached=feedback.failed_stage if feedback else stages_passed[-1],
+                reached=reached,
                 feedback=feedback,
                 prompt_tokens=a.prompt_tokens,
                 completion_tokens=a.completion_tokens,
                 latency_seconds=a.latency,
                 user_message=payload.user_message,
-                response_text=raw.text,
+                response_text=a.reply,
+                provider_error=provider_error,
             )
         )
+        if provider_error:
+            break
         if feedback is None:
             resolved = a
             break

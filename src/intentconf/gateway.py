@@ -64,15 +64,27 @@ def clamp_for_determinism(params: SamplingParams) -> SamplingParams:
 
 @dataclass(frozen=True)
 class PromptPayload:
-    """One assembled request: system role text, user message, routing metadata."""
+    """One assembled request: system role text, user message, routing metadata.
+
+    ``prompt_tokens`` is the token count of the two texts. A builder that
+    has counted the pieces it joined passes their sum; when it is omitted,
+    the texts are counted here.
+    """
 
     system_instructions: str
     user_message: str
     metadata: Mapping[str, str] = field(default_factory=dict)
+    prompt_tokens: int | None = None
 
     def __post_init__(self):
         if not self.user_message:
             raise ValueError("user_message must be non-empty")
+        if self.prompt_tokens is None:
+            object.__setattr__(
+                self,
+                "prompt_tokens",
+                count_tokens(self.system_instructions) + count_tokens(self.user_message),
+            )
 
 
 @dataclass(frozen=True)
@@ -172,11 +184,11 @@ class HttpProvider:
                 body_excerpt=response.text[:500],
             ) from exc
         usage = data.get("usage") or {}
-        prompt_tokens = usage.get(
-            "prompt_tokens",
-            count_tokens(payload.system_instructions) + count_tokens(payload.user_message),
-        )
-        completion_tokens = usage.get("completion_tokens", count_tokens(text))
+        prompt_tokens = usage.get("prompt_tokens", payload.prompt_tokens)
+        if "completion_tokens" in usage:
+            completion_tokens = usage["completion_tokens"]
+        else:
+            completion_tokens = count_tokens(text)
         return RawResponse(
             text=text,
             prompt_tokens=int(prompt_tokens),
@@ -303,8 +315,7 @@ class MockProvider:
         reply = self.script.lookup(scenario, attempt)
         return RawResponse(
             text=reply.text,
-            prompt_tokens=count_tokens(payload.system_instructions)
-            + count_tokens(payload.user_message),
+            prompt_tokens=payload.prompt_tokens,
             completion_tokens=count_tokens(reply.text),
             latency_seconds=reply.latency_seconds,
         )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -223,6 +222,10 @@ def run_static_eval(
         if workers <= 1:
             yield from map(evaluate_one, jobs)
             return
+        # Imported here: concurrent.futures and the logging and queue modules
+        # it loads are about 1 MB that single-worker runs never use.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(evaluate_one, jobs)
 

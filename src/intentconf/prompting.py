@@ -10,6 +10,7 @@ always appear in the same order so transcripts stay reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,7 +31,7 @@ from .preprocess import (
     parse_config,
     serialize_config,
 )
-from .retrieval import Chunk
+from .retrieval import Chunk, count_tokens
 
 # name -> (use_cot, use_retrieval, use_few_shot); every profile keeps the
 # instruction header.
@@ -69,6 +70,26 @@ ALIGNMENT_HEADER = (
 )
 
 FEEDBACK_LABEL = "## PREVIOUS ATTEMPT FAILED"
+
+# A prompt's token count is the sum of its sections' counts: sections are
+# joined by whitespace and no token spans whitespace, so a join neither adds
+# nor splits a token. Text that is the same on every call is counted once.
+_Section = tuple[str, int]  # a piece of a user message and its token count
+
+
+def _counted(text: str) -> _Section:
+    return text, count_tokens(text)
+
+
+def _joined(sections: Sequence[_Section]) -> _Section:
+    return "\n\n".join(text for text, _ in sections), sum(n for _, n in sections)
+
+
+_INSTRUCTION_HEADER_TOKENS = count_tokens(INSTRUCTION_HEADER)
+_ALIGNMENT_HEADER_TOKENS = count_tokens(ALIGNMENT_HEADER)
+_COT_SECTION = _counted(COT_SUFFIX)
+_CONTEXT_LABEL = _counted("## Context")
+_EXAMPLES_LABEL = _counted("## Examples")
 
 
 class InvalidProfile(InputError):
@@ -148,6 +169,19 @@ class FewShotExample:
         if self.incorrect_output and not self.defect_note:
             raise ValueError("an incorrect_output needs a one-line defect note")
 
+    @cached_property
+    def _blocks(self) -> tuple[_Section, _Section | None]:
+        """This example's block of the examples section and, when it has a
+        counterexample, that block too; counted on first use."""
+        head = f"Prompt: {self.prompt}\nIntent: {self.intent}\n"
+        correct = _counted(f"{head}Configuration:\n{self.correct_output.rstrip()}")
+        if not self.incorrect_output:
+            return correct, None
+        return correct, _counted(
+            f"{head}Configuration (incorrect, defect: {self.defect_note}):\n"
+            f"{self.incorrect_output.rstrip()}"
+        )
+
 
 @dataclass(frozen=True)
 class GenerationRequest:
@@ -168,32 +202,29 @@ class GenerationRequest:
             raise ValueError("intent must be non-empty")
 
 
-def _context_section(chunks: Sequence[Chunk | str]) -> str:
-    parts = ["## Context"]
+def _context_section(chunks: Sequence[Chunk | str]) -> _Section:
+    parts = [_CONTEXT_LABEL]
     for i, chunk in enumerate(chunks):
         if isinstance(chunk, Chunk):
-            parts.append(f"[doc {chunk.doc_id} part {chunk.ordinal}]\n{chunk.text}")
+            # A chunk's token count is its window's width.
+            label = f"[doc {chunk.doc_id} part {chunk.ordinal}]"
+            start, end = chunk.token_span
+            parts.append((f"{label}\n{chunk.text}", count_tokens(label) + end - start))
         else:
-            parts.append(f"[context {i}]\n{chunk}")
-    return "\n\n".join(parts)
+            parts.append(_counted(f"[context {i}]\n{chunk}"))
+    return _joined(parts)
 
 
-def _examples_section(shots: Sequence[FewShotExample]) -> str:
+def _examples_section(shots: Sequence[FewShotExample]) -> _Section:
     # Correct examples first, then every counterexample with its defect note.
-    parts = ["## Examples"]
-    for shot in shots:
-        parts.append(
-            f"Prompt: {shot.prompt}\nIntent: {shot.intent}\n"
-            f"Configuration:\n{shot.correct_output.rstrip()}"
-        )
-    for shot in shots:
-        if shot.incorrect_output:
-            parts.append(
-                f"Prompt: {shot.prompt}\nIntent: {shot.intent}\n"
-                f"Configuration (incorrect, defect: {shot.defect_note}):\n"
-                f"{shot.incorrect_output.rstrip()}"
-            )
-    return "\n\n".join(parts)
+    blocks = [shot._blocks for shot in shots]
+    return _joined(
+        [
+            _EXAMPLES_LABEL,
+            *(correct for correct, _ in blocks),
+            *(incorrect for _, incorrect in blocks if incorrect is not None),
+        ]
+    )
 
 
 def build_prompt(
@@ -210,7 +241,7 @@ def build_prompt(
     the reasoning suffix, and finally the feedback block when the chain is
     retrying. Disabled sections are absent, never empty.
     """
-    sections: list[str] = []
+    sections: list[_Section] = []
     if profile.use_retrieval and context_chunks:
         sections.append(_context_section(context_chunks))
     if profile.use_few_shot:
@@ -219,20 +250,22 @@ def build_prompt(
                 f"profile {profile.name!r} requires few-shot examples but none were provided"
             )
         sections.append(_examples_section(shots))
-    sections.append(f"## User intent\n{request.intent}")
+    sections.append(_counted(f"## User intent\n{request.intent}"))
     task_lines = ["## Task", request.prompt]
     if request.resource_context:
         task_lines.append("Cluster resources available:")
         task_lines.append(request.resource_context)
-    sections.append("\n".join(task_lines))
+    sections.append(_counted("\n".join(task_lines)))
     if profile.use_cot:
-        sections.append(COT_SUFFIX)
+        sections.append(_COT_SECTION)
     if feedback:
-        sections.append(f"{FEEDBACK_LABEL}\n{feedback}")
+        sections.append(_counted(f"{FEEDBACK_LABEL}\n{feedback}"))
+    user_message, tokens = _joined(sections)
     return PromptPayload(
         system_instructions=INSTRUCTION_HEADER,
-        user_message="\n\n".join(sections),
+        user_message=user_message,
         metadata=dict(request.metadata),
+        prompt_tokens=_INSTRUCTION_HEADER_TOKENS + tokens,
     )
 
 
@@ -268,18 +301,19 @@ def verify_alignment(
     The verdict is read from the reply's final non-empty line; anything the
     model says before that line is ignored.
     """
-    user_message = "\n\n".join(
+    user_message, tokens = _joined(
         [
-            f"## User intent\n{request.intent}",
-            f"## Task\n{request.prompt}",
-            f"## Generated configuration\n{serialize_config(config)}",
-            COT_SUFFIX,
+            _counted(f"## User intent\n{request.intent}"),
+            _counted(f"## Task\n{request.prompt}"),
+            _counted(f"## Generated configuration\n{serialize_config(config)}"),
+            _COT_SECTION,
         ]
     )
     payload = PromptPayload(
         system_instructions=ALIGNMENT_HEADER,
         user_message=user_message,
         metadata=dict(metadata or {}),
+        prompt_tokens=_ALIGNMENT_HEADER_TOKENS + tokens,
     )
     raw = complete(payload, clamp_for_determinism(params), provider)
     return _parse_verdict(raw)

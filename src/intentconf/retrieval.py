@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,7 +48,11 @@ def _token_spans(text: str) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class Chunk:
-    """One token-window slice of a source document."""
+    """One token-window slice of a source document.
+
+    ``token_span`` is the window's [start, end) on the document's token
+    axis, so its width is the token count of ``text``.
+    """
 
     doc_id: str
     ordinal: int
@@ -100,11 +104,16 @@ def _terms(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class RetrievalIndex:
-    """Immutable BM25 index over document chunks."""
+    """Immutable BM25 index over document chunks.
+
+    ``postings`` maps each term to the positions, in ascending order, of
+    the chunks that hold it; a term's document frequency is the length of
+    its posting list.
+    """
 
     chunks: tuple[Chunk, ...]
     term_frequencies: tuple[Counter, ...]
-    document_frequencies: dict[str, int] = field(repr=False)
+    postings: dict[str, list[int]] = field(repr=False)
     chunk_lengths: tuple[int, ...] = ()
     average_length: float = 0.0
 
@@ -121,16 +130,16 @@ def build_index(
     for doc_id, text in docs:
         chunks.extend(chunk_document(text, chunk_size, overlap, doc_id=doc_id))
     tfs = tuple(Counter(_terms(c.text)) for c in chunks)
-    dfs: dict[str, int] = {}
-    for tf in tfs:
+    postings: defaultdict[str, list[int]] = defaultdict(list)
+    for position, tf in enumerate(tfs):
         for term in tf:
-            dfs[term] = dfs.get(term, 0) + 1
+            postings[term].append(position)
     lengths = tuple(sum(tf.values()) for tf in tfs)
     avg = (sum(lengths) / len(lengths)) if lengths else 0.0
     return RetrievalIndex(
         chunks=tuple(chunks),
         term_frequencies=tfs,
-        document_frequencies=dfs,
+        postings=dict(postings),
         chunk_lengths=lengths,
         average_length=avg,
     )
@@ -152,34 +161,42 @@ def load_corpus(root: Path | str) -> list[tuple[str, str]]:
     return docs
 
 
-def _score(index: RetrievalIndex, position: int, query_terms: list[str]) -> float:
-    tf = index.term_frequencies[position]
-    length = index.chunk_lengths[position]
-    n = len(index.chunks)
-    avg = index.average_length or 1.0
-    score = 0.0
-    for term in query_terms:
-        df = index.document_frequencies.get(term, 0)
-        freq = tf.get(term, 0)
-        if df == 0 or freq == 0:
-            continue
-        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        denom = freq + BM25_K1 * (1.0 - BM25_B + BM25_B * length / avg)
-        score += idf * freq * (BM25_K1 + 1.0) / denom
-    return score
-
-
 def retrieve(index: RetrievalIndex, query: str, k: int = DEFAULT_TOP_K) -> list[Chunk]:
     """Return the top-k chunks for ``query`` by BM25 score.
 
-    Ties are broken by (doc_id, ordinal) ascending; fewer than k chunks are
-    returned only when the index holds fewer.
+    Only the chunks on a query term's posting list are scored. Each chunk's
+    score adds the terms' contributions in sorted term order, starting from
+    0.0, so it is the same float that scoring every chunk term by term
+    gives. Every contribution is positive, so the chunks that hold no query
+    term are exactly the zero scores; they fill the tail. Ties are broken
+    by (doc_id, ordinal) ascending, then by index position; fewer than k
+    chunks are returned only when the index holds fewer.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query_terms = sorted(set(_terms(query)))
+    chunks = index.chunks
+    n = len(chunks)
+    avg = index.average_length or 1.0
+    scores: dict[int, float] = {}
+    for term in sorted(set(_terms(query))):
+        postings = index.postings.get(term)
+        if postings is None:
+            continue
+        df = len(postings)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        for position in postings:
+            freq = index.term_frequencies[position][term]
+            denom = freq + BM25_K1 * (
+                1.0 - BM25_B + BM25_B * index.chunk_lengths[position] / avg
+            )
+            scores[position] = scores.get(position, 0.0) + idf * freq * (BM25_K1 + 1.0) / denom
     ranked = sorted(
-        range(len(index.chunks)),
-        key=lambda i: (-_score(index, i, query_terms), index.chunks[i].doc_id, index.chunks[i].ordinal),
-    )
-    return [index.chunks[i] for i in ranked[:k]]
+        scores,
+        key=lambda i: (-scores[i], chunks[i].doc_id, chunks[i].ordinal, i),
+    )[:k]
+    if len(ranked) < k:
+        unscored = (i for i in range(n) if i not in scores)
+        ranked += sorted(unscored, key=lambda i: (chunks[i].doc_id, chunks[i].ordinal, i))[
+            : k - len(ranked)
+        ]
+    return [chunks[i] for i in ranked]

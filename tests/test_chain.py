@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+import intentconf.chain as chain_mod
+import intentconf.gateway as gateway_mod
+import intentconf.prompting as prompting_mod
 from intentconf.chain import (
     GATES,
     ChainDeps,
@@ -23,8 +26,13 @@ from intentconf.gateway import (
     ProviderUnreachable,
     SamplingParams,
 )
-from intentconf.prompting import FEEDBACK_LABEL, GenerationRequest, OptimizationProfile
-from intentconf.retrieval import count_tokens
+from intentconf.prompting import (
+    FEEDBACK_LABEL,
+    FewShotExample,
+    GenerationRequest,
+    OptimizationProfile,
+)
+from intentconf.retrieval import build_index, count_tokens
 from intentconf.simulator import (
     GIB,
     LOG_LINE_CAP,
@@ -337,6 +345,33 @@ class TestRunChain:
         assert last.stages_passed == ()
         assert last.failed
 
+    def test_provider_error_in_alignment_check_ends_chain(self):
+        class VerifyDown:
+            def __init__(self):
+                self.inner = MockProvider(script_for("case", ["::broken::", GOOD_CONFIG]))
+
+            def complete(self, payload, params):
+                if payload.metadata["case"].endswith("#verify"):
+                    raise ProviderUnreachable("connection reset")
+                return self.inner.complete(payload, params)
+
+        deps = ChainDeps(provider=VerifyDown(), assertions=ASSERTIONS, case_id="case")
+        outcome = run_chain(REQUEST, OptimizationProfile.for_name("cot"), deps)
+        assert not outcome.resolved
+        assert outcome.attempts_used == 2
+        last = outcome.attempt_history[-1]
+        assert last.provider_error == "connection reset"
+        assert last.feedback is None and last.failed
+        assert last.stages_passed == (Stage.GENERATION, Stage.STRUCTURAL, Stage.STATIC_VALIDATION)
+        assert last.reached is Stage.COT_VERIFICATION
+        # The Generation call was answered, so its reply and tokens stay on the record.
+        assert last.response_text == GOOD_CONFIG
+        assert last.prompt_tokens > 0
+        assert last.completion_tokens == count_tokens(GOOD_CONFIG)
+        assert outcome.total_tokens == sum(
+            r.prompt_tokens + r.completion_tokens for r in outcome.attempt_history
+        )
+
     def test_cot_gate_runs_after_static(self):
         script = script_for("case", [GOOD_CONFIG])
         outcome = run_chain(REQUEST, OptimizationProfile.for_name("cot"), deps_for(script))
@@ -483,3 +518,74 @@ class TestTranscripts:
         outcome = self.outcome()
         assert isinstance(outcome, ChainOutcome)
         assert outcome.attempts_used <= outcome.max_attempts
+
+
+class TestTokenCountingWork:
+    def test_fixed_prompt_text_is_counted_at_most_once(self, monkeypatch):
+        """Chunk and shot texts are counted once at most; what else an
+        attempt counts is bounded by the text that changes per attempt."""
+        docs = [
+            (f"guide{d}.md", " ".join(f"dask worker memory note{d}x{j}." for j in range(150)))
+            for d in range(3)
+        ]
+        index = build_index(docs, chunk_size=200, overlap=20)
+        shot = FewShotExample(
+            prompt="Scale the dask cluster.",
+            intent="three workers",
+            correct_output="worker:\n  replicas: 3",
+            incorrect_output="worker:\n  replicas: 0",
+            defect_note="zero workers run nothing",
+        )
+        request = GenerationRequest(
+            system="dask",
+            prompt="Write the dask configuration that satisfies the intent.",
+            intent="two dask workers with half a gig of memory each",
+            resource_context="node-1: 4 cpu, 16Gi memory",
+        )
+        counted: list[tuple[int, str]] = []
+        attempt = 0
+        real_build_prompt = chain_mod.build_prompt
+
+        def build_prompt(*args, **kwargs):
+            nonlocal attempt
+            attempt += 1
+            return real_build_prompt(*args, **kwargs)
+
+        def counting(text):
+            counted.append((attempt, text))
+            return count_tokens(text)
+
+        monkeypatch.setattr(chain_mod, "build_prompt", build_prompt)
+        monkeypatch.setattr(prompting_mod, "count_tokens", counting)
+        monkeypatch.setattr(gateway_mod, "count_tokens", counting)
+        replies = ["::broken::", MISSING_KEY_CONFIG, GOOD_CONFIG]
+        verify_reply = "VERDICT: ALIGNED"
+        deps = ChainDeps(
+            provider=MockProvider(script_for("case", replies, verify_reply)),
+            shots=(shot,),
+            index=index,
+            assertions=ASSERTIONS,
+            deployer=SimulatedDeployer(model=MODEL),
+            workload=WORKLOAD,
+            case_id="case",
+        )
+        outcome = run_chain(request, OptimizationProfile.for_name("lads"), deps)
+        assert outcome.resolved and outcome.attempts_used == 3
+        assert "## Context" in outcome.attempt_history[0].user_message
+
+        fixed = [chunk.text for chunk in index.chunks] + [shot.correct_output, shot.incorrect_output]
+        for text in fixed:
+            assert sum(text in seen for _, seen in counted) <= 1
+
+        # The shot's two blocks are counted once, in the first attempt.
+        shot_chars = 2 * len(shot.prompt + shot.intent) + len(
+            shot.correct_output + shot.incorrect_output + shot.defect_note
+        )
+        for number, record in enumerate(outcome.attempt_history, start=1):
+            feedback = outcome.attempt_history[number - 2].feedback.render() if number > 1 else ""
+            varying = (
+                len(request.intent) + len(request.prompt) + len(request.resource_context)
+                + len(feedback) + len(record.response_text) + len(verify_reply)
+            )
+            chars = sum(len(text) for n, text in counted if n == number)
+            assert chars <= 300 + shot_chars + 2 * varying

@@ -1,10 +1,12 @@
 """Sampling params, the deterministic mock provider, and the HTTP client."""
 
+import dataclasses
 import random
 
 import pytest
 import requests
 
+import intentconf.gateway as gateway_mod
 from intentconf.gateway import (
     HttpProvider,
     MockProvider,
@@ -79,6 +81,13 @@ class TestPayloadAndResponse:
     def test_empty_user_message_rejected(self):
         with pytest.raises(ValueError):
             PromptPayload(system_instructions="s", user_message="")
+
+    def test_prompt_tokens_counted_from_texts_unless_given(self):
+        counted = PromptPayload(system_instructions="sys: a", user_message="hello, there")
+        assert counted.prompt_tokens == count_tokens("sys: a") + count_tokens("hello, there")
+        given = PromptPayload(system_instructions="s", user_message="u", prompt_tokens=40)
+        assert given.prompt_tokens == 40
+        assert dataclasses.replace(given, metadata={"case": "c"}).prompt_tokens == 40
 
     def test_complete_guards_empty_message(self):
         # bypass the dataclass check to make sure complete() itself guards
@@ -248,6 +257,37 @@ class TestHttpProvider:
         assert sent["headers"]["Authorization"] == "Bearer secret"
         assert sent["json"]["model"] == "m1"
         assert [m["role"] for m in sent["json"]["messages"]] == ["system", "user"]
+
+    def test_reported_usage_counts_nothing(self, monkeypatch):
+        payload = self.payload()
+        counted = []
+        monkeypatch.setattr(gateway_mod, "count_tokens", lambda text: counted.append(text) or 0)
+        session = _FakeSession(
+            response=_FakeResponse(
+                payload={
+                    "choices": [{"message": {"content": "a: 1"}}],
+                    "usage": {"prompt_tokens": 12, "completion_tokens": 5},
+                }
+            )
+        )
+        raw = HttpProvider(self.CONFIG, session=session).complete(payload, SamplingParams())
+        assert (raw.prompt_tokens, raw.completion_tokens) == (12, 5)
+        assert counted == []
+
+    def test_missing_completion_usage_counts_only_the_reply(self, monkeypatch):
+        payload = PromptPayload(system_instructions="s", user_message="u", prompt_tokens=40)
+        counted = []
+        monkeypatch.setattr(
+            gateway_mod, "count_tokens", lambda text: counted.append(text) or count_tokens(text)
+        )
+        session = _FakeSession(
+            response=_FakeResponse(
+                payload={"choices": [{"message": {"content": "x: 1"}}], "usage": {}}
+            )
+        )
+        raw = HttpProvider(self.CONFIG, session=session).complete(payload, SamplingParams())
+        assert (raw.prompt_tokens, raw.completion_tokens) == (40, count_tokens("x: 1"))
+        assert counted == ["x: 1"]
 
     def test_usage_fallback_estimates_tokens(self):
         session = _FakeSession(

@@ -2,6 +2,8 @@
 
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -240,6 +242,17 @@ class TestStaticEval:
 
         assert run(1) == run(1)
         assert run(1) == run(4)
+
+    def test_single_worker_runs_load_no_thread_pool(self):
+        code = (
+            "import sys\n"
+            "import intentconf.harness\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
     def test_multiple_profiles_columns(self, tmp_path):
         cases = make_cases(tmp_path, 2)

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intentconf.gateway import RawResponse, SamplingParams
-from intentconf.preprocess import ConfigDocument, serialize_config
+from intentconf.preprocess import ConfigDocument, parse_config, serialize_config
 from intentconf.prompting import (
     COT_SUFFIX,
     FEEDBACK_LABEL,
@@ -20,7 +22,7 @@ from intentconf.prompting import (
     load_shot_library,
     verify_alignment,
 )
-from intentconf.retrieval import Chunk
+from intentconf.retrieval import Chunk, chunk_document, count_tokens
 
 REQUEST = GenerationRequest(
     system="dask",
@@ -315,6 +317,84 @@ class TestVerifyAlignment:
     def test_verdict_carries_raw_usage(self):
         verdict, _ = self.run("VERDICT: ALIGNED")
         assert verdict.raw.completion_tokens == 11
+
+
+# Text built to stress token counting: Unicode word characters (a combining
+# accent is not one), punctuation runs, and every kind of whitespace.
+HOSTILE = st.lists(
+    st.sampled_from(
+        ["a", "Z", "9", "_", "é", "e\u0301", "ß", "漢", "٣", ":", "::", "-", "[", "]", "#",
+         "!?", ".", " ", "\t", "\r\n", "\n", "\u00a0", "\u2028", "\x0b"]
+    ),
+    max_size=40,
+).map("".join)
+VALID_CONFIGS = ("replicas: 2", "name: 漢字é\nreplicas: 2\r\n", "a:\n  b: [1, 2]\n\n")
+
+
+@st.composite
+def shots(draw):
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        incorrect = draw(HOSTILE)
+        out.append(
+            FewShotExample(
+                prompt=draw(HOSTILE) + "p",
+                intent="i" + draw(HOSTILE),
+                correct_output=draw(st.sampled_from(VALID_CONFIGS)),
+                incorrect_output=incorrect,
+                defect_note=draw(HOSTILE) + "!" if incorrect else "",
+            )
+        )
+    return tuple(out)
+
+
+@st.composite
+def contexts(draw):
+    context = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            context.append(draw(HOSTILE))
+        else:
+            chunk_size = draw(st.integers(1, 6))
+            context.extend(
+                chunk_document(draw(HOSTILE), chunk_size, draw(st.integers(0, chunk_size - 1)),
+                               doc_id=draw(HOSTILE))
+            )
+    return context
+
+
+def counted_from_texts(payload):
+    return count_tokens(payload.system_instructions) + count_tokens(payload.user_message)
+
+
+class TestPromptTokens:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(PROFILE_NAMES),
+        prompt=HOSTILE,
+        intent=HOSTILE,
+        resource_context=HOSTILE,
+        feedback=HOSTILE,
+        examples=shots(),
+        context=contexts(),
+    )
+    def test_summed_sections_equal_counting_the_texts(
+        self, name, prompt, intent, resource_context, feedback, examples, context
+    ):
+        profile = OptimizationProfile.for_name(name)
+        request = GenerationRequest(
+            system="dask", prompt=prompt + "p", intent=intent + "i",
+            resource_context=resource_context,
+        )
+        # The second build reuses the examples' counted blocks.
+        for attempt_feedback in ("", feedback):
+            payload = build_prompt(profile, request, examples, context, attempt_feedback)
+            assert payload.prompt_tokens == counted_from_texts(payload)
+        provider = _CaptureProvider("VERDICT: ALIGNED")
+        config = parse_config(examples[0].correct_output)
+        verify_alignment(config, request, provider, SamplingParams())
+        verify_payload, _ = provider.calls[0]
+        assert verify_payload.prompt_tokens == counted_from_texts(verify_payload)
 
 
 class TestShotLibrary:

@@ -1,8 +1,13 @@
 """Token counting, chunking, and lexical retrieval."""
 
+import math
 import random
+import re
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intentconf.retrieval import (
     BM25_B,
@@ -175,3 +180,75 @@ class TestLoadCorpus:
         ids = [doc_id for doc_id, _ in docs]
         assert ids == sorted(ids)
         assert set(ids) == {"dask/guide.md", "notes.txt"}
+
+
+def oracle_terms(text: str) -> list[str]:
+    return re.findall(r"[a-z0-9]+", text.lower())
+
+
+def oracle_retrieve(index, query: str, k: int) -> list[int]:
+    """Positions of the top-k chunks as ranked before posting lists: every
+    chunk scored against every query term by ``_score``, then one full sort."""
+    chunks = index.chunks
+    term_frequencies = [Counter(oracle_terms(chunk.text)) for chunk in chunks]
+    document_frequencies = Counter(term for tf in term_frequencies for term in tf)
+    lengths = [sum(tf.values()) for tf in term_frequencies]
+    n = len(chunks)
+    avg = (sum(lengths) / len(lengths) if lengths else 0.0) or 1.0
+
+    def _score(position: int, query_terms: list[str]) -> float:
+        tf = term_frequencies[position]
+        score = 0.0
+        for term in query_terms:
+            df = document_frequencies.get(term, 0)
+            freq = tf.get(term, 0)
+            if df == 0 or freq == 0:
+                continue
+            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+            denom = freq + BM25_K1 * (1.0 - BM25_B + BM25_B * lengths[position] / avg)
+            score += idf * freq * (BM25_K1 + 1.0) / denom
+        return score
+
+    query_terms = sorted(set(oracle_terms(query)))
+    ranked = sorted(
+        range(n),
+        key=lambda i: (-_score(i, query_terms), chunks[i].doc_id, chunks[i].ordinal),
+    )
+    return ranked[:k]
+
+
+# A small vocabulary, so that chunks share terms and scores tie often.
+WORDS = ("dask", "worker", "Memory", "cpu", "ray", "nodes", "x9", "gpu")
+word_runs = st.lists(
+    st.sampled_from(WORDS + ("::", "-", "limits.", "\n", "DASK")), max_size=30
+).map(" ".join)
+
+
+class TestRetrieveAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        docs=st.lists(st.tuples(st.sampled_from(("a", "b", "c")), word_runs), min_size=1, max_size=6),
+        query=st.lists(st.sampled_from(WORDS + ("absent", "", "::")), max_size=6).map(" ".join),
+        chunk_size=st.integers(1, 8),
+        overlap_share=st.floats(0.0, 0.99),
+        k=st.integers(1, 40),
+    )
+    # Duplicate documents: every chunk ties with its twin.
+    @example(docs=[("a", "dask worker"), ("a", "dask worker")], query="dask",
+             chunk_size=1, overlap_share=0.0, k=10)
+    # All chunks tie on a term every chunk holds.
+    @example(docs=[("b", "ray ray"), ("a", "ray ray"), ("c", "ray ray")], query="ray",
+             chunk_size=2, overlap_share=0.0, k=2)
+    # No chunk holds a query term: the whole ranking is the zero-score tail.
+    @example(docs=[("b", "cpu nodes gpu"), ("a", "x9 dask")], query="absent",
+             chunk_size=2, overlap_share=0.5, k=40)
+    def test_same_ranking_as_scoring_every_chunk(self, docs, query, chunk_size, overlap_share, k):
+        index = build_index(docs, chunk_size=chunk_size, overlap=int(overlap_share * chunk_size))
+        got = retrieve(index, query, k=k)
+        want = oracle_retrieve(index, query, k)
+        assert [id(chunk) for chunk in got] == [id(index.chunks[i]) for i in want]
+
+    def test_document_frequency_is_posting_length(self):
+        index = build_index([("a", "dask dask ray"), ("b", "dask gpu")], chunk_size=10, overlap=0)
+        assert index.postings["dask"] == [0, 1]
+        assert len(index.postings["ray"]) == 1
