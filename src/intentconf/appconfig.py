@@ -9,7 +9,7 @@ created on demand.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -22,7 +22,7 @@ from .gateway import (
     SamplingParams,
     load_mock_script,
 )
-from .preprocess import InputError, convert, load_yaml_file
+from .preprocess import Fields, InputError
 from .prompting import MAX_CHAIN_ATTEMPTS
 from .retrieval import DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP, DEFAULT_TOP_K
 from .simulator import Workload
@@ -73,44 +73,15 @@ def _resolve(base: Path, value: str) -> Path:
     return path if path.is_absolute() else (base / path).resolve()
 
 
-@dataclass(frozen=True)
-class _Section:
-    """One mapping of the config file, read key by key; each error names the file and key."""
-
-    file: Path
-    raw: Mapping
-    prefix: str = ""
-
-    def section(self, key) -> _Section:
-        value = self.raw.get(key)
-        if value is not None and not isinstance(value, Mapping):
-            raise AppConfigError(f"{self.file}: {self.prefix}{key} must be a mapping, got {value!r}")
-        return _Section(self.file, value or {}, f"{self.prefix}{key}.")
-
-    def get(self, key: str, default):
-        """``raw[key]`` as the type of ``default``; ``default`` when unset."""
-        value = self.raw.get(key)
-        if value is None:
-            return default
-        return convert(value, type(default), f"{self.file}: {self.prefix}{key}", AppConfigError)
-
-    def input_path(self, key: str) -> Path | None:
-        """The path at ``key``, resolved against the file's directory; it must exist."""
-        value = self.get(key, "")
-        if not value:
-            return None
-        path = _resolve(self.file.parent, value)
-        if not path.exists():
-            raise AppConfigError(f"{self.file}: {self.prefix}{key} does not exist: {path}")
-        return path
-
-    def fields_of(self, defaults):
-        """``defaults`` with each field this section sets, checked by its dataclass."""
-        values = {f.name: self.get(f.name, getattr(defaults, f.name)) for f in fields(defaults)}
-        try:
-            return replace(defaults, **values)
-        except ValueError as exc:
-            raise AppConfigError(f"{self.file}: {self.prefix.rstrip('.')}: {exc}") from exc
+def _input_path(section: Fields, key: str) -> Path | None:
+    """The path at ``key``, resolved against the file's directory; it must exist."""
+    value = section.get(key, "")
+    if not value:
+        return None
+    path = _resolve(section.file.parent, value)
+    if not path.exists():
+        raise section.fail(f"does not exist: {path}", key)
+    return path
 
 
 def load_app_config(path: Path | str | None) -> AppConfig:
@@ -119,23 +90,23 @@ def load_app_config(path: Path | str | None) -> AppConfig:
     if path is None:
         return defaults
     path = Path(path)
-    data = _Section(path, load_yaml_file(path, AppConfigError))
+    data = Fields.load(path, AppConfigError)
 
     provider = data.section("provider")
     kind = provider.get("kind", defaults.provider.kind).lower()
     if kind not in ("mock", "http"):
-        raise AppConfigError(f"{path}: provider.kind must be mock or http, got {kind!r}")
+        raise provider.fail(f"must be mock or http, got {kind!r}", "kind")
     http = provider.fields_of(defaults.provider.http)
     if kind == "http" and not http.base_url:
-        raise AppConfigError(f"{path}: provider.base_url is required by the http provider")
+        raise provider.fail("is required by the http provider", "base_url")
 
     retrieval = data.section("retrieval").fields_of(defaults.retrieval)
     if retrieval.k < 1:
-        raise AppConfigError(f"{path}: retrieval.k must be >= 1, got {retrieval.k}")
+        raise data.fail(f"must be >= 1, got {retrieval.k}", "retrieval", "k")
     if not 0 <= retrieval.overlap < retrieval.chunk_size:
-        raise AppConfigError(
-            f"{path}: retrieval.overlap must satisfy 0 <= overlap < chunk_size, "
-            f"got overlap {retrieval.overlap} and chunk_size {retrieval.chunk_size}"
+        raise data.fail(
+            "must satisfy 0 <= overlap < chunk_size, got overlap "
+            f"{retrieval.overlap} and chunk_size {retrieval.chunk_size}", "retrieval", "overlap"
         )
 
     by_system = data.section("workloads")
@@ -145,26 +116,30 @@ def load_app_config(path: Path | str | None) -> AppConfig:
     }
     default_workload = workloads.pop("default", defaults.default_workload)
 
+    attempts = data.get("max_chain_attempts", defaults.max_chain_attempts)
+    if attempts < 1:
+        raise data.fail(f"must be >= 1, got {attempts}", "max_chain_attempts")
+
     rate = data.section("cost").get("rate_per_token", defaults.rate_per_token)
     if not rate > 0:
-        raise AppConfigError(f"{path}: cost.rate_per_token must be > 0, got {rate}")
+        raise data.fail(f"must be > 0, got {rate}", "cost", "rate_per_token")
 
     backend = data.section("deploy").get("backend", defaults.deploy_backend).lower()
     if backend not in ("simulator", "shell"):
-        raise AppConfigError(f"{path}: deploy.backend must be simulator or shell, got {backend!r}")
+        raise data.fail(f"must be simulator or shell, got {backend!r}", "deploy", "backend")
 
     paths = data.section("paths")
     config = AppConfig(
-        provider=ProviderSettings(kind=kind, script_path=provider.input_path("script"), http=http),
+        provider=ProviderSettings(kind, _input_path(provider, "script"), http),
         profile=data.get("profile", defaults.profile).lower(),
-        max_chain_attempts=data.get("max_chain_attempts", defaults.max_chain_attempts),
+        max_chain_attempts=attempts,
         sampling=data.section("sampling").fields_of(defaults.sampling),
         retrieval=retrieval,
-        dataset_path=paths.input_path("dataset"),
-        docs_path=paths.input_path("docs"),
-        shots_path=paths.input_path("shots"),
-        cluster_path=paths.input_path("cluster"),
-        system_profiles_path=paths.input_path("system_profiles"),
+        dataset_path=_input_path(paths, "dataset"),
+        docs_path=_input_path(paths, "docs"),
+        shots_path=_input_path(paths, "shots"),
+        cluster_path=_input_path(paths, "cluster"),
+        system_profiles_path=_input_path(paths, "system_profiles"),
         output_dir=_resolve(path.parent, paths.get("output", str(defaults.output_dir))),
         workloads=workloads,
         default_workload=default_workload,

@@ -24,7 +24,8 @@ from . import harness as harness_mod
 from . import prompting, retrieval, validation
 from .appconfig import AppConfig, AppConfigError, build_provider, load_app_config
 from .gateway import ProviderError, ProviderUnreachable
-from .preprocess import InputError, StructuralError, load_yaml_file, parse_config, serialize_config
+from .preprocess import ConfigDocument, Fields, InputError, StructuralError, load_yaml_file
+from .preprocess import parse_config, serialize_config
 from .simulator import (
     GIB,
     BackendUnavailable,
@@ -68,17 +69,28 @@ def _slug(text: str) -> str:
 
 
 def _load_assertions(path: Path) -> tuple[validation.Assertion, ...]:
-    raw = load_yaml_file(path, mapping=False)
-    if isinstance(raw, dict) and "assertions" in raw:
-        raw = raw["assertions"]
-    if not isinstance(raw, list) or not raw:
-        raise InputError(f"{path}: assertions file must hold a non-empty list")
-    return tuple(harness_mod.assertion_from_mapping(a, str(path)) for a in raw)
+    """A YAML list of assertions, or a mapping that holds it under ``assertions``."""
+    raw = load_yaml_file(path)
+    fields = Fields(path, raw if isinstance(raw, dict) else {"assertions": raw})
+    return harness_mod.read_assertions(fields)
 
 
-def _cluster_model(config: AppConfig, override: str | None) -> ClusterModel:
-    path = Path(override) if override else config.cluster_path
-    return DEFAULT_CLUSTER if path is None else load_cluster_model(path)
+def _read_config(path: Path) -> ConfigDocument:
+    """The configuration in ``path``; a structural error is printed and exits 1."""
+    try:
+        return parse_config(path.read_text(encoding="utf-8"))
+    except StructuralError as exc:
+        click.echo(f"structural error: {exc}", err=True)
+        sys.exit(1)
+
+
+def _profile(config: AppConfig, name: str | None, attempts: int | None = None):
+    """The named profile, or the configured one, with the configured sampling and budget."""
+    return prompting.OptimizationProfile.for_name(
+        name or config.profile,
+        sampling=config.sampling,
+        max_chain_attempts=attempts or config.max_chain_attempts,
+    )
 
 
 def _deployer(config: AppConfig, backend: str | None, real_ok: bool, cluster: str | None):
@@ -91,7 +103,9 @@ def _deployer(config: AppConfig, backend: str | None, real_ok: bool, cluster: st
             )
         return ShellDeployer(opt_in=True)
     profiles = load_system_profiles(config.system_profiles_path)
-    return SimulatedDeployer(model=_cluster_model(config, cluster), profiles=profiles)
+    path = Path(cluster) if cluster else config.cluster_path
+    model = DEFAULT_CLUSTER if path is None else load_cluster_model(path)
+    return SimulatedDeployer(model=model, profiles=profiles)
 
 
 def _build_index(config: AppConfig) -> retrieval.RetrievalIndex | None:
@@ -120,28 +134,31 @@ def _shots_for(config: AppConfig, profile: prompting.OptimizationProfile, system
     return shots
 
 
-def _chain_deps(
+def _run_chain(
     config: AppConfig,
     profile: prompting.OptimizationProfile,
-    system: str,
+    request: prompting.GenerationRequest,
+    case_id: str,
     provider,
     deployer,
     assertions,
-    case_id: str,
-) -> chain_mod.ChainDeps:
-    return chain_mod.ChainDeps(
+    transcript: Path | None,
+) -> chain_mod.ChainOutcome:
+    """Run the chain, write its transcript (default <output>/<case>.jsonl), print each attempt."""
+    deps = chain_mod.ChainDeps(
         provider=provider,
-        shots=_shots_for(config, profile, system),
+        shots=_shots_for(config, profile, request.system),
         index=_build_index(config) if profile.use_retrieval else None,
         retrieval_k=config.retrieval.k,
         assertions=assertions,
         deployer=deployer,
-        workload=config.workload_for(system) if deployer is not None else None,
+        workload=config.workload_for(request.system) if deployer is not None else None,
         case_id=case_id,
     )
-
-
-def _echo_attempts(outcome: chain_mod.ChainOutcome) -> None:
+    outcome = chain_mod.run_chain(request, profile, deps)
+    transcript = transcript or config.output_dir / f"{_slug(case_id)}.jsonl"
+    transcript.parent.mkdir(parents=True, exist_ok=True)
+    chain_mod.write_transcript(transcript, outcome, case_id=case_id, system=request.system)
     for record in outcome.attempt_history:
         if record.provider_error:
             click.echo(f"attempt {record.attempt}: provider error: {record.provider_error}")
@@ -150,6 +167,8 @@ def _echo_attempts(outcome: chain_mod.ChainOutcome) -> None:
             click.echo(f"attempt {record.attempt}: passed {passed}")
         else:
             click.echo(f"attempt {record.attempt}: {record.feedback.summary}")
+    click.echo(f"transcript: {transcript}")
+    return outcome
 
 
 @click.group(cls=_Main)
@@ -206,29 +225,18 @@ def generate(
     cluster: str | None,
 ):
     """Turn an intent into a validated, deployed configuration."""
-    profile = prompting.OptimizationProfile.for_name(
-        profile_name or config.profile,
-        sampling=config.sampling,
-        max_chain_attempts=max_attempts or config.max_chain_attempts,
-    )
+    profile = _profile(config, profile_name, max_attempts)
     if not system or not intent:
         raise AppConfigError("--system and --intent must be non-empty")
     scenario = scenario or f"cli:{system}"
     assertions = _load_assertions(assertions_path) if assertions_path else ()
     deployer = None if no_deploy else _deployer(config, deploy_backend, real_ok, cluster)
-    deps = _chain_deps(
-        config, profile, system, build_provider(config), deployer, assertions, scenario
-    )
     prompt = prompt or f"Write the {system} configuration that satisfies the intent."
     request = prompting.GenerationRequest(system=system, intent=intent, prompt=prompt)
-    outcome = chain_mod.run_chain(request, profile, deps)
-
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    transcript = transcript or config.output_dir / f"{_slug(scenario)}.jsonl"
-    transcript.parent.mkdir(parents=True, exist_ok=True)
-    chain_mod.write_transcript(transcript, outcome, case_id=scenario, system=system)
-    _echo_attempts(outcome)
-    click.echo(f"transcript: {transcript}")
+    provider = build_provider(config)
+    outcome = _run_chain(
+        config, profile, request, scenario, provider, deployer, assertions, transcript
+    )
     if not outcome.resolved:
         click.echo("unresolved: attempt budget exhausted", err=True)
         sys.exit(1)
@@ -255,11 +263,7 @@ def generate(
 def validate(config_file: Path, assertions_path: Path, case_id: str):
     """Statically check an existing configuration file."""
     assertions = _load_assertions(assertions_path)
-    try:
-        document = parse_config(config_file.read_text(encoding="utf-8"))
-    except StructuralError as exc:
-        click.echo(f"structural error: {exc}")
-        sys.exit(1)
+    document = _read_config(config_file)
     report = validation.evaluate(document, assertions, case_id=case_id or config_file.name)
     for result in report.results:
         mark = "PASS" if result.passed else "FAIL"
@@ -285,11 +289,7 @@ def deploy(
     cluster: str | None,
 ):
     """Deploy an existing configuration file to the selected backend."""
-    try:
-        document = parse_config(config_file.read_text(encoding="utf-8"))
-    except StructuralError as exc:
-        click.echo(f"structural error: {exc}", err=True)
-        sys.exit(1)
+    document = _read_config(config_file)
     deployer = _deployer(config, deploy_backend, real_ok, cluster)
     outcome = deployer.deploy(document, system)
     if outcome.logs:
@@ -324,24 +324,15 @@ def chain_cmd(
     if case_id not in cases:
         raise AppConfigError(f"case {case_id!r} not found under {dataset}")
     case = cases[case_id]
-    profile = prompting.OptimizationProfile.for_name(
-        profile_name or config.profile,
-        sampling=config.sampling,
-        max_chain_attempts=config.max_chain_attempts,
-    )
+    profile = _profile(config, profile_name)
     provider = build_provider(config, extra_script=harness_mod.load_mock_scripts(dataset))
     deployer = None if no_deploy else _deployer(config, None, False, None)
-    deps = _chain_deps(config, profile, case.system, provider, deployer, case.assertions, case.id)
     request = prompting.GenerationRequest(
         system=case.system, intent=case.intent, prompt=case.prompt
     )
-    outcome = chain_mod.run_chain(request, profile, deps)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    transcript = transcript or config.output_dir / f"{_slug(case.id)}.jsonl"
-    transcript.parent.mkdir(parents=True, exist_ok=True)
-    chain_mod.write_transcript(transcript, outcome, case_id=case.id, system=case.system)
-    _echo_attempts(outcome)
-    click.echo(f"transcript: {transcript}")
+    outcome = _run_chain(
+        config, profile, request, case.id, provider, deployer, case.assertions, transcript
+    )
     sys.exit(0 if outcome.resolved else 1)
 
 
@@ -362,15 +353,7 @@ def bench(config: AppConfig, dataset: Path | None, profiles: str, workers: int):
     cases = harness_mod.load_dataset(dataset)
     if not cases:
         raise harness_mod.DatasetError(f"no cases found under {dataset}")
-    profile_list = [
-        prompting.OptimizationProfile.for_name(
-            name.strip(),
-            sampling=config.sampling,
-            max_chain_attempts=config.max_chain_attempts,
-        )
-        for name in profiles.split(",")
-        if name.strip()
-    ]
+    profile_list = [_profile(config, name.strip()) for name in profiles.split(",") if name.strip()]
     if not profile_list:
         raise AppConfigError("no profiles requested")
     provider = build_provider(config, extra_script=harness_mod.load_mock_scripts(dataset))
@@ -436,10 +419,10 @@ def report(config: AppConfig, transcripts: str, rate: float | None):
     for file in files:
         try:
             entries = chain_mod.read_transcript(file)
-            if entries:
-                stats.append(harness_mod.transcript_stats(entries))
         except (OSError, ValueError) as exc:
             raise InputError(f"{file}: {exc}") from exc
+        if entries:
+            stats.append(harness_mod.transcript_stats(entries, file))
     if not stats:
         raise InputError("matched transcripts are all empty")
     curve = harness_mod.resolution_curve(stats)

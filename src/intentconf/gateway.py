@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
 if TYPE_CHECKING:
     import requests
 
-from .preprocess import InputError, convert, load_yaml_file
+from .preprocess import Fields
 from .retrieval import count_tokens
 
 DETERMINISTIC_CEILING = 0.1
@@ -177,24 +177,24 @@ class HttpProvider:
         try:
             data = response.json()
             text = data["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            if type(text) is not str:
+                raise TypeError(f"content must be a string, got {text!r}")
+            usage = data.get("usage") or {}
+            prompt_tokens = usage.get("prompt_tokens", payload.prompt_tokens)
+            if "completion_tokens" in usage:
+                completion_tokens = usage["completion_tokens"]
+            else:
+                completion_tokens = count_tokens(text)
+            if type(prompt_tokens) is not int or type(completion_tokens) is not int:
+                raise TypeError(f"token counts must be integers, got usage {usage!r}")
+            return RawResponse(text, prompt_tokens, completion_tokens, latency)
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            # A body of any shape ends here; RawResponse rejects negative counts.
             raise ProviderError(
                 f"malformed provider reply: {exc}",
                 status=response.status_code,
                 body_excerpt=response.text[:500],
             ) from exc
-        usage = data.get("usage") or {}
-        prompt_tokens = usage.get("prompt_tokens", payload.prompt_tokens)
-        if "completion_tokens" in usage:
-            completion_tokens = usage["completion_tokens"]
-        else:
-            completion_tokens = count_tokens(text)
-        return RawResponse(
-            text=text,
-            prompt_tokens=int(prompt_tokens),
-            completion_tokens=int(completion_tokens),
-            latency_seconds=latency,
-        )
 
 
 @dataclass(frozen=True)
@@ -239,60 +239,73 @@ class MockScript:
         )
 
 
-def _coerce_replies(raw, scenario: str) -> dict[int, str]:
-    """Accept either an attempt->text mapping or a list (1-based attempts)."""
-    if raw is None:
-        return {}
-    if isinstance(raw, list):
-        return {i + 1: str(text) for i, text in enumerate(raw)}
-    if isinstance(raw, dict):
-        out = {}
-        for attempt, text in raw.items():
-            try:
-                out[int(attempt)] = str(text)
-            except (TypeError, ValueError):
-                raise ValueError(f"mock scenario {scenario!r}: attempt keys must be integers")
-        return out
-    raise ValueError(f"mock scenario {scenario!r}: replies must be a list or mapping")
+def _latency(fields: Fields, spec: Mapping, at: tuple, default: float) -> float:
+    """The ``latency`` of ``spec``, the mapping at ``at``: finite and >= 0; ``default`` if unset."""
+    value = spec.get("latency")
+    if value is None:
+        return default
+    latency = fields.check(value, float, *at, "latency")
+    if latency < 0:
+        raise fields.fail(f"must be >= 0, got {value!r}", *at, "latency")
+    return latency
 
 
-def mock_script_from_dict(data: Mapping) -> MockScript:
+def read_scenario(
+    into: MockScript,
+    name: str,
+    fields: Fields,
+    spec: Mapping,
+    at: tuple = (),
+    keys: tuple[str, str] = ("replies", "default"),
+    latency: float = 0.0,
+) -> None:
+    """Script scenario ``name`` into the entry and default dicts of ``into``.
+
+    ``spec`` is the mapping at key path ``at`` under ``fields``. ``keys``
+    name its replies, a list (attempts from 1) or a mapping of attempt to
+    text, and its fallback text. Every reply takes the spec's ``latency``,
+    or ``latency`` when it sets none.
+    """
+    latency = _latency(fields, spec, at, latency)
+    replies_key, default_key = keys
+    replies = spec.get(replies_key)
+    if isinstance(replies, list):
+        for index, text in enumerate(replies):
+            text = fields.check(text, str, *at, replies_key, index)
+            into.entries[name, index + 1] = MockReply(text, latency)
+    elif isinstance(replies, dict):
+        for attempt, text in replies.items():
+            text = fields.check(text, str, *at, replies_key, attempt)
+            attempt = fields.check(attempt, int, *at, replies_key, attempt)
+            into.entries[name, attempt] = MockReply(text, latency)
+    elif replies is not None:
+        raise fields.fail(f"must be a list or a mapping, got {replies!r}", *at, replies_key)
+    default = spec.get(default_key)
+    if default is not None:
+        default = fields.check(default, str, *at, default_key)
+        into.scenario_defaults[name] = MockReply(default, latency)
+
+
+def mock_script_from_dict(data: Mapping, file="mock script") -> MockScript:
     """Build a MockScript from the parsed script-file structure.
 
-    A value of the wrong shape is a ValueError naming its key.
+    A value of the wrong type is an InputError naming ``file`` and its key.
     """
-    default_reply = str(data.get("default", "") or "")
-    default_latency = convert(data.get("latency") or 0.0, float, "latency")
-    scenarios = data.get("scenarios") or {}
-    if not isinstance(scenarios, Mapping):
-        raise ValueError(f"scenarios must be a mapping, got {scenarios!r}")
-    entries: dict[tuple[str, int], MockReply] = {}
-    scenario_defaults: dict[str, MockReply] = {}
-    for scenario, spec in scenarios.items():
-        scenario = str(scenario)
-        if not isinstance(spec, Mapping):
+    script = Fields(file, data)
+    latency = _latency(script, data, (), 0.0)
+    built = MockScript({}, {}, script.get("default", ""), latency)
+    scenarios = script.section("scenarios")
+    for name, spec in scenarios.raw.items():
+        name = str(name)
+        if not isinstance(spec, dict):  # a scenario given as just its replies
             spec = {"replies": spec}
-        where = f"mock scenario {scenario!r}: latency"
-        latency = convert(spec.get("latency", default_latency) or 0.0, float, where)
-        for attempt, text in _coerce_replies(spec.get("replies"), scenario).items():
-            entries[(scenario, attempt)] = MockReply(text, latency)
-        if "default" in spec and spec["default"] is not None:
-            scenario_defaults[scenario] = MockReply(str(spec["default"]), latency)
-    return MockScript(
-        entries=entries,
-        scenario_defaults=scenario_defaults,
-        default_reply=default_reply,
-        default_latency=default_latency,
-    )
+        read_scenario(built, name, scenarios, spec, (name,), latency=latency)
+    return built
 
 
 def load_mock_script(path: Path | str) -> MockScript:
-    """The provider script in ``path``; an InputError naming the file when it is malformed."""
-    data = load_yaml_file(path)
-    try:
-        return mock_script_from_dict(data)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    """The provider script in ``path``; an InputError naming the file and key if malformed."""
+    return mock_script_from_dict(Fields.load(path).raw, path)
 
 
 class MockProvider:

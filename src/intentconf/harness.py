@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .chain import ChainDeps, ChainOutcome, run_chain
-from .gateway import MockScript, Provider, mock_script_from_dict
-from .preprocess import InputError, convert, load_yaml_file
+from .gateway import MockScript, Provider, read_scenario
+from .preprocess import Fields, InputError
 from .prompting import FewShotExample, GenerationRequest, OptimizationProfile
 from .retrieval import DEFAULT_TOP_K, RetrievalIndex
 from .validation import Assertion, AssertionKind, EmptyCorpus
@@ -38,7 +38,6 @@ class BenchmarkCase:
     prompt: str
     intent: str
     assertions: tuple[Assertion, ...]
-    features_tested: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not 1 <= self.level <= 6:
@@ -50,57 +49,37 @@ class BenchmarkCase:
 _KIND_BY_NAME = {kind.value.lower(): kind for kind in AssertionKind}
 
 
-def assertion_from_mapping(raw: Mapping, source: str) -> Assertion:
-    if not isinstance(raw, Mapping) or "path" not in raw or "kind" not in raw:
-        raise DatasetError(f"{source}: each assertion needs at least path and kind")
-    kind = _KIND_BY_NAME.get(str(raw["kind"]).lower())
-    if kind is None:
-        raise DatasetError(
-            f"{source}: unknown assertion kind {raw['kind']!r}; "
-            f"choose from {sorted(k.value for k in AssertionKind)}"
-        )
-    try:
-        return Assertion(
-            path=str(raw["path"]),
-            kind=kind,
-            expected=raw.get("expected"),
-            op=str(raw.get("op", "=")),
-        )
-    except ValueError as exc:
-        raise DatasetError(f"{source}: {exc}") from exc
+def assertion_from_mapping(fields: Fields) -> Assertion:
+    """One assertion: its ``path``, ``kind`` and, as the kind needs, ``op`` and ``expected``."""
+    kind = fields.require("kind")
+    if kind.lower() not in _KIND_BY_NAME:
+        kinds = sorted(k.value for k in AssertionKind)
+        raise fields.fail(f"must be one of {kinds}, got {kind!r}", "kind")
+    return fields.build(
+        Assertion,
+        path=fields.require("path"),
+        kind=_KIND_BY_NAME[kind.lower()],
+        expected=fields.raw.get("expected"),
+        op=fields.get("op", "="),
+    )
+
+
+def read_assertions(fields: Fields) -> tuple[Assertion, ...]:
+    """The non-empty ``assertions`` list of a case or an assertions file."""
+    return tuple(assertion_from_mapping(item) for item in fields.each("assertions"))
 
 
 def _case_from_file(path: Path) -> BenchmarkCase:
-    data = load_yaml_file(path, DatasetError)
-    for key in ("id", "system", "level", "prompt", "intent", "assertions"):
-        if key not in data:
-            raise DatasetError(f"{path}: missing required key {key!r}")
-    raw_assertions = data["assertions"]
-    if not isinstance(raw_assertions, list) or not raw_assertions:
-        raise DatasetError(f"{path}: assertions must be a non-empty list")
-    if not str(data["prompt"]).strip() or not str(data["intent"]).strip():
-        raise DatasetError(f"{path}: prompt and intent must be non-empty")
-    features = data.get("features") or []
-    if not isinstance(features, list):
-        raise DatasetError(f"{path}: features must be a list, got {features!r}")
-    assertions = tuple(assertion_from_mapping(a, str(path)) for a in raw_assertions)
-    level = convert(data["level"], int, f"{path}: level", DatasetError)
-    try:
-        return BenchmarkCase(
-            id=str(data["id"]),
-            system=str(data["system"]),
-            level=level,
-            prompt=str(data["prompt"]),
-            intent=str(data["intent"]),
-            assertions=assertions,
-            features_tested=tuple(str(f) for f in features),
-        )
-    except ValueError as exc:  # the level range
-        raise DatasetError(f"{path}: {exc}") from exc
-
-
-def _is_mock_file(path: Path) -> bool:
-    return path.name.endswith(".mock.yaml")
+    case = Fields.load(path, DatasetError)
+    return case.build(
+        BenchmarkCase,
+        id=case.require("id"),
+        system=case.require("system"),
+        level=case.require("level", int),
+        prompt=case.require("prompt"),
+        intent=case.require("intent"),
+        assertions=read_assertions(case),
+    )
 
 
 def load_dataset(path: Path | str) -> list[BenchmarkCase]:
@@ -111,7 +90,7 @@ def load_dataset(path: Path | str) -> list[BenchmarkCase]:
     cases = []
     seen: dict[str, Path] = {}
     for file in sorted(root.rglob("*.yaml")):
-        if _is_mock_file(file):
+        if file.name.endswith(".mock.yaml"):
             continue
         case = _case_from_file(file)
         if case.id in seen:
@@ -131,12 +110,10 @@ def load_mock_scripts(path: Path | str) -> MockScript:
     replies script "<id>#verify". Case ids must be unique across files, and
     a malformed file is a DatasetError naming it.
     """
-    root = Path(path)
-    entries: dict = {}
-    defaults: dict = {}
+    mocks = MockScript(entries={}, scenario_defaults={})
     seen: dict[str, Path] = {}
-    for file in sorted(root.rglob("*.mock.yaml")):
-        data = load_yaml_file(file, DatasetError)
+    for file in sorted(Path(path).rglob("*.mock.yaml")):
+        mock = Fields.load(file, DatasetError)
         case_id = file.name[: -len(".mock.yaml")]
         if case_id in seen:
             raise DatasetError(
@@ -144,26 +121,9 @@ def load_mock_scripts(path: Path | str) -> MockScript:
                 f"(first seen in {seen[case_id]})"
             )
         seen[case_id] = file
-        latency = data.get("latency", 0.0)
-        scenarios = {
-            case_id: {
-                "replies": data.get("replies"),
-                "default": data.get("default"),
-                "latency": latency,
-            },
-            f"{case_id}#verify": {
-                "replies": data.get("verify"),
-                "default": data.get("verify_default"),
-                "latency": latency,
-            },
-        }
-        try:
-            script = mock_script_from_dict({"scenarios": scenarios})
-        except ValueError as exc:
-            raise DatasetError(f"{file}: {exc}") from exc
-        entries.update(script.entries)
-        defaults.update(script.scenario_defaults)
-    return MockScript(entries=entries, scenario_defaults=defaults)
+        read_scenario(mocks, case_id, mock, mock.raw)
+        read_scenario(mocks, f"{case_id}#verify", mock, mock.raw, keys=("verify", "verify_default"))
+    return mocks
 
 
 @dataclass
@@ -273,32 +233,23 @@ class TranscriptStats:
     latencies: tuple[float, ...]
 
 
-def _number(entry: Mapping, key: str, default, kinds: tuple[type, ...] = (int,)):
-    """``entry[key]``, or the default when absent; a bool is not a number."""
-    value = entry.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ValueError(f"transcript field {key!r} must be {names}, got {value!r}")
-    return value
-
-
-def transcript_stats(entries: Sequence[Mapping]) -> TranscriptStats:
-    """Summarise transcript entries; ValueError when a numeric field is not a number."""
+def transcript_stats(entries: Sequence[Mapping], file="transcript") -> TranscriptStats:
+    """Summarise transcript entries; an InputError naming ``file`` and the key
+    when a field does not read."""
     if not entries:
         raise ValueError("transcript has no attempts")
-    last = entries[-1]
-    resolved = last.get("failed_stage") is None and not last.get("provider_error")
+    attempts = [Fields(file, entry) for entry in entries]
+    last = attempts[-1]
+    resolved = last.raw.get("failed_stage") is None and not last.raw.get("provider_error")
     return TranscriptStats(
-        case_id=str(last.get("case", "")),
-        system=str(last.get("system", "")),
+        case_id=last.get("case", ""),
+        system=last.get("system", ""),
         resolved=resolved,
-        attempts_used=_number(last, "attempt", len(entries)),
-        max_attempts=_number(last, "max_attempts", len(entries)),
-        prompt_tokens=sum(_number(e, "prompt_tokens", 0) for e in entries),
-        completion_tokens=sum(_number(e, "completion_tokens", 0) for e in entries),
-        latencies=tuple(
-            float(_number(e, "latency_seconds", 0.0, (int, float))) for e in entries
-        ),
+        attempts_used=last.get("attempt", len(entries)),
+        max_attempts=last.get("max_attempts", len(entries)),
+        prompt_tokens=sum(a.get("prompt_tokens", 0) for a in attempts),
+        completion_tokens=sum(a.get("completion_tokens", 0) for a in attempts),
+        latencies=tuple(a.get("latency_seconds", 0.0) for a in attempts),
     )
 
 

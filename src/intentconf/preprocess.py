@@ -12,15 +12,19 @@ through the pure-Python loader, so results and messages are the same
 either way. ``load_yaml`` and ``dump_yaml`` give the rest of the package
 safe_load and safe_dump on the same terms, and ``load_yaml_file`` is the
 one reader of the package's input files: whatever is wrong with a file,
-the error is an InputError whose message names the file once.
+the error is an InputError whose message names the file once. ``Fields``
+then reads every value in those files by one typed rule, and names the
+key of a value that does not read.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Mapping
 
 import yaml
 
@@ -352,12 +356,11 @@ class InputError(ValueError):
     """A file or value the user supplied does not read or has the wrong shape."""
 
 
-def load_yaml_file(path, error: type[InputError] = InputError, *, mapping: bool = True):
+def load_yaml_file(path, error: type[InputError] = InputError):
     """The YAML tree in ``path``, a file path or a package resource.
 
-    With ``mapping`` the top level must be a mapping, and an empty file
-    reads as ``{}``. A file that does not read, does not load or has another
-    top level raises ``error`` with a message that names the file once.
+    A file that does not read or does not load raises ``error`` with a
+    message that names the file once.
     """
     if isinstance(path, str):
         path = Path(path)
@@ -367,26 +370,114 @@ def load_yaml_file(path, error: type[InputError] = InputError, *, mapping: bool 
         raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except _LOAD_ERRORS as exc:
         raise error(f"{path}: not valid YAML: {exc}") from exc
-    if not mapping:
-        return tree
-    if tree is None:
-        return {}
-    if not isinstance(tree, dict):
-        raise error(f"{path}: the top level must be a YAML mapping, got {type(tree).__name__}")
     return tree
 
 
 _KIND_NOUNS = {int: "an integer", float: "a number", str: "a string"}
+_CONTAINERS = (dict, list, tuple, set)
 
 
-def convert(value, kind: type, where: str, error: type[InputError] = InputError):
-    """``kind(value)`` for a scalar read from a file; ``error`` naming ``where`` otherwise."""
-    if not isinstance(value, (dict, list)):
+def read_scalar(value, kind: type):
+    """``value`` read as ``kind`` (str, int or float) by the one scalar rule, else None:
+    - text is any scalar but null and a bool, so ``id: 12`` reads as "12";
+    - an integer is an int, a whole float or an integer string, never a bool;
+    - a number is finite, and never a bool;
+    - a mapping or a list is never a scalar.
+    """
+    if type(value) is kind and kind is not float:
+        return value
+    if value is None or type(value) is bool or isinstance(value, _CONTAINERS):
+        return None
+    if kind is int and type(value) is float and not value.is_integer():
+        return None
+    try:
+        read = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return read if kind is not float or math.isfinite(read) else None
+
+
+class Fields:
+    """One mapping of an input file, read key by key: the package's one field reader.
+
+    Scalars are read by ``read_scalar``. An error is an ``error`` naming the
+    file once and then the key path (``cluster.yaml: nodes[0].cpu ...``);
+    its text is built only on failure.
+    """
+
+    __slots__ = ("file", "raw", "prefix", "error")
+
+    def __init__(self, file, raw: Mapping, prefix: str = "", error: type[InputError] = InputError):
+        self.file, self.raw, self.prefix, self.error = file, raw, prefix, error
+
+    @classmethod
+    def load(cls, path, error: type[InputError] = InputError) -> Fields:
+        """The top-level mapping of the YAML file ``path``; an empty file reads as {}."""
+        tree = load_yaml_file(path, error)
+        if not isinstance(tree, (dict, type(None))):
+            raise error(f"{path}: the top level must be a YAML mapping, got {type(tree).__name__}")
+        return cls(path, tree or {}, error=error)
+
+    def _path(self, key: tuple) -> str:
+        path = self.prefix
+        for part in key:
+            path += f"[{part}]" if type(part) is int else f".{part}" if path else str(part)
+        return path
+
+    def fail(self, problem: str, *key) -> InputError:
+        """The error "<file>: <key path> <problem>"; ``key`` holds keys and list indexes."""
+        return self.error(f"{self.file}: {self._path(key)} {problem}")
+
+    def check(self, value, kind: type, *key):
+        """``value``, found at ``key``, read as ``kind`` by ``read_scalar``."""
+        read = read_scalar(value, kind)
+        if read is None:
+            raise self.fail(f"must be {_KIND_NOUNS[kind]}, got {value!r}", *key)
+        return read
+
+    def get(self, key, default):
+        """``raw[key]`` read as the type of ``default``; ``default`` when unset or null."""
+        value = self.raw.get(key)
+        return default if value is None else self.check(value, type(default), key)
+
+    def require(self, key, kind: type = str):
+        """``raw[key]`` read as ``kind``; unset, null and blank text are errors."""
+        value = self.raw.get(key)
+        if value is not None:
+            value = self.check(value, kind, key)
+            if kind is not str or value.strip():
+                return value
+        raise self.fail("is required", key)
+
+    def _mapping(self, value, *key) -> Fields:
+        if not isinstance(value, dict):
+            raise self.fail(f"must be a mapping, got {value!r}", *key)
+        return Fields(self.file, value, self._path(key), self.error)
+
+    def section(self, key) -> Fields:
+        """The mapping at ``key``; an empty one when unset or null."""
+        value = self.raw.get(key)
+        return self._mapping({} if value is None else value, key)
+
+    def each(self, key) -> list[Fields]:
+        """The mappings of the non-empty list at ``key``, each under its index."""
+        items = self.raw.get(key)
+        if not isinstance(items, list) or not items:
+            raise self.fail(f"must be a non-empty list, got {items!r}", key)
+        return [self._mapping(item, key, index) for index, item in enumerate(items)]
+
+    def build(self, make, *args, **kwargs):
+        """``make(*args, **kwargs)``; a ValueError it raises is an error naming this mapping."""
         try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise error(f"{where} must be {_KIND_NOUNS[kind]}, got {value!r}")
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            where = f"{self.prefix}: " if self.prefix else ""
+            raise self.error(f"{self.file}: {where}{exc}") from exc
+
+    def fields_of(self, defaults):
+        """``defaults``, a dataclass, with each field this mapping sets."""
+        values = {f.name: self.get(f.name, getattr(defaults, f.name)) for f in fields(defaults)}
+        return self.build(replace, defaults, **values)
 
 
 # Where the two emitters write the same tree differently, found by comparing

@@ -24,10 +24,10 @@ from .gateway import (
 )
 from .preprocess import (
     ConfigDocument,
+    Fields,
     InputError,
     StructuralError,
     dump_yaml,
-    load_yaml_file,
     parse_config,
     serialize_config,
 )
@@ -167,7 +167,7 @@ class FewShotExample:
         except StructuralError as exc:
             raise ValueError(f"correct_output must parse as a configuration: {exc}") from exc
         if self.incorrect_output and not self.defect_note:
-            raise ValueError("an incorrect_output needs a one-line defect note")
+            raise ValueError("defect_note is required with an incorrect_output")
 
     @cached_property
     def _blocks(self) -> tuple[_Section, _Section | None]:
@@ -319,35 +319,35 @@ def verify_alignment(
     return _parse_verdict(raw)
 
 
+def _config_text(shot: Fields, key: str) -> str:
+    """The configuration at ``key``: text, or a mapping written out as YAML."""
+    value = shot.raw.get(key)
+    if isinstance(value, dict):
+        return dump_yaml(value, default_flow_style=False, indent=2, sort_keys=False)
+    return shot.get(key, "")
+
+
 def load_shot_library(root: Path | str, system: str) -> tuple[FewShotExample, ...]:
     """Few-shot examples for ``system`` from <root>/<system>/*.yaml, sorted by filename.
 
     Each file holds ``prompt``, ``intent``, ``correct_output`` and
     optionally ``incorrect_output`` with a ``defect_note``; a malformed file
-    is an InputError naming it.
+    is an InputError naming it and the key.
     """
     directory = Path(root) / system
     if not directory.is_dir():
         return ()
     shots = []
     for path in sorted(directory.glob("*.yaml")):
-        data = load_yaml_file(path)
-
-        def _as_text(value) -> str:
-            if isinstance(value, dict):
-                return dump_yaml(value, default_flow_style=False, indent=2, sort_keys=False)
-            return str(value) if value is not None else ""
-
-        try:
-            shots.append(
-                FewShotExample(
-                    prompt=str(data.get("prompt", "")),
-                    intent=str(data.get("intent", "")),
-                    correct_output=_as_text(data.get("correct_output")),
-                    incorrect_output=_as_text(data.get("incorrect_output")),
-                    defect_note=str(data.get("defect_note", "")),
-                )
+        shot = Fields.load(path)
+        shots.append(
+            shot.build(
+                FewShotExample,
+                prompt=shot.require("prompt"),
+                intent=shot.require("intent"),
+                correct_output=_config_text(shot, "correct_output"),
+                incorrect_output=_config_text(shot, "incorrect_output"),
+                defect_note=shot.get("defect_note", ""),
             )
-        except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+        )
     return tuple(shots)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from .preprocess import ConfigDocument, InputError, convert, load_yaml_file, serialize_config
+from .preprocess import ConfigDocument, Fields, read_scalar, serialize_config
 from .validation import resolve_path
 
 DEFAULT_CPU_RATE = 0.04  # dollars per core-hour
@@ -158,7 +158,7 @@ class ClusterModel:
         if not self.nodes:
             raise ValueError("cluster model needs at least one node")
         if self.cpu_rate < 0 or self.mem_rate < 0:
-            raise ValueError("rates must be >= 0")
+            raise ValueError("cpu_rate and mem_rate must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -205,30 +205,25 @@ class SystemProfile:
 
 
 _PROFILE_PATHS = ("replicas_path", "cpu_path", "memory_path")
-_DEFAULT_KINDS = {"replicas": int, "cpu": str, "memory": str}
 
 
 def load_system_profiles(path: Path | str | None = None) -> dict[str, SystemProfile]:
     """Profiles from a YAML file; the bundled registry when no path is given.
 
-    A malformed file is an InputError naming it and the system.
+    A malformed file is an InputError naming it and the key.
     """
     source = path or importlib_resources.files("intentconf").joinpath("data/system_profiles.yaml")
+    data = Fields.load(source)
     profiles = {}
-    for system, spec in load_yaml_file(source).items():
-        where = f"{source}: {system}"
-        if not isinstance(spec, dict) or not all(key in spec for key in _PROFILE_PATHS):
-            raise InputError(f"{where} must be a mapping with {', '.join(_PROFILE_PATHS)}")
-        defaults = spec.get("defaults") or {}
-        if not isinstance(defaults, dict):
-            raise InputError(f"{where}.defaults must be a mapping, got {defaults!r}")
+    for system in data.raw:
+        spec = data.section(system)
+        defaults = spec.section("defaults")
         profiles[str(system)] = SystemProfile(
             str(system),
-            *(convert(spec[key], str, f"{where}.{key}") for key in _PROFILE_PATHS),
+            *(spec.require(key) for key in _PROFILE_PATHS),
             **{
-                f"default_{key}": convert(defaults[key], kind, f"{where}.defaults.{key}")
-                for key, kind in _DEFAULT_KINDS.items()
-                if key in defaults
+                f"default_{key}": defaults.get(key, getattr(SystemProfile, f"default_{key}"))
+                for key in ("replicas", "cpu", "memory")
             },
         )
     return profiles
@@ -267,13 +262,10 @@ def extract_resources(
     if replicas_raw is None:
         replicas_raw = profile.default_replicas
         notes.append(f"replicas not set; default {profile.default_replicas} applied")
-    try:
-        replicas = int(replicas_raw)
-    except (TypeError, ValueError, OverflowError):
+    replicas = read_scalar(replicas_raw, int)
+    if replicas is None:
         raise QuantityError(f"replicas value {replicas_raw!r} is not an integer")
-    if isinstance(replicas_raw, float) and replicas != replicas_raw:
-        raise QuantityError(f"replicas value {replicas_raw!r} is not an integer")
-    if isinstance(replicas_raw, bool) or replicas < 1:
+    if replicas < 1:
         raise QuantityError(f"replicas value {replicas_raw!r} must be an integer >= 1")
 
     cpu_raw = _first_match(root, profile.cpu_path)
@@ -365,35 +357,29 @@ def run_workload(model: ClusterModel, spec: ResourceSpec, workload: Workload) ->
     return BenchmarkResult(completion_seconds=completion, cost_dollars=cost, resources=spec)
 
 
+def _quantity(node: Fields, kind: str) -> int:
+    try:
+        return parse_quantity(node.raw.get(kind, 0), kind)
+    except QuantityError as exc:
+        raise node.fail(f"is not a valid quantity: {exc}", kind) from exc
+
+
 def load_cluster_model(path: Path | str) -> ClusterModel:
     """Cluster model from YAML: a nodes list plus optional pricing rates.
 
     A malformed file is an InputError naming it and the key.
     """
-    data = load_yaml_file(path)
-    if not isinstance(data.get("nodes"), list):
-        raise InputError(f"{path}: nodes must be a list, got {data.get('nodes')!r}")
-    nodes = []
-    for n, node in enumerate(data["nodes"]):
-        if not isinstance(node, dict):
-            raise InputError(f"{path}: nodes[{n}] must be a mapping, got {node!r}")
-        try:
-            nodes.append(
-                NodeSpec(
-                    cpu_millicores=parse_quantity(node.get("cpu", 0), "cpu"),
-                    memory_bytes=parse_quantity(node.get("memory", 0), "memory"),
-                )
-            )
-        except ValueError as exc:  # a QuantityError, or a capacity of zero
-            raise InputError(f"{path}: nodes[{n}]: {exc}") from exc
-    rates = {
-        key: convert(data.get(key, default), float, f"{path}: {key}")
-        for key, default in (("cpu_rate", DEFAULT_CPU_RATE), ("mem_rate", DEFAULT_MEM_RATE))
-    }
-    try:
-        return ClusterModel(nodes=tuple(nodes), **rates)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    data = Fields.load(path)
+    nodes = tuple(
+        node.build(NodeSpec, _quantity(node, "cpu"), _quantity(node, "memory"))
+        for node in data.each("nodes")
+    )
+    return data.build(
+        ClusterModel,
+        nodes,
+        cpu_rate=data.get("cpu_rate", DEFAULT_CPU_RATE),
+        mem_rate=data.get("mem_rate", DEFAULT_MEM_RATE),
+    )
 
 
 def shell_deploy(

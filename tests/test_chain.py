@@ -372,6 +372,27 @@ class TestRunChain:
             r.prompt_tokens + r.completion_tokens for r in outcome.attempt_history
         )
 
+    def test_malformed_http_reply_is_the_attempts_provider_error(self):
+        class Reply:  # a 2xx answer with "content": null
+            status_code, text = 200, "{...}"
+
+            def json(self):
+                return {"choices": [{"message": {"content": None}}]}
+
+        class Session:
+            def post(self, url, **kwargs):
+                return Reply()
+
+        provider = gateway_mod.HttpProvider(
+            gateway_mod.ProviderConfig(base_url="http://h", model="m"), session=Session()
+        )
+        deps = ChainDeps(provider=provider, assertions=ASSERTIONS, case_id="case")
+        outcome = run_chain(REQUEST, OptimizationProfile.for_name("ip"), deps)
+        assert not outcome.resolved and outcome.attempts_used == 1
+        last = outcome.attempt_history[-1]
+        assert "malformed provider reply" in last.provider_error
+        assert last.stages_passed == () and last.failed
+
     def test_cot_gate_runs_after_static(self):
         script = script_for("case", [GOOD_CONFIG])
         outcome = run_chain(REQUEST, OptimizationProfile.for_name("cot"), deps_for(script))

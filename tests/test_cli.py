@@ -151,19 +151,101 @@ class TestGenerate:
         "workloads list": ({"workloads": ["a"]}, "workloads"),
         "provider list": ({"provider": ["a"]}, "provider"),
         "paths list": ({"paths": ["a"]}, "paths"),
+        "attempts fraction": ({"max_chain_attempts": 2.9}, "max_chain_attempts"),
+        "attempts zero": ({"max_chain_attempts": 0}, "max_chain_attempts"),
+        "max tokens fraction": ({"sampling": {"max_tokens": 10.7}}, "sampling.max_tokens"),
     }
+
+    # Values of the wrong type or range in the other input files: the file
+    # (see bad_file), what is merged into it (a list replaces it), and the key
+    # the message names.
+    FILE_TYPOS = {
+        "case prompt empty": ("case", {"prompt": None}, "prompt"),
+        "case level fraction": ("case", {"level": 2.7}, "level"),
+        "case level bool": ("case", {"level": True}, "level"),
+        "case assertion path null": (
+            "case", {"assertions": [{"path": None, "kind": "Exists"}]}, "assertions[0].path"
+        ),
+        "assertions file path null": (
+            "assertions", [dict(CHECKS[0]), {"path": None, "kind": "Exists"}], "assertions[1].path"
+        ),
+        "mock latency negative": ("mock", {"latency": -1}, "latency"),
+        "script latency negative": ("script", {"latency": -1}, "latency"),
+        "scenario latency negative": (
+            "script", {"scenarios": {"demo": {"replies": [GOOD], "latency": -0.5}}},
+            "scenarios.demo.latency",
+        ),
+        "scenario latency inf": (
+            "script", {"scenarios": {"demo": {"replies": [GOOD], "latency": float("inf")}}},
+            "scenarios.demo.latency",
+        ),
+        "shot defect note empty": ("shot", {"defect_note": None}, "defect_note"),
+        "cluster rate bool": ("cluster", {"cpu_rate": True}, "cpu_rate"),
+        "cluster cpu malformed": (
+            "cluster", {"nodes": [{"cpu": "1", "memory": "1Gi"}, {"cpu": "lots"}]}, "nodes[1].cpu"
+        ),
+        "profile path empty": ("profiles", {"replicas_path": None}, "dask.replicas_path"),
+        "profile replicas fraction": (
+            "profiles", {"defaults": {"replicas": 2.5}}, "dask.defaults.replicas"
+        ),
+    }
+
+    @staticmethod
+    def bad_file(tmp_path, app, kind, override):
+        """Write ``override`` into the input file of ``kind``; the command that
+        reads it and the file's path as the error names it."""
+        config = yaml.safe_load(app.read_text(encoding="utf-8"))
+        generate = ["-c", str(app), "generate", "--system", "dask", "--scenario", "demo",
+                    "--intent", "x", "--no-deploy"]
+        chain = ["-c", str(app), "chain", "--case", "c1", "--no-deploy"]
+        level = tmp_path / "dataset" / "dask" / "level1"
+        files = {
+            "case": (level / "c1.yaml", chain),
+            "mock": (level / "c1.mock.yaml", chain),
+            "script": (tmp_path / "mock.yaml", generate),
+            "assertions": (tmp_path / "checks.yaml", generate + ["--assertions", "checks.yaml"]),
+            "shot": (tmp_path / "shots" / "dask" / "one.yaml", generate),
+            "cluster": (tmp_path / "cluster.yaml", generate[:-1] + ["--cluster", "cluster.yaml"]),
+            "profiles": (tmp_path / "profiles.yaml", generate[:-1]),
+        }
+        file, args = files[kind]
+        base = {
+            "shot": {"prompt": "p", "intent": "i", "correct_output": GOOD,
+                     "incorrect_output": HUNGRY, "defect_note": "too much memory"},
+            "cluster": {"nodes": [{"cpu": "4", "memory": "16Gi"}]},
+            "profiles": {"replicas_path": "worker/replicas", "cpu_path": "worker/cpu",
+                         "memory_path": "worker/memory"},
+        }.get(kind)
+        if base is None:
+            base = yaml.safe_load(file.read_text(encoding="utf-8")) if file.exists() else {}
+        written = override if isinstance(override, list) else {**base, **override}
+        write_yaml(file, {"dask": written} if kind == "profiles" else written)
+        if kind == "shot":
+            config["profile"] = "fsl"
+            config["paths"]["shots"] = "shots"
+        if kind == "profiles":
+            config["paths"]["system_profiles"] = "profiles.yaml"
+        write_yaml(app, config)
+        # Files given on the command line are named as given, configured ones resolved.
+        return args, file.relative_to(tmp_path) if kind in ("assertions", "cluster") else file.resolve()
 
     @pytest.mark.parametrize(
         "bad",
         ["provider script", "cluster model", "retrieval k", "empty intent", *APP_TYPOS,
-         "cluster cpu inf", "profiles not a mapping", "docs not utf-8"],
+         "cluster cpu inf", "profiles not a mapping", "docs not utf-8", *FILE_TYPOS],
     )
-    def test_bad_input_is_a_usage_error(self, tmp_path, runner, bad):
-        app = make_workspace(tmp_path, scenarios={"demo": {"replies": [GOOD]}})
+    def test_bad_input_is_a_usage_error(self, tmp_path, runner, bad, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        dataset = {"c1": {"mock": {"replies": [GOOD]}}}
+        app = make_workspace(tmp_path, scenarios={"demo": {"replies": [GOOD]}}, dataset=dataset)
         args = ["-c", str(app), "generate", "--system", "dask", "--scenario", "demo"]
         intent = "x"
         named = None  # (file, key): the message names each once, the key right after the file
-        if bad == "provider script":
+        if bad in self.FILE_TYPOS:
+            kind, override, key = self.FILE_TYPOS[bad]
+            args, file = self.bad_file(tmp_path, app, kind, override)
+            intent, named = None, (file, key)
+        elif bad == "provider script":
             (tmp_path / "mock.yaml").write_text("scenarios: [unclosed", encoding="utf-8")
         elif bad == "cluster model":
             write_yaml(tmp_path / "cluster.yaml", {"nodes": []})
@@ -191,7 +273,7 @@ class TestGenerate:
             args += ["--no-deploy"]
         else:
             intent = ""
-        result = runner.invoke(main, args + ["--intent", intent])
+        result = runner.invoke(main, args if intent is None else args + ["--intent", intent])
         assert result.exit_code == 2, combined(result)
         assert "error:" in combined(result)
         if named is not None:
@@ -266,7 +348,7 @@ class TestValidate:
             ["validate", str(config), "--assertions", str(tmp_path / "checks.yaml")],
         )
         assert result.exit_code == 1
-        assert "structural error:" in result.output
+        assert "structural error:" in result.stderr  # as deploy reports it
 
     def test_invalid_assertions_yaml_names_the_file(self, tmp_path, runner):
         checks = tmp_path / "bad.yaml"

@@ -318,5 +318,34 @@ class TestHttpProvider:
         with pytest.raises(ProviderError):
             provider.complete(self.payload(), SamplingParams())
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"usage": "lots"},
+            {"usage": {"prompt_tokens": "many"}},
+            {"usage": {"completion_tokens": -3}},
+            {"usage": {"prompt_tokens": None}},
+            {"usage": {"completion_tokens": 1e400}},
+            {"usage": {"prompt_tokens": True}},
+            {"content": None},
+            {"content": ["a: 1"]},
+            {"choices": {"0": {}}},
+            [1, 2],
+        ],
+        ids=["usage-text", "tokens-text", "tokens-negative", "tokens-null", "tokens-inf",
+             "tokens-bool", "content-null", "content-list", "choices-mapping", "body-list"],
+    )
+    def test_malformed_2xx_body_is_a_provider_error(self, body):
+        if isinstance(body, dict):
+            message = {"content": body.pop("content", "a: 1")}
+            body = {"choices": [{"message": message}], **body}
+        response = _FakeResponse(status_code=200, payload=body, text=f"body {body!r}")
+        session = _FakeSession(response)
+        provider = HttpProvider(ProviderConfig(base_url="http://h", model="m"), session=session)
+        with pytest.raises(ProviderError) as info:
+            provider.complete(self.payload(), SamplingParams())
+        assert info.value.status == 200
+        assert info.value.body_excerpt == f"body {body!r}"[:500]
+
     def test_provider_protocol(self):
         assert isinstance(MockProvider(MockScript()), Provider)

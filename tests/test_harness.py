@@ -29,6 +29,7 @@ from intentconf.harness import (
     run_static_eval,
     transcript_stats,
 )
+from intentconf.preprocess import Fields
 from intentconf.prompting import FewShotExample, GenerationRequest, OptimizationProfile
 from intentconf.retrieval import DEFAULT_TOP_K, build_index
 from intentconf.validation import AssertionKind, EmptyCorpus
@@ -125,7 +126,7 @@ class TestLoadDataset:
             load_dataset(tmp_path / "nope")
 
     def test_assertion_kinds_case_insensitive(self):
-        assertion = assertion_from_mapping({"path": "a", "kind": "exists"}, "test")
+        assertion = assertion_from_mapping(Fields("test", {"path": "a", "kind": "exists"}))
         assert assertion.kind is AssertionKind.EXISTS
 
 
@@ -438,7 +439,7 @@ class TestTranscriptStats:
             level=1,
             prompt="configure the cluster",
             intent="at least two workers",
-            assertions=(assertion_from_mapping(DEFAULT_ASSERTION, "inline"),),
+            assertions=(assertion_from_mapping(Fields("inline", DEFAULT_ASSERTION)),),
         )
         deps = ChainDeps(
             provider=MockProvider(script), assertions=case.assertions, case_id=case.id

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 import intentconf.preprocess as preprocess_mod
 from intentconf.preprocess import (
     ConfigDocument,
+    Fields,
+    InputError,
     StructuralError,
     StructuralErrorKind,
     dump_yaml,
     load_yaml,
     parse_config,
     preprocess_reply,
+    read_scalar,
     serialize_config,
 )
 
@@ -566,3 +569,107 @@ class TestDumpYaml:
         expected = yaml.safe_dump(tree, **options)
         assert c_dump(tree, options) != expected
         assert dump_yaml(tree, **options) == expected
+
+
+def convert(value, kind):
+    """The scalar reading the loaders used before ``read_scalar``: ``kind(value)``
+    for anything but a mapping or a list. Kept as the oracle of the rule."""
+    if not isinstance(value, (dict, list)):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{value!r} is not {kind.__name__}")
+
+
+SCALAR_VALUES = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(10**30), max_value=10**30).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.from_regex(r"\s?[-+]?\d{1,25}(\.\d*)?(e[-+]?\d{1,3})?\s?", fullmatch=True),
+    st.sampled_from(["inf", "-inf", "nan", "1_000", "0x10", "", " ", "12 ", "Infinity"]),
+    st.text(max_size=12),
+    st.dates(),
+    st.datetimes(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _rejected_on_purpose(value, kind) -> bool:
+    """What the rule refuses that ``convert`` read: null, a bool, a container,
+    a fractional float as an integer, and a non-finite number."""
+    if value is None or isinstance(value, (bool, dict, list)):
+        return True
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        return True
+    if kind is float:
+        read = convert(value, float)
+        return read != read or read in (float("inf"), float("-inf"))
+    return False
+
+
+class TestScalarRule:
+    @settings(max_examples=600, deadline=None)
+    @given(value=SCALAR_VALUES, kind=st.sampled_from([str, int, float]))
+    def test_reads_as_convert_or_rejects_exactly_the_listed_values(self, value, kind):
+        try:
+            expected = convert(value, kind)
+        except ValueError:
+            assert read_scalar(value, kind) is None
+            return
+        read = read_scalar(value, kind)
+        if _rejected_on_purpose(value, kind):
+            assert read is None
+        else:
+            assert read is not None and type(read) is kind and read == expected
+
+    @pytest.mark.parametrize(
+        "value, kind, expected",
+        [(12, str, "12"), (2.0, int, 2), ("7", int, 7), (3, float, 3.0), ("0.5", float, 0.5)],
+    )
+    def test_reads(self, value, kind, expected):
+        read = read_scalar(value, kind)
+        assert read == expected and type(read) is kind
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(None, str), (True, str), (False, int), (2.7, int), (float("inf"), float),
+         ("nan", float), (10**400, float), ([1], str), ({"a": 1}, int)],
+    )
+    def test_rejects(self, value, kind):
+        assert read_scalar(value, kind) is None
+
+
+class TestFields:
+    def test_errors_name_the_file_then_the_key_path(self):
+        fields = Fields("f.yaml", {"nodes": [{"cpu": 1}, {"cpu": [2]}], "s": {"t": {"u": "x"}}})
+        with pytest.raises(InputError, match=r"^f\.yaml: nodes\[1\]\.cpu must be a number"):
+            fields.each("nodes")[1].get("cpu", 0.0)
+        with pytest.raises(InputError, match=r"^f\.yaml: s\.t\.u must be an integer, got 'x'$"):
+            fields.section("s").section("t").get("u", 0)
+        with pytest.raises(InputError, match=r"^f\.yaml: s\.t\.v is required$"):
+            fields.section("s").section("t").require("v")
+        with pytest.raises(InputError, match=r"^f\.yaml: nodes must be a mapping"):
+            fields.section("nodes")
+        with pytest.raises(InputError, match=r"^f\.yaml: s must be a non-empty list"):
+            fields.each("s")
+
+    def test_unset_and_null_read_as_the_default(self):
+        fields = Fields("f.yaml", {"a": None})
+        assert fields.get("a", 3) == 3 and fields.get("b", "x") == "x"
+        assert fields.section("a").raw == {} and fields.section("b").raw == {}
+
+    def test_blank_required_text_is_an_error(self):
+        with pytest.raises(InputError, match=r"^f\.yaml: prompt is required$"):
+            Fields("f.yaml", {"prompt": "  "}).require("prompt")
+
+    def test_build_names_the_mapping(self):
+        def invariant(**kwargs):
+            raise ValueError("must hold")
+
+        node = Fields("f.yaml", {"nodes": [{}]}).each("nodes")[0]
+        with pytest.raises(InputError, match=r"^f\.yaml: nodes\[0\]: must hold$"):
+            node.build(invariant)
