@@ -89,7 +89,7 @@ def _profile(config: AppConfig, name: str | None, attempts: int | None = None):
     return prompting.OptimizationProfile.for_name(
         name or config.profile,
         sampling=config.sampling,
-        max_chain_attempts=attempts or config.max_chain_attempts,
+        max_chain_attempts=config.max_chain_attempts if attempts is None else attempts,
     )
 
 

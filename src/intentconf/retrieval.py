@@ -11,6 +11,7 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .preprocess import InputError
@@ -38,12 +39,17 @@ def count_tokens(text: str) -> int:
     "replicas: 2" counts as 3 (word, ":", word). The approximation is
     deterministic and monotone under concatenation; every token budget in
     this package (chunk windows, mock usage stats, cost records) uses it.
+
+    It equals ``len(_TOKEN_RE.findall(text))``: ``str.split`` and ``\\s``
+    test whitespace alike, so no token spans two pieces, and a piece that
+    is all ``isalnum`` (``\\w`` without ``_``) is one token.
     """
-    return len(_TOKEN_RE.findall(text))
-
-
-def _token_spans(text: str) -> list[tuple[int, int]]:
-    return [m.span() for m in _TOKEN_RE.finditer(text)]
+    pieces = text.split()
+    count = len(pieces)
+    for piece in pieces:
+        if not piece.isalnum():
+            count += len(_TOKEN_RE.findall(piece)) - 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,10 @@ def chunk_document(
 
     Window i covers tokens [i*stride, i*stride + chunk_size) where
     stride = chunk_size - overlap, clipped to the document end; windows are
-    emitted until every token is covered. Boundaries always land on token
-    boundaries.
+    emitted until every token is covered. A window's text runs from its
+    first token's start to its last token's end. Every character that is
+    not whitespace is in a token, so the stripped document gives the outer
+    edges, and only the interior edges are found by walking the tokens.
     """
     if chunk_size <= 0:
         raise InvalidChunking(f"chunk_size must be positive, got {chunk_size}")
@@ -79,23 +87,24 @@ def chunk_document(
         raise InvalidChunking(
             f"overlap must satisfy 0 <= overlap < chunk_size, got {overlap}"
         )
-    spans = _token_spans(doc)
-    total = len(spans)
+    total = count_tokens(doc)
     if total == 0:
         return []
-    stride = chunk_size - overlap
-    chunks: list[Chunk] = []
-    start = 0
-    ordinal = 0
-    while True:
-        end = min(start + chunk_size, total)
-        text = doc[spans[start][0] : spans[end - 1][1]]
-        chunks.append(Chunk(doc_id=doc_id, ordinal=ordinal, token_span=(start, end), text=text))
-        if end >= total:
-            break
-        start += stride
-        ordinal += 1
-    return chunks
+    # Window i starts at i*stride, and exists while window i-1 stops short
+    # of the end: (i-1)*stride + chunk_size < total.
+    starts = range(0, max(total - overlap, 1), chunk_size - overlap)
+    ends = [min(start + chunk_size, total) for start in starts]
+    # offsets[n]: the end of the first n tokens, up to whitespace strip() trims.
+    offsets = {0: 0, total: len(doc)}
+    tokens = _TOKEN_RE.finditer(doc)
+    walked = 0
+    for edge in sorted({*starts[1:], *ends[:-1]}):
+        offsets[edge] = next(islice(tokens, edge - walked - 1, None)).end()
+        walked = edge
+    return [
+        Chunk(doc_id, ordinal, (start, end), doc[offsets[start] : offsets[end]].strip())
+        for ordinal, (start, end) in enumerate(zip(starts, ends))
+    ]
 
 
 def _terms(text: str) -> list[str]:
@@ -148,9 +157,12 @@ def build_index(
 def load_corpus(root: Path | str) -> list[tuple[str, str]]:
     """Read every *.md / *.txt file under ``root``; the file path is the doc id.
 
-    A file that is not UTF-8 text is an InputError naming it.
+    A ``root`` that is not a directory, or a file that is not UTF-8 text, is
+    an InputError naming it.
     """
     root = Path(root)
+    if not root.is_dir():
+        raise InputError(f"{root}: not a directory")
     docs = []
     for path in sorted(root.rglob("*")):
         if path.suffix.lower() in (".md", ".txt") and path.is_file():

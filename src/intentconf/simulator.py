@@ -15,7 +15,6 @@ import math
 import os
 import re
 import shutil
-import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
@@ -400,6 +399,7 @@ def shell_deploy(
         )
     if shutil.which(cli) is None:
         raise BackendUnavailable(f"cluster CLI {cli!r} not found on PATH")
+    import subprocess  # only this backend uses it; importing the package stays lighter
     with tempfile.NamedTemporaryFile("w", suffix=".yaml", delete=False) as handle:
         handle.write(serialize_config(config))
         manifest = handle.name

@@ -232,7 +232,8 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "bad",
         ["provider script", "cluster model", "retrieval k", "empty intent", *APP_TYPOS,
-         "cluster cpu inf", "profiles not a mapping", "docs not utf-8", *FILE_TYPOS],
+         "cluster cpu inf", "profiles not a mapping", "docs not utf-8", "docs is a file",
+         "attempts flag zero", "attempts flag negative", *FILE_TYPOS],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, runner, bad, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -241,6 +242,7 @@ class TestGenerate:
         args = ["-c", str(app), "generate", "--system", "dask", "--scenario", "demo"]
         intent = "x"
         named = None  # (file, key): the message names each once, the key right after the file
+        mentioned = None  # a key the message names, for an option given on the command line
         if bad in self.FILE_TYPOS:
             kind, override, key = self.FILE_TYPOS[bad]
             args, file = self.bad_file(tmp_path, app, kind, override)
@@ -271,11 +273,22 @@ class TestGenerate:
             config = {**yaml.safe_load(app.read_text(encoding="utf-8")), "profile": "rag"}
             write_yaml(app, {**config, "paths": {"output": "out", "docs": "docs"}})
             args += ["--no-deploy"]
+        elif bad == "docs is a file":
+            (tmp_path / "guide.md").write_text("dask workers", encoding="utf-8")
+            config = {**yaml.safe_load(app.read_text(encoding="utf-8")), "profile": "rag"}
+            write_yaml(app, {**config, "paths": {"output": "out", "docs": "guide.md"}})
+            args += ["--no-deploy"]
+            named = ((tmp_path / "guide.md").resolve(), "not a directory")
+        elif bad.startswith("attempts flag"):
+            args += ["--no-deploy", "--max-attempts", "0" if bad.endswith("zero") else "-1"]
+            mentioned = "max_chain_attempts"
         else:
             intent = ""
         result = runner.invoke(main, args if intent is None else args + ["--intent", intent])
         assert result.exit_code == 2, combined(result)
         assert "error:" in combined(result)
+        if mentioned is not None:
+            assert mentioned in combined(result), combined(result)
         if named is not None:
             file, key = named
             line = next(line for line in combined(result).splitlines() if line.startswith("error:"))

@@ -3,12 +3,14 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from intentconf.preprocess import InputError
 from intentconf.retrieval import (
     BM25_B,
     BM25_K1,
@@ -41,6 +43,46 @@ def make_doc(tokens: int) -> str:
     return " ".join(f"w{i}" for i in range(tokens))
 
 
+ORACLE_TOKEN_RE = re.compile(r"\w+|[^\w\s]+")
+
+
+def oracle_count_tokens(text: str) -> int:
+    """The count as it was first written: every token matched in one pass."""
+    return len(ORACLE_TOKEN_RE.findall(text))
+
+
+def oracle_chunk_document(doc: str, chunk_size: int, overlap: int, doc_id: str = "") -> list[Chunk]:
+    """The chunker as it was first written: the span of every token, then
+    each window cut from its first token's start to its last token's end."""
+    spans = [m.span() for m in ORACLE_TOKEN_RE.finditer(doc)]
+    total = len(spans)
+    if total == 0:
+        return []
+    stride = chunk_size - overlap
+    chunks = []
+    start = 0
+    ordinal = 0
+    while True:
+        end = min(start + chunk_size, total)
+        text = doc[spans[start][0] : spans[end - 1][1]]
+        chunks.append(Chunk(doc_id=doc_id, ordinal=ordinal, token_span=(start, end), text=text))
+        if end >= total:
+            return chunks
+        start += stride
+        ordinal += 1
+
+
+# Characters where a split-based count could part from the regex: every kind
+# of whitespace str.split and \s know (ASCII, the \x1c-\x1f separators, NEL,
+# NBSP, ogham space, U+2000, U+2028/9, U+3000); "_", a word character that is
+# not isalnum; digits of each kind ("²" digit, "½" numeric, "٣" Arabic-Indic
+# decimal); then combining marks, a zero-width space (not whitespace),
+# punctuation runs, CJK, an emoji and a control character.
+SPACES = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
+TOKEN_ALPHABET = SPACES + "aZ9_²½٣ǅ\u0301\u0300\u200b:-.,!{}漢字🙂\x00"
+token_text = st.text(alphabet=TOKEN_ALPHABET, max_size=60)
+
+
 class TestCountTokens:
     def test_empty(self):
         assert count_tokens("") == 0
@@ -63,6 +105,18 @@ class TestCountTokens:
 
     def test_punctuation_runs_count_once(self):
         assert count_tokens("a ::: b") == 3
+
+    @settings(max_examples=1000, deadline=None)
+    @given(text=token_text)
+    @example(text="a_b² ½٣\x1cc\x85d\xa0e\u2028f\u3000g")
+    @example(text="e\u0301 \u0301\u0301 __ ::x:: 漢字,漢")
+    def test_equals_one_regex_pass(self, text):
+        assert count_tokens(text) == oracle_count_tokens(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text())
+    def test_equals_one_regex_pass_on_any_text(self, text):
+        assert count_tokens(text) == oracle_count_tokens(text)
 
 
 class TestChunkDocument:
@@ -108,6 +162,36 @@ class TestChunkDocument:
 
     def test_empty_doc(self):
         assert chunk_document("", 5000, 500) == []
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        doc=st.one_of(
+            st.lists(
+                st.sampled_from(("dask", "w_1", "²½", "::", "-", "漢字", "e\u0301", " ", "\n\n",
+                                 "\t\xa0", "\u2028", "\x1f", "\u3000")),
+                max_size=80,
+            ).map("".join),
+            token_text,
+        ),
+        chunk_size=st.integers(1, 12),
+        overlap_share=st.floats(0.0, 0.99),
+    )
+    @example(doc="a b c d e", chunk_size=1, overlap_share=0.0)
+    @example(doc="a b c d e", chunk_size=2, overlap_share=0.5)
+    @example(doc="  \n a: b, c \t\u3000", chunk_size=2, overlap_share=0.5)
+    @example(doc=" \t\n\u2028\x85 ", chunk_size=1, overlap_share=0.0)
+    def test_same_chunks_as_spanning_every_token(self, doc, chunk_size, overlap_share):
+        overlap = int(overlap_share * chunk_size)
+        got = chunk_document(doc, chunk_size, overlap, doc_id="d")
+        assert got == oracle_chunk_document(doc, chunk_size, overlap, doc_id="d")
+
+    def test_many_windows_match_the_oracle(self):
+        rng = random.Random(11)
+        words = ("The", "dask", "worker", "needs", "2", "replicas,", "500m", "cpu:", "1Gi.", "-", "\n")
+        doc = "  " + " ".join(rng.choice(words) for _ in range(3000)) + " \n"
+        for chunk_size, overlap in ((1, 0), (2, 1), (7, 6), (50, 10), (500, 0), (5000, 500)):
+            got = chunk_document(doc, chunk_size, overlap)
+            assert got == oracle_chunk_document(doc, chunk_size, overlap), (chunk_size, overlap)
 
     def test_invalid_overlap(self):
         with pytest.raises(InvalidChunking):
@@ -170,6 +254,27 @@ class TestIndexAndRetrieve:
         assert BM25_K1 == 1.2 and BM25_B == 0.75
 
 
+class TestIndexMemory:
+    def test_no_list_of_token_spans(self):
+        """Indexing a 1 MB document peaks well below spanning its every token."""
+        rng = random.Random(5)
+        words = ("The", "dask", "worker", "needs", "2", "replicas,", "500m", "cpu", "and", "1Gi",
+                 "memory.", "Set", "`worker/replicas`", "to", "scale:", "ray", "head")
+        doc = "\n".join(" ".join(rng.choices(words, k=14)) for _ in range(12_500))
+
+        def peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        oracle = peak(lambda: oracle_chunk_document(doc, 5000, 500))
+        indexed = peak(lambda: build_index([("guide.md", doc)]))
+        assert indexed <= 0.6 * oracle, (indexed, oracle)
+
+
 class TestLoadCorpus:
     def test_reads_md_and_txt(self, tmp_path):
         (tmp_path / "dask").mkdir()
@@ -180,6 +285,12 @@ class TestLoadCorpus:
         ids = [doc_id for doc_id, _ in docs]
         assert ids == sorted(ids)
         assert set(ids) == {"dask/guide.md", "notes.txt"}
+
+    @pytest.mark.parametrize("name", ["guide.md", "absent"])
+    def test_root_must_be_a_directory(self, tmp_path, name):
+        (tmp_path / "guide.md").write_text("dask guide", encoding="utf-8")
+        with pytest.raises(InputError, match=f"{name}: not a directory"):
+            load_corpus(tmp_path / name)
 
 
 def oracle_terms(text: str) -> list[str]:

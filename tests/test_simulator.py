@@ -4,6 +4,7 @@ import os
 import random
 import stat
 import subprocess
+import sys
 
 import pytest
 
@@ -369,6 +370,13 @@ class TestShellDeploy:
         assert not outcome.success
         assert outcome.failure_reason == f"slowctl did not finish within {SHELL_DEPLOY_TIMEOUT_S:g} s"
         assert outcome.logs.startswith("Error:")
+
+    def test_importing_the_package_loads_no_subprocess(self):
+        code = "import sys\nimport intentconf\nprint('subprocess' in sys.modules)\n"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
     def test_shell_deployer_wraps_function(self, tmp_path, monkeypatch):
         name = fake_cli(tmp_path, monkeypatch, "okctl", "#!/bin/sh\nexit 0\n")
