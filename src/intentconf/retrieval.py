@@ -26,7 +26,28 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]+")
-_TERM_RE = re.compile(r"[a-z0-9]+")
+
+# count_tokens reads text in slices of this many characters, so what it
+# allocates is bounded by the slice, not by the text.
+_SLICE = 1 << 14
+
+
+def _token_class(char: str) -> int:
+    """The run ``char`` belongs to under ``_TOKEN_RE``, as a class bit: 1
+    for ``\\w`` (``isalnum`` or "_"), 2 for the rest, and none for ``\\s``
+    (``isspace``)."""
+    if char.isspace():
+        return 0
+    return 1 if char.isalnum() or char == "_" else 2
+
+
+# Each ASCII byte -> its token class. Each term byte ([a-z0-9]) -> itself,
+# every other byte -> a space.
+_CLASS_TABLE = bytes(_token_class(chr(byte)) for byte in range(256))
+_TERM_TABLE = bytes(
+    byte if chr(byte) in "abcdefghijklmnopqrstuvwxyz0123456789" else ord(" ")
+    for byte in range(256)
+)
 
 
 class InvalidChunking(ValueError):
@@ -40,15 +61,40 @@ def count_tokens(text: str) -> int:
     deterministic and monotone under concatenation; every token budget in
     this package (chunk windows, mock usage stats, cost records) uses it.
 
-    It equals ``len(_TOKEN_RE.findall(text))``: ``str.split`` and ``\\s``
-    test whitespace alike, so no token spans two pieces, and a piece that
-    is all ``isalnum`` (``\\w`` without ``_``) is one token.
+    It equals ``len(_TOKEN_RE.findall(text))``. Every character is in
+    exactly one of the classes of ``_token_class``, and a token is a maximal
+    run of one class other than ``\\s``; so the count is the number of
+    characters that start such a run. The text is read in slices of
+    ``_SLICE`` characters, each counted as if it stood alone:
+
+    - An ASCII slice is mapped byte by byte through ``_CLASS_TABLE`` and
+      read as one little-endian integer, ``runs``: byte i holds the class
+      bit of character i, and no bit for ``\\s``. In ``runs << 8``, byte i
+      holds the class of character i-1 (none for the first), so
+      ``runs & (runs << 8)`` keeps the bit of each character that continues
+      a run; every other bit starts one.
+    - Any other slice counts its ``split`` pieces. ``split`` and ``\\s``
+      test whitespace alike, so no token spans two pieces, and a piece that
+      is all ``isalnum`` is one token; only the other pieces are matched.
+
+    A run that crosses a cut is counted once on each side of it, which is
+    when the characters on both sides are of one class other than ``\\s``;
+    one is taken back for each such cut.
     """
-    pieces = text.split()
-    count = len(pieces)
-    for piece in pieces:
-        if not piece.isalnum():
-            count += len(_TOKEN_RE.findall(piece)) - 1
+    count = 0
+    for cut in range(0, len(text), _SLICE):
+        part = text[cut : cut + _SLICE]
+        if part.isascii():
+            runs = int.from_bytes(part.encode("ascii").translate(_CLASS_TABLE), "little")
+            count += runs.bit_count() - (runs & (runs << 8)).bit_count()
+        else:
+            pieces = part.split()
+            count += len(pieces)
+            for piece in pieces:
+                if not piece.isalnum():
+                    count += len(_TOKEN_RE.findall(piece)) - 1
+        if cut and _token_class(text[cut - 1]) == _token_class(text[cut]) != 0:
+            count -= 1
     return count
 
 
@@ -108,7 +154,10 @@ def chunk_document(
 
 
 def _terms(text: str) -> list[str]:
-    return _TERM_RE.findall(text.lower())
+    """The runs of ``[a-z0-9]`` in ``text.lower()``. Every character that is
+    not ASCII becomes one "?", which, like every byte but a term byte, is
+    mapped to a space."""
+    return text.lower().encode("ascii", "replace").translate(_TERM_TABLE).decode("ascii").split()
 
 
 @dataclass(frozen=True)

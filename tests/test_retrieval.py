@@ -3,19 +3,23 @@
 import math
 import random
 import re
+import sys
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from intentconf import retrieval
 from intentconf.preprocess import InputError
 from intentconf.retrieval import (
     BM25_B,
     BM25_K1,
     Chunk,
     InvalidChunking,
+    _terms,
     build_index,
     chunk_document,
     count_tokens,
@@ -81,6 +85,11 @@ def oracle_chunk_document(doc: str, chunk_size: int, overlap: int, doc_id: str =
 SPACES = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
 TOKEN_ALPHABET = SPACES + "aZ9_²½٣ǅ\u0301\u0300\u200b:-.,!{}漢字🙂\x00"
 token_text = st.text(alphabet=TOKEN_ALPHABET, max_size=60)
+# Every ASCII code point; TOKEN_ALPHABET is mostly not ASCII, so its texts
+# almost never reach the byte-table path.
+ascii_text = st.text(alphabet=st.characters(max_codepoint=127), max_size=80)
+
+SLICE = retrieval._SLICE
 
 
 class TestCountTokens:
@@ -116,6 +125,35 @@ class TestCountTokens:
     @settings(max_examples=500, deadline=None)
     @given(text=st.text())
     def test_equals_one_regex_pass_on_any_text(self, text):
+        assert count_tokens(text) == oracle_count_tokens(text)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(text=ascii_text)
+    @example(text="\x1c\x1d\x1e\x1fa_1\x00\x7f b\x0b\x0c:.\t")
+    # Longer than a slice: a word run, a punctuation run, whitespace, and
+    # two classes that meet, each across a cut.
+    @example(text=" " * (SLICE - 3) + "abc_def9 x")
+    @example(text="a " * (SLICE // 2 - 1) + " ::::: y" + "." * SLICE)
+    @example(text="a" + " " * (2 * SLICE) + "b")
+    @example(text="w" * SLICE + ":" * SLICE + "\x1f" * SLICE + "_")
+    def test_equals_one_regex_pass_on_ascii_text(self, text):
+        assert count_tokens(text) == oracle_count_tokens(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.one_of(ascii_text, token_text), slice_size=st.integers(1, 9))
+    def test_slice_cuts_count_each_run_once(self, text, slice_size):
+        with mock.patch.object(retrieval, "_SLICE", slice_size):
+            assert count_tokens(text) == oracle_count_tokens(text)
+
+    def test_one_slice_not_ascii_among_ascii_ones(self):
+        # Only the middle slice holds "é"; a word run crosses its first cut
+        # and a punctuation run its second.
+        first = ("x_y: 500m, " * SLICE)[: SLICE - 2] + "ab"
+        middle = ("cd, é " + "dask: 1Gi, " * SLICE)[: SLICE - 2] + "::"
+        text = first + middle + ":: worker 2," * 100
+        assert text[SLICE - 1 : SLICE + 1] == "bc" and text[2 * SLICE - 1 : 2 * SLICE + 1] == "::"
+        slices = [text[cut : cut + SLICE] for cut in (0, SLICE, 2 * SLICE)]
+        assert [part.isascii() for part in slices] == [True, False, True]
         assert count_tokens(text) == oracle_count_tokens(text)
 
 
@@ -254,6 +292,16 @@ class TestIndexAndRetrieve:
         assert BM25_K1 == 1.2 and BM25_B == 0.75
 
 
+def peak(run) -> int:
+    """The most memory ``run()`` held at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestIndexMemory:
     def test_no_list_of_token_spans(self):
         """Indexing a 1 MB document peaks well below spanning its every token."""
@@ -262,17 +310,31 @@ class TestIndexMemory:
                  "memory.", "Set", "`worker/replicas`", "to", "scale:", "ray", "head")
         doc = "\n".join(" ".join(rng.choices(words, k=14)) for _ in range(12_500))
 
-        def peak(run) -> int:
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         oracle = peak(lambda: oracle_chunk_document(doc, 5000, 500))
         indexed = peak(lambda: build_index([("guide.md", doc)]))
         assert indexed <= 0.6 * oracle, (indexed, oracle)
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ("The", "scheduler", "deployment", "needs", "replicas,", "500m", "resources:", "1Gi."),
+            ("Größenordnung", "naïvement", "Übungsaufgabe", "—", "漢字", "réplicas:", "2", "x_y"),
+        ],
+        ids=["ascii", "not-ascii"],
+    )
+    def test_peak_is_bounded_by_the_document(self, words):
+        """Counting a 5 MB document keeps no list of its pieces, and indexing
+        it holds little more than the document's own characters."""
+        rng = random.Random(9)
+        doc = "\n".join(" ".join(rng.choices(words, k=14)) for _ in range(50_000))
+        assert len(doc) >= 5_000_000 and doc.isascii() == (words[0] == "The")
+
+        counted = peak(lambda: count_tokens(doc))
+        assert counted < len(doc) / 4, (counted, len(doc))
+        # Chunk texts overlap, and a document that is not ASCII holds up to
+        # four bytes a character, so the bound is on its size in memory.
+        indexed = peak(lambda: build_index([("guide.md", doc)]))
+        assert indexed <= 2 * sys.getsizeof(doc), (indexed, sys.getsizeof(doc))
 
 
 class TestLoadCorpus:
@@ -295,6 +357,35 @@ class TestLoadCorpus:
 
 def oracle_terms(text: str) -> list[str]:
     return re.findall(r"[a-z0-9]+", text.lower())
+
+
+# Characters whose lower() is hostile to a byte table: the Kelvin sign
+# lowers to ASCII "k", "İ" to "i" plus a combining dot, "ß" stays, "Σ"
+# lowers by context; then an ideographic space, fullwidth digits and "_".
+TERM_ALPHABET = "aZ9 -:.\n\u212aİßΣςσ\u3000０９_\u0307é"
+
+
+class TestTerms:
+    @settings(max_examples=1000, deadline=None)
+    @given(text=st.one_of(st.text(alphabet=TERM_ALPHABET, max_size=40), ascii_text, st.text()))
+    @example(text="\u212aelvin İstanbul STRAßE ΣΊΣΥΦΟΣ ος\u3000０９ w_1 x_Y")
+    @example(text="\ud800abc\udfffDEF")
+    def test_equals_one_regex_pass(self, text):
+        assert _terms(text) == oracle_terms(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        docs=st.lists(
+            st.tuples(st.sampled_from(("a", "b")), st.text(alphabet=TERM_ALPHABET, max_size=60)),
+            min_size=1, max_size=4,
+        ),
+        chunk_size=st.integers(1, 8),
+    )
+    def test_index_holds_the_oracle_term_counts(self, docs, chunk_size):
+        index = build_index(docs, chunk_size=chunk_size, overlap=0)
+        assert list(index.term_frequencies) == [
+            Counter(oracle_terms(chunk.text)) for chunk in index.chunks
+        ]
 
 
 def oracle_retrieve(index, query: str, k: int) -> list[int]:
