@@ -9,7 +9,7 @@ always appear in the same order so transcripts stay reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -191,7 +191,6 @@ class GenerationRequest:
     prompt: str
     intent: str
     resource_context: str = ""
-    metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.system:
@@ -202,16 +201,13 @@ class GenerationRequest:
             raise ValueError("intent must be non-empty")
 
 
-def _context_section(chunks: Sequence[Chunk | str]) -> _Section:
+def _context_section(chunks: Sequence[Chunk]) -> _Section:
     parts = [_CONTEXT_LABEL]
-    for i, chunk in enumerate(chunks):
-        if isinstance(chunk, Chunk):
-            # A chunk's token count is its window's width.
-            label = f"[doc {chunk.doc_id} part {chunk.ordinal}]"
-            start, end = chunk.token_span
-            parts.append((f"{label}\n{chunk.text}", count_tokens(label) + end - start))
-        else:
-            parts.append(_counted(f"[context {i}]\n{chunk}"))
+    for chunk in chunks:
+        # A chunk's token count is its window's width.
+        label = f"[doc {chunk.doc_id} part {chunk.ordinal}]"
+        start, end = chunk.token_span
+        parts.append((f"{label}\n{chunk.text}", count_tokens(label) + end - start))
     return _joined(parts)
 
 
@@ -231,7 +227,7 @@ def build_prompt(
     profile: OptimizationProfile,
     request: GenerationRequest,
     shots: Sequence[FewShotExample] = (),
-    context_chunks: Sequence[Chunk | str] = (),
+    context_chunks: Sequence[Chunk] = (),
     feedback: str = "",
 ) -> PromptPayload:
     """Assemble the generation payload for one attempt.
@@ -264,7 +260,6 @@ def build_prompt(
     return PromptPayload(
         system_instructions=INSTRUCTION_HEADER,
         user_message=user_message,
-        metadata=dict(request.metadata),
         prompt_tokens=_INSTRUCTION_HEADER_TOKENS + tokens,
     )
 

@@ -16,7 +16,7 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources as importlib_resources
 from pathlib import Path
 
@@ -234,11 +234,6 @@ class ResourceExtraction:
     notes: tuple[str, ...] = ()
 
 
-def _first_match(root: dict, path: str):
-    matches = resolve_path(root, path)
-    return matches[0] if matches else None
-
-
 def extract_resources(
     config: ConfigDocument | dict,
     system: str,
@@ -256,26 +251,24 @@ def extract_resources(
         raise UnknownSystemProfile(f"no resource profile for system {system!r}")
     root = config.root if isinstance(config, ConfigDocument) else config
     notes = []
-
-    replicas_raw = _first_match(root, profile.replicas_path)
-    if replicas_raw is None:
-        replicas_raw = profile.default_replicas
-        notes.append(f"replicas not set; default {profile.default_replicas} applied")
+    values = []
+    for name, path, default in (
+        ("replicas", profile.replicas_path, profile.default_replicas),
+        ("cpu", profile.cpu_path, profile.default_cpu),
+        ("memory", profile.memory_path, profile.default_memory),
+    ):
+        matches = resolve_path(root, path)
+        value = matches[0] if matches else None
+        if value is None:
+            value = default
+            notes.append(f"{name} not set; default {default} applied")
+        values.append(value)
+    replicas_raw, cpu_raw, memory_raw = values
     replicas = read_scalar(replicas_raw, int)
     if replicas is None:
         raise QuantityError(f"replicas value {replicas_raw!r} is not an integer")
     if replicas < 1:
         raise QuantityError(f"replicas value {replicas_raw!r} must be an integer >= 1")
-
-    cpu_raw = _first_match(root, profile.cpu_path)
-    if cpu_raw is None:
-        cpu_raw = profile.default_cpu
-        notes.append(f"cpu not set; default {profile.default_cpu} applied")
-    memory_raw = _first_match(root, profile.memory_path)
-    if memory_raw is None:
-        memory_raw = profile.default_memory
-        notes.append(f"memory not set; default {profile.default_memory} applied")
-
     spec = ResourceSpec(
         cpu_millicores=parse_quantity(cpu_raw, "cpu"),
         memory_bytes=parse_quantity(memory_raw, "memory"),
@@ -381,48 +374,6 @@ def load_cluster_model(path: Path | str) -> ClusterModel:
     )
 
 
-def shell_deploy(
-    config: ConfigDocument,
-    kube_context: str | None = None,
-    *,
-    opt_in: bool = False,
-    cli: str = "kubectl",
-) -> DeploymentOutcome:
-    """Apply the canonical YAML through a real cluster CLI.
-
-    Refuses to run unless explicitly opted in and the CLI is on PATH; this
-    path mutates shared infrastructure.
-    """
-    if not opt_in:
-        raise BackendUnavailable(
-            "real-cluster deployment requires the explicit opt-in flag"
-        )
-    if shutil.which(cli) is None:
-        raise BackendUnavailable(f"cluster CLI {cli!r} not found on PATH")
-    import subprocess  # only this backend uses it; importing the package stays lighter
-    with tempfile.NamedTemporaryFile("w", suffix=".yaml", delete=False) as handle:
-        handle.write(serialize_config(config))
-        manifest = handle.name
-    command = [cli, "apply", "-f", manifest]
-    if kube_context:
-        command += ["--context", kube_context]
-    try:
-        proc = subprocess.run(
-            command, capture_output=True, text=True, timeout=SHELL_DEPLOY_TIMEOUT_S
-        )
-    except subprocess.TimeoutExpired:
-        reason = f"{cli} did not finish within {SHELL_DEPLOY_TIMEOUT_S:g} s"
-        return DeploymentOutcome(success=False, failure_reason=reason, logs=f"Error: {reason}")
-    finally:
-        os.unlink(manifest)
-    logs = proc.stdout + ("\n" + proc.stderr if proc.stderr else "")
-    if proc.returncode == 0:
-        return DeploymentOutcome(success=True, logs=logs)
-    stderr_lines = filter_logs(proc.stderr)
-    reason = stderr_lines[0] if stderr_lines else f"{cli} exited with code {proc.returncode}"
-    return DeploymentOutcome(success=False, failure_reason=reason, logs=logs)
-
-
 @dataclass(frozen=True)
 class SimulatedDeployer:
     """Deployment backend over the in-memory cluster model."""
@@ -440,13 +391,7 @@ class SimulatedDeployer:
         outcome = apply(self.model, extraction.spec)
         if extraction.notes:
             notes = "\n".join(f"note: {note}" for note in extraction.notes)
-            outcome = DeploymentOutcome(
-                success=outcome.success,
-                failure_reason=outcome.failure_reason,
-                placed=outcome.placed,
-                logs=f"{notes}\n{outcome.logs}" if outcome.logs else notes,
-                resources=outcome.resources,
-            )
+            outcome = replace(outcome, logs=f"{notes}\n{outcome.logs}" if outcome.logs else notes)
         return outcome
 
     def benchmark(self, spec: ResourceSpec, workload: Workload) -> BenchmarkResult:
@@ -455,13 +400,38 @@ class SimulatedDeployer:
 
 @dataclass(frozen=True)
 class ShellDeployer:
-    """Deployment backend that shells out to a real cluster CLI."""
+    """Deployment backend that applies the canonical YAML through a real cluster CLI.
 
-    kube_context: str | None = None
+    Refuses to run unless explicitly opted in and the CLI is on PATH; this
+    path mutates shared infrastructure. The manifest goes to whatever
+    context the CLI points at.
+    """
+
     opt_in: bool = False
     cli: str = "kubectl"
 
     def deploy(self, config: ConfigDocument, system: str) -> DeploymentOutcome:
-        return shell_deploy(
-            config, self.kube_context, opt_in=self.opt_in, cli=self.cli
-        )
+        if not self.opt_in:
+            raise BackendUnavailable("real-cluster deployment requires the explicit opt-in flag")
+        if shutil.which(self.cli) is None:
+            raise BackendUnavailable(f"cluster CLI {self.cli!r} not found on PATH")
+        import subprocess  # only this backend uses it; importing the package stays lighter
+        with tempfile.NamedTemporaryFile("w", suffix=".yaml", delete=False) as handle:
+            handle.write(serialize_config(config))
+            manifest = handle.name
+        command = [self.cli, "apply", "-f", manifest]
+        try:
+            proc = subprocess.run(
+                command, capture_output=True, text=True, timeout=SHELL_DEPLOY_TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            reason = f"{self.cli} did not finish within {SHELL_DEPLOY_TIMEOUT_S:g} s"
+            return DeploymentOutcome(success=False, failure_reason=reason, logs=f"Error: {reason}")
+        finally:
+            os.unlink(manifest)
+        logs = proc.stdout + ("\n" + proc.stderr if proc.stderr else "")
+        if proc.returncode == 0:
+            return DeploymentOutcome(success=True, logs=logs)
+        stderr_lines = filter_logs(proc.stderr)
+        reason = stderr_lines[0] if stderr_lines else f"{self.cli} exited with code {proc.returncode}"
+        return DeploymentOutcome(success=False, failure_reason=reason, logs=logs)

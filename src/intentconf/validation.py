@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 import statistics
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .preprocess import ConfigDocument
 
@@ -42,7 +43,8 @@ class AssertionKind(enum.Enum):
     LENGTH = "Length"
 
 
-_COMPARE_OPS = {">=", "<=", "="}
+# Each Compare op, and the relation a failure of it reports.
+_COMPARE_OPS = {">=": "<", "<=": ">", "=": "!="}
 
 
 @dataclass(frozen=True)
@@ -66,52 +68,26 @@ class Assertion:
                 raise ValueError("length assertions need a non-negative integer expected value")
 
 
-@dataclass(frozen=True)
-class _Key:
-    name: str
-
-
-@dataclass(frozen=True)
-class _Index:
-    position: int
-
-
-class _Wildcard:
-    pass
-
-
-_WILDCARD = _Wildcard()
-
-Segment = _Key | _Index | _Wildcard
-
-
-def parse_path(path: str) -> list[Segment]:
-    """Split a slash-separated path into typed segments."""
+def parse_path(path: str) -> list[str | int | None]:
+    """Split a slash-separated path into segments: a str key, an int index,
+    or None for the ``*`` wildcard."""
     if not path or not path.strip():
         raise PathSyntaxError("path must be non-empty")
-    segments: list[Segment] = []
+    segments: list[str | int | None] = []
     for part in path.split("/"):
         if part == "":
             raise PathSyntaxError(f"empty segment in path {path!r}")
         if part == "*":
-            segments.append(_WILDCARD)
+            segments.append(None)
             continue
         index = _INDEX_RE.match(part)
         if index:
-            segments.append(_Index(int(index.group(1))))
+            segments.append(int(index.group(1)))
             continue
         if part.startswith("[") or part.endswith("]"):
             raise PathSyntaxError(f"malformed index segment {part!r} in path {path!r}")
-        segments.append(_Key(part))
+        segments.append(part)
     return segments
-
-
-def _children(node: Any) -> Iterable[Any]:
-    if isinstance(node, dict):
-        return node.values()
-    if isinstance(node, list):
-        return node
-    return ()
 
 
 def resolve_path(root: Any, path: str) -> list[Any]:
@@ -120,14 +96,16 @@ def resolve_path(root: Any, path: str) -> list[Any]:
     for segment in parse_path(path):
         next_frontier: list[Any] = []
         for node in frontier:
-            if isinstance(segment, _Key):
-                if isinstance(node, dict) and segment.name in node:
-                    next_frontier.append(node[segment.name])
-            elif isinstance(segment, _Index):
-                if isinstance(node, list) and 0 <= segment.position < len(node):
-                    next_frontier.append(node[segment.position])
-            else:
-                next_frontier.extend(_children(node))
+            if segment is None:
+                if isinstance(node, dict):
+                    next_frontier.extend(node.values())
+                elif isinstance(node, list):
+                    next_frontier.extend(node)
+            elif isinstance(segment, str):
+                if isinstance(node, dict) and segment in node:
+                    next_frontier.append(node[segment])
+            elif isinstance(node, list) and segment < len(node):
+                next_frontier.append(node[segment])
         frontier = next_frontier
         if not frontier:
             break
@@ -138,14 +116,34 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+_EXACT = {"=": operator.eq, ">=": operator.ge, "<=": operator.le}
+
+
+def _holds(value: Any, op: str, expected: Any) -> bool:
+    """``value op expected`` for two numbers, ``op`` one of ``=``, ``>=`` and ``<=``.
+
+    Two ints compare equal exactly; any other pair within FLOAT_TOLERANCE,
+    in float arithmetic. A number too large for a float is compared
+    exactly: at that size the tolerance cannot change the answer.
+    """
+    try:
+        if op == ">=":
+            return value >= expected - FLOAT_TOLERANCE
+        if op == "<=":
+            return value <= expected + FLOAT_TOLERANCE
+        if isinstance(value, int) and isinstance(expected, int):
+            return value == expected
+        return math.isclose(value, expected, rel_tol=0.0, abs_tol=FLOAT_TOLERANCE)
+    except OverflowError:
+        return _EXACT[op](value, expected)
+
+
 def _values_equal(observed: Any, expected: Any) -> bool:
     # bool is an int subclass; keep True distinct from 1 in configs.
     if isinstance(expected, bool) or isinstance(observed, bool):
         return isinstance(observed, bool) is isinstance(expected, bool) and observed == expected
     if _is_number(expected) and _is_number(observed):
-        if isinstance(expected, int) and isinstance(observed, int):
-            return observed == expected
-        return math.isclose(observed, expected, rel_tol=0.0, abs_tol=FLOAT_TOLERANCE)
+        return _holds(observed, "=", expected)
     return type(observed) is type(expected) and observed == expected
 
 
@@ -173,40 +171,31 @@ class ValidationReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-def _check(assertion: Assertion, root: dict) -> AssertionResult:
-    matches = resolve_path(root, assertion.path)
-    observed = tuple(matches)
-    if assertion.kind is AssertionKind.ABSENT:
+def _failure(assertion: Assertion, matches: list[Any]) -> str:
+    """Why the nodes ``matches`` fail ``assertion``; "" when they pass."""
+    kind, expected = assertion.kind, assertion.expected
+    if kind is AssertionKind.ABSENT:
         if matches:
-            return AssertionResult(assertion, False, observed, f"path {assertion.path!r} matched {len(matches)} node(s), expected none")
-        return AssertionResult(assertion, True, observed)
+            return f"path {assertion.path!r} matched {len(matches)} node(s), expected none"
+        return ""
     if not matches:
-        return AssertionResult(assertion, False, observed, f"path {assertion.path!r} matched nothing")
-    if assertion.kind is AssertionKind.EXISTS:
-        return AssertionResult(assertion, True, observed)
-    if assertion.kind is AssertionKind.EQUALS:
-        for value in matches:
-            if not _values_equal(value, assertion.expected):
-                return AssertionResult(assertion, False, observed, f"expected {assertion.expected!r}, found {value!r}")
-        return AssertionResult(assertion, True, observed)
-    if assertion.kind is AssertionKind.COMPARE:
-        for value in matches:
-            if not _is_number(value):
-                return AssertionResult(assertion, False, observed, f"TypeMismatch: {value!r} is not numeric")
-            if assertion.op == ">=" and not value >= assertion.expected - FLOAT_TOLERANCE:
-                return AssertionResult(assertion, False, observed, f"{value!r} < {assertion.expected!r}")
-            if assertion.op == "<=" and not value <= assertion.expected + FLOAT_TOLERANCE:
-                return AssertionResult(assertion, False, observed, f"{value!r} > {assertion.expected!r}")
-            if assertion.op == "=" and not _values_equal(value, assertion.expected):
-                return AssertionResult(assertion, False, observed, f"{value!r} != {assertion.expected!r}")
-        return AssertionResult(assertion, True, observed)
-    # Length applies to sequences and mappings only.
+        return f"path {assertion.path!r} matched nothing"
     for value in matches:
-        if not isinstance(value, (list, dict)):
-            return AssertionResult(assertion, False, observed, f"TypeMismatch: {value!r} is not a container")
-        if len(value) != assertion.expected:
-            return AssertionResult(assertion, False, observed, f"length {len(value)} != {assertion.expected}")
-    return AssertionResult(assertion, True, observed)
+        if kind is AssertionKind.EQUALS:
+            if not _values_equal(value, expected):
+                return f"expected {expected!r}, found {value!r}"
+        elif kind is AssertionKind.COMPARE:
+            if not _is_number(value):
+                return f"TypeMismatch: {value!r} is not numeric"
+            if not _holds(value, assertion.op, expected):
+                return f"{value!r} {_COMPARE_OPS[assertion.op]} {expected!r}"
+        elif kind is AssertionKind.LENGTH:
+            # Length applies to sequences and mappings only.
+            if not isinstance(value, (list, dict)):
+                return f"TypeMismatch: {value!r} is not a container"
+            if len(value) != expected:
+                return f"length {len(value)} != {expected}"
+    return ""
 
 
 def evaluate(
@@ -215,8 +204,12 @@ def evaluate(
     case_id: str = "",
 ) -> ValidationReport:
     """Check a configuration against assertions."""
-    results = tuple(_check(a, config.root) for a in assertions)
-    return ValidationReport(case_id=case_id, results=results)
+    results = []
+    for assertion in assertions:
+        matches = resolve_path(config.root, assertion.path)
+        reason = _failure(assertion, matches)
+        results.append(AssertionResult(assertion, not reason, tuple(matches), reason))
+    return ValidationReport(case_id=case_id, results=tuple(results))
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,27 @@ class TestRunChain:
         assert first.feedback.failed_stage is Stage.STRUCTURAL
         assert first.stages_passed == (Stage.GENERATION,)
 
+    @pytest.mark.parametrize(
+        "assertion,reason",
+        [
+            (
+                Assertion("worker/replicas", AssertionKind.EQUALS, 2.5),
+                f"expected 2.5, found {10**400}",
+            ),
+            (Assertion("worker/replicas", AssertionKind.COMPARE, 2.5), f"{10**400} != 2.5"),
+        ],
+        ids=["Equals", "Compare ="],
+    )
+    def test_number_too_large_for_a_float_is_static_feedback(self, assertion, reason):
+        huge = GOOD_CONFIG.replace("replicas: 2", f"replicas: {10**400}")
+        fixed = GOOD_CONFIG.replace("replicas: 2", "replicas: 2.5")
+        deps = deps_for(script_for("case", [huge, fixed]), assertions=(assertion,), deployer=None)
+        outcome = run_chain(REQUEST, OptimizationProfile.for_name("ip"), deps)
+        assert outcome.resolved and outcome.attempts_used == 2
+        first = outcome.attempt_history[0]
+        assert first.feedback.failed_stage is Stage.STATIC_VALIDATION
+        assert reason in first.feedback.render()
+
     def test_unknown_system_is_deployment_feedback(self):
         request = GenerationRequest(system="nosuchsystem", prompt=REQUEST.prompt, intent=REQUEST.intent)
         outcome = run_chain(

@@ -352,6 +352,19 @@ class TestValidate:
         assert "1 < 2" in result.output
         assert "failed: bad-case" in result.output
 
+    def test_expected_too_large_for_a_float_fails_without_a_traceback(self, tmp_path, runner):
+        checks = write_yaml(
+            tmp_path / "huge.yaml",
+            [{"path": "worker/replicas", "kind": "Compare", "op": ">=", "expected": 10**400}],
+        )
+        config = tmp_path / "good.yaml"
+        config.write_text(GOOD, encoding="utf-8")
+        result = runner.invoke(main, ["validate", str(config), "--assertions", str(checks)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"FAIL Compare worker/replicas (2 < {10**400})" in result.output
+        assert "Traceback" not in combined(result)
+
     def test_structural_error(self, tmp_path, runner):
         make_workspace(tmp_path)
         config = tmp_path / "broken.yaml"

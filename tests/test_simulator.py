@@ -32,7 +32,6 @@ from intentconf.simulator import (
     load_system_profiles,
     parse_quantity,
     run_workload,
-    shell_deploy,
 )
 
 
@@ -325,15 +324,15 @@ class TestShellDeploy:
 
     def test_opt_in_required(self):
         with pytest.raises(BackendUnavailable):
-            shell_deploy(self.CONFIG)
+            ShellDeployer().deploy(self.CONFIG, "dask")
 
     def test_missing_cli(self):
         with pytest.raises(BackendUnavailable):
-            shell_deploy(self.CONFIG, opt_in=True, cli="no-such-cluster-cli")
+            ShellDeployer(opt_in=True, cli="no-such-cluster-cli").deploy(self.CONFIG, "dask")
 
     def test_success_captures_manifest(self, tmp_path, monkeypatch):
         name = fake_cli(tmp_path, monkeypatch, "fakectl", "#!/bin/sh\ncat \"$3\"\nexit 0\n")
-        outcome = shell_deploy(self.CONFIG, opt_in=True, cli=name)
+        outcome = ShellDeployer(opt_in=True, cli=name).deploy(self.CONFIG, "dask")
         assert outcome.success
         assert "replicas: 2" in outcome.logs
 
@@ -346,15 +345,10 @@ class TestShellDeploy:
             "exit 1\n"
         )
         name = fake_cli(tmp_path, monkeypatch, "failctl", script)
-        outcome = shell_deploy(self.CONFIG, opt_in=True, cli=name)
+        outcome = ShellDeployer(opt_in=True, cli=name).deploy(self.CONFIG, "dask")
         assert not outcome.success
         assert outcome.failure_reason == "Error: denied by quota"
         assert "applying manifest" in outcome.logs
-
-    def test_context_flag_forwarded(self, tmp_path, monkeypatch):
-        name = fake_cli(tmp_path, monkeypatch, "ctxctl", "#!/bin/sh\necho \"$@\"\nexit 0\n")
-        outcome = shell_deploy(self.CONFIG, kube_context="staging", opt_in=True, cli=name)
-        assert "--context staging" in outcome.logs
 
     def test_timeout_becomes_failure_outcome(self, tmp_path, monkeypatch):
         name = fake_cli(tmp_path, monkeypatch, "slowctl", "#!/bin/sh\nexit 0\n")
@@ -365,7 +359,7 @@ class TestShellDeploy:
             raise subprocess.TimeoutExpired(command, kwargs["timeout"])
 
         monkeypatch.setattr(subprocess, "run", run)
-        outcome = shell_deploy(self.CONFIG, opt_in=True, cli=name)
+        outcome = ShellDeployer(opt_in=True, cli=name).deploy(self.CONFIG, "dask")
         assert calls == [{"capture_output": True, "text": True, "timeout": SHELL_DEPLOY_TIMEOUT_S}]
         assert not outcome.success
         assert outcome.failure_reason == f"slowctl did not finish within {SHELL_DEPLOY_TIMEOUT_S:g} s"
@@ -377,11 +371,6 @@ class TestShellDeploy:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert result.stdout.strip() == "False"
-
-    def test_shell_deployer_wraps_function(self, tmp_path, monkeypatch):
-        name = fake_cli(tmp_path, monkeypatch, "okctl", "#!/bin/sh\nexit 0\n")
-        deployer = ShellDeployer(opt_in=True, cli=name)
-        assert deployer.deploy(self.CONFIG, "dask").success
 
 
 class TestSimulatedDeployer:

@@ -1,8 +1,13 @@
 """Assertion language, report semantics, and complexity analytics."""
 
+import math
 import random
+import re
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intentconf.preprocess import (
     ConfigDocument,
@@ -12,6 +17,7 @@ from intentconf.preprocess import (
 from intentconf.validation import (
     Assertion,
     AssertionKind,
+    AssertionResult,
     ComplexityMeasure,
     EmptyCorpus,
     PathSyntaxError,
@@ -219,6 +225,256 @@ class TestEvaluate:
                 exists = evaluate(doc(tree), [Assertion(path, AssertionKind.EXISTS)]).passed
                 absent = evaluate(doc(tree), [Assertion(path, AssertionKind.ABSENT)]).passed
                 assert exists != absent
+
+
+# The evaluator as it was written with a class per path segment and one
+# result per verdict branch, kept as the oracle for the one-path evaluator.
+ORACLE_TOLERANCE = 1e-9
+ORACLE_INDEX_RE = re.compile(r"^\[(\d+)\]$")
+
+
+@dataclass(frozen=True)
+class OracleKey:
+    name: str
+
+
+@dataclass(frozen=True)
+class OracleIndex:
+    position: int
+
+
+class OracleWildcard:
+    pass
+
+
+ORACLE_WILDCARD = OracleWildcard()
+
+
+def oracle_parse_path(path):
+    if not path or not path.strip():
+        raise PathSyntaxError("path must be non-empty")
+    segments = []
+    for part in path.split("/"):
+        if part == "":
+            raise PathSyntaxError(f"empty segment in path {path!r}")
+        if part == "*":
+            segments.append(ORACLE_WILDCARD)
+            continue
+        index = ORACLE_INDEX_RE.match(part)
+        if index:
+            segments.append(OracleIndex(int(index.group(1))))
+            continue
+        if part.startswith("[") or part.endswith("]"):
+            raise PathSyntaxError(f"malformed index segment {part!r} in path {path!r}")
+        segments.append(OracleKey(part))
+    return segments
+
+
+def oracle_children(node):
+    if isinstance(node, dict):
+        return node.values()
+    if isinstance(node, list):
+        return node
+    return ()
+
+
+def oracle_resolve_path(root, path):
+    frontier = [root]
+    for segment in oracle_parse_path(path):
+        next_frontier = []
+        for node in frontier:
+            if isinstance(segment, OracleKey):
+                if isinstance(node, dict) and segment.name in node:
+                    next_frontier.append(node[segment.name])
+            elif isinstance(segment, OracleIndex):
+                if isinstance(node, list) and 0 <= segment.position < len(node):
+                    next_frontier.append(node[segment.position])
+            else:
+                next_frontier.extend(oracle_children(node))
+        frontier = next_frontier
+        if not frontier:
+            break
+    return frontier
+
+
+def oracle_is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def oracle_values_equal(observed, expected):
+    if isinstance(expected, bool) or isinstance(observed, bool):
+        return isinstance(observed, bool) is isinstance(expected, bool) and observed == expected
+    if oracle_is_number(expected) and oracle_is_number(observed):
+        if isinstance(expected, int) and isinstance(observed, int):
+            return observed == expected
+        return math.isclose(observed, expected, rel_tol=0.0, abs_tol=ORACLE_TOLERANCE)
+    return type(observed) is type(expected) and observed == expected
+
+
+def oracle_check(assertion, root):
+    matches = oracle_resolve_path(root, assertion.path)
+    observed = tuple(matches)
+    if assertion.kind is AssertionKind.ABSENT:
+        if matches:
+            return AssertionResult(assertion, False, observed, f"path {assertion.path!r} matched {len(matches)} node(s), expected none")
+        return AssertionResult(assertion, True, observed)
+    if not matches:
+        return AssertionResult(assertion, False, observed, f"path {assertion.path!r} matched nothing")
+    if assertion.kind is AssertionKind.EXISTS:
+        return AssertionResult(assertion, True, observed)
+    if assertion.kind is AssertionKind.EQUALS:
+        for value in matches:
+            if not oracle_values_equal(value, assertion.expected):
+                return AssertionResult(assertion, False, observed, f"expected {assertion.expected!r}, found {value!r}")
+        return AssertionResult(assertion, True, observed)
+    if assertion.kind is AssertionKind.COMPARE:
+        for value in matches:
+            if not oracle_is_number(value):
+                return AssertionResult(assertion, False, observed, f"TypeMismatch: {value!r} is not numeric")
+            if assertion.op == ">=" and not value >= assertion.expected - ORACLE_TOLERANCE:
+                return AssertionResult(assertion, False, observed, f"{value!r} < {assertion.expected!r}")
+            if assertion.op == "<=" and not value <= assertion.expected + ORACLE_TOLERANCE:
+                return AssertionResult(assertion, False, observed, f"{value!r} > {assertion.expected!r}")
+            if assertion.op == "=" and not oracle_values_equal(value, assertion.expected):
+                return AssertionResult(assertion, False, observed, f"{value!r} != {assertion.expected!r}")
+        return AssertionResult(assertion, True, observed)
+    for value in matches:
+        if not isinstance(value, (list, dict)):
+            return AssertionResult(assertion, False, observed, f"TypeMismatch: {value!r} is not a container")
+        if len(value) != assertion.expected:
+            return AssertionResult(assertion, False, observed, f"length {len(value)} != {assertion.expected}")
+    return AssertionResult(assertion, True, observed)
+
+
+HUGE = 10**400  # an integer too large for a float
+huge_ints = st.integers(min_value=2**1024, max_value=HUGE).flatmap(
+    lambda n: st.sampled_from([n, -n])
+)
+# A few values that sit on the tolerance's edges, so drawn pairs often meet.
+NEAR = (0, 2, 2.0, 2 + 5e-10, 2 + 2e-9, 2.5, 2**53, 2**53 + 1, 2**60 + 1, float(2**60), HUGE, -HUGE)
+numbers = st.one_of(
+    st.sampled_from(NEAR),
+    st.integers(-(2**64), 2**64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    huge_ints,
+)
+scalars = st.one_of(numbers, numbers, st.booleans(), st.none(), st.text(alphabet="ab1", max_size=3))
+KEYS = ("a", "b", "c", "1")
+trees = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS) | st.integers(0, 2), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def paths(draw, tree):
+    """A path that mostly follows the tree down its keys, its indexes and
+    ``*``, now and then through a segment the node does not have."""
+    segments = []
+    node = tree
+    while isinstance(node, (dict, list)) and (not segments or draw(st.integers(0, 3)) < 3):
+        if isinstance(node, dict):
+            names = [key for key in node if isinstance(key, str)]
+        else:
+            names = [f"[{i}]" for i in range(len(node))]
+        if draw(st.integers(0, 4)) < 4:
+            segment = draw(st.sampled_from([*names, "*"]))
+        else:
+            segment = draw(st.sampled_from(["[0]", "[3]", *KEYS]))
+        segments.append(segment)
+        step = resolve_path(node, segment)
+        if not step:
+            break
+        node = step[0]
+    return "/".join(segments)
+
+
+def reached_or(draw, reached, strategy):
+    """Half the time a value the path reaches, so that checks also pass."""
+    return draw(st.sampled_from(reached) | strategy if reached else strategy)
+
+
+@st.composite
+def assertions(draw, tree):
+    path = draw(paths(tree))
+    reached = oracle_resolve_path(tree, path)
+    kind = draw(st.sampled_from(list(AssertionKind)))
+    if kind is AssertionKind.COMPARE:
+        expected = reached_or(draw, [v for v in reached if oracle_is_number(v)], numbers)
+        return Assertion(path, kind, expected, draw(st.sampled_from(["=", ">=", "<="])))
+    if kind is AssertionKind.EQUALS:
+        leaves = [v for v in reached if not isinstance(v, (list, dict))]
+        return Assertion(path, kind, reached_or(draw, leaves, scalars))
+    if kind is AssertionKind.LENGTH:
+        lengths = [len(v) for v in reached if isinstance(v, (list, dict))]
+        return Assertion(path, kind, reached_or(draw, lengths, st.integers(0, 3)))
+    return Assertion(path, kind)
+
+
+def oracle_segment(segment):
+    if isinstance(segment, OracleKey):
+        return segment.name
+    if isinstance(segment, OracleIndex):
+        return segment.position
+    return None
+
+
+class TestAgainstOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_every_verdict_matches_the_oracle(self, data):
+        tree = data.draw(st.dictionaries(st.sampled_from(KEYS), trees, min_size=1, max_size=4))
+        assertion = data.draw(assertions(tree))
+        assert parse_path(assertion.path) == [
+            oracle_segment(s) for s in oracle_parse_path(assertion.path)
+        ]
+        (result,) = evaluate(ConfigDocument(root=tree), [assertion]).results
+        try:
+            expected = oracle_check(assertion, tree)
+        except OverflowError:
+            return  # the oracle crashed; the result above came back without raising
+        assert result.observed == expected.observed
+        assert (result.passed, result.reason) == (expected.passed, expected.reason)
+
+    @settings(max_examples=600, deadline=None)
+    @given(value=numbers, expected=numbers, op=st.sampled_from(["=", ">=", "<="]))
+    @example(value=HUGE, expected=2.5, op="=")
+    @example(value=3, expected=HUGE, op=">=")
+    @example(value=HUGE, expected=HUGE, op="<=")
+    @example(value=-HUGE, expected=float("-inf"), op=">=")
+    def test_no_number_pair_raises(self, value, expected, op):
+        config = ConfigDocument(root={"n": value})
+        checks = [
+            Assertion("n", AssertionKind.COMPARE, expected, op),
+            Assertion("n", AssertionKind.EQUALS, expected),
+        ]
+        for assertion, result in zip(checks, evaluate(config, checks).results):
+            try:
+                answer = oracle_check(assertion, {"n": value})
+            except OverflowError:
+                continue
+            assert (result.passed, result.reason) == (answer.passed, answer.reason)
+
+    @pytest.mark.parametrize(
+        "value,expected,op,passed",
+        [
+            (HUGE, 2.5, "=", False),
+            (3, HUGE, ">=", False),
+            (3, HUGE, "<=", True),
+            (HUGE, HUGE, ">=", True),
+            (HUGE + 1, HUGE, "<=", False),
+            (float("inf"), HUGE, ">=", True),
+            (-HUGE, float("-inf"), ">=", True),
+        ],
+    )
+    def test_past_float_range_compares_exactly(self, value, expected, op, passed):
+        checks = [Assertion("n", AssertionKind.COMPARE, expected, op)]
+        if op == "=":
+            checks.append(Assertion("n", AssertionKind.EQUALS, expected))
+        report = evaluate(doc({"n": value}), checks)
+        assert [r.passed for r in report.results] == [passed] * len(checks)
 
 
 class TestComplexity:
