@@ -28,10 +28,6 @@ from .retrieval import DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP, DEFAULT_TOP_K
 from .simulator import Workload
 
 
-class AppConfigError(InputError):
-    """The runtime configuration is missing, unreadable, or inconsistent."""
-
-
 @dataclass(frozen=True)
 class ProviderSettings:
     kind: str = "mock"  # mock | http
@@ -90,7 +86,7 @@ def load_app_config(path: Path | str | None) -> AppConfig:
     if path is None:
         return defaults
     path = Path(path)
-    data = Fields.load(path, AppConfigError)
+    data = Fields.load(path)
 
     provider = data.section("provider")
     kind = provider.get("kind", defaults.provider.kind).lower()
@@ -154,7 +150,7 @@ def _check_api_key(config: AppConfig) -> None:
     # A missing key only matters when a real provider will be called.
     key_env = config.provider.http.api_key_env
     if config.provider.kind == "http" and key_env and not os.environ.get(key_env):
-        raise AppConfigError(
+        raise InputError(
             f"environment variable {key_env} is not set but the http provider requires it"
         )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .gateway import Provider, ProviderError, ProviderUnreachable, complete
+from .gateway import Provider, ProviderError, complete
 from .preprocess import ConfigDocument, StructuralError, preprocess_reply
 from .prompting import (
     GenerationRequest,
@@ -279,7 +279,7 @@ def run_chain(
                     feedback = make_feedback(stage, stages_passed[-1], *failure)
                     break
                 stages_passed.append(stage)
-        except (ProviderUnreachable, ProviderError) as exc:
+        except ProviderError as exc:
             # A provider error, in the Generation call or the alignment
             # check's, ends the chain; it is not feedback for another attempt.
             provider_error = str(exc)

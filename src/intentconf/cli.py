@@ -22,8 +22,7 @@ import click
 from . import chain as chain_mod
 from . import harness as harness_mod
 from . import prompting, retrieval, validation
-from .appconfig import AppConfig, AppConfigError, build_provider, load_app_config
-from .gateway import ProviderError, ProviderUnreachable
+from .appconfig import AppConfig, build_provider, load_app_config
 from .preprocess import ConfigDocument, Fields, InputError, StructuralError, load_yaml_file
 from .preprocess import parse_config, serialize_config
 from .simulator import (
@@ -39,27 +38,18 @@ from .simulator import (
 
 DEFAULT_CLUSTER = ClusterModel(nodes=(NodeSpec(cpu_millicores=4000, memory_bytes=16 * GIB),))
 
-# Bad input: a file or option that is malformed (InputError, which names the
-# file and key), a path that cannot be read or written, and the refusals a
-# command makes before it can run. Anything else is a bug and exits 1 with
-# its traceback.
-_USAGE_ERRORS = (
-    InputError,
-    OSError,
-    BackendUnavailable,
-    prompting.ProfileViolation,
-    ProviderUnreachable,
-    ProviderError,
-)
-
 
 class _Main(click.Group):
     """The command group: bad input from any command exits 2 with one line."""
 
     def invoke(self, ctx: click.Context):
+        # Bad input: a file, option or refusal the operator can fix (an
+        # InputError names the file and key), or a path that cannot be read
+        # or written. A provider error never gets here: run_chain records it
+        # on the attempt. Anything else is a bug and exits 1 with its traceback.
         try:
             return super().invoke(ctx)
-        except _USAGE_ERRORS as exc:
+        except (InputError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             ctx.exit(2)
 
@@ -125,12 +115,10 @@ def _shots_for(config: AppConfig, profile: prompting.OptimizationProfile, system
     if not profile.use_few_shot:
         return ()
     if config.shots_path is None:
-        raise AppConfigError(
-            f"profile {profile.name!r} needs few-shot examples; set paths.shots"
-        )
+        raise InputError(f"profile {profile.name!r} needs few-shot examples; set paths.shots")
     shots = prompting.load_shot_library(config.shots_path, system)
     if not shots:
-        raise AppConfigError(f"no few-shot examples found for system {system!r}")
+        raise InputError(f"no few-shot examples found for system {system!r}")
     return shots
 
 
@@ -227,7 +215,7 @@ def generate(
     """Turn an intent into a validated, deployed configuration."""
     profile = _profile(config, profile_name, max_attempts)
     if not system or not intent:
-        raise AppConfigError("--system and --intent must be non-empty")
+        raise InputError("--system and --intent must be non-empty")
     scenario = scenario or f"cli:{system}"
     assertions = _load_assertions(assertions_path) if assertions_path else ()
     deployer = None if no_deploy else _deployer(config, deploy_backend, real_ok, cluster)
@@ -319,10 +307,10 @@ def chain_cmd(
     """Replay one benchmark case through the full loop."""
     dataset = dataset or config.dataset_path
     if dataset is None:
-        raise AppConfigError("no dataset configured; pass --dataset or set paths.dataset")
+        raise InputError("no dataset configured; pass --dataset or set paths.dataset")
     cases = {case.id: case for case in harness_mod.load_dataset(dataset)}
     if case_id not in cases:
-        raise AppConfigError(f"case {case_id!r} not found under {dataset}")
+        raise InputError(f"case {case_id!r} not found under {dataset}")
     case = cases[case_id]
     profile = _profile(config, profile_name)
     provider = build_provider(config, extra_script=harness_mod.load_mock_scripts(dataset))
@@ -349,13 +337,13 @@ def bench(config: AppConfig, dataset: Path | None, profiles: str, workers: int):
     """Run the static-validation benchmark and emit the accuracy table."""
     dataset = dataset or config.dataset_path
     if dataset is None:
-        raise AppConfigError("no dataset configured; pass --dataset or set paths.dataset")
+        raise InputError("no dataset configured; pass --dataset or set paths.dataset")
     cases = harness_mod.load_dataset(dataset)
     if not cases:
-        raise harness_mod.DatasetError(f"no cases found under {dataset}")
+        raise InputError(f"no cases found under {dataset}")
     profile_list = [_profile(config, name.strip()) for name in profiles.split(",") if name.strip()]
     if not profile_list:
-        raise AppConfigError("no profiles requested")
+        raise InputError("no profiles requested")
     provider = build_provider(config, extra_script=harness_mod.load_mock_scripts(dataset))
     few_shot = next((p for p in profile_list if p.use_few_shot), None)
     shots_by_system = {}

@@ -23,12 +23,8 @@ DETERMINISTIC_CEILING = 0.1
 DEFAULT_MAX_TOKENS = 2048
 
 
-class ProviderUnreachable(Exception):
-    """Transport-level failure: the endpoint could not be reached."""
-
-
 class ProviderError(Exception):
-    """The provider answered, but with a non-2xx status or a malformed body."""
+    """The endpoint failed: unreachable (``status`` None), a non-2xx status or a malformed body."""
 
     def __init__(self, message: str, status: int | None = None, body_excerpt: str = ""):
         super().__init__(message)
@@ -166,7 +162,7 @@ class HttpProvider:
                 url, json=body, headers=headers, timeout=self.config.timeout_seconds
             )
         except requests.RequestException as exc:
-            raise ProviderUnreachable(f"cannot reach {url}: {exc}") from exc
+            raise ProviderError(f"cannot reach {url}: {exc}", status=None) from exc
         latency = time.perf_counter() - started
         if not 200 <= response.status_code < 300:
             raise ProviderError(

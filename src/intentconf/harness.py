@@ -26,10 +26,6 @@ from .validation import Assertion, AssertionKind, EmptyCorpus
 LEVELS = (1, 2, 3, 4, 5, 6)
 
 
-class DatasetError(InputError):
-    """A case file is malformed or the dataset is inconsistent."""
-
-
 @dataclass(frozen=True)
 class BenchmarkCase:
     id: str
@@ -70,7 +66,7 @@ def read_assertions(fields: Fields) -> tuple[Assertion, ...]:
 
 
 def _case_from_file(path: Path) -> BenchmarkCase:
-    case = Fields.load(path, DatasetError)
+    case = Fields.load(path)
     return case.build(
         BenchmarkCase,
         id=case.require("id"),
@@ -86,7 +82,7 @@ def load_dataset(path: Path | str) -> list[BenchmarkCase]:
     """All cases under ``path``, sorted by (system, level, id); ids must be unique."""
     root = Path(path)
     if not root.is_dir():
-        raise DatasetError(f"dataset path {root} is not a directory")
+        raise InputError(f"dataset path {root} is not a directory")
     cases = []
     seen: dict[str, Path] = {}
     for file in sorted(root.rglob("*.yaml")):
@@ -94,7 +90,7 @@ def load_dataset(path: Path | str) -> list[BenchmarkCase]:
             continue
         case = _case_from_file(file)
         if case.id in seen:
-            raise DatasetError(
+            raise InputError(
                 f"duplicate case id {case.id!r} in {file} (first seen in {seen[case.id]})"
             )
         seen[case.id] = file
@@ -108,15 +104,15 @@ def load_mock_scripts(path: Path | str) -> MockScript:
 
     A file scripts the scenario named by its case id, and its ``verify``
     replies script "<id>#verify". Case ids must be unique across files, and
-    a malformed file is a DatasetError naming it.
+    a malformed file is an InputError naming it.
     """
     mocks = MockScript(entries={}, scenario_defaults={})
     seen: dict[str, Path] = {}
     for file in sorted(Path(path).rglob("*.mock.yaml")):
-        mock = Fields.load(file, DatasetError)
+        mock = Fields.load(file)
         case_id = file.name[: -len(".mock.yaml")]
         if case_id in seen:
-            raise DatasetError(
+            raise InputError(
                 f"duplicate mock script for case {case_id!r} in {file} "
                 f"(first seen in {seen[case_id]})"
             )
@@ -160,7 +156,7 @@ def run_static_eval(
 ) -> AccuracyTable:
     """Static-only accuracy: a case passes iff its chain resolves without deploying."""
     if not cases:
-        raise DatasetError("no cases to evaluate")
+        raise InputError("no cases to evaluate")
     jobs = [(profile, case) for profile in profiles for case in cases]
 
     def evaluate_one(job) -> tuple[str, BenchmarkCase, ChainOutcome]:

@@ -356,10 +356,10 @@ class InputError(ValueError):
     """A file or value the user supplied does not read or has the wrong shape."""
 
 
-def load_yaml_file(path, error: type[InputError] = InputError):
+def load_yaml_file(path):
     """The YAML tree in ``path``, a file path or a package resource.
 
-    A file that does not read or does not load raises ``error`` with a
+    A file that does not read or does not load raises an InputError with a
     message that names the file once.
     """
     if isinstance(path, str):
@@ -367,9 +367,9 @@ def load_yaml_file(path, error: type[InputError] = InputError):
     try:
         tree = load_yaml(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except _LOAD_ERRORS as exc:
-        raise error(f"{path}: not valid YAML: {exc}") from exc
+        raise InputError(f"{path}: not valid YAML: {exc}") from exc
     return tree
 
 
@@ -400,23 +400,25 @@ def read_scalar(value, kind: type):
 class Fields:
     """One mapping of an input file, read key by key: the package's one field reader.
 
-    Scalars are read by ``read_scalar``. An error is an ``error`` naming the
+    Scalars are read by ``read_scalar``. An error is an InputError naming the
     file once and then the key path (``cluster.yaml: nodes[0].cpu ...``);
     its text is built only on failure.
     """
 
-    __slots__ = ("file", "raw", "prefix", "error")
+    __slots__ = ("file", "raw", "prefix")
 
-    def __init__(self, file, raw: Mapping, prefix: str = "", error: type[InputError] = InputError):
-        self.file, self.raw, self.prefix, self.error = file, raw, prefix, error
+    def __init__(self, file, raw: Mapping, prefix: str = ""):
+        self.file, self.raw, self.prefix = file, raw, prefix
 
     @classmethod
-    def load(cls, path, error: type[InputError] = InputError) -> Fields:
+    def load(cls, path) -> Fields:
         """The top-level mapping of the YAML file ``path``; an empty file reads as {}."""
-        tree = load_yaml_file(path, error)
+        tree = load_yaml_file(path)
         if not isinstance(tree, (dict, type(None))):
-            raise error(f"{path}: the top level must be a YAML mapping, got {type(tree).__name__}")
-        return cls(path, tree or {}, error=error)
+            raise InputError(
+                f"{path}: the top level must be a YAML mapping, got {type(tree).__name__}"
+            )
+        return cls(path, tree or {})
 
     def _path(self, key: tuple) -> str:
         path = self.prefix
@@ -426,7 +428,7 @@ class Fields:
 
     def fail(self, problem: str, *key) -> InputError:
         """The error "<file>: <key path> <problem>"; ``key`` holds keys and list indexes."""
-        return self.error(f"{self.file}: {self._path(key)} {problem}")
+        return InputError(f"{self.file}: {self._path(key)} {problem}")
 
     def check(self, value, kind: type, *key):
         """``value``, found at ``key``, read as ``kind`` by ``read_scalar``."""
@@ -452,7 +454,7 @@ class Fields:
     def _mapping(self, value, *key) -> Fields:
         if not isinstance(value, dict):
             raise self.fail(f"must be a mapping, got {value!r}", *key)
-        return Fields(self.file, value, self._path(key), self.error)
+        return Fields(self.file, value, self._path(key))
 
     def section(self, key) -> Fields:
         """The mapping at ``key``; an empty one when unset or null."""
@@ -472,7 +474,7 @@ class Fields:
             return make(*args, **kwargs)
         except ValueError as exc:
             where = f"{self.prefix}: " if self.prefix else ""
-            raise self.error(f"{self.file}: {where}{exc}") from exc
+            raise InputError(f"{self.file}: {where}{exc}") from exc
 
     def fields_of(self, defaults):
         """``defaults``, a dataclass, with each field this mapping sets."""

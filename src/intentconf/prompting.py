@@ -92,11 +92,7 @@ _CONTEXT_LABEL = _counted("## Context")
 _EXAMPLES_LABEL = _counted("## Examples")
 
 
-class InvalidProfile(InputError):
-    """No profile has this name or attempt budget."""
-
-
-class ProfileViolation(Exception):
+class ProfileViolation(InputError):
     """A profile requirement cannot be met with the inputs provided."""
 
 
@@ -118,9 +114,9 @@ class OptimizationProfile:
 
     def __post_init__(self):
         if self.name not in PROFILE_NAMES:
-            raise InvalidProfile(f"unknown profile {self.name!r}; choose from {PROFILE_NAMES}")
+            raise InputError(f"unknown profile {self.name!r}; choose from {PROFILE_NAMES}")
         if self.max_chain_attempts < 1:
-            raise InvalidProfile("max_chain_attempts must be >= 1")
+            raise InputError("max_chain_attempts must be >= 1")
 
     @property
     def use_cot(self) -> bool:
@@ -190,7 +186,6 @@ class GenerationRequest:
     system: str
     prompt: str
     intent: str
-    resource_context: str = ""
 
     def __post_init__(self):
         if not self.system:
@@ -247,11 +242,7 @@ def build_prompt(
             )
         sections.append(_examples_section(shots))
     sections.append(_counted(f"## User intent\n{request.intent}"))
-    task_lines = ["## Task", request.prompt]
-    if request.resource_context:
-        task_lines.append("Cluster resources available:")
-        task_lines.append(request.resource_context)
-    sections.append(_counted("\n".join(task_lines)))
+    sections.append(_counted(f"## Task\n{request.prompt}"))
     if profile.use_cot:
         sections.append(_COT_SECTION)
     if feedback:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from .preprocess import ConfigDocument, Fields, read_scalar, serialize_config
-from .validation import resolve_path
+from .preprocess import ConfigDocument, Fields, InputError, read_scalar, serialize_config
+from .validation import parse_path, resolve_path
 
 DEFAULT_CPU_RATE = 0.04  # dollars per core-hour
 DEFAULT_MEM_RATE = 0.004  # dollars per GiB-hour
@@ -56,7 +56,7 @@ class QuantityError(ValueError):
     """A resource quantity string does not follow the grammar for its dimension."""
 
 
-class UnknownSystemProfile(KeyError):
+class UnknownSystemProfile(ValueError):
     """No resource-path profile is registered for the requested system."""
 
 
@@ -64,7 +64,7 @@ class InvalidWorkload(ValueError):
     """The spec yields zero total cores; the speedup model is undefined."""
 
 
-class BackendUnavailable(RuntimeError):
+class BackendUnavailable(InputError):
     """The real-cluster backend is not opted in or its CLI is missing."""
 
 
@@ -202,6 +202,14 @@ class SystemProfile:
     default_cpu: str = "500m"
     default_memory: str = "512Mi"
 
+    def __post_init__(self):
+        for path in (self.replicas_path, self.cpu_path, self.memory_path):
+            parse_path(path)
+        parse_quantity(self.default_cpu, "cpu")
+        parse_quantity(self.default_memory, "memory")
+        if self.default_replicas < 1:
+            raise ValueError(f"default replicas must be >= 1, got {self.default_replicas}")
+
 
 _PROFILE_PATHS = ("replicas_path", "cpu_path", "memory_path")
 
@@ -217,7 +225,8 @@ def load_system_profiles(path: Path | str | None = None) -> dict[str, SystemProf
     for system in data.raw:
         spec = data.section(system)
         defaults = spec.section("defaults")
-        profiles[str(system)] = SystemProfile(
+        profiles[str(system)] = spec.build(
+            SystemProfile,
             str(system),
             *(spec.require(key) for key in _PROFILE_PATHS),
             **{
@@ -385,8 +394,7 @@ class SimulatedDeployer:
         try:
             extraction = extract_resources(config, system, self.profiles)
         except (QuantityError, UnknownSystemProfile) as exc:
-            # args[0], not str(): str() of a KeyError quotes its message.
-            reason = exc.args[0]
+            reason = str(exc)
             return DeploymentOutcome(success=False, failure_reason=reason, logs=f"Error: {reason}")
         outcome = apply(self.model, extraction.spec)
         if extraction.notes:

@@ -23,7 +23,7 @@ from intentconf.gateway import (
     MockProvider,
     MockReply,
     MockScript,
-    ProviderUnreachable,
+    ProviderError,
     SamplingParams,
 )
 from intentconf.prompting import (
@@ -348,7 +348,7 @@ class TestRunChain:
             def complete(self, payload, params):
                 self.calls += 1
                 if self.calls >= 2:
-                    raise ProviderUnreachable("socket closed")
+                    raise ProviderError("socket closed", status=None)
                 return self.inner.complete(payload, params)
 
         deps = ChainDeps(
@@ -373,7 +373,7 @@ class TestRunChain:
 
             def complete(self, payload, params):
                 if payload.metadata["case"].endswith("#verify"):
-                    raise ProviderUnreachable("connection reset")
+                    raise ProviderError("connection reset", status=None)
                 return self.inner.complete(payload, params)
 
         deps = ChainDeps(provider=VerifyDown(), assertions=ASSERTIONS, case_id="case")
@@ -582,7 +582,6 @@ class TestTokenCountingWork:
             system="dask",
             prompt="Write the dask configuration that satisfies the intent.",
             intent="two dask workers with half a gig of memory each",
-            resource_context="node-1: 4 cpu, 16Gi memory",
         )
         counted: list[tuple[int, str]] = []
         attempt = 0
@@ -626,7 +625,7 @@ class TestTokenCountingWork:
         for number, record in enumerate(outcome.attempt_history, start=1):
             feedback = outcome.attempt_history[number - 2].feedback.render() if number > 1 else ""
             varying = (
-                len(request.intent) + len(request.prompt) + len(request.resource_context)
+                len(request.intent) + len(request.prompt)
                 + len(feedback) + len(record.response_text) + len(verify_reply)
             )
             chars = sum(len(text) for n, text in counted if n == number)

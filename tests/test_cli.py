@@ -7,7 +7,9 @@ import yaml
 from click.testing import CliRunner
 
 import intentconf.chain as chain_mod
+import intentconf.cli as cli_mod
 from intentconf.cli import main
+from intentconf.gateway import ProviderError
 from intentconf.preprocess import parse_config
 
 GOOD = (
@@ -140,6 +142,27 @@ class TestGenerate:
         assert isinstance(result.exception, ValueError)
         assert "error:" not in combined(result)
 
+    def test_unreachable_provider_is_a_failed_attempt_not_a_usage_error(
+        self, tmp_path, runner, monkeypatch
+    ):
+        class Unreachable:
+            def complete(self, payload, params):
+                raise ProviderError("cannot reach http://h/chat/completions: refused", status=None)
+
+        monkeypatch.setattr(cli_mod, "build_provider", lambda config: Unreachable())
+        app = make_workspace(tmp_path)
+        result = runner.invoke(
+            main,
+            ["-c", str(app), "generate", "--system", "dask", "--intent", "x", "--no-deploy"],
+        )
+        assert result.exit_code == 1, combined(result)
+        assert (
+            "attempt 1: provider error: cannot reach http://h/chat/completions: refused"
+            in result.output
+        )
+        assert "unresolved" in combined(result)
+        assert not any(line.startswith("error:") for line in combined(result).splitlines())
+
     # App config keys of the wrong type: the override and the key the message names.
     APP_TYPOS = {
         "attempts many": ({"max_chain_attempts": "many"}, "max_chain_attempts"),
@@ -187,6 +210,14 @@ class TestGenerate:
         "profile path empty": ("profiles", {"replicas_path": None}, "dask.replicas_path"),
         "profile replicas fraction": (
             "profiles", {"defaults": {"replicas": 2.5}}, "dask.defaults.replicas"
+        ),
+        # Checked when the file is read, not when a reply first uses the profile.
+        "profile path malformed": ("profiles", {"cpu_path": "worker//cpu"}, "dask: empty segment"),
+        "profile default cpu malformed": (
+            "profiles", {"defaults": {"cpu": "lots"}}, "dask: malformed cpu quantity"
+        ),
+        "profile default replicas zero": (
+            "profiles", {"defaults": {"replicas": 0}}, "dask: default replicas must be >= 1"
         ),
     }
 

@@ -16,7 +16,6 @@ from intentconf.gateway import (
     Provider,
     ProviderConfig,
     ProviderError,
-    ProviderUnreachable,
     RawResponse,
     SamplingParams,
     clamp_for_determinism,
@@ -301,8 +300,10 @@ class TestHttpProvider:
     def test_transport_failure(self):
         session = _FakeSession(error=requests.ConnectionError("refused"))
         provider = HttpProvider(ProviderConfig(base_url="http://h", model="m"), session=session)
-        with pytest.raises(ProviderUnreachable):
+        with pytest.raises(ProviderError) as info:
             provider.complete(self.payload(), SamplingParams())
+        assert str(info.value) == "cannot reach http://h/chat/completions: refused"
+        assert info.value.status is None
 
     def test_non_2xx_carries_status_and_body(self):
         session = _FakeSession(response=_FakeResponse(status_code=503, text="overloaded"))

@@ -15,7 +15,6 @@ from intentconf.harness import (
     AccuracyTable,
     BenchmarkCase,
     CostRecord,
-    DatasetError,
     HarnessDeps,
     TranscriptStats,
     accuracy_table_to_json,
@@ -29,7 +28,7 @@ from intentconf.harness import (
     run_static_eval,
     transcript_stats,
 )
-from intentconf.preprocess import Fields
+from intentconf.preprocess import Fields, InputError
 from intentconf.prompting import FewShotExample, GenerationRequest, OptimizationProfile
 from intentconf.retrieval import DEFAULT_TOP_K, build_index
 from intentconf.validation import AssertionKind, EmptyCorpus
@@ -79,13 +78,13 @@ class TestLoadDataset:
 
     def test_level_out_of_range(self, tmp_path):
         write_case(tmp_path, "dask", 7, "c1")
-        with pytest.raises(DatasetError):
+        with pytest.raises(InputError):
             load_dataset(tmp_path)
 
     def test_duplicate_ids_name_both_files(self, tmp_path):
         first = write_case(tmp_path, "dask", 1, "c1")
         second = write_case(tmp_path, "redis", 2, "c1")
-        with pytest.raises(DatasetError) as info:
+        with pytest.raises(InputError) as info:
             load_dataset(tmp_path)
         message = str(info.value)
         assert str(first) in message and str(second) in message
@@ -95,25 +94,25 @@ class TestLoadDataset:
         data = yaml.safe_load(path.read_text())
         del data["intent"]
         path.write_text(yaml.safe_dump(data), encoding="utf-8")
-        with pytest.raises(DatasetError) as info:
+        with pytest.raises(InputError) as info:
             load_dataset(tmp_path)
         assert str(path) in str(info.value)
 
     def test_empty_assertions_rejected(self, tmp_path):
         write_case(tmp_path, "dask", 1, "c1", assertions=[])
-        with pytest.raises(DatasetError):
+        with pytest.raises(InputError):
             load_dataset(tmp_path)
 
     def test_unknown_assertion_kind(self, tmp_path):
         write_case(
             tmp_path, "dask", 1, "c1", assertions=[{"path": "a", "kind": "Matches"}]
         )
-        with pytest.raises(DatasetError):
+        with pytest.raises(InputError):
             load_dataset(tmp_path)
 
     def test_blank_prompt_rejected(self, tmp_path):
         write_case(tmp_path, "dask", 1, "c1", prompt="   ")
-        with pytest.raises(DatasetError):
+        with pytest.raises(InputError):
             load_dataset(tmp_path)
 
     def test_mock_files_are_not_cases(self, tmp_path):
@@ -122,7 +121,7 @@ class TestLoadDataset:
         assert len(load_dataset(tmp_path)) == 1
 
     def test_missing_directory(self, tmp_path):
-        with pytest.raises(DatasetError):
+        with pytest.raises(InputError):
             load_dataset(tmp_path / "nope")
 
     def test_assertion_kinds_case_insensitive(self):
@@ -161,7 +160,7 @@ class TestLoadMockScripts:
     def test_duplicate_case_id_names_both_files(self, tmp_path):
         first = write_mock(tmp_path, "dask", 1, "c1", {"replies": [GOOD]})
         second = write_mock(tmp_path, "redis", 2, "c1", {"replies": [PROSE]})
-        with pytest.raises(DatasetError) as info:
+        with pytest.raises(InputError) as info:
             load_mock_scripts(tmp_path)
         message = str(info.value)
         assert str(first) in message and str(second) in message
@@ -169,14 +168,14 @@ class TestLoadMockScripts:
     def test_invalid_yaml_names_the_file(self, tmp_path):
         path = write_mock(tmp_path, "dask", 1, "c1", {"replies": [GOOD]})
         path.write_text("replies: [unclosed", encoding="utf-8")
-        with pytest.raises(DatasetError) as info:
+        with pytest.raises(InputError) as info:
             load_mock_scripts(tmp_path)
         assert str(info.value).startswith(f"{path}: not valid YAML")
 
     @pytest.mark.parametrize("mock", [{"replies": 5}, {"replies": {"one": GOOD}}, {"latency": "slow"}])
     def test_bad_value_names_the_file(self, tmp_path, mock):
         path = write_mock(tmp_path, "dask", 1, "c1", mock)
-        with pytest.raises(DatasetError) as info:
+        with pytest.raises(InputError) as info:
             load_mock_scripts(tmp_path)
         assert str(info.value).startswith(f"{path}: ")
 
@@ -278,10 +277,10 @@ class TestStaticEval:
                 self.inner = MockProvider(MockScript(default_reply=GOOD))
 
             def complete(self, payload, params):
-                from intentconf.gateway import ProviderUnreachable
+                from intentconf.gateway import ProviderError
 
                 if payload.metadata.get("case") == "c00":
-                    raise ProviderUnreachable("connection reset")
+                    raise ProviderError("connection reset", status=None)
                 return self.inner.complete(payload, params)
 
         table = run_static_eval(
@@ -291,7 +290,7 @@ class TestStaticEval:
         assert any("c00" in entry and "connection reset" in entry for entry in table.appendix)
 
     def test_empty_case_list_rejected(self):
-        with pytest.raises(DatasetError):
+        with pytest.raises(InputError):
             run_static_eval([], [OptimizationProfile.for_name("ip")], deps_with(MockScript()))
 
     def test_one_static_chain_per_profile_and_case(self, tmp_path, monkeypatch):

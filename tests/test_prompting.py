@@ -176,17 +176,6 @@ class TestBuildPrompt:
         assert message.index("replicas: 2") < incorrect
         assert "replicas: 0" in message[incorrect:]
 
-    def test_resource_context_rendered_in_task(self):
-        request = GenerationRequest(
-            system="dask", prompt="deploy it", intent="two workers",
-            resource_context="nodes: 2x (4 cores, 16Gi)",
-        )
-        payload = build_prompt(OptimizationProfile.for_name("ip"), request)
-        assert "Cluster resources available:" in payload.user_message
-        assert "nodes: 2x (4 cores, 16Gi)" in payload.user_message
-        plain = build_prompt(OptimizationProfile.for_name("ip"), REQUEST)
-        assert "Cluster resources available:" not in plain.user_message
-
     def test_feedback_is_final_section(self):
         payload = build_prompt(
             OptimizationProfile.for_name("ip"), REQUEST, feedback="it broke\nError: x"
@@ -363,19 +352,15 @@ class TestPromptTokens:
         name=st.sampled_from(PROFILE_NAMES),
         prompt=HOSTILE,
         intent=HOSTILE,
-        resource_context=HOSTILE,
         feedback=HOSTILE,
         examples=shots(),
         context=contexts(),
     )
     def test_summed_sections_equal_counting_the_texts(
-        self, name, prompt, intent, resource_context, feedback, examples, context
+        self, name, prompt, intent, feedback, examples, context
     ):
         profile = OptimizationProfile.for_name(name)
-        request = GenerationRequest(
-            system="dask", prompt=prompt + "p", intent=intent + "i",
-            resource_context=resource_context,
-        )
+        request = GenerationRequest(system="dask", prompt=prompt + "p", intent=intent + "i")
         # The second build reuses the examples' counted blocks.
         for attempt_feedback in ("", feedback):
             payload = build_prompt(profile, request, examples, context, attempt_feedback)

@@ -153,6 +153,17 @@ class TestExtractResources:
         )
         assert extraction.spec == ResourceSpec(2000, GIB, 3)
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"cpu_path": "shape//cpu"}, {"memory_path": "[0"}, {"default_cpu": "lots"},
+         {"default_memory": "1Ti"}, {"default_replicas": 0}],
+    )
+    def test_profile_rejects_what_no_reply_could_fix(self, override):
+        fields = {"system": "toy", "replicas_path": "count", "cpu_path": "shape/cpu",
+                  "memory_path": "shape/mem"}
+        with pytest.raises(ValueError):
+            SystemProfile(**{**fields, **override})
+
     def test_bundled_profiles_cover_target_systems(self):
         profiles = load_system_profiles()
         assert {"dask", "redis", "ray"} <= set(profiles)
