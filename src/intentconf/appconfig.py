@@ -23,7 +23,7 @@ from .gateway import (
     load_mock_script,
 )
 from .preprocess import Fields, InputError
-from .prompting import MAX_CHAIN_ATTEMPTS
+from .prompting import MAX_CHAIN_ATTEMPTS, PROFILE_NAMES
 from .retrieval import DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP, DEFAULT_TOP_K
 from .simulator import Workload
 
@@ -112,6 +112,10 @@ def load_app_config(path: Path | str | None) -> AppConfig:
     }
     default_workload = workloads.pop("default", defaults.default_workload)
 
+    profile = data.get("profile", defaults.profile).lower()
+    if profile not in PROFILE_NAMES:
+        raise data.fail(f"must be one of {', '.join(PROFILE_NAMES)}, got {profile!r}", "profile")
+
     attempts = data.get("max_chain_attempts", defaults.max_chain_attempts)
     if attempts < 1:
         raise data.fail(f"must be >= 1, got {attempts}", "max_chain_attempts")
@@ -127,7 +131,7 @@ def load_app_config(path: Path | str | None) -> AppConfig:
     paths = data.section("paths")
     config = AppConfig(
         provider=ProviderSettings(kind, _input_path(provider, "script"), http),
-        profile=data.get("profile", defaults.profile).lower(),
+        profile=profile,
         max_chain_attempts=attempts,
         sampling=data.section("sampling").fields_of(defaults.sampling),
         retrieval=retrieval,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .gateway import Provider, ProviderError, complete
+from .gateway import PromptPayload, Provider, ProviderError, complete
 from .preprocess import ConfigDocument, StructuralError, preprocess_reply
 from .prompting import (
     GenerationRequest,
@@ -26,7 +26,7 @@ from .prompting import (
     verify_alignment,
 )
 from .retrieval import DEFAULT_TOP_K, Chunk, RetrievalIndex, retrieve
-from .simulator import BenchmarkResult, DeploymentOutcome, Workload, filter_logs
+from .simulator import BenchmarkResult, ResourceSpec, Workload, filter_logs
 from .validation import Assertion, evaluate
 
 
@@ -63,51 +63,86 @@ class FeedbackContext:
 
 
 def make_feedback(
-    failed_stage: Stage, prior_stage: Stage | None, reason: str, raw_logs: str
+    failed_stage: Stage, prior_stage: Stage, reason: str, raw_logs: str
 ) -> FeedbackContext:
     reason = " ".join(reason.split()) or "unspecified failure"
-    if prior_stage is None:
-        summary = f"{failed_stage.value} failed due to {reason}"
-    else:
-        summary = f"{failed_stage.value} failed after {prior_stage.value} succeeded due to {reason}"
     return FeedbackContext(
         failed_stage=failed_stage,
         filtered_lines=tuple(filter_logs(raw_logs)),
-        summary=summary,
+        summary=f"{failed_stage.value} failed after {prior_stage.value} succeeded due to {reason}",
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class AttemptRecord:
-    """One attempt: how far it got, what it cost, what it fed forward."""
+    """One attempt: what it sent, how far it got, what it cost, what it fed forward.
+
+    The gate steps fill it in as they run: the reply, the parsed config,
+    the placed resources and the benchmark, each as far as the attempt got.
+    """
 
     attempt: int
-    stages_passed: tuple[Stage, ...]
-    reached: Stage
-    feedback: FeedbackContext | None
-    prompt_tokens: int
-    completion_tokens: int
-    latency_seconds: float
-    user_message: str
+    payload: PromptPayload
+    stages_passed: tuple[Stage, ...] = ()
+    reached: Stage = Stage.GENERATION
+    feedback: FeedbackContext | None = None
+    prompt_tokens: int = 0
+    completion_tokens: int = 0
+    latency_seconds: float = 0.0
     response_text: str = ""
     provider_error: str = ""
+    config: ConfigDocument | None = None
+    resources: ResourceSpec | None = None
+    benchmark: BenchmarkResult | None = None
+
+    @property
+    def user_message(self) -> str:
+        return self.payload.user_message
 
     @property
     def failed(self) -> bool:
         return self.feedback is not None or bool(self.provider_error)
 
+    def charge(self, raw) -> None:
+        self.prompt_tokens += raw.prompt_tokens
+        self.completion_tokens += raw.completion_tokens
+        self.latency_seconds += raw.latency_seconds
+
 
 @dataclass(frozen=True)
 class ChainOutcome:
-    resolved: bool
-    attempts_used: int
-    max_attempts: int
-    final_config: ConfigDocument | None
-    benchmark: BenchmarkResult | None
+    """A chain is its attempts; everything else is read from them."""
+
     attempt_history: tuple[AttemptRecord, ...]
-    total_prompt_tokens: int
-    total_completion_tokens: int
-    total_latency_seconds: float
+    max_attempts: int
+
+    @property
+    def resolved(self) -> bool:
+        return bool(self.attempt_history) and not self.attempt_history[-1].failed
+
+    @property
+    def attempts_used(self) -> int:
+        return len(self.attempt_history)
+
+    @property
+    def final_config(self) -> ConfigDocument | None:
+        return self.attempt_history[-1].config if self.resolved else None
+
+    @property
+    def benchmark(self) -> BenchmarkResult | None:
+        return self.attempt_history[-1].benchmark if self.resolved else None
+
+    @property
+    def total_prompt_tokens(self) -> int:
+        return sum(r.prompt_tokens for r in self.attempt_history)
+
+    @property
+    def total_completion_tokens(self) -> int:
+        return sum(r.completion_tokens for r in self.attempt_history)
+
+    @property
+    def total_latency_seconds(self) -> float:
+        return sum(r.latency_seconds for r in self.attempt_history)
 
     @property
     def total_tokens(self) -> int:
@@ -132,40 +167,29 @@ class ChainDeps:
     case_id: str = ""
 
 
-@dataclass
-class _Attempt:
-    """What one attempt's gate steps produce, and what its model calls cost."""
-
-    number: int
-    reply: str = ""
-    config: ConfigDocument | None = None
-    deployed: DeploymentOutcome | None = None
-    benchmark: BenchmarkResult | None = None
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    latency: float = 0.0
-
-    def charge(self, raw) -> None:
-        self.prompt_tokens += raw.prompt_tokens
-        self.completion_tokens += raw.completion_tokens
-        self.latency += raw.latency_seconds
-
-
 # A gate step returns None on a pass, or (reason, raw logs) on a failure. Steps
 # call the layers through this module's globals, looked up at call time.
 _Failure = tuple[str, str] | None
 
 
-def _structural(a: _Attempt, request, profile, deps) -> _Failure:
+def _generation(a: AttemptRecord, request, profile, deps) -> _Failure:
+    """The model answers the attempt's prompt."""
+    raw = complete(a.payload, profile.effective_sampling, deps.provider)
+    a.response_text = raw.text
+    a.charge(raw)
+    return None
+
+
+def _structural(a: AttemptRecord, request, profile, deps) -> _Failure:
     """The reply must reduce to one well-formed mapping."""
     try:
-        a.config = preprocess_reply(a.reply)
+        a.config = preprocess_reply(a.response_text)
     except StructuralError as exc:
         return str(exc), f"Error: {exc}"
     return None
 
 
-def _static_validation(a: _Attempt, request, profile, deps) -> _Failure:
+def _static_validation(a: AttemptRecord, request, profile, deps) -> _Failure:
     report = evaluate(a.config, deps.assertions, case_id=deps.case_id)
     if report.passed:
         return None
@@ -180,7 +204,7 @@ def _static_validation(a: _Attempt, request, profile, deps) -> _Failure:
     return reason, logs
 
 
-def _alignment(a: _Attempt, request, profile, deps) -> _Failure:
+def _alignment(a: AttemptRecord, request, profile, deps) -> _Failure:
     """The model re-reads its own output against the intent."""
     try:
         verdict = verify_alignment(
@@ -188,7 +212,7 @@ def _alignment(a: _Attempt, request, profile, deps) -> _Failure:
             request,
             deps.provider,
             profile.sampling,
-            metadata={"case": f"{deps.case_id}#verify", "attempt": str(a.number)},
+            metadata={"case": f"{deps.case_id}#verify", "attempt": str(a.attempt)},
         )
     except VerdictUnparseable as exc:
         a.charge(exc.raw)
@@ -200,23 +224,27 @@ def _alignment(a: _Attempt, request, profile, deps) -> _Failure:
     return reason, f"Error: intent misalignment: {reason}"
 
 
-def _deployment(a: _Attempt, request, profile, deps) -> _Failure:
-    a.deployed = deps.deployer.deploy(a.config, request.system)
-    if a.deployed.success:
-        return None
-    return a.deployed.failure_reason or "deployment failed", a.deployed.logs
+def _deployment(a: AttemptRecord, request, profile, deps) -> _Failure:
+    # Only what was placed is kept: the outcome's logs and per-replica
+    # placements would otherwise live as long as the chain's outcome.
+    deployed = deps.deployer.deploy(a.config, request.system)
+    if not deployed.success:
+        return deployed.failure_reason or "deployment failed", deployed.logs
+    a.resources = deployed.resources
+    return None
 
 
-def _runtime_benchmark(a: _Attempt, request, profile, deps) -> _Failure:
+def _runtime_benchmark(a: AttemptRecord, request, profile, deps) -> _Failure:
     try:
-        a.benchmark = deps.deployer.benchmark(a.deployed.resources, deps.workload)
+        a.benchmark = deps.deployer.benchmark(a.resources, deps.workload)
     except ValueError as exc:
         return str(exc), f"Error: {exc}"
     return None
 
 
-# Every stage after Generation, in Stage order: (stage, enabled(profile, deps), step).
+# Every stage, in Stage order: (stage, enabled(profile, deps), step).
 GATES = (
+    (Stage.GENERATION, lambda profile, deps: True, _generation),
     (Stage.STRUCTURAL, lambda profile, deps: True, _structural),
     (Stage.STATIC_VALIDATION, lambda profile, deps: bool(deps.assertions), _static_validation),
     (Stage.COT_VERIFICATION, lambda profile, deps: profile.use_cot, _alignment),
@@ -241,80 +269,42 @@ def run_chain(
     step-by-step, deployment when a deployer is wired in, and the runtime
     benchmark when that deployer can also benchmark a placed workload.
     """
-    history: list[AttemptRecord] = []
-    feedback: FeedbackContext | None = None
-    resolved: _Attempt | None = None
-
+    gates = [(stage, step) for stage, enabled, step in GATES if enabled(profile, deps)]
     context_chunks: tuple[Chunk, ...] = ()
     if profile.use_retrieval and deps.index is not None:
         context_chunks = tuple(
             retrieve(deps.index, f"{request.system} {request.intent}", k=deps.retrieval_k)
         )
 
+    history: list[AttemptRecord] = []
     for attempt in range(1, profile.max_chain_attempts + 1):
         payload = build_prompt(
             profile,
             request,
             shots=deps.shots,
             context_chunks=context_chunks,
-            feedback=feedback.render() if feedback else "",
+            feedback=history[-1].feedback.render() if history else "",
         )
-        payload = replace(payload, metadata={"case": deps.case_id, "attempt": str(attempt)})
-        a = _Attempt(number=attempt)
-        stages_passed: list[Stage] = []
-        reached = Stage.GENERATION
-        feedback = None
-        provider_error = ""
+        a = AttemptRecord(
+            attempt, replace(payload, metadata={"case": deps.case_id, "attempt": str(attempt)})
+        )
+        history.append(a)
         try:
-            raw = complete(payload, profile.effective_sampling, deps.provider)
-            a.reply = raw.text
-            a.charge(raw)
-            stages_passed.append(Stage.GENERATION)
-            for stage, enabled, step in GATES:
-                if not enabled(profile, deps):
-                    continue
-                reached = stage
+            for stage, step in gates:
+                a.reached = stage
                 failure = step(a, request, profile, deps)
                 if failure is not None:
-                    feedback = make_feedback(stage, stages_passed[-1], *failure)
+                    a.feedback = make_feedback(stage, a.stages_passed[-1], *failure)
                     break
-                stages_passed.append(stage)
+                a.stages_passed += (stage,)
         except ProviderError as exc:
             # A provider error, in the Generation call or the alignment
             # check's, ends the chain; it is not feedback for another attempt.
-            provider_error = str(exc)
-
-        history.append(
-            AttemptRecord(
-                attempt=attempt,
-                stages_passed=tuple(stages_passed),
-                reached=reached,
-                feedback=feedback,
-                prompt_tokens=a.prompt_tokens,
-                completion_tokens=a.completion_tokens,
-                latency_seconds=a.latency,
-                user_message=payload.user_message,
-                response_text=a.reply,
-                provider_error=provider_error,
-            )
-        )
-        if provider_error:
-            break
-        if feedback is None:
-            resolved = a
+            a.provider_error = str(exc)
+        if a.feedback is None:  # passed, or ended by a provider error
             break
 
-    return ChainOutcome(
-        resolved=resolved is not None,
-        attempts_used=history[-1].attempt if history else 0,
-        max_attempts=profile.max_chain_attempts,
-        final_config=resolved.config if resolved else None,
-        benchmark=resolved.benchmark if resolved else None,
-        attempt_history=tuple(history),
-        total_prompt_tokens=sum(r.prompt_tokens for r in history),
-        total_completion_tokens=sum(r.completion_tokens for r in history),
-        total_latency_seconds=sum(r.latency_seconds for r in history),
-    )
+    return ChainOutcome(tuple(history), profile.max_chain_attempts)
 
 
 def write_transcript(

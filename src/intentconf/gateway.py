@@ -62,25 +62,18 @@ def clamp_for_determinism(params: SamplingParams) -> SamplingParams:
 class PromptPayload:
     """One assembled request: system role text, user message, routing metadata.
 
-    ``prompt_tokens`` is the token count of the two texts. A builder that
-    has counted the pieces it joined passes their sum; when it is omitted,
-    the texts are counted here.
+    ``prompt_tokens`` is the token count of the two texts, which the
+    builder sums from the pieces it counted as it joined them.
     """
 
     system_instructions: str
     user_message: str
+    prompt_tokens: int
     metadata: Mapping[str, str] = field(default_factory=dict)
-    prompt_tokens: int | None = None
 
     def __post_init__(self):
         if not self.user_message:
             raise ValueError("user_message must be non-empty")
-        if self.prompt_tokens is None:
-            object.__setattr__(
-                self,
-                "prompt_tokens",
-                count_tokens(self.system_instructions) + count_tokens(self.user_message),
-            )
 
 
 @dataclass(frozen=True)
@@ -315,10 +308,8 @@ class MockProvider:
 
     def __init__(self, script: MockScript):
         self.script = script
-        self.calls = 0
 
     def complete(self, payload: PromptPayload, params: SamplingParams) -> RawResponse:
-        self.calls += 1
         scenario = payload.metadata.get("case", "")
         attempt = int(payload.metadata.get("attempt", "1"))
         reply = self.script.lookup(scenario, attempt)

@@ -201,10 +201,12 @@ class SystemProfile:
     default_replicas: int = 1
     default_cpu: str = "500m"
     default_memory: str = "512Mi"
+    # The three paths parsed, in replicas, cpu, memory order.
+    segments: tuple[list[str | int | None], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for path in (self.replicas_path, self.cpu_path, self.memory_path):
-            parse_path(path)
+        paths = (self.replicas_path, self.cpu_path, self.memory_path)
+        object.__setattr__(self, "segments", tuple(parse_path(path) for path in paths))
         parse_quantity(self.default_cpu, "cpu")
         parse_quantity(self.default_memory, "memory")
         if self.default_replicas < 1:
@@ -261,12 +263,12 @@ def extract_resources(
     root = config.root if isinstance(config, ConfigDocument) else config
     notes = []
     values = []
-    for name, path, default in (
-        ("replicas", profile.replicas_path, profile.default_replicas),
-        ("cpu", profile.cpu_path, profile.default_cpu),
-        ("memory", profile.memory_path, profile.default_memory),
+    for name, segments, default in zip(
+        ("replicas", "cpu", "memory"),
+        profile.segments,
+        (profile.default_replicas, profile.default_cpu, profile.default_memory),
     ):
-        matches = resolve_path(root, path)
+        matches = resolve_path(root, segments)
         value = matches[0] if matches else None
         if value is None:
             value = default

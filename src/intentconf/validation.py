@@ -17,7 +17,7 @@ import math
 import operator
 import re
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .preprocess import ConfigDocument
@@ -55,9 +55,10 @@ class Assertion:
     kind: AssertionKind
     expected: Any = None
     op: str = "="
+    segments: list[str | int | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        parse_path(self.path)
+        object.__setattr__(self, "segments", parse_path(self.path))
         if self.kind is AssertionKind.COMPARE:
             if self.op not in _COMPARE_OPS:
                 raise ValueError(f"comparison op must be one of {sorted(_COMPARE_OPS)}, got {self.op!r}")
@@ -90,10 +91,10 @@ def parse_path(path: str) -> list[str | int | None]:
     return segments
 
 
-def resolve_path(root: Any, path: str) -> list[Any]:
-    """All nodes matched by ``path``, in document order."""
+def resolve_path(root: Any, segments: Sequence[str | int | None]) -> list[Any]:
+    """All nodes matched by a path's ``segments`` (see parse_path), in document order."""
     frontier = [root]
-    for segment in parse_path(path):
+    for segment in segments:
         next_frontier: list[Any] = []
         for node in frontier:
             if segment is None:
@@ -206,7 +207,7 @@ def evaluate(
     """Check a configuration against assertions."""
     results = []
     for assertion in assertions:
-        matches = resolve_path(config.root, assertion.path)
+        matches = resolve_path(config.root, assertion.segments)
         reason = _failure(assertion, matches)
         results.append(AssertionResult(assertion, not reason, tuple(matches), reason))
     return ValidationReport(case_id=case_id, results=tuple(results))

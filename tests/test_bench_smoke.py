@@ -7,9 +7,13 @@ under ``tests/`` would notice when one of them breaks. Each run's
 transcript digest is pinned too: mock-provider transcripts are meant to
 stay byte-identical, so a change that moves one must update its pin here
 and say why. The digest depends on the seed, not on how many passes fit.
+
+The runs use a copy of ``src/`` and ``bench/``, so the records they write
+land in the copy's ``.bench_out/`` and not over the working tree's.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,13 +33,22 @@ TRANSCRIPT_SHA256 = {
 }
 
 
+@pytest.fixture(scope="module")
+def checkout(tmp_path_factory):
+    """A copy of the sources the benchmark builds from, to run it in."""
+    copy = tmp_path_factory.mktemp("checkout")
+    for name in ("src", "bench"):
+        shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
 @pytest.mark.parametrize("workload,trace", RUNS, ids=[f"{w}-trace{t}" for w, t in RUNS])
-def test_short_run_is_correct(workload, trace):
+def test_short_run_is_correct(checkout, workload, trace):
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "0.1",
                "--seed", str(SEED)]
     result = subprocess.run(
         [*command, "--trace", str(trace)],
-        cwd=ROOT,
+        cwd=checkout,
         capture_output=True,
         text=True,
         timeout=300,
@@ -44,6 +57,6 @@ def test_short_run_is_correct(workload, trace):
     last = result.stdout.strip().splitlines()[-1]
     assert '"correct": true' in last
     assert json.loads(last)["correct"] is True
-    record = ROOT / ".bench_out" / f"{workload}-seed{SEED}-trace{trace}.json"
+    record = checkout / ".bench_out" / f"{workload}-seed{SEED}-trace{trace}.json"
     digest = json.loads(record.read_text(encoding="utf-8"))["transcript_sha256"]
     assert digest == TRANSCRIPT_SHA256[workload]

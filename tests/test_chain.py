@@ -1,5 +1,6 @@
 """Log filtering, feedback wording, and the generate/check/repair loop."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -132,10 +133,6 @@ class TestMakeFeedback:
             "Deployment failed after StaticValidation succeeded due to insufficient memory"
         )
 
-    def test_summary_without_prior_stage(self):
-        feedback = make_feedback(Stage.GENERATION, None, "transport down", "")
-        assert feedback.summary == "Generation failed due to transport down"
-
     def test_reason_whitespace_normalized(self):
         feedback = make_feedback(Stage.STRUCTURAL, Stage.GENERATION, "a\n  b\t c", "")
         assert feedback.summary.endswith("due to a b c")
@@ -172,7 +169,7 @@ class TestStage:
 
     def test_gate_table_lists_each_later_stage_once_in_order(self):
         # Stage monotonicity of every attempt record rests on this.
-        assert [stage for stage, _, _ in GATES] == list(Stage)[1:]
+        assert [stage for stage, _, _ in GATES] == list(Stage)
 
     def test_simulator_does_not_import_chain(self):
         # The package's __init__ re-exports the chain, so the simulator is
@@ -307,6 +304,21 @@ class TestRunChain:
         )
         assert not outcome.resolved
         assert outcome.attempts_used == outcome.max_attempts == 3
+        assert outcome.final_config is None and outcome.benchmark is None
+
+    def test_failed_attempt_keeps_what_its_gates_produced(self):
+        outcome = run_chain(
+            REQUEST,
+            OptimizationProfile.for_name("ip"),
+            deps_for(script_for("case", [MISSING_KEY_CONFIG] * 3)),
+        )
+        assert not outcome.resolved
+        first = outcome.attempt_history[0]
+        assert first.feedback.failed_stage is Stage.STATIC_VALIDATION
+        assert first.config.root == {
+            "worker": {"resources": {"limits": {"cpu": "500m", "memory": "512Mi"}}}
+        }
+        assert first.resources is None and first.benchmark is None
         assert outcome.final_config is None and outcome.benchmark is None
 
     def test_feedback_fidelity_previous_attempt_only(self):
@@ -559,7 +571,10 @@ class TestTranscripts:
     def test_outcome_shape(self):
         outcome = self.outcome()
         assert isinstance(outcome, ChainOutcome)
-        assert outcome.attempts_used <= outcome.max_attempts
+        assert [f.name for f in dataclasses.fields(ChainOutcome)] == [
+            "attempt_history", "max_attempts"
+        ]
+        assert outcome.attempts_used == len(outcome.attempt_history) <= outcome.max_attempts
 
 
 class TestTokenCountingWork:

@@ -176,6 +176,7 @@ class TestGenerate:
         "paths list": ({"paths": ["a"]}, "paths"),
         "attempts fraction": ({"max_chain_attempts": 2.9}, "max_chain_attempts"),
         "attempts zero": ({"max_chain_attempts": 0}, "max_chain_attempts"),
+        "profile unknown": ({"profile": "bogus"}, "profile"),
         "max tokens fraction": ({"sampling": {"max_tokens": 10.7}}, "sampling.max_tokens"),
     }
 

@@ -79,11 +79,9 @@ class TestClamp:
 class TestPayloadAndResponse:
     def test_empty_user_message_rejected(self):
         with pytest.raises(ValueError):
-            PromptPayload(system_instructions="s", user_message="")
+            PromptPayload(system_instructions="s", user_message="", prompt_tokens=1)
 
-    def test_prompt_tokens_counted_from_texts_unless_given(self):
-        counted = PromptPayload(system_instructions="sys: a", user_message="hello, there")
-        assert counted.prompt_tokens == count_tokens("sys: a") + count_tokens("hello, there")
+    def test_given_prompt_tokens_survive_replace(self):
         given = PromptPayload(system_instructions="s", user_message="u", prompt_tokens=40)
         assert given.prompt_tokens == 40
         assert dataclasses.replace(given, metadata={"case": "c"}).prompt_tokens == 40
@@ -179,6 +177,7 @@ class TestMockProvider:
         return PromptPayload(
             system_instructions="sys words",
             user_message="user words here",
+            prompt_tokens=count_tokens("sys words") + count_tokens("user words here"),
             metadata={"case": case, "attempt": attempt},
         )
 
@@ -235,7 +234,11 @@ class TestHttpProvider:
     CONFIG = ProviderConfig(base_url="http://llm.local/v1", model="m1", api_key_env="FAKE_KEY")
 
     def payload(self):
-        return PromptPayload(system_instructions="sys", user_message="hello there")
+        return PromptPayload(
+            system_instructions="sys",
+            user_message="hello there",
+            prompt_tokens=count_tokens("sys") + count_tokens("hello there"),
+        )
 
     def test_success_with_usage(self, monkeypatch):
         monkeypatch.setenv("FAKE_KEY", "secret")

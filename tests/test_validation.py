@@ -68,26 +68,26 @@ class TestPaths:
         assert len(parse_path("workers/replicas")) == 2
 
     def test_nested_lookup(self):
-        assert resolve_path({"a": {"b": 1}}, "a/b") == [1]
+        assert resolve_path({"a": {"b": 1}}, parse_path("a/b")) == [1]
 
     def test_wildcard_over_sequence(self):
-        assert resolve_path({"w": [{"r": 2}, {"r": 3}]}, "w/*/r") == [2, 3]
+        assert resolve_path({"w": [{"r": 2}, {"r": 3}]}, parse_path("w/*/r")) == [2, 3]
 
     def test_wildcard_over_mapping_in_document_order(self):
         tree = {"svc": {"beta": {"port": 2}, "alpha": {"port": 1}}}
-        assert resolve_path(tree, "svc/*/port") == [2, 1]
+        assert resolve_path(tree, parse_path("svc/*/port")) == [2, 1]
 
     def test_index_segment(self):
-        assert resolve_path({"w": [{"r": 2}, {"r": 3}]}, "w/[1]/r") == [3]
+        assert resolve_path({"w": [{"r": 2}, {"r": 3}]}, parse_path("w/[1]/r")) == [3]
 
     def test_index_out_of_range_matches_nothing(self):
-        assert resolve_path({"w": [1]}, "w/[5]") == []
+        assert resolve_path({"w": [1]}, parse_path("w/[5]")) == []
 
     def test_missing_key(self):
-        assert resolve_path({"a": 1}, "z") == []
+        assert resolve_path({"a": 1}, parse_path("z")) == []
 
     def test_key_does_not_traverse_sequences(self):
-        assert resolve_path({"w": [{"r": 2}]}, "w/r") == []
+        assert resolve_path({"w": [{"r": 2}]}, parse_path("w/r")) == []
 
     @pytest.mark.parametrize("bad", ["", "  ", "a//b", "a/", "/a", "[x]", "[1", "1]", "a[0]"])
     def test_malformed_paths(self, bad):
@@ -95,7 +95,7 @@ class TestPaths:
             parse_path(bad)
 
     def test_wildcard_on_scalar_matches_nothing(self):
-        assert resolve_path({"a": 5}, "a/*") == []
+        assert resolve_path({"a": 5}, parse_path("a/*")) == []
 
 
 class TestAssertionGuards:
@@ -384,7 +384,7 @@ def paths(draw, tree):
         else:
             segment = draw(st.sampled_from(["[0]", "[3]", *KEYS]))
         segments.append(segment)
-        step = resolve_path(node, segment)
+        step = resolve_path(node, parse_path(segment))
         if not step:
             break
         node = step[0]
