@@ -40,13 +40,6 @@ class Stage(enum.Enum):
     DEPLOYMENT = "Deployment"
     RUNTIME_BENCHMARK = "RuntimeBenchmark"
 
-    @property
-    def order(self) -> int:
-        return _STAGE_ORDER[self]
-
-
-_STAGE_ORDER = {stage: i for i, stage in enumerate(Stage)}
-
 
 @dataclass(frozen=True)
 class FeedbackContext:
@@ -139,10 +132,6 @@ class ChainOutcome:
     @property
     def total_completion_tokens(self) -> int:
         return sum(r.completion_tokens for r in self.attempt_history)
-
-    @property
-    def total_latency_seconds(self) -> float:
-        return sum(r.latency_seconds for r in self.attempt_history)
 
     @property
     def total_tokens(self) -> int:

@@ -24,7 +24,7 @@ from . import harness as harness_mod
 from . import prompting, retrieval, validation
 from .appconfig import AppConfig, build_provider, load_app_config
 from .preprocess import ConfigDocument, Fields, InputError, StructuralError, load_yaml_file
-from .preprocess import parse_config, serialize_config
+from .preprocess import parse_config, read_text_file, serialize_config
 from .simulator import (
     GIB,
     BackendUnavailable,
@@ -68,7 +68,7 @@ def _load_assertions(path: Path) -> tuple[validation.Assertion, ...]:
 def _read_config(path: Path) -> ConfigDocument:
     """The configuration in ``path``; a structural error is printed and exits 1."""
     try:
-        return parse_config(path.read_text(encoding="utf-8"))
+        return parse_config(read_text_file(path))
     except StructuralError as exc:
         click.echo(f"structural error: {exc}", err=True)
         sys.exit(1)
@@ -379,9 +379,10 @@ def complexity(patterns: tuple[str, ...]):
         raise InputError(f"no files match {', '.join(patterns)}")
     documents = []
     for path in paths:
+        text = read_text_file(path)
         try:
-            documents.append(parse_config(path.read_text(encoding="utf-8")))
-        except (OSError, StructuralError) as exc:
+            documents.append(parse_config(text))
+        except StructuralError as exc:
             raise InputError(f"{path}: {exc}") from exc
     summary = validation.aggregate_complexity(documents)
     click.echo(f"Configs    {summary.count}")

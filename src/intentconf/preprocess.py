@@ -9,12 +9,14 @@ diffing and deployment always see identical bytes for identical trees.
 Parsing runs on libyaml when PyYAML was built with it. Text that libyaml
 reads differently from PyYAML's own scanner, and every error report, goes
 through the pure-Python loader, so results and messages are the same
-either way. ``load_yaml`` and ``dump_yaml`` give the rest of the package
-safe_load and safe_dump on the same terms, and ``load_yaml_file`` is the
-one reader of the package's input files: whatever is wrong with a file,
-the error is an InputError whose message names the file once. ``Fields``
-then reads every value in those files by one typed rule, and names the
-key of a value that does not read.
+either way. Input files are read by the same strict rule as replies:
+``load_yaml_file`` is the one reader of the package's YAML files and
+``read_text_file`` of its other text files, and whatever is wrong with a
+file, a duplicate key included, the error is an InputError whose message
+names the file once. ``Fields`` then reads every value in those files by
+one typed rule, and names the key of a value that does not read.
+``dump_yaml`` gives the rest of the package safe_dump on libyaml where it
+writes the same bytes.
 """
 
 from __future__ import annotations
@@ -94,11 +96,10 @@ class _PyUniqueKeyLoader(_ValueErrorsAtNodes, yaml.SafeLoader):
     """Pure-Python SafeLoader that rejects duplicate mapping keys instead of last-wins."""
 
 
-_C_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _C_SAFE_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
-class _UniqueKeyLoader(_ValueErrorsAtNodes, _C_SAFE_LOADER):
+class _UniqueKeyLoader(_ValueErrorsAtNodes, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """The same loader on libyaml, when PyYAML was built with it."""
 
 
@@ -120,8 +121,7 @@ for _loader in (_PyUniqueKeyLoader, _UniqueKeyLoader):
 # What loading can raise besides a YAMLError: RecursionError for nesting
 # deeper than the interpreter allows, UnicodeEncodeError from libyaml for a
 # lone surrogate, and the value errors above when they come from the part
-# of a collection constructor that runs after its node returned (or, in
-# safe_load, from any constructor).
+# of a collection constructor that runs after its node returned.
 _NON_YAML_ERRORS = (*_VALUE_ERRORS, RecursionError)
 _LOAD_ERRORS = (yaml.YAMLError, *_NON_YAML_ERRORS)
 
@@ -155,13 +155,24 @@ def _libyaml_reads_alike(text: str) -> bool:
     )
 
 
-def _loader_for(text: str):
-    return _UniqueKeyLoader if _libyaml_reads_alike(text) else _PyUniqueKeyLoader
-
-
 def _load_documents(text: str, loader) -> list:
     """The non-empty documents of ``text``; raises what the loader raises."""
     return [d for d in yaml.load_all(text, Loader=loader) if d is not None]
+
+
+def _load_strict(text: str) -> list:
+    """The non-empty documents of ``text``, loaded strictly.
+
+    libyaml words and places its errors differently, so every failure is
+    re-run on the pure-Python loader, which decides it and raises its own
+    error: results and messages read the same with or without libyaml.
+    """
+    if _libyaml_reads_alike(text):
+        try:
+            return _load_documents(text, _UniqueKeyLoader)
+        except _LOAD_ERRORS:
+            pass
+    return _load_documents(text, _PyUniqueKeyLoader)
 
 
 def _mark_position(exc: yaml.YAMLError) -> tuple[int | None, int | None]:
@@ -192,7 +203,8 @@ def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
     """
     last = text.count("\n")
     try:
-        docs = _load_documents(text, _loader_for(text))
+        loader = _UniqueKeyLoader if _libyaml_reads_alike(text) else _PyUniqueKeyLoader
+        docs = _load_documents(text, loader)
     except _NodeError as exc:
         if isinstance(exc, _KeyClash) and "*" in text:
             return None, last
@@ -280,21 +292,16 @@ def _largest_parsable_span(text: str) -> tuple[str, dict] | None:
 def parse_config(text: str) -> ConfigDocument:
     """Parse extracted text strictly into a ConfigDocument."""
     try:
-        docs = _load_documents(text, _loader_for(text))
-    except _LOAD_ERRORS:
-        # libyaml words and places its errors differently; the Python loader
-        # decides every failure, so reports read the same with or without it.
-        try:
-            docs = _load_documents(text, _PyUniqueKeyLoader)
-        except yaml.YAMLError as exc:
-            line, column = _mark_position(exc)
-            raise StructuralError(
-                StructuralErrorKind.PARSE_FAILURE, str(exc), line=line, column=column
-            ) from exc
-        except _NON_YAML_ERRORS as exc:
-            raise StructuralError(
-                StructuralErrorKind.PARSE_FAILURE, f"{type(exc).__name__}: {exc}"
-            ) from exc
+        docs = _load_strict(text)
+    except yaml.YAMLError as exc:
+        line, column = _mark_position(exc)
+        raise StructuralError(
+            StructuralErrorKind.PARSE_FAILURE, str(exc), line=line, column=column
+        ) from exc
+    except _NON_YAML_ERRORS as exc:
+        raise StructuralError(
+            StructuralErrorKind.PARSE_FAILURE, f"{type(exc).__name__}: {exc}"
+        ) from exc
     if len(docs) > 1:
         raise StructuralError(
             StructuralErrorKind.MULTIPLE_DOCUMENTS_AMBIGUOUS,
@@ -337,40 +344,37 @@ def preprocess_reply(raw: str) -> ConfigDocument:
     )
 
 
-def load_yaml(text: str):
-    """``yaml.safe_load(text)``: the same tree, or the same error, on libyaml where it can.
-
-    Duplicate keys are allowed, the last one winning, as in safe_load. Text
-    libyaml reads differently goes to the pure-Python loader, and so does
-    every failure, so errors read as safe_load's own.
-    """
-    if _libyaml_reads_alike(text):
-        try:
-            return yaml.load(text, Loader=_C_SAFE_LOADER)
-        except _LOAD_ERRORS:
-            pass
-    return yaml.load(text, Loader=yaml.SafeLoader)
-
-
 class InputError(ValueError):
     """A file or value the user supplied does not read or has the wrong shape."""
 
 
-def load_yaml_file(path):
-    """The YAML tree in ``path``, a file path or a package resource.
+def read_text_file(path) -> str:
+    """The UTF-8 text of ``path``; a file that does not read is an InputError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
-    A file that does not read or does not load raises an InputError with a
-    message that names the file once.
+
+def load_yaml_file(path):
+    """The YAML tree in ``path``, a file path or a package resource, read as a reply is.
+
+    An empty file reads as None. A file that does not read, does not load
+    by the strict rule or holds more than one document raises an InputError
+    with a message that names the file once.
     """
     if isinstance(path, str):
         path = Path(path)
+    text = read_text_file(path)
     try:
-        tree = load_yaml(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+        docs = _load_strict(text)
     except _LOAD_ERRORS as exc:
         raise InputError(f"{path}: not valid YAML: {exc}") from exc
-    return tree
+    if len(docs) > 1:
+        raise InputError(f"{path}: holds {len(docs)} YAML documents; expected one")
+    return docs[0] if docs else None
 
 
 _KIND_NOUNS = {int: "an integer", float: "a number", str: "a string"}

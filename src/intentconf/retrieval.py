@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
-from .preprocess import InputError
+from .preprocess import InputError, read_text_file
 
 DEFAULT_CHUNK_SIZE = 5000
 DEFAULT_OVERLAP = 500
@@ -206,8 +206,8 @@ def build_index(
 def load_corpus(root: Path | str) -> list[tuple[str, str]]:
     """Read every *.md / *.txt file under ``root``; the file path is the doc id.
 
-    A ``root`` that is not a directory, or a file that is not UTF-8 text, is
-    an InputError naming it.
+    A ``root`` that is not a directory, or a file that does not read as
+    UTF-8 text, is an InputError naming it.
     """
     root = Path(root)
     if not root.is_dir():
@@ -215,10 +215,7 @@ def load_corpus(root: Path | str) -> list[tuple[str, str]]:
     docs = []
     for path in sorted(root.rglob("*")):
         if path.suffix.lower() in (".md", ".txt") and path.is_file():
-            try:
-                docs.append((str(path.relative_to(root)), path.read_text(encoding="utf-8")))
-            except UnicodeDecodeError as exc:
-                raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+            docs.append((str(path.relative_to(root)), read_text_file(path)))
     return docs
 
 

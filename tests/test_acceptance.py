@@ -14,7 +14,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from intentconf.chain import ChainDeps, read_transcript, run_chain, write_transcript
+from intentconf.chain import ChainDeps, Stage, read_transcript, run_chain, write_transcript
 from intentconf.cli import main as cli_main
 from intentconf.gateway import (
     MockProvider,
@@ -267,10 +267,10 @@ def test_chain_suite_resolution_curve(tmp_path):
 
         history = outcome.attempt_history
         for record in history:
-            orders = [stage.order for stage in record.stages_passed]
+            orders = [list(Stage).index(stage) for stage in record.stages_passed]
             assert orders == sorted(orders) and len(set(orders)) == len(orders)
             if record.feedback is not None:
-                assert record.feedback.failed_stage.order > max(orders, default=-1)
+                assert list(Stage).index(record.feedback.failed_stage) > max(orders, default=-1)
         for n in range(1, len(history)):
             previous = history[n - 1].feedback
             assert previous is not None

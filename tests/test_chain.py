@@ -164,7 +164,7 @@ class TestStage:
             "Deployment",
             "RuntimeBenchmark",
         ]
-        orders = [s.order for s in Stage]
+        orders = [list(Stage).index(s) for s in Stage]
         assert orders == sorted(orders)
 
     def test_gate_table_lists_each_later_stage_once_in_order(self):
@@ -346,10 +346,10 @@ class TestRunChain:
         script = script_for("case", ["::broken::", BIG_MEMORY_CONFIG, GOOD_CONFIG])
         outcome = run_chain(REQUEST, OptimizationProfile.for_name("ip"), deps_for(script))
         for record in outcome.attempt_history:
-            orders = [stage.order for stage in record.stages_passed]
+            orders = [list(Stage).index(stage) for stage in record.stages_passed]
             assert orders == sorted(orders) and len(set(orders)) == len(orders)
             if record.feedback:
-                assert record.feedback.failed_stage.order > orders[-1] if orders else True
+                assert list(Stage).index(record.feedback.failed_stage) > orders[-1] if orders else True
 
     def test_provider_error_aborts_chain(self):
         class FlakyProvider:

@@ -222,6 +222,13 @@ class TestGenerate:
         ),
     }
 
+    # A config file that is not UTF-8 text, read by each command that takes one.
+    NOT_UTF8 = {
+        "validate config not utf-8": ["validate", "config.yaml", "--assertions", "checks.yaml"],
+        "deploy config not utf-8": ["deploy", "config.yaml", "--system", "dask"],
+        "complexity file not utf-8": ["complexity", "config.yaml"],
+    }
+
     @staticmethod
     def bad_file(tmp_path, app, kind, override):
         """Write ``override`` into the input file of ``kind``; the command that
@@ -265,7 +272,8 @@ class TestGenerate:
         "bad",
         ["provider script", "cluster model", "retrieval k", "empty intent", *APP_TYPOS,
          "cluster cpu inf", "profiles not a mapping", "docs not utf-8", "docs is a file",
-         "attempts flag zero", "attempts flag negative", *FILE_TYPOS],
+         "attempts flag zero", "attempts flag negative", *FILE_TYPOS, *NOT_UTF8,
+         "app profile twice", "case assertions twice"],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, runner, bad, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -275,6 +283,7 @@ class TestGenerate:
         intent = "x"
         named = None  # (file, key): the message names each once, the key right after the file
         mentioned = None  # a key the message names, for an option given on the command line
+        at_line = None  # the line of the file the message names
         if bad in self.FILE_TYPOS:
             kind, override, key = self.FILE_TYPOS[bad]
             args, file = self.bad_file(tmp_path, app, kind, override)
@@ -311,6 +320,23 @@ class TestGenerate:
             write_yaml(app, {**config, "paths": {"output": "out", "docs": "guide.md"}})
             args += ["--no-deploy"]
             named = ((tmp_path / "guide.md").resolve(), "not a directory")
+        elif bad in self.NOT_UTF8:
+            (tmp_path / "config.yaml").write_bytes(b"replicas: \xff")
+            args, intent = self.NOT_UTF8[bad], None
+            named = ("config.yaml", "not UTF-8 text")
+        elif bad == "app profile twice":
+            text = app.read_text(encoding="utf-8").replace("profile: ip\n", "profile: cot\nprofile: ip\n")
+            app.write_text(text, encoding="utf-8")
+            named = (app, "not valid YAML: duplicate key 'profile'")
+            at_line = text.splitlines().index("profile: ip") + 1
+        elif bad == "case assertions twice":
+            case = tmp_path / "dataset" / "dask" / "level1" / "c1.yaml"
+            text = case.read_text(encoding="utf-8")
+            at_line = text.count("\n") + 1
+            text += "assertions:\n- path: worker/replicas\n  kind: Exists\n"
+            case.write_text(text, encoding="utf-8")
+            args, intent = ["-c", str(app), "bench", "--profiles", "ip"], None
+            named = (case.resolve(), "not valid YAML: duplicate key 'assertions'")
         elif bad.startswith("attempts flag"):
             args += ["--no-deploy", "--max-attempts", "0" if bad.endswith("zero") else "-1"]
             mentioned = "max_chain_attempts"
@@ -327,6 +353,8 @@ class TestGenerate:
             rest = line.removeprefix(f"error: {file}: ")
             assert rest != line and str(file) not in rest, line
             assert rest.startswith(key) and rest.count(key) == 1, line
+        if at_line is not None:
+            assert f", line {at_line}, column 1:" in combined(result), combined(result)
 
     def test_shell_backend_requires_explicit_opt_in(self, tmp_path, runner):
         app = make_workspace(tmp_path, scenarios={"demo": {"replies": [GOOD]}})

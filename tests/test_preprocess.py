@@ -13,7 +13,7 @@ from intentconf.preprocess import (
     StructuralError,
     StructuralErrorKind,
     dump_yaml,
-    load_yaml,
+    load_yaml_file,
     parse_config,
     preprocess_reply,
     read_scalar,
@@ -419,7 +419,8 @@ class TestErrorReports:
         assert (info.value.line, info.value.column) == (2, 1)
 
 
-# The routed loader and dumper against PyYAML's own safe_load and safe_dump.
+# The routed loader against PyYAML's pure-Python unique-key loader, and the
+# routed dumper against PyYAML's own safe_dump.
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 
 
@@ -433,21 +434,63 @@ def load_outcome(load, text):
         return "error", type(exc), str(exc)
 
 
-def c_load(text):
-    return yaml.load(text, Loader=yaml.CSafeLoader)
+def strict_documents(loader):
+    return lambda text: [d for d in yaml.load_all(text, Loader=loader) if d is not None]
+
+
+py_strict = strict_documents(preprocess_mod._PyUniqueKeyLoader)
+c_strict = strict_documents(preprocess_mod._UniqueKeyLoader)
+
+
+@pytest.fixture(scope="module")
+def yaml_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("load") / "input.yaml"
+
+
+def file_load(path):
+    """``load_yaml_file`` on ``text`` written to ``path``."""
+
+    def load(text):
+        path.write_text(text, encoding="utf-8")
+        return load_yaml_file(path)
+
+    return load
+
+
+def strict_file_load(path):
+    """The pure-Python unique-key loader's one document of ``text`` (None for
+    none), or its error as the InputError that names ``path``."""
+
+    def load(text):
+        try:
+            docs = py_strict(text)
+        except RecursionError:
+            raise
+        except Exception as exc:  # the oracle's own exception, whatever it is
+            raise InputError(f"{path}: not valid YAML: {exc}") from exc
+        if len(docs) > 1:
+            raise InputError(f"{path}: holds {len(docs)} YAML documents; expected one")
+        return docs[0] if docs else None
+
+    return load
 
 
 class TestLoadYaml:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(REPLY_LINES), max_size=8), st.booleans())
-    def test_same_tree_or_error_as_safe_load(self, lines, trailing_newline):
+    def test_same_tree_or_error_as_strict_loader(self, yaml_file, lines, trailing_newline):
         text = "\n".join(lines) + ("\n" if trailing_newline else "")
-        expected = load_outcome(yaml.safe_load, text)
+        expected = load_outcome(strict_file_load(yaml_file), text)
         if expected is not None:
-            assert load_outcome(load_yaml, text) == expected
+            assert load_outcome(file_load(yaml_file), text) == expected
 
-    def test_duplicate_keys_last_wins(self):
-        assert load_yaml("a: 1\na: 2") == {"a": 2}
+    def test_duplicate_key_names_the_file_and_line(self, yaml_file):
+        yaml_file.write_text("profile: cot\nprofile: ip\n", encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            load_yaml_file(yaml_file)
+        message = str(info.value)
+        assert message.startswith(f"{yaml_file}: not valid YAML: duplicate key 'profile'")
+        assert "line 2, column 1" in message
 
     # Each text is one that libyaml reads differently from PyYAML's scanner,
     # so a routing rule left out hands it to libyaml and the result changes.
@@ -462,10 +505,10 @@ class TestLoadYaml:
             "[a?b]",  # a '?' inside a flow plain scalar
         ],
     )
-    def test_routing_rules(self, text):
-        expected = load_outcome(yaml.safe_load, text)
-        assert load_outcome(c_load, text) != expected
-        assert load_outcome(load_yaml, text) == expected
+    def test_routing_rules(self, yaml_file, text):
+        assert load_outcome(c_strict, text) != load_outcome(py_strict, text)
+        expected = load_outcome(strict_file_load(yaml_file), text)
+        assert load_outcome(file_load(yaml_file), text) == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -478,14 +521,16 @@ class TestLoadYaml:
             "expires: 2024-02-30",  # a constructor error
         ],
     )
-    def test_failures_are_decided_by_pyyaml(self, text):
-        assert load_outcome(load_yaml, text) == load_outcome(yaml.safe_load, text)
+    def test_failures_are_decided_by_pyyaml(self, yaml_file, text):
+        expected = load_outcome(strict_file_load(yaml_file), text)
+        assert load_outcome(file_load(yaml_file), text) == expected
 
-    def test_deep_nesting_stays_off_libyaml(self):
+    def test_deep_nesting_stays_off_libyaml(self, yaml_file):
         # libyaml's composer recurses on the C stack; PyYAML's stops at the
-        # interpreter's recursion limit.
-        with pytest.raises(RecursionError):
-            load_yaml("- " * 1500 + "a")
+        # interpreter's recursion limit, and the file reads as bad input.
+        yaml_file.write_text("- " * 1500 + "a", encoding="utf-8")
+        with pytest.raises(InputError, match="not valid YAML: maximum recursion depth"):
+            load_yaml_file(yaml_file)
 
 
 SERIALIZE_OPTIONS = dict(default_flow_style=False, indent=2, sort_keys=False, allow_unicode=True)
