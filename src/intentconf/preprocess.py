@@ -15,8 +15,8 @@ either way. Input files are read by the same strict rule as replies:
 file, a duplicate key included, the error is an InputError whose message
 names the file once. ``Fields`` then reads every value in those files by
 one typed rule, and names the key of a value that does not read.
-``dump_yaml`` gives the rest of the package safe_dump on libyaml where it
-writes the same bytes.
+``dump_yaml`` writes safe_dump's bytes, by itself for the plain block trees
+the package builds.
 """
 
 from __future__ import annotations
@@ -94,9 +94,6 @@ class _ValueErrorsAtNodes:
 
 class _PyUniqueKeyLoader(_ValueErrorsAtNodes, yaml.SafeLoader):
     """Pure-Python SafeLoader that rejects duplicate mapping keys instead of last-wins."""
-
-
-_C_SAFE_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 class _UniqueKeyLoader(_ValueErrorsAtNodes, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -230,23 +227,13 @@ def _fenced_blocks(text: str) -> list[str]:
     The opening fence may carry a language tag; an unterminated fence runs
     to the end of the text.
     """
-    blocks = []
-    lines = text.splitlines()
-    body: list[str] | None = None
-    for line in lines:
-        stripped = line.strip()
-        if stripped.startswith("```"):
-            if body is None:
-                body = []
-            else:
-                blocks.append("\n".join(body))
-                body = None
-            continue
-        if body is not None:
-            body.append(line)
-    if body is not None:
-        blocks.append("\n".join(body))
-    return blocks
+    segments: list[list[str]] = [[]]  # fence bodies are the odd ones
+    for line in text.splitlines():
+        if line.strip().startswith("```"):
+            segments.append([])
+        else:
+            segments[-1].append(line)
+    return ["\n".join(body) for body in segments[1::2]]
 
 
 # A mapping needs a ':', '{' or '?' indicator or a '!' tag ("!!map" alone
@@ -358,6 +345,17 @@ def read_text_file(path) -> str:
         raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
+def _one_line(exc: Exception, text: str) -> str:
+    """A load error of ``text`` on one line: its problem, then its line and column."""
+    line, column = _mark_position(exc)
+    problem = getattr(exc, "problem", None)
+    if isinstance(exc, yaml.reader.ReaderError):
+        start = text.rfind("\n", 0, exc.position) + 1
+        line, column = text.count("\n", 0, start) + 1, exc.position - start + 1
+        problem = f"unacceptable character #x{exc.character:04x}: {exc.reason}"
+    return str(exc) if line is None else f"{problem} at line {line}, column {column}"
+
+
 def load_yaml_file(path):
     """The YAML tree in ``path``, a file path or a package resource, read as a reply is.
 
@@ -371,7 +369,7 @@ def load_yaml_file(path):
     try:
         docs = _load_strict(text)
     except _LOAD_ERRORS as exc:
-        raise InputError(f"{path}: not valid YAML: {exc}") from exc
+        raise InputError(f"{path}: not valid YAML: {_one_line(exc, text)}") from exc
     if len(docs) > 1:
         raise InputError(f"{path}: holds {len(docs)} YAML documents; expected one")
     return docs[0] if docs else None
@@ -486,75 +484,84 @@ class Fields:
         return self.build(replace, defaults, **values)
 
 
-# Where the two emitters write the same tree differently, found by comparing
-# them on generated trees. Any character outside these sets can make a
-# scalar double-quoted, and the emitters fold long double-quoted scalars
-# differently; libyaml also escapes characters past U+FFFF that PyYAML
-# prints, and raises UnicodeEncodeError on a lone surrogate. PyYAML writes
-# a key as a simple key while its text and its tag ("!!str") stay under 128
-# characters, libyaml while its UTF-8 bytes are at most 128 (it writes
-# an empty key as a simple key too), so a key of 1 to 122 bytes is simple
-# for both. A root scalar gets a "..." line from PyYAML only.
-_UNPRINTED = {
-    True: re.compile(r"[^\x20-\x7e\xa0-\ud7ff\ue000-\ufefe\uff00-\ufffd]"),
-    False: re.compile(r"[^\x20-\x7e]"),
+# dump_yaml writes block YAML itself where it can vouch for PyYAML's bytes: a dict or
+# list root, each container met once (PyYAML anchors one met twice), keys PyYAML writes
+# as simple keys (under 128 characters with the "!!str" tag) and leaves it writes plain.
+# A plain leaf reads back as its own type by the Resolver and keeps to a conservative
+# character set without line breaks: no leading indicator, space or document marker, no
+# ": ", " #" or trailing ":" or space, and no space past column 80, where PyYAML folds.
+_PLAIN_FORM = r"(?!---|\.\.\.|[-?:](?: |\Z)|[ #,\[\]{}&*!|>'\"%%@`])(?:(?!: |:\Z| #| \Z)[\x20-\x7e%s])+"
+_PLAIN = {
+    False: re.compile(_PLAIN_FORM % ""),
+    True: re.compile(_PLAIN_FORM % r"\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd"),
 }
-_MAX_SIMPLE_KEY_BYTES = 122
-_PLAIN_SCALARS = (int, float, bool, type(None))
+_RESOLVE = yaml.resolver.Resolver().resolve
+_REPRESENTER = yaml.representer.SafeRepresenter()
 
 
-def _libyaml_emits_alike(tree, allow_unicode) -> bool:
-    """Whether CSafeDumper writes ``tree`` byte for byte as SafeDumper does.
+def _plain(value, unicode: bool) -> str | None:
+    """The text safe_dump writes plain for the scalar ``value``, or None."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    if kind is str:
+        text, tag = value, "tag:yaml.org,2002:str"
+    elif kind is float:
+        node = _REPRESENTER.represent_float(value)
+        text, tag = node.value, node.tag
+    else:
+        return None
+    plain = _PLAIN[unicode].fullmatch(text) and _RESOLVE(yaml.ScalarNode, text, (True, False)) == tag
+    return text if plain else None
 
-    One walk over the tree, each container once (a repeated one is written
-    as an alias by both). Leaves must be strings or plain scalars: a set,
-    for one, turns its members into keys.
-    """
-    unprinted = _UNPRINTED[bool(allow_unicode)]
-    if type(tree) not in (dict, list):
-        return False
-    seen = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is str:
-            if unprinted.search(node):
+
+def _write_block(node, indent: int, inline: bool, unicode: bool, out: list, seen: set) -> bool:
+    """Append the dict or list ``node`` to ``out`` at ``indent``, its first entry on
+    the current line if ``inline``; False where safe_dump could write it otherwise."""
+    pad = "" if inline else " " * indent
+    is_mapping = type(node) is dict
+    for entry in node:
+        if is_mapping:
+            if type(entry) is not str or len(entry) > 122 or _plain(entry, unicode) is None:
                 return False
-        elif kind is dict or kind is list:
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if kind is list:
-                stack.extend(node)
-                continue
-            for key in node:
-                if (
-                    type(key) is not str
-                    or not key
-                    or unprinted.search(key)
-                    or len(key.encode()) > _MAX_SIMPLE_KEY_BYTES
-                ):
+            value, column = node[entry], indent + len(entry) + 2
+            out.append(f"{pad}{entry}:")
+        else:
+            value, column = entry, indent + 2
+            out.append(f"{pad}-")
+        pad = " " * indent
+        kind = type(value)
+        if kind is dict or kind is list:
+            if id(value) in seen:
+                return False
+            seen.add(id(value))
+            if value:  # under a key on the next line, a list not indented; under "-" inline
+                inner = indent if is_mapping and kind is list else indent + 2
+                out.append("\n" if is_mapping else " ")
+                if not _write_block(value, inner, not is_mapping, unicode, out, seen):
                     return False
-            stack.extend(node.values())
-        elif kind not in _PLAIN_SCALARS:
-            return False
+                continue
+            text = "{}" if kind is dict else "[]"
+        else:
+            text = _plain(value, unicode)
+            if text is None or (" " in text and column + text.rfind(" ") > 80):
+                return False
+        out.append(f" {text}\n")
     return True
 
 
-def dump_yaml(tree, **options) -> str:
-    """``yaml.safe_dump(tree, **options)``, on libyaml when it writes the tree the same."""
-    alike = _libyaml_emits_alike(tree, options.get("allow_unicode"))
-    return yaml.dump(tree, Dumper=_C_SAFE_DUMPER if alike else yaml.SafeDumper, **options)
+def dump_yaml(tree, *, allow_unicode: bool = False) -> str:
+    """``yaml.safe_dump`` in block style, two-space indent and key order kept."""
+    out: list[str] = []
+    if type(tree) in (dict, list) and _write_block(tree, 0, False, allow_unicode, out, {id(tree)}):
+        return "".join(out) or ("{}\n" if type(tree) is dict else "[]\n")
+    options = dict(default_flow_style=False, indent=2, sort_keys=False, allow_unicode=allow_unicode)
+    return yaml.safe_dump(tree, **options)
 
 
 def serialize_config(document: ConfigDocument | dict) -> str:
     """Canonical YAML form: block style, two-space indent, key order preserved."""
     root = document.root if isinstance(document, ConfigDocument) else document
-    return dump_yaml(
-        root,
-        default_flow_style=False,
-        indent=2,
-        sort_keys=False,
-        allow_unicode=True,
-    )
+    return dump_yaml(root, allow_unicode=True)

@@ -309,7 +309,7 @@ def _config_text(shot: Fields, key: str) -> str:
     """The configuration at ``key``: text, or a mapping written out as YAML."""
     value = shot.raw.get(key)
     if isinstance(value, dict):
-        return dump_yaml(value, default_flow_style=False, indent=2, sort_keys=False)
+        return dump_yaml(value)
     return shot.get(key, "")
 
 

@@ -12,7 +12,6 @@ cuts a backend's output down to the lines worth feeding back to the model.
 from __future__ import annotations
 
 import math
-import os
 import re
 import shutil
 import tempfile
@@ -426,19 +425,17 @@ class ShellDeployer:
         if shutil.which(self.cli) is None:
             raise BackendUnavailable(f"cluster CLI {self.cli!r} not found on PATH")
         import subprocess  # only this backend uses it; importing the package stays lighter
-        with tempfile.NamedTemporaryFile("w", suffix=".yaml", delete=False) as handle:
-            handle.write(serialize_config(config))
-            manifest = handle.name
-        command = [self.cli, "apply", "-f", manifest]
-        try:
-            proc = subprocess.run(
-                command, capture_output=True, text=True, timeout=SHELL_DEPLOY_TIMEOUT_S
-            )
-        except subprocess.TimeoutExpired:
-            reason = f"{self.cli} did not finish within {SHELL_DEPLOY_TIMEOUT_S:g} s"
-            return DeploymentOutcome(success=False, failure_reason=reason, logs=f"Error: {reason}")
-        finally:
-            os.unlink(manifest)
+        with tempfile.TemporaryDirectory() as scratch:  # removed on every path
+            manifest = Path(scratch) / "manifest.yaml"
+            manifest.write_text(serialize_config(config), encoding="utf-8")
+            command = [self.cli, "apply", "-f", str(manifest)]
+            try:
+                proc = subprocess.run(
+                    command, capture_output=True, text=True, timeout=SHELL_DEPLOY_TIMEOUT_S
+                )
+            except subprocess.TimeoutExpired:
+                reason = f"{self.cli} did not finish within {SHELL_DEPLOY_TIMEOUT_S:g} s"
+                return DeploymentOutcome(success=False, failure_reason=reason, logs=f"Error: {reason}")
         logs = proc.stdout + ("\n" + proc.stderr if proc.stderr else "")
         if proc.returncode == 0:
             return DeploymentOutcome(success=True, logs=logs)

@@ -344,17 +344,19 @@ class TestGenerate:
             intent = ""
         result = runner.invoke(main, args if intent is None else args + ["--intent", intent])
         assert result.exit_code == 2, combined(result)
-        assert "error:" in combined(result)
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, result.output
         if mentioned is not None:
             assert mentioned in combined(result), combined(result)
         if named is not None:
             file, key = named
-            line = next(line for line in combined(result).splitlines() if line.startswith("error:"))
+            line = errors[0]
             rest = line.removeprefix(f"error: {file}: ")
             assert rest != line and str(file) not in rest, line
             assert rest.startswith(key) and rest.count(key) == 1, line
-        if at_line is not None:
-            assert f", line {at_line}, column 1:" in combined(result), combined(result)
+        if at_line is not None:  # on the one line, and nothing after it
+            assert errors[0].endswith(f" at line {at_line}, column 1"), result.output
+            assert result.output.splitlines()[-1] == errors[0], result.output
 
     def test_shell_backend_requires_explicit_opt_in(self, tmp_path, runner):
         app = make_workspace(tmp_path, scenarios={"demo": {"replies": [GOOD]}})

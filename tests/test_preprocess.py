@@ -1,5 +1,10 @@
 """Extraction of YAML from chatty replies, strict parsing, canonical output."""
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -420,7 +425,7 @@ class TestErrorReports:
 
 
 # The routed loader against PyYAML's pure-Python unique-key loader, and the
-# routed dumper against PyYAML's own safe_dump.
+# direct writer against PyYAML's own safe_dump.
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 
 
@@ -457,9 +462,21 @@ def file_load(path):
     return load
 
 
+def one_line(exc, text):
+    """PyYAML's error on ``text`` as one line: the problem, then its line and column."""
+    if isinstance(exc, yaml.reader.ReaderError):
+        before = text[: exc.position].split("\n")
+        problem = f"unacceptable character #x{exc.character:04x}: {exc.reason}"
+        return f"{problem} at line {len(before)}, column {len(before[-1]) + 1}"
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None:
+        return str(exc)
+    return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+
+
 def strict_file_load(path):
     """The pure-Python unique-key loader's one document of ``text`` (None for
-    none), or its error as the InputError that names ``path``."""
+    none), or its error on one line, as the InputError that names ``path``."""
 
     def load(text):
         try:
@@ -467,7 +484,7 @@ def strict_file_load(path):
         except RecursionError:
             raise
         except Exception as exc:  # the oracle's own exception, whatever it is
-            raise InputError(f"{path}: not valid YAML: {exc}") from exc
+            raise InputError(f"{path}: not valid YAML: {one_line(exc, text)}") from exc
         if len(docs) > 1:
             raise InputError(f"{path}: holds {len(docs)} YAML documents; expected one")
         return docs[0] if docs else None
@@ -488,9 +505,26 @@ class TestLoadYaml:
         yaml_file.write_text("profile: cot\nprofile: ip\n", encoding="utf-8")
         with pytest.raises(InputError) as info:
             load_yaml_file(yaml_file)
-        message = str(info.value)
-        assert message.startswith(f"{yaml_file}: not valid YAML: duplicate key 'profile'")
-        assert "line 2, column 1" in message
+        assert str(info.value) == (
+            f"{yaml_file}: not valid YAML: duplicate key 'profile' at line 2, column 1"
+        )
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("a: [unclosed", "expected ',' or ']', but got '<stream end>' at line 1, column 13"),
+            ("a: 1\n b: 2\nc", "mapping values are not allowed here at line 2, column 3"),
+            ("a: 1\nb: \x07", "unacceptable character #x0007: special characters are not "
+             "allowed at line 2, column 4"),
+            ("expires: 2024-02-30", "invalid tag:yaml.org,2002:timestamp value: day is out of "
+             "range for month at line 1, column 10"),
+        ],
+    )
+    def test_error_is_one_line(self, yaml_file, text, problem):
+        yaml_file.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            load_yaml_file(yaml_file)
+        assert str(info.value) == f"{yaml_file}: not valid YAML: {problem}"
 
     # Each text is one that libyaml reads differently from PyYAML's scanner,
     # so a routing rule left out hands it to libyaml and the result changes.
@@ -537,7 +571,7 @@ SERIALIZE_OPTIONS = dict(default_flow_style=False, indent=2, sort_keys=False, al
 SHOT_OPTIONS = dict(default_flow_style=False, indent=2, sort_keys=False)
 OPTION_SETS = (SERIALIZE_OPTIONS, SHOT_OPTIONS)
 
-# Characters both emitters print as they are (the non-ASCII ones only with
+# Characters PyYAML prints as they are (the non-ASCII ones only with
 # allow_unicode), and characters that make a scalar escaped or unprintable.
 PRINTED_CHARS = list("abcxyz   ::--#'\"!&*?{}[],|>%@`~.0123") + ["\u00e9", "\u4e2d", "\xa0"]
 OTHER_CHARS = ["\n", "\t", "\x07", "\x85", "\u2028", "\ufeff", "\U0001f600", "\ud800"]
@@ -563,43 +597,74 @@ dump_trees = st.recursive(
 dump_roots = st.lists(dump_trees, max_size=3) | st.dictionaries(dump_keys, dump_trees, max_size=3)
 
 
-def c_dump(tree, options):
-    try:
-        return yaml.dump(tree, Dumper=yaml.CSafeDumper, **options)
-    except Exception as exc:  # libyaml's own failure, e.g. on a lone surrogate
-        return type(exc)
+# Trees shaped like the configurations the package writes, which the direct
+# writer takes: lowercase keys, text that starts with a letter, words with
+# single spaces that reach past the folding column, nested containers. The
+# table below holds the leaves at the edges of its rules.
+LOWER = "abcdefghijklmnopqrstuvwxyz"
+config_keys = st.text(LOWER, min_size=1, max_size=10)
+config_text = (
+    st.tuples(st.sampled_from(LOWER), st.text(LOWER + "ABC0123456789_./:-", max_size=15)).map("".join)
+    | st.lists(st.text(LOWER, min_size=1, max_size=9), min_size=4, max_size=15).map(" ".join)
+    | st.just("caf\u00e9")
+)
+config_trees = st.recursive(
+    config_text | st.none() | st.booleans() | st.integers() | st.floats(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(config_keys, inner, max_size=4),
+    max_leaves=30,
+)
+config_roots = st.lists(config_trees, max_size=3) | st.dictionaries(config_keys, config_trees, max_size=4)
+
+
+def written(tree, options):
+    """``dump_yaml`` under one of the two option sets it serves."""
+    return dump_yaml(tree, allow_unicode=options.get("allow_unicode", False))
+
+
+def refuse_fallback(monkeypatch):
+    """Make ``yaml.safe_dump`` fail, so that only the direct writer can answer."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dump_yaml fell back on yaml.safe_dump")
+
+    monkeypatch.setattr(yaml, "safe_dump", refuse)
+
+
+SHARED = [1, 2]
+CYCLIC: list = []
+CYCLIC.append(CYCLIC)
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+@functools.cache
+def bench_workloads():
+    """``bench/workloads.py``, loaded from its file as the module ``bench_workloads``."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestDumpYaml:
-    @needs_libyaml
     @settings(max_examples=400, deadline=None)
-    @given(dump_roots, st.sampled_from(OPTION_SETS))
-    def test_libyaml_trees_emit_as_safe_dump(self, tree, options):
-        expected = yaml.safe_dump(tree, **options)
-        assert dump_yaml(tree, **options) == expected
-        if preprocess_mod._libyaml_emits_alike(tree, options.get("allow_unicode")):
-            assert c_dump(tree, options) == expected
+    @given(dump_roots | config_roots, st.sampled_from(OPTION_SETS))
+    def test_writer_matches_safe_dump(self, tree, options):
+        assert written(tree, options) == yaml.safe_dump(tree, **options)
 
-    def test_plain_config_goes_to_libyaml(self):
-        assert preprocess_mod._libyaml_emits_alike(YAML_TREE, True)
-        assert preprocess_mod._libyaml_emits_alike({"name": "caf\u00e9"}, True)
+    def test_plain_config_is_written_directly(self, monkeypatch):
+        trees = (YAML_TREE, {"name": "caf\u00e9"})
+        expected = [yaml.safe_dump(tree, **SERIALIZE_OPTIONS) for tree in trees]
+        refuse_fallback(monkeypatch)
+        assert [written(tree, SERIALIZE_OPTIONS) for tree in trees] == expected
 
-    def test_repeated_and_cyclic_containers(self):
-        shared = [1, 2]
-        cyclic = []
-        cyclic.append(cyclic)
-        for tree in ({"a": shared, "b": shared}, cyclic):
-            assert dump_yaml(tree, **SERIALIZE_OPTIONS) == yaml.safe_dump(tree, **SERIALIZE_OPTIONS)
-
-    # Each tree is one the two emitters write differently, so a routing
-    # rule left out hands it to libyaml and the output changes.
-    @needs_libyaml
+    # Each tree is one a routing rule of the direct writer decides: it must
+    # either write the tree as safe_dump does or leave it to safe_dump.
     @pytest.mark.parametrize(
         "tree, options",
         [
             ({"": 1}, SERIALIZE_OPTIONS),  # an empty key
             ({"k" * 123: 1}, SERIALIZE_OPTIONS),  # a key past PyYAML's simple-key length
-            ({"\u00e9" * 65: 1}, SERIALIZE_OPTIONS),  # a key past libyaml's, in UTF-8 bytes
+            ({"\u00e9" * 65: 1}, SERIALIZE_OPTIONS),  # a non-ASCII key
             ({10**124: 1}, SERIALIZE_OPTIONS),  # a long key that is not a string
             ({"\U0001f600": 1}, SERIALIZE_OPTIONS),  # a key with a character past U+FFFF
             ({"a": "\ud800"}, SERIALIZE_OPTIONS),  # a lone surrogate
@@ -608,12 +673,50 @@ class TestDumpYaml:
             ({"a": "\U0001f600"}, SERIALIZE_OPTIONS),  # a character past U+FFFF
             ({"a": {""}}, SERIALIZE_OPTIONS),  # a set, whose members are keys
             ("a", SERIALIZE_OPTIONS),  # a root scalar
+            pytest.param({"a": SHARED, "b": SHARED}, SERIALIZE_OPTIONS, id="repeated list"),
+            pytest.param(CYCLIC, SERIALIZE_OPTIONS, id="cyclic list"),
+            *(
+                pytest.param({word: [word, {"k": word}]}, SERIALIZE_OPTIONS, id=f"resolves {word}")
+                for word in ("yes", "No", "on", "null", "~", "1e3", "0x1F", "1_000", "12:30",
+                             "2024-02-30", ".inf")
+            ),
+            pytest.param({"k" * 122: 1}, SERIALIZE_OPTIONS, id="122-character key"),
+            pytest.param({"k" * 127: 1}, SERIALIZE_OPTIONS, id="127-character key"),
+            pytest.param({"k" * 128: 1}, SERIALIZE_OPTIONS, id="128-character key"),
+            pytest.param({"a": "b ", "c ": 1}, SERIALIZE_OPTIONS, id="trailing space"),
+            pytest.param([{"a": 1, "b": [1, {"c": None}]}, {"d": {"e": True}}], SERIALIZE_OPTIONS,
+                         id="list of dicts"),
+            pytest.param([[1, [2, 3]], [], ["x"]], SERIALIZE_OPTIONS, id="list of lists"),
+            pytest.param({"a": {}, "b": [], "c": [{}, []], "d": {"e": {}}}, SERIALIZE_OPTIONS,
+                         id="empty containers"),
+            pytest.param({}, SERIALIZE_OPTIONS, id="empty root"),
+            pytest.param({"a\u2028b": "c\u2029d"}, SERIALIZE_OPTIONS, id="line separators"),
+            pytest.param({"name": "caf\u00e9"}, SERIALIZE_OPTIONS, id="non-ASCII readable"),
+            pytest.param({"name": "caf\u00e9"}, SHOT_OPTIONS, id="non-ASCII escaped"),
+            pytest.param({"f": [1.5, 1e17, -0.0, float("inf"), float("nan")]}, SERIALIZE_OPTIONS,
+                         id="floats"),
+            pytest.param({"k": "a" * 77 + " b"}, SERIALIZE_OPTIONS, id="space at column 80"),
+            pytest.param({"k": "a" * 78 + " b"}, SERIALIZE_OPTIONS, id="space past column 80"),
         ],
     )
     def test_routing_rules(self, tree, options):
-        expected = yaml.safe_dump(tree, **options)
-        assert c_dump(tree, options) != expected
-        assert dump_yaml(tree, **options) == expected
+        assert written(tree, options) == yaml.safe_dump(tree, **options)
+
+    @pytest.mark.parametrize(
+        "workload", ["repair_loop", "chatty_replies", "wide_placement", "bench_sweep"]
+    )
+    def test_benchmark_trees_are_written_directly(self, workload, monkeypatch):
+        """Every reply tree of the benchmark's workloads, at seed 7, under both option sets."""
+        embedded = bench_workloads().GENERATORS[workload](7).embedded
+        assert embedded
+        expected = {
+            (reply, index): yaml.safe_dump(tree, **options)
+            for reply, tree in embedded.items()
+            for index, options in enumerate(OPTION_SETS)
+        }
+        refuse_fallback(monkeypatch)
+        for (reply, index), text in expected.items():
+            assert written(embedded[reply], OPTION_SETS[index]) == text
 
 
 def convert(value, kind):

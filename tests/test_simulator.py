@@ -5,6 +5,7 @@ import random
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -375,6 +376,33 @@ class TestShellDeploy:
         assert not outcome.success
         assert outcome.failure_reason == f"slowctl did not finish within {SHELL_DEPLOY_TIMEOUT_S:g} s"
         assert outcome.logs.startswith("Error:")
+
+    def test_non_ascii_manifest_under_an_ascii_locale(self, tmp_path, monkeypatch):
+        """The manifest is written as UTF-8 whatever the locale, and is removed afterwards."""
+        name = fake_cli(tmp_path, monkeypatch, "copyctl", '#!/bin/sh\ncp "$3" "$COPY"\n')
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        code = (
+            "from intentconf.preprocess import ConfigDocument\n"
+            "from intentconf.simulator import ShellDeployer\n"
+            "config = ConfigDocument(root={'metadata': {'name': 'caf\\u00e9'}})\n"
+            f"print(ShellDeployer(opt_in=True, cli={name!r}).deploy(config, 'dask').success)\n"
+        )
+        source = Path(__file__).resolve().parents[1] / "src"
+        env = {
+            **os.environ,
+            "LC_ALL": "C",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONPATH": os.pathsep.join([str(source), os.environ.get("PYTHONPATH", "")]),
+            "TMPDIR": str(scratch),
+            "COPY": str(tmp_path / "copy.yaml"),
+        }
+        result = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", code], env=env, capture_output=True, text=True
+        )
+        assert (result.returncode, result.stdout) == (0, "True\n"), result.stderr[-2000:]
+        assert (tmp_path / "copy.yaml").read_bytes() == "metadata:\n  name: caf\u00e9\n".encode()
+        assert list(scratch.iterdir()) == []
 
     def test_importing_the_package_loads_no_subprocess(self):
         code = "import sys\nimport intentconf\nprint('subprocess' in sys.modules)\n"
