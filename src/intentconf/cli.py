@@ -415,27 +415,15 @@ def report(config: AppConfig, transcripts: str, rate: float | None):
     if not stats:
         raise InputError("matched transcripts are all empty")
     curve = harness_mod.resolution_curve(stats)
-    records = [
-        harness_mod.CostRecord(
-            case_id=s.case_id,
-            system=s.system or "unknown",
-            attempts=s.attempts_used,
-            prompt_tokens=s.prompt_tokens,
-            completion_tokens=s.completion_tokens,
-            dollars=(s.prompt_tokens + s.completion_tokens) * rate,
-            latency_seconds=s.latencies,
-        )
-        for s in stats
-    ]
     click.echo(f"chains: {len(stats)}")
     for k in sorted(curve):
         click.echo(f"resolved by attempt {k}: {curve[k]:.1f}%")
     click.echo("")
     click.echo("max completion tokens and cost per configuration (completion tokens priced):")
-    cost_rows = harness_mod.cost_report(records, rate)
+    cost_rows = harness_mod.cost_report(stats, rate)
     for row in cost_rows:
         click.echo(f"  {row.system}  {row.max_completion_tokens}  $ {row.cost_display}")
-    latency_rows = harness_mod.latency_report(records)
+    latency_rows = harness_mod.latency_report(stats)
     if any(row.calls for row in latency_rows):
         click.echo("")
         click.echo("latency per attempt (mean ± std, seconds):")

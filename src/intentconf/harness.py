@@ -231,7 +231,7 @@ class TranscriptStats:
 
 def transcript_stats(entries: Sequence[Mapping], file="transcript") -> TranscriptStats:
     """Summarise transcript entries; an InputError naming ``file`` and the key
-    when a field does not read."""
+    when a field does not read. A system left unnamed reads as "unknown"."""
     if not entries:
         raise ValueError("transcript has no attempts")
     attempts = [Fields(file, entry) for entry in entries]
@@ -239,7 +239,7 @@ def transcript_stats(entries: Sequence[Mapping], file="transcript") -> Transcrip
     resolved = last.raw.get("failed_stage") is None and not last.raw.get("provider_error")
     return TranscriptStats(
         case_id=last.get("case", ""),
-        system=last.get("system", ""),
+        system=last.get("system", "") or "unknown",
         resolved=resolved,
         attempts_used=last.get("attempt", len(entries)),
         max_attempts=last.get("max_attempts", len(entries)),
@@ -265,37 +265,24 @@ def resolution_curve(outcomes: Sequence[ChainOutcome]) -> dict[int, float]:
 
 
 @dataclass(frozen=True)
-class CostRecord:
-    """Token and latency accounting for one evaluated chain."""
-
-    case_id: str
-    system: str
-    attempts: int
-    prompt_tokens: int
-    completion_tokens: int
-    dollars: float
-    latency_seconds: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
 class CostRow:
     system: str
     max_completion_tokens: int
     cost_display: str
 
 
-def cost_report(records: Sequence[CostRecord], rate_per_token: float) -> tuple[CostRow, ...]:
-    """Per system: the max completion tokens over records, priced at the rate.
+def cost_report(stats: Sequence[TranscriptStats], rate_per_token: float) -> tuple[CostRow, ...]:
+    """Per system: the max completion tokens over transcripts, priced at the rate.
 
     The cost column is max tokens x rate, rendered to seven decimal places.
     """
     if rate_per_token <= 0:
         raise ValueError(f"rate_per_token must be > 0, got {rate_per_token}")
     by_system: dict[str, int] = {}
-    for record in records:
-        current = by_system.get(record.system)
-        if current is None or record.completion_tokens > current:
-            by_system[record.system] = record.completion_tokens
+    for s in stats:
+        current = by_system.get(s.system)
+        if current is None or s.completion_tokens > current:
+            by_system[s.system] = s.completion_tokens
     return tuple(
         CostRow(
             system=system,
@@ -314,11 +301,11 @@ class LatencyRow:
     calls: int
 
 
-def latency_report(records: Sequence[CostRecord]) -> tuple[LatencyRow, ...]:
+def latency_report(stats: Sequence[TranscriptStats]) -> tuple[LatencyRow, ...]:
     """Per-system mean and population std over every per-call latency."""
     by_system: dict[str, list[float]] = {}
-    for record in records:
-        by_system.setdefault(record.system, []).extend(record.latency_seconds)
+    for s in stats:
+        by_system.setdefault(s.system, []).extend(s.latencies)
     rows = []
     for system, latencies in sorted(by_system.items()):
         if not latencies:

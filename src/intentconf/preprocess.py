@@ -189,8 +189,11 @@ def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
     Returns ``(mapping, 0)`` or ``(None, keep)``. Every text made of the
     first m lines of ``text``, for keep < m, fails too, because it holds
     all the lines that decided this failure:
-    - a scanner, parser or composer error is found on the line of its mark,
-      reading no further than the next line;
+    - a required simple key (a line of a block mapping at the mapping's
+      indent) with no ':' on its line fails wherever the text ends, once
+      that whole line is in it: keep is the line before the key's;
+    - any other scanner, parser or composer error is found on the line of
+      its mark, reading no further than the next line;
     - a value no constructor can build is decided by the lines up to the
       end of its node and the next, and so is a key clash, unless an alias
       ('*') brought the key node back from earlier;
@@ -209,6 +212,8 @@ def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
     except yaml.constructor.ConstructorError:  # its mark need not bound what it read
         return None, last
     except yaml.MarkedYAMLError as exc:
+        if exc.context == "while scanning a simple key" and exc.context_mark is not None:
+            return None, exc.context_mark.line
         mark = exc.problem_mark
         return None, last if mark is None else min(last, mark.line + 1)
     except _LOAD_ERRORS:
@@ -242,6 +247,15 @@ def _fenced_blocks(text: str) -> list[str]:
 # order mark.
 _MAPPING_SIGNAL = re.compile(r"[:{?!](?<![^\s\ufeff]!)")
 _NON_PRINTABLE = yaml.reader.Reader.NON_PRINTABLE
+# A document's root opens on its first line that is not blank or only a
+# comment; YAML's blanks are spaces and tabs alone, so "\u3000: v" is a
+# key. That line can open a mapping only if it holds a key's ':', a '{'
+# or '?', or a '!' tag or '&' anchor for a mapping on the lines below ('*'
+# and '%' are kept to stay on the safe side), and only if it does not
+# open a block sequence ("- x"; "-x: 1" is a key).
+_BLANK_LINE = re.compile(r"[ \t]*(?:#|$)")
+_MAPPING_OPENER = re.compile(r"[:{?!&*%]")
+_BLOCK_ENTRY = re.compile(r"[ \t]*-(?:[ \t]|$)")
 
 
 def _largest_parsable_span(text: str) -> tuple[str, dict] | None:
@@ -250,21 +264,39 @@ def _largest_parsable_span(text: str) -> tuple[str, dict] | None:
     The longest span wins; among equal lengths the earliest wins. Each
     start line is tried with the longest end that could still win, and the
     end only moves down, past every end that ``_try_parse_mapping`` shows
-    must fail. Spans without a mapping signal, or holding a character YAML
-    forbids, are never parsed.
+    must fail. Nothing is parsed for a span without a mapping signal or
+    holding a character YAML forbids, nor for a start whose first line
+    with content cannot open a mapping root. That last rule needs one
+    document per span, so it holds only when no line of ``text`` is a
+    document marker or a directive, and not for a start line led by a
+    byte order mark, which the loader skips.
     """
     lines = text.splitlines()
     n = len(lines)
-    # first_signal[i] / first_forbidden[i]: the first such line at or after i.
+    # first_signal[i] / first_forbidden[i]: the first such line at or after i;
+    # can_open[i]: whether the first line with content at or after i can
+    # open a mapping root. Lines split at "\r" and the other breaks too, so
+    # markers are looked for line by line.
     first_signal = [n] * (n + 1)
     first_forbidden = [n] * (n + 1)
+    can_open = [False] * (n + 1)
+    one_document = True
     for i in range(n - 1, -1, -1):
-        first_signal[i] = i if _MAPPING_SIGNAL.search(lines[i]) else first_signal[i + 1]
-        forbidden = _NON_PRINTABLE.search(lines[i])
-        first_forbidden[i] = i if forbidden else first_forbidden[i + 1]
+        line = lines[i]
+        first_signal[i] = i if _MAPPING_SIGNAL.search(line) else first_signal[i + 1]
+        first_forbidden[i] = i if _NON_PRINTABLE.search(line) else first_forbidden[i + 1]
+        one_document = one_document and not _DOCUMENT_MARKER.match(line)
+        if line.startswith("\ufeff"):
+            can_open[i] = True
+        elif _BLANK_LINE.match(line):
+            can_open[i] = can_open[i + 1]
+        else:
+            can_open[i] = bool(_MAPPING_OPENER.search(line)) and not _BLOCK_ENTRY.match(line)
     best = None
     best_len = 0
     for start in range(n):
+        if one_document and not can_open[start]:
+            continue
         end = first_forbidden[start]
         while end - start > best_len and end > first_signal[start]:
             candidate = "\n".join(lines[start:end])

@@ -431,7 +431,11 @@ class ShellDeployer:
             command = [self.cli, "apply", "-f", str(manifest)]
             try:
                 proc = subprocess.run(
-                    command, capture_output=True, text=True, timeout=SHELL_DEPLOY_TIMEOUT_S
+                    command,
+                    capture_output=True,
+                    encoding="utf-8",
+                    errors="replace",
+                    timeout=SHELL_DEPLOY_TIMEOUT_S,
                 )
             except subprocess.TimeoutExpired:
                 reason = f"{self.cli} did not finish within {SHELL_DEPLOY_TIMEOUT_S:g} s"

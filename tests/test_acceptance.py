@@ -24,8 +24,8 @@ from intentconf.gateway import (
     clamp_for_determinism,
 )
 from intentconf.harness import (
-    CostRecord,
     HarnessDeps,
+    TranscriptStats,
     cost_report,
     load_dataset,
     resolution_curve,
@@ -83,9 +83,9 @@ REQUEST = GenerationRequest(
 def test_cost_report_exact_dollar_strings():
     started = time.monotonic()
     records = [
-        CostRecord("d", "dask", 1, 900, 67, 0.0, ()),
-        CostRecord("r", "redis", 1, 900, 183, 0.0, ()),
-        CostRecord("y", "ray", 1, 900, 72, 0.0, ()),
+        TranscriptStats("d", "dask", True, 1, 1, 900, 67, ()),
+        TranscriptStats("r", "redis", True, 1, 1, 900, 183, ()),
+        TranscriptStats("y", "ray", True, 1, 1, 900, 72, ()),
     ]
     rows = {row.system: row for row in cost_report(records, rate_per_token=8.0e-7)}
     assert rows["dask"].cost_display == "0.0000536"

@@ -14,7 +14,6 @@ from intentconf.gateway import MockProvider, MockReply, MockScript
 from intentconf.harness import (
     AccuracyTable,
     BenchmarkCase,
-    CostRecord,
     HarnessDeps,
     TranscriptStats,
     accuracy_table_to_json,
@@ -368,9 +367,9 @@ class TestCostReport:
 
     def records(self):
         return [
-            CostRecord("d1", "dask", 1, 900, 67, 0.0, (1.0,)),
-            CostRecord("r1", "redis", 1, 900, 183, 0.0, (2.0,)),
-            CostRecord("y1", "ray", 1, 900, 72, 0.0, (3.0,)),
+            TranscriptStats("d1", "dask", True, 1, 1, 900, 67, (1.0,)),
+            TranscriptStats("r1", "redis", True, 1, 1, 900, 183, (2.0,)),
+            TranscriptStats("y1", "ray", True, 1, 1, 900, 72, (3.0,)),
         ]
 
     def test_reference_cost_rows(self):
@@ -381,7 +380,7 @@ class TestCostReport:
         assert rows["ray"].cost_display == "0.0000576"
 
     def test_max_across_records(self):
-        records = self.records() + [CostRecord("d2", "dask", 2, 10, 100, 0.0, ())]
+        records = self.records() + [TranscriptStats("d2", "dask", True, 2, 2, 10, 100, ())]
         rows = {row.system: row for row in cost_report(records, self.RATE)}
         assert rows["dask"].max_completion_tokens == 100
 
@@ -410,19 +409,19 @@ class TestCostReport:
 class TestLatencyReport:
     def test_mean_and_population_std(self):
         records = [
-            CostRecord("a", "dask", 1, 0, 0, 0.0, (4.0,)),
-            CostRecord("b", "dask", 1, 0, 0, 0.0, (6.0,)),
+            TranscriptStats("a", "dask", True, 1, 1, 0, 0, (4.0,)),
+            TranscriptStats("b", "dask", True, 1, 1, 0, 0, (6.0,)),
         ]
         row = latency_report(records)[0]
         assert (row.mean_seconds, row.std_seconds, row.calls) == (5.0, 1.0, 2)
 
     def test_singleton(self):
-        row = latency_report([CostRecord("a", "ray", 1, 0, 0, 0.0, (9.282,))])[0]
+        row = latency_report([TranscriptStats("a", "ray", True, 1, 1, 0, 0, (9.282,))])[0]
         assert row.mean_seconds == pytest.approx(9.282)
         assert row.std_seconds == 0.0
 
     def test_flattens_multi_attempt_records(self):
-        records = [CostRecord("a", "redis", 2, 0, 0, 0.0, (1.0, 3.0))]
+        records = [TranscriptStats("a", "redis", True, 2, 2, 0, 0, (1.0, 3.0))]
         row = latency_report(records)[0]
         assert (row.mean_seconds, row.calls) == (2.0, 2)
 
@@ -455,6 +454,10 @@ class TestTranscriptStats:
         assert stats.case_id == "c1" and stats.system == "dask"
         assert stats.latencies == (0.5, 1.5)
         assert stats.prompt_tokens == outcome.total_prompt_tokens
+
+    def test_unnamed_system_is_unknown(self):
+        assert transcript_stats([{"attempt": 1, "system": ""}]).system == "unknown"
+        assert transcript_stats([{"attempt": 1}]).system == "unknown"
 
     def test_empty_transcript_rejected(self):
         with pytest.raises(ValueError):

@@ -276,6 +276,11 @@ def oracle_preprocess(raw):
     return "error", StructuralErrorKind.NO_YAML_FOUND
 
 
+def bulleted(lines):
+    """A markdown list of ``lines`` items, each reading as a one-key mapping."""
+    return [f"- Label{i}: some words here." for i in range(lines)]
+
+
 def outcome(raw):
     try:
         document = preprocess_reply(raw)
@@ -314,6 +319,9 @@ REPLY_LINES = (
     "%YAML 1.1", "%YAML 1.2", "%YAML 1.3", "%FOO bar",
     # a character YAML forbids
     "ctl\x01: x",
+    # lines that open no mapping on their own, or only with what comes after them
+    "&a", "&a !!map", "-", "-foo: bar", "key", ": value", "[a,", " b]: c", "'a", "b': c",
+    "word", "  word",
 )
 
 
@@ -345,39 +353,71 @@ class TestAgainstBruteForce:
             "e: 2024-02-30\nf: 1\ng: 2",
             "a: 1\nexpires: 2024-02-30\nb: 2",
             "words\nctl\x01: x\na: 1\nb: 2",
+            "a: 1\n~\n---\na: 1",  # the null first document is dropped
+            "a: 1\r~\r---\ra: 1",  # the same, with lines split at "\r"
+            "\u3000: v\nwords",  # a key led by what Python's \s, not YAML, calls a space
+            "words\n\ufeff\na: 1",  # the loader skips a byte order mark that opens the text
+            "\n".join(bulleted(12)),
         ],
     )
     def test_known_hard_replies(self, raw):
         assert outcome(raw) == oracle_preprocess(raw)
 
+    def test_long_bulleted_reply(self):
+        # The oracle would parse each of its 115,440 spans. Every span opens
+        # with a block entry, so its root is a sequence and none is a mapping.
+        assert outcome("\n".join(bulleted(480))) == ("error", StructuralErrorKind.NO_YAML_FOUND)
+
 
 class CountingYaml:
-    """Stands in for ``yaml`` inside the preprocess module, counting load_all calls."""
+    """Stands in for ``yaml`` inside the preprocess module, counting load_all
+    calls and the characters handed to them."""
 
     def __init__(self):
         self.load_all_calls = 0
+        self.load_all_chars = 0
 
-    def load_all(self, *args, **kwargs):
+    def load_all(self, stream, *args, **kwargs):
         self.load_all_calls += 1
-        return yaml.load_all(*args, **kwargs)
+        self.load_all_chars += len(stream)
+        return yaml.load_all(stream, *args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(yaml, name)
 
 
+@pytest.fixture
+def counter(monkeypatch):
+    counting = CountingYaml()
+    monkeypatch.setattr(preprocess_mod, "yaml", counting)
+    return counting
+
+
 class TestWorkBound:
-    def test_colon_free_prose_needs_linear_parses(self, monkeypatch):
-        counter = CountingYaml()
-        monkeypatch.setattr(preprocess_mod, "yaml", counter)
+    def test_colon_free_prose_needs_linear_parses(self, counter):
+        # No line can open a mapping, so only the whole reply is loaded.
         lines = [f"Sentence number {i} says nothing about the deployment at all." for i in range(120)]
         with pytest.raises(StructuralError) as info:
             preprocess_reply("\n".join(lines))
         assert info.value.kind is StructuralErrorKind.NO_YAML_FOUND
-        assert counter.load_all_calls <= 2 * len(lines)
+        assert counter.load_all_calls == 1
 
-    def test_clean_reply_parses_once(self, monkeypatch):
-        counter = CountingYaml()
-        monkeypatch.setattr(preprocess_mod, "yaml", counter)
+    def test_bulleted_reply_reads_each_character_at_most_twice(self, counter):
+        raw = "\n".join(bulleted(480))
+        with pytest.raises(StructuralError):
+            preprocess_reply(raw)
+        assert counter.load_all_chars <= 2 * len(raw)
+
+    def test_prose_config_prose_needs_at_most_a_load_per_line(self, counter):
+        prose = [
+            f"Label{i}: some words here." if i % 3 == 2 else f"Sentence {i} of the prose."
+            for i in range(1, 13)
+        ]
+        raw = "\n".join([*prose, YAML_BODY, *prose])
+        assert preprocess_reply(raw).source_text == YAML_BODY
+        assert counter.load_all_calls <= len(raw.splitlines())
+
+    def test_clean_reply_parses_once(self, counter):
         assert preprocess_reply(YAML_BODY).root == YAML_TREE
         assert counter.load_all_calls == 1
 

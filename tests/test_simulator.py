@@ -331,6 +331,21 @@ def fake_cli(tmp_path, monkeypatch, name, script):
     return name
 
 
+def run_under_ascii_locale(code, **env):
+    """``python -c code`` under the C locale with UTF-8 mode off, the package on its path."""
+    source = Path(__file__).resolve().parents[1] / "src"
+    env = {
+        **os.environ,
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": os.pathsep.join([str(source), os.environ.get("PYTHONPATH", "")]),
+        **env,
+    }
+    return subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", code], env=env, capture_output=True, text=True
+    )
+
+
 class TestShellDeploy:
     CONFIG = doc({"replicas": 2})
 
@@ -372,7 +387,14 @@ class TestShellDeploy:
 
         monkeypatch.setattr(subprocess, "run", run)
         outcome = ShellDeployer(opt_in=True, cli=name).deploy(self.CONFIG, "dask")
-        assert calls == [{"capture_output": True, "text": True, "timeout": SHELL_DEPLOY_TIMEOUT_S}]
+        assert calls == [
+            {
+                "capture_output": True,
+                "encoding": "utf-8",
+                "errors": "replace",
+                "timeout": SHELL_DEPLOY_TIMEOUT_S,
+            }
+        ]
         assert not outcome.success
         assert outcome.failure_reason == f"slowctl did not finish within {SHELL_DEPLOY_TIMEOUT_S:g} s"
         assert outcome.logs.startswith("Error:")
@@ -388,21 +410,26 @@ class TestShellDeploy:
             "config = ConfigDocument(root={'metadata': {'name': 'caf\\u00e9'}})\n"
             f"print(ShellDeployer(opt_in=True, cli={name!r}).deploy(config, 'dask').success)\n"
         )
-        source = Path(__file__).resolve().parents[1] / "src"
-        env = {
-            **os.environ,
-            "LC_ALL": "C",
-            "PYTHONCOERCECLOCALE": "0",
-            "PYTHONPATH": os.pathsep.join([str(source), os.environ.get("PYTHONPATH", "")]),
-            "TMPDIR": str(scratch),
-            "COPY": str(tmp_path / "copy.yaml"),
-        }
-        result = subprocess.run(
-            [sys.executable, "-X", "utf8=0", "-c", code], env=env, capture_output=True, text=True
-        )
+        result = run_under_ascii_locale(code, TMPDIR=str(scratch), COPY=str(tmp_path / "copy.yaml"))
         assert (result.returncode, result.stdout) == (0, "True\n"), result.stderr[-2000:]
         assert (tmp_path / "copy.yaml").read_bytes() == "metadata:\n  name: caf\u00e9\n".encode()
         assert list(scratch.iterdir()) == []
+
+    def test_non_ascii_output_under_an_ascii_locale(self, tmp_path, monkeypatch):
+        """The CLI's output is read as UTF-8 whatever the locale."""
+        script = '#!/bin/sh\ncat "$3"\nprintf "\\377\\n"\n'  # the manifest, then a byte UTF-8 lacks
+        name = fake_cli(tmp_path, monkeypatch, "echoctl", script)
+        code = (
+            "from intentconf.preprocess import ConfigDocument\n"
+            "from intentconf.simulator import ShellDeployer\n"
+            "config = ConfigDocument(root={'metadata': {'name': 'caf\\u00e9'}})\n"
+            f"outcome = ShellDeployer(opt_in=True, cli={name!r}).deploy(config, 'dask')\n"
+            "print(outcome.success, ascii(outcome.logs))\n"
+        )
+        result = run_under_ascii_locale(code)
+        assert (result.returncode, result.stdout) == (
+            0, "True 'metadata:\\n  name: caf\\xe9\\n\\ufffd\\n'\n"
+        ), result.stderr[-2000:]
 
     def test_importing_the_package_loads_no_subprocess(self):
         code = "import sys\nimport intentconf\nprint('subprocess' in sys.modules)\n"
