@@ -163,7 +163,7 @@ _Failure = tuple[str, str] | None
 
 def _generation(a: AttemptRecord, request, profile, deps) -> _Failure:
     """The model answers the attempt's prompt."""
-    raw = complete(a.payload, profile.effective_sampling, deps.provider)
+    raw = complete(a.payload, profile.sampling, deps.provider)
     a.response_text = raw.text
     a.charge(raw)
     return None
@@ -214,8 +214,8 @@ def _alignment(a: AttemptRecord, request, profile, deps) -> _Failure:
 
 
 def _deployment(a: AttemptRecord, request, profile, deps) -> _Failure:
-    # Only what was placed is kept: the outcome's logs and per-replica
-    # placements would otherwise live as long as the chain's outcome.
+    # Only what was placed is kept: the outcome's logs would otherwise live
+    # as long as the chain's outcome.
     deployed = deps.deployer.deploy(a.config, request.system)
     if not deployed.success:
         return deployed.failure_reason or "deployment failed", deployed.logs

@@ -27,7 +27,6 @@ from .preprocess import ConfigDocument, Fields, InputError, StructuralError, loa
 from .preprocess import parse_config, read_text_file, serialize_config
 from .simulator import (
     GIB,
-    BackendUnavailable,
     ClusterModel,
     NodeSpec,
     ShellDeployer,
@@ -87,7 +86,7 @@ def _deployer(config: AppConfig, backend: str | None, real_ok: bool, cluster: st
     chosen = (backend or config.deploy_backend).lower()
     if chosen == "shell":
         if not real_ok:
-            raise BackendUnavailable(
+            raise InputError(
                 "shell backend targets a real cluster; pass "
                 "--i-understand-this-applies-to-a-real-cluster to confirm"
             )

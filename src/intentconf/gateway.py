@@ -24,12 +24,21 @@ DEFAULT_MAX_TOKENS = 2048
 
 
 class ProviderError(Exception):
-    """The endpoint failed: unreachable (``status`` None), a non-2xx status or a malformed body."""
+    """The endpoint failed: unreachable (``status`` None), a non-2xx status or a malformed body.
 
-    def __init__(self, message: str, status: int | None = None, body_excerpt: str = ""):
+    The message of a reply that came back ends with the start of its body.
+    """
+
+    def __init__(self, message: str, status: int | None = None):
         super().__init__(message)
         self.status = status
-        self.body_excerpt = body_excerpt
+
+
+def _reply_error(problem: str, response: requests.Response) -> ProviderError:
+    """``problem`` with the first 500 characters of the body of ``response``,
+    whitespace folded to single spaces so that the message stays one line."""
+    excerpt = " ".join(response.text[:500].split())
+    return ProviderError(f"{problem}; body: {excerpt or '(empty)'}", status=response.status_code)
 
 
 @dataclass(frozen=True)
@@ -98,10 +107,11 @@ class Provider(Protocol):
 
 
 def complete(payload: PromptPayload, params: SamplingParams, provider: Provider) -> RawResponse:
-    """Issue one completion call through ``provider``, never streaming."""
+    """Issue one completion call through ``provider``, never streaming, with
+    ``params`` clamped for determinism."""
     if not payload.user_message:
         raise ValueError("user_message must be non-empty")
-    return provider.complete(payload, params)
+    return provider.complete(payload, clamp_for_determinism(params))
 
 
 @dataclass(frozen=True)
@@ -158,11 +168,7 @@ class HttpProvider:
             raise ProviderError(f"cannot reach {url}: {exc}", status=None) from exc
         latency = time.perf_counter() - started
         if not 200 <= response.status_code < 300:
-            raise ProviderError(
-                f"provider returned HTTP {response.status_code}",
-                status=response.status_code,
-                body_excerpt=response.text[:500],
-            )
+            raise _reply_error(f"provider returned HTTP {response.status_code}", response)
         try:
             data = response.json()
             text = data["choices"][0]["message"]["content"]
@@ -179,11 +185,7 @@ class HttpProvider:
             return RawResponse(text, prompt_tokens, completion_tokens, latency)
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             # A body of any shape ends here; RawResponse rejects negative counts.
-            raise ProviderError(
-                f"malformed provider reply: {exc}",
-                status=response.status_code,
-                body_excerpt=response.text[:500],
-            ) from exc
+            raise _reply_error(f"malformed provider reply: {exc}", response) from exc
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .gateway import MockScript, Provider, read_scenario
 from .preprocess import Fields, InputError
 from .prompting import FewShotExample, GenerationRequest, OptimizationProfile
 from .retrieval import DEFAULT_TOP_K, RetrievalIndex
-from .validation import Assertion, AssertionKind, EmptyCorpus
+from .validation import Assertion, AssertionKind
 
 LEVELS = (1, 2, 3, 4, 5, 6)
 
@@ -252,7 +252,7 @@ def transcript_stats(entries: Sequence[Mapping], file="transcript") -> Transcrip
 def resolution_curve(outcomes: Sequence[ChainOutcome]) -> dict[int, float]:
     """Cumulative percent of chains resolved by attempt k, for k = 1..max."""
     if not outcomes:
-        raise EmptyCorpus("resolution curve needs at least one outcome")
+        raise ValueError("resolution curve needs at least one outcome")
     horizon = max(
         max(o.max_attempts for o in outcomes),
         max(o.attempts_used for o in outcomes),

@@ -15,8 +15,8 @@ either way. Input files are read by the same strict rule as replies:
 file, a duplicate key included, the error is an InputError whose message
 names the file once. ``Fields`` then reads every value in those files by
 one typed rule, and names the key of a value that does not read.
-``dump_yaml`` writes safe_dump's bytes, by itself for the plain block trees
-the package builds.
+``serialize_config`` writes safe_dump's bytes, by itself for the plain block
+trees the package builds.
 """
 
 from __future__ import annotations
@@ -516,22 +516,21 @@ class Fields:
         return self.build(replace, defaults, **values)
 
 
-# dump_yaml writes block YAML itself where it can vouch for PyYAML's bytes: a dict or
-# list root, each container met once (PyYAML anchors one met twice), keys PyYAML writes
+# serialize_config writes block YAML itself where it can vouch for PyYAML's bytes: a dict
+# or list root, each container met once (PyYAML anchors one met twice), keys PyYAML writes
 # as simple keys (under 128 characters with the "!!str" tag) and leaves it writes plain.
 # A plain leaf reads back as its own type by the Resolver and keeps to a conservative
 # character set without line breaks: no leading indicator, space or document marker, no
 # ": ", " #" or trailing ":" or space, and no space past column 80, where PyYAML folds.
-_PLAIN_FORM = r"(?!---|\.\.\.|[-?:](?: |\Z)|[ #,\[\]{}&*!|>'\"%%@`])(?:(?!: |:\Z| #| \Z)[\x20-\x7e%s])+"
-_PLAIN = {
-    False: re.compile(_PLAIN_FORM % ""),
-    True: re.compile(_PLAIN_FORM % r"\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd"),
-}
+_PLAIN = re.compile(
+    r"(?!---|\.\.\.|[-?:](?: |\Z)|[ #,\[\]{}&*!|>'\"%@`])"
+    r"(?:(?!: |:\Z| #| \Z)[\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd])+"
+)
 _RESOLVE = yaml.resolver.Resolver().resolve
 _REPRESENTER = yaml.representer.SafeRepresenter()
 
 
-def _plain(value, unicode: bool) -> str | None:
+def _plain(value) -> str | None:
     """The text safe_dump writes plain for the scalar ``value``, or None."""
     kind = type(value)
     if kind is int:
@@ -545,18 +544,18 @@ def _plain(value, unicode: bool) -> str | None:
         text, tag = node.value, node.tag
     else:
         return None
-    plain = _PLAIN[unicode].fullmatch(text) and _RESOLVE(yaml.ScalarNode, text, (True, False)) == tag
+    plain = _PLAIN.fullmatch(text) and _RESOLVE(yaml.ScalarNode, text, (True, False)) == tag
     return text if plain else None
 
 
-def _write_block(node, indent: int, inline: bool, unicode: bool, out: list, seen: set) -> bool:
+def _write_block(node, indent: int, inline: bool, out: list, seen: set) -> bool:
     """Append the dict or list ``node`` to ``out`` at ``indent``, its first entry on
     the current line if ``inline``; False where safe_dump could write it otherwise."""
     pad = "" if inline else " " * indent
     is_mapping = type(node) is dict
     for entry in node:
         if is_mapping:
-            if type(entry) is not str or len(entry) > 122 or _plain(entry, unicode) is None:
+            if type(entry) is not str or len(entry) > 122 or _plain(entry) is None:
                 return False
             value, column = node[entry], indent + len(entry) + 2
             out.append(f"{pad}{entry}:")
@@ -572,28 +571,24 @@ def _write_block(node, indent: int, inline: bool, unicode: bool, out: list, seen
             if value:  # under a key on the next line, a list not indented; under "-" inline
                 inner = indent if is_mapping and kind is list else indent + 2
                 out.append("\n" if is_mapping else " ")
-                if not _write_block(value, inner, not is_mapping, unicode, out, seen):
+                if not _write_block(value, inner, not is_mapping, out, seen):
                     return False
                 continue
             text = "{}" if kind is dict else "[]"
         else:
-            text = _plain(value, unicode)
+            text = _plain(value)
             if text is None or (" " in text and column + text.rfind(" ") > 80):
                 return False
         out.append(f" {text}\n")
     return True
 
 
-def dump_yaml(tree, *, allow_unicode: bool = False) -> str:
-    """``yaml.safe_dump`` in block style, two-space indent and key order kept."""
-    out: list[str] = []
-    if type(tree) in (dict, list) and _write_block(tree, 0, False, allow_unicode, out, {id(tree)}):
-        return "".join(out) or ("{}\n" if type(tree) is dict else "[]\n")
-    options = dict(default_flow_style=False, indent=2, sort_keys=False, allow_unicode=allow_unicode)
-    return yaml.safe_dump(tree, **options)
-
-
 def serialize_config(document: ConfigDocument | dict) -> str:
-    """Canonical YAML form: block style, two-space indent, key order preserved."""
-    root = document.root if isinstance(document, ConfigDocument) else document
-    return dump_yaml(root, allow_unicode=True)
+    """Canonical YAML form: ``yaml.safe_dump`` in block style, two-space indent,
+    key order preserved and non-ASCII text written as it is."""
+    tree = document.root if isinstance(document, ConfigDocument) else document
+    out: list[str] = []
+    if type(tree) in (dict, list) and _write_block(tree, 0, False, out, {id(tree)}):
+        return "".join(out) or ("{}\n" if type(tree) is dict else "[]\n")
+    options = dict(default_flow_style=False, indent=2, sort_keys=False, allow_unicode=True)
+    return yaml.safe_dump(tree, **options)

@@ -19,7 +19,6 @@ from .gateway import (
     Provider,
     RawResponse,
     SamplingParams,
-    clamp_for_determinism,
     complete,
 )
 from .preprocess import (
@@ -27,7 +26,6 @@ from .preprocess import (
     Fields,
     InputError,
     StructuralError,
-    dump_yaml,
     parse_config,
     serialize_config,
 )
@@ -92,10 +90,6 @@ _CONTEXT_LABEL = _counted("## Context")
 _EXAMPLES_LABEL = _counted("## Examples")
 
 
-class ProfileViolation(InputError):
-    """A profile requirement cannot be met with the inputs provided."""
-
-
 class VerdictUnparseable(Exception):
     """An alignment reply did not end with a recognizable verdict line."""
 
@@ -129,10 +123,6 @@ class OptimizationProfile:
     @property
     def use_few_shot(self) -> bool:
         return _FLAGS[self.name][2]
-
-    @property
-    def effective_sampling(self) -> SamplingParams:
-        return clamp_for_determinism(self.sampling)
 
     @classmethod
     def for_name(
@@ -237,7 +227,7 @@ def build_prompt(
         sections.append(_context_section(context_chunks))
     if profile.use_few_shot:
         if not shots:
-            raise ProfileViolation(
+            raise InputError(
                 f"profile {profile.name!r} requires few-shot examples but none were provided"
             )
         sections.append(_examples_section(shots))
@@ -301,7 +291,7 @@ def verify_alignment(
         metadata=dict(metadata or {}),
         prompt_tokens=_ALIGNMENT_HEADER_TOKENS + tokens,
     )
-    raw = complete(payload, clamp_for_determinism(params), provider)
+    raw = complete(payload, params, provider)
     return _parse_verdict(raw)
 
 
@@ -309,7 +299,7 @@ def _config_text(shot: Fields, key: str) -> str:
     """The configuration at ``key``: text, or a mapping written out as YAML."""
     value = shot.raw.get(key)
     if isinstance(value, dict):
-        return dump_yaml(value)
+        return serialize_config(value)
     return shot.get(key, "")
 
 

@@ -50,10 +50,6 @@ _TERM_TABLE = bytes(
 )
 
 
-class InvalidChunking(ValueError):
-    """Raised when overlap is not strictly smaller than the chunk size."""
-
-
 def count_tokens(text: str) -> int:
     """Approximate token count: word runs plus standalone punctuation runs.
 
@@ -128,11 +124,9 @@ def chunk_document(
     edges, and only the interior edges are found by walking the tokens.
     """
     if chunk_size <= 0:
-        raise InvalidChunking(f"chunk_size must be positive, got {chunk_size}")
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     if overlap < 0 or overlap >= chunk_size:
-        raise InvalidChunking(
-            f"overlap must satisfy 0 <= overlap < chunk_size, got {overlap}"
-        )
+        raise ValueError(f"overlap must satisfy 0 <= overlap < chunk_size, got {overlap}")
     total = count_tokens(doc)
     if total == 0:
         return []

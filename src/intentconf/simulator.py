@@ -59,14 +59,6 @@ class UnknownSystemProfile(ValueError):
     """No resource-path profile is registered for the requested system."""
 
 
-class InvalidWorkload(ValueError):
-    """The spec yields zero total cores; the speedup model is undefined."""
-
-
-class BackendUnavailable(InputError):
-    """The real-cluster backend is not opted in or its CLI is missing."""
-
-
 def filter_logs(raw: str) -> list[str]:
     """Keep only failure-relevant lines from raw output.
 
@@ -177,7 +169,6 @@ class Workload:
 class DeploymentOutcome:
     success: bool
     failure_reason: str = ""
-    placed: tuple[tuple[int, int], ...] = ()  # (replica index, node index)
     logs: str = ""
     resources: ResourceSpec | None = None
 
@@ -247,15 +238,13 @@ class ResourceExtraction:
 def extract_resources(
     config: ConfigDocument | dict,
     system: str,
-    profiles: dict[str, SystemProfile] | None = None,
+    profiles: dict[str, SystemProfile],
 ) -> ResourceExtraction:
     """Read (cpu, memory, replicas) out of a config via the system's path profile.
 
     Missing paths fall back to the profile defaults; each fallback is noted
     so deployment logs show what was assumed.
     """
-    if profiles is None:
-        profiles = load_system_profiles()
     profile = profiles.get(system)
     if profile is None:
         raise UnknownSystemProfile(f"no resource profile for system {system!r}")
@@ -295,7 +284,6 @@ def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
     the first constraint violated on every node; otherwise cpu.
     """
     remaining = [[node.cpu_millicores, node.memory_bytes] for node in model.nodes]
-    placed: list[tuple[int, int]] = []
     logs: list[str] = []
     for replica in range(spec.replicas):
         target = None
@@ -322,20 +310,17 @@ def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
             return DeploymentOutcome(
                 success=False,
                 failure_reason=reason,
-                placed=tuple(placed),
                 logs="\n".join(logs),
                 resources=spec,
             )
         remaining[target][0] -= spec.cpu_millicores
         remaining[target][1] -= spec.memory_bytes
-        placed.append((replica, target))
         logs.append(
             f"placed replica {replica} on node {target} "
             f"(remaining cpu={remaining[target][0]}m memory={remaining[target][1]}B)"
         )
     return DeploymentOutcome(
         success=True,
-        placed=tuple(placed),
         logs="\n".join(logs),
         resources=spec,
     )
@@ -350,7 +335,7 @@ def run_workload(model: ClusterModel, spec: ResourceSpec, workload: Workload) ->
     """
     total_cores = spec.total_cores
     if total_cores == 0:
-        raise InvalidWorkload("spec allocates zero cores; completion time is undefined")
+        raise ValueError("spec allocates zero cores; completion time is undefined")
     completion = workload.serial_seconds + workload.parallel_core_seconds / total_cores
     hourly = model.cpu_rate * total_cores + model.mem_rate * spec.replicas * (
         spec.memory_bytes / GIB
@@ -421,9 +406,9 @@ class ShellDeployer:
 
     def deploy(self, config: ConfigDocument, system: str) -> DeploymentOutcome:
         if not self.opt_in:
-            raise BackendUnavailable("real-cluster deployment requires the explicit opt-in flag")
+            raise InputError("real-cluster deployment requires the explicit opt-in flag")
         if shutil.which(self.cli) is None:
-            raise BackendUnavailable(f"cluster CLI {self.cli!r} not found on PATH")
+            raise InputError(f"cluster CLI {self.cli!r} not found on PATH")
         import subprocess  # only this backend uses it; importing the package stays lighter
         with tempfile.TemporaryDirectory() as scratch:  # removed on every path
             manifest = Path(scratch) / "manifest.yaml"

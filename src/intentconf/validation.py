@@ -3,8 +3,8 @@
 Assertions address nodes by slash-separated paths ("worker/replicas",
 "containers/[0]/image", "spec/*/limits") and check existence, absence,
 equality, numeric comparison, or collection length. A configuration is
-judged against all assertions at once and the verdict plus per-assertion
-evidence comes back as a report.
+judged against all assertions at once and the verdict plus each failed
+assertion's reason comes back as a report.
 
 The same tree walk powers structural complexity metrics used to describe
 benchmark difficulty.
@@ -25,14 +25,6 @@ from .preprocess import ConfigDocument
 FLOAT_TOLERANCE = 1e-9
 
 _INDEX_RE = re.compile(r"^\[(\d+)\]$")
-
-
-class PathSyntaxError(ValueError):
-    """A path string does not follow the segment grammar."""
-
-
-class EmptyCorpus(ValueError):
-    """Complexity aggregation needs at least one configuration."""
 
 
 class AssertionKind(enum.Enum):
@@ -73,11 +65,11 @@ def parse_path(path: str) -> list[str | int | None]:
     """Split a slash-separated path into segments: a str key, an int index,
     or None for the ``*`` wildcard."""
     if not path or not path.strip():
-        raise PathSyntaxError("path must be non-empty")
+        raise ValueError("path must be non-empty")
     segments: list[str | int | None] = []
     for part in path.split("/"):
         if part == "":
-            raise PathSyntaxError(f"empty segment in path {path!r}")
+            raise ValueError(f"empty segment in path {path!r}")
         if part == "*":
             segments.append(None)
             continue
@@ -86,7 +78,7 @@ def parse_path(path: str) -> list[str | int | None]:
             segments.append(int(index.group(1)))
             continue
         if part.startswith("[") or part.endswith("]"):
-            raise PathSyntaxError(f"malformed index segment {part!r} in path {path!r}")
+            raise ValueError(f"malformed index segment {part!r} in path {path!r}")
         segments.append(part)
     return segments
 
@@ -152,7 +144,6 @@ def _values_equal(observed: Any, expected: Any) -> bool:
 class AssertionResult:
     assertion: Assertion
     passed: bool
-    observed: tuple = ()
     reason: str = ""
 
 
@@ -209,7 +200,7 @@ def evaluate(
     for assertion in assertions:
         matches = resolve_path(config.root, assertion.segments)
         reason = _failure(assertion, matches)
-        results.append(AssertionResult(assertion, not reason, tuple(matches), reason))
+        results.append(AssertionResult(assertion, not reason, reason))
     return ValidationReport(case_id=case_id, results=tuple(results))
 
 
@@ -260,7 +251,7 @@ class ComplexitySummary:
 def aggregate_complexity(configs: Sequence[ConfigDocument | dict]) -> ComplexitySummary:
     """Corpus-level complexity: maxima plus mean and population std."""
     if not configs:
-        raise EmptyCorpus("cannot summarize an empty corpus")
+        raise ValueError("cannot summarize an empty corpus")
     measures = [complexity(c) for c in configs]
     key_counts = [m.key_count for m in measures]
     depths = [m.max_depth for m in measures]

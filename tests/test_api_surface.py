@@ -1,6 +1,11 @@
-"""Every public module-level name in the package has a caller outside the tests."""
+"""Every public module-level name in the package has a caller outside the
+tests, every public exception class is caught by name, and every dataclass
+field is read."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,12 +41,25 @@ def _references(tree):
                 yield alias.name, node.lineno
 
 
-def test_public_names_have_a_caller_in_src_or_bench():
-    trees = {
+def _caller_trees():
+    return {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for directory in CALLER_DIRS
         for path in sorted(directory.rglob("*.py"))
     }
+
+
+def _package_classes():
+    """(module file name, class) for every class the package's modules define."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"intentconf.{path.stem}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                yield path.name, cls
+
+
+def test_public_names_have_a_caller_in_src_or_bench():
+    trees = _caller_trees()
     references = {path: list(_references(tree)) for path, tree in trees.items()}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -57,13 +75,72 @@ def test_public_names_have_a_caller_in_src_or_bench():
     assert unused == [], f"public names only tests call: {unused}"
 
 
+def _type_names(node):
+    """The class names in an ``except`` clause or an ``isinstance`` check."""
+    if isinstance(node, ast.Tuple):
+        for element in node.elts:
+            yield from _type_names(element)
+    elif isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+
+
+def test_public_exceptions_are_caught_by_name():
+    """A public exception class is one a caller tells apart from its base;
+    one that is only raised is its base class with a longer name."""
+    caught = set()
+    for tree in _caller_trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught.update(_type_names(node.type))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+            ):
+                caught.update(_type_names(node.args[1]))
+    uncaught = [
+        f"{file}:{cls.__name__}"
+        for file, cls in _package_classes()
+        if issubclass(cls, BaseException)
+        and not cls.__name__.startswith("_")
+        and cls.__name__ not in caught
+    ]
+    assert uncaught == [], f"exception classes nothing catches by name: {uncaught}"
+
+
+# The span of the reply that extraction chose; the extraction tests pin it.
+UNREAD_FIELDS_ALLOWED = {"preprocess.py:ConfigDocument.source_text"}
+
+
+def test_dataclass_fields_are_read():
+    """A field every call builds and nothing outside the tests reads is dead weight."""
+    read = {
+        node.attr
+        for tree in _caller_trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{file}:{cls.__name__}.{field.name}"
+        for file, cls in _package_classes()
+        if dataclasses.is_dataclass(cls)
+        for field in dataclasses.fields(cls)
+        if field.name not in read
+    ]
+    unread = [name for name in unread if name not in UNREAD_FIELDS_ALLOWED]
+    assert unread == [], f"dataclass fields nothing reads: {unread}"
+
+
 YAML_IO = {"load", "safe_load", "load_all", "safe_load_all", "dump", "safe_dump", "dump_all", "safe_dump_all"}
 
 
 def test_yaml_io_goes_through_preprocess():
     """Only ``preprocess`` uses PyYAML's loaders and dumpers; the rest call
     ``load_yaml_file`` and ``parse_config``, which load on libyaml only where
-    it reads as PyYAML does, and ``dump_yaml``, which writes safe_dump's bytes."""
+    it reads as PyYAML does, and ``serialize_config``, which writes safe_dump's bytes."""
     bypasses = []
     for path in sorted(PACKAGE.rglob("*.py")):
         if path.name == "preprocess.py":

@@ -309,12 +309,13 @@ class TestHttpProvider:
         assert info.value.status is None
 
     def test_non_2xx_carries_status_and_body(self):
-        session = _FakeSession(response=_FakeResponse(status_code=503, text="overloaded"))
+        body = "overloaded,\n\t retry  later\n"
+        session = _FakeSession(response=_FakeResponse(status_code=503, text=body))
         provider = HttpProvider(ProviderConfig(base_url="http://h", model="m"), session=session)
         with pytest.raises(ProviderError) as info:
             provider.complete(self.payload(), SamplingParams())
         assert info.value.status == 503
-        assert "overloaded" in info.value.body_excerpt
+        assert str(info.value) == "provider returned HTTP 503; body: overloaded, retry later"
 
     def test_malformed_reply(self):
         session = _FakeSession(response=_FakeResponse(payload={"weird": True}))
@@ -349,7 +350,8 @@ class TestHttpProvider:
         with pytest.raises(ProviderError) as info:
             provider.complete(self.payload(), SamplingParams())
         assert info.value.status == 200
-        assert info.value.body_excerpt == f"body {body!r}"[:500]
+        assert str(info.value).startswith("malformed provider reply: ")
+        assert str(info.value).endswith(f"; body: body {body!r}")
 
     def test_provider_protocol(self):
         assert isinstance(MockProvider(MockScript()), Provider)

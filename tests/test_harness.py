@@ -30,7 +30,7 @@ from intentconf.harness import (
 from intentconf.preprocess import Fields, InputError
 from intentconf.prompting import FewShotExample, GenerationRequest, OptimizationProfile
 from intentconf.retrieval import DEFAULT_TOP_K, build_index
-from intentconf.validation import AssertionKind, EmptyCorpus
+from intentconf.validation import AssertionKind
 
 GOOD = "worker:\n  replicas: 2"
 PROSE = "I would suggest adding more workers."
@@ -358,7 +358,7 @@ class TestResolutionCurve:
             assert all(0.0 <= v <= 100.0 for v in values)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(ValueError, match="resolution curve needs at least one outcome"):
             resolution_curve([])
 
 

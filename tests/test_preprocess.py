@@ -17,7 +17,6 @@ from intentconf.preprocess import (
     InputError,
     StructuralError,
     StructuralErrorKind,
-    dump_yaml,
     load_yaml_file,
     parse_config,
     preprocess_reply,
@@ -607,12 +606,11 @@ class TestLoadYaml:
             load_yaml_file(yaml_file)
 
 
+# The safe_dump call whose bytes serialize_config writes.
 SERIALIZE_OPTIONS = dict(default_flow_style=False, indent=2, sort_keys=False, allow_unicode=True)
-SHOT_OPTIONS = dict(default_flow_style=False, indent=2, sort_keys=False)
-OPTION_SETS = (SERIALIZE_OPTIONS, SHOT_OPTIONS)
 
-# Characters PyYAML prints as they are (the non-ASCII ones only with
-# allow_unicode), and characters that make a scalar escaped or unprintable.
+# Characters PyYAML prints as they are, and characters that make a scalar
+# escaped or unprintable.
 PRINTED_CHARS = list("abcxyz   ::--#'\"!&*?{}[],|>%@`~.0123") + ["\u00e9", "\u4e2d", "\xa0"]
 OTHER_CHARS = ["\n", "\t", "\x07", "\x85", "\u2028", "\ufeff", "\U0001f600", "\ud800"]
 dump_text = st.one_of(
@@ -656,16 +654,11 @@ config_trees = st.recursive(
 config_roots = st.lists(config_trees, max_size=3) | st.dictionaries(config_keys, config_trees, max_size=4)
 
 
-def written(tree, options):
-    """``dump_yaml`` under one of the two option sets it serves."""
-    return dump_yaml(tree, allow_unicode=options.get("allow_unicode", False))
-
-
 def refuse_fallback(monkeypatch):
     """Make ``yaml.safe_dump`` fail, so that only the direct writer can answer."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("dump_yaml fell back on yaml.safe_dump")
+        raise AssertionError("serialize_config fell back on yaml.safe_dump")
 
     monkeypatch.setattr(yaml, "safe_dump", refuse)
 
@@ -687,18 +680,19 @@ def bench_workloads():
 
 class TestDumpYaml:
     @settings(max_examples=400, deadline=None)
-    @given(dump_roots | config_roots, st.sampled_from(OPTION_SETS))
-    def test_writer_matches_safe_dump(self, tree, options):
-        assert written(tree, options) == yaml.safe_dump(tree, **options)
+    @given(dump_roots | config_roots)
+    def test_writer_matches_safe_dump(self, tree):
+        assert serialize_config(tree) == yaml.safe_dump(tree, **SERIALIZE_OPTIONS)
 
     def test_plain_config_is_written_directly(self, monkeypatch):
         trees = (YAML_TREE, {"name": "caf\u00e9"})
         expected = [yaml.safe_dump(tree, **SERIALIZE_OPTIONS) for tree in trees]
         refuse_fallback(monkeypatch)
-        assert [written(tree, SERIALIZE_OPTIONS) for tree in trees] == expected
+        assert [serialize_config(tree) for tree in trees] == expected
 
     # Each tree is one a routing rule of the direct writer decides: it must
-    # either write the tree as safe_dump does or leave it to safe_dump.
+    # either write the tree as safe_dump does or leave it to safe_dump. Each
+    # row names the safe_dump options it is checked against, all the one set.
     @pytest.mark.parametrize(
         "tree, options",
         [
@@ -709,7 +703,7 @@ class TestDumpYaml:
             ({"\U0001f600": 1}, SERIALIZE_OPTIONS),  # a key with a character past U+FFFF
             ({"a": "\ud800"}, SERIALIZE_OPTIONS),  # a lone surrogate
             ({"a": "x\x07" + "a b" * 40}, SERIALIZE_OPTIONS),  # a long escaped string
-            ({"a": "\u00e9 b" * 30}, SHOT_OPTIONS),  # the same, escaped for want of allow_unicode
+            ({"a": "\u00e9 b" * 30}, SERIALIZE_OPTIONS),  # non-ASCII words past column 80
             ({"a": "\U0001f600"}, SERIALIZE_OPTIONS),  # a character past U+FFFF
             ({"a": {""}}, SERIALIZE_OPTIONS),  # a set, whose members are keys
             ("a", SERIALIZE_OPTIONS),  # a root scalar
@@ -732,7 +726,7 @@ class TestDumpYaml:
             pytest.param({}, SERIALIZE_OPTIONS, id="empty root"),
             pytest.param({"a\u2028b": "c\u2029d"}, SERIALIZE_OPTIONS, id="line separators"),
             pytest.param({"name": "caf\u00e9"}, SERIALIZE_OPTIONS, id="non-ASCII readable"),
-            pytest.param({"name": "caf\u00e9"}, SHOT_OPTIONS, id="non-ASCII escaped"),
+            pytest.param({"name": "caf\u00e9\ufeff"}, SERIALIZE_OPTIONS, id="non-ASCII escaped"),
             pytest.param({"f": [1.5, 1e17, -0.0, float("inf"), float("nan")]}, SERIALIZE_OPTIONS,
                          id="floats"),
             pytest.param({"k": "a" * 77 + " b"}, SERIALIZE_OPTIONS, id="space at column 80"),
@@ -740,23 +734,21 @@ class TestDumpYaml:
         ],
     )
     def test_routing_rules(self, tree, options):
-        assert written(tree, options) == yaml.safe_dump(tree, **options)
+        assert serialize_config(tree) == yaml.safe_dump(tree, **options)
 
     @pytest.mark.parametrize(
         "workload", ["repair_loop", "chatty_replies", "wide_placement", "bench_sweep"]
     )
     def test_benchmark_trees_are_written_directly(self, workload, monkeypatch):
-        """Every reply tree of the benchmark's workloads, at seed 7, under both option sets."""
+        """Every reply tree of the benchmark's workloads, at seed 7."""
         embedded = bench_workloads().GENERATORS[workload](7).embedded
         assert embedded
         expected = {
-            (reply, index): yaml.safe_dump(tree, **options)
-            for reply, tree in embedded.items()
-            for index, options in enumerate(OPTION_SETS)
+            reply: yaml.safe_dump(tree, **SERIALIZE_OPTIONS) for reply, tree in embedded.items()
         }
         refuse_fallback(monkeypatch)
-        for (reply, index), text in expected.items():
-            assert written(embedded[reply], OPTION_SETS[index]) == text
+        for reply, text in expected.items():
+            assert serialize_config(embedded[reply]) == text
 
 
 def convert(value, kind):

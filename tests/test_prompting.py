@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intentconf.chain import ChainDeps, Stage, run_chain
 from intentconf.gateway import RawResponse, SamplingParams
-from intentconf.preprocess import ConfigDocument, parse_config, serialize_config
+from intentconf.preprocess import ConfigDocument, InputError, parse_config, serialize_config
 from intentconf.prompting import (
     COT_SUFFIX,
     FEEDBACK_LABEL,
@@ -16,7 +17,6 @@ from intentconf.prompting import (
     FewShotExample,
     GenerationRequest,
     OptimizationProfile,
-    ProfileViolation,
     VerdictUnparseable,
     build_prompt,
     load_shot_library,
@@ -84,9 +84,23 @@ class TestProfiles:
             OptimizationProfile.for_name("ip", max_chain_attempts=0)
 
     def test_effective_sampling_is_clamped(self):
-        profile = OptimizationProfile.for_name("ip", sampling=SamplingParams(temperature=1.0, top_p=0.9))
-        assert profile.effective_sampling.temperature == 0.1
-        assert profile.effective_sampling.top_p == 0.1
+        """Every call of a chain, the verification call included, is sent the clamped params."""
+
+        class RecordingProvider:
+            def __init__(self):
+                self.params = []
+
+            def complete(self, payload, params):
+                self.params.append(params)
+                verify = payload.metadata["case"].endswith("#verify")
+                return RawResponse("VERDICT: ALIGNED" if verify else "replicas: 2", 1, 1, 0.0)
+
+        provider = RecordingProvider()
+        profile = OptimizationProfile("cot", SamplingParams(temperature=0.9, top_p=0.9))
+        outcome = run_chain(REQUEST, profile, ChainDeps(provider=provider))
+        assert Stage.COT_VERIFICATION in outcome.attempt_history[-1].stages_passed
+        assert len(provider.params) == 2
+        assert all(p.temperature <= 0.1 and p.top_p <= 0.1 for p in provider.params)
 
     def test_profile_names_constant(self):
         assert PROFILE_NAMES == ("ip", "cot", "rag", "fsl", "lads")
@@ -154,7 +168,9 @@ class TestBuildPrompt:
         assert message.index(REQUEST.intent) < message.index(REQUEST.prompt)
 
     def test_missing_shots_raise(self):
-        with pytest.raises(ProfileViolation):
+        with pytest.raises(
+            InputError, match="profile 'fsl' requires few-shot examples but none were provided"
+        ):
             build_prompt(OptimizationProfile.for_name("fsl"), REQUEST, shots=())
 
     def test_retrieval_profile_with_no_chunks_omits_section(self):
@@ -393,6 +409,15 @@ class TestShotLibrary:
         )
         shots = load_shot_library(tmp_path, "redis")
         assert "replicaCount: 2" in shots[0].correct_output
+
+    def test_mapping_output_reaches_the_prompt_in_utf8(self, tmp_path):
+        """A shot's mapping is written as a verify prompt writes a config: non-ASCII as it is."""
+        config = "name: caf\u00e9\nlimits:\n  memory: 1Gi\n"
+        indented = "".join(f"  {line}\n" for line in config.splitlines())
+        self.write(tmp_path, "dask", "a.yaml", f"prompt: p\nintent: i\ncorrect_output:\n{indented}")
+        shots = load_shot_library(tmp_path, "dask")
+        payload = build_prompt(OptimizationProfile.for_name("fsl"), REQUEST, shots=shots)
+        assert f"Configuration:\n{config}\n" in payload.user_message
 
     def test_counterexample_round_trip(self, tmp_path):
         self.write(

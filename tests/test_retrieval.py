@@ -18,7 +18,6 @@ from intentconf.retrieval import (
     BM25_B,
     BM25_K1,
     Chunk,
-    InvalidChunking,
     _terms,
     build_index,
     chunk_document,
@@ -232,9 +231,10 @@ class TestChunkDocument:
             assert got == oracle_chunk_document(doc, chunk_size, overlap), (chunk_size, overlap)
 
     def test_invalid_overlap(self):
-        with pytest.raises(InvalidChunking):
+        message = "overlap must satisfy 0 <= overlap < chunk_size, got "
+        with pytest.raises(ValueError, match=message + "10"):
             chunk_document("a b c", 10, 10)
-        with pytest.raises(InvalidChunking):
+        with pytest.raises(ValueError, match=message + "-1"):
             chunk_document("a b c", 10, -1)
 
 
