@@ -4,7 +4,8 @@ Each attempt walks an ordered set of gates. When a gate fails, the failure
 is condensed into a short stage-tagged summary plus filtered log lines,
 and the next attempt gets the original prompt with that feedback appended.
 The loop stops at the first attempt that passes every enabled gate or when
-the attempt budget runs out.
+the attempt budget runs out. A chain's transcript is written and read back
+here alone, so its format lives in this module.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .gateway import PromptPayload, Provider, ProviderError, complete
-from .preprocess import ConfigDocument, StructuralError, preprocess_reply
+from .preprocess import ConfigDocument, Fields, InputError, StructuralError, preprocess_reply
+from .preprocess import read_text_file
 from .prompting import (
     GenerationRequest,
     OptimizationProfile,
@@ -179,7 +181,7 @@ def _structural(a: AttemptRecord, request, profile, deps) -> _Failure:
 
 
 def _static_validation(a: AttemptRecord, request, profile, deps) -> _Failure:
-    report = evaluate(a.config, deps.assertions, case_id=deps.case_id)
+    report = evaluate(a.config, deps.assertions)
     if report.passed:
         return None
     failures = report.failures
@@ -327,23 +329,54 @@ def write_transcript(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_transcript(path: Path | str) -> list[dict]:
-    """Parse a transcript back into attempt dicts, in attempt order.
+@dataclass(frozen=True)
+class TranscriptStats:
+    """One transcript read back: what ``report`` aggregates over chains.
 
-    Raises ValueError for a line that is not a JSON object or whose
-    ``attempt`` is not an integer.
+    Exposes the same resolved/attempts_used/max_attempts triple as a live
+    ChainOutcome so curve aggregation accepts either.
     """
-    entries = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for number, line in enumerate(lines, start=1):
+
+    system: str
+    resolved: bool
+    attempts_used: int
+    max_attempts: int
+    completion_tokens: int
+    latencies: tuple[float, ...]
+
+
+def read_transcript(path: Path | str) -> TranscriptStats | None:
+    """The record of the transcript at ``path``; None when it holds no attempts.
+
+    The attempt numbered highest decides the outcome, and an entry with no
+    number is numbered by its place in the file. A system left unnamed
+    reads as "unknown". A file that does not read, a line that is not a
+    JSON object and a field that does not read are InputErrors naming the
+    file and the line.
+    """
+    path = Path(path)
+    attempts: list[tuple[int, Fields]] = []
+    for number, line in enumerate(read_text_file(path).splitlines(), start=1):
         if not line.strip():
             continue
-        entry = json.loads(line)
+        where = f"{path}: line {number}"
+        try:
+            entry = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"{where}: not JSON: {exc}") from exc
         if not isinstance(entry, dict):
-            raise ValueError(f"line {number}: expected a JSON object, got {type(entry).__name__}")
-        attempt = entry.get("attempt", 0)
-        if isinstance(attempt, bool) or not isinstance(attempt, int):
-            raise ValueError(f"line {number}: attempt must be an integer, got {attempt!r}")
-        entries.append(entry)
-    entries.sort(key=lambda e: e.get("attempt", 0))
-    return entries
+            raise InputError(f"{where}: expected a JSON object, got {type(entry).__name__}")
+        fields = Fields(where, entry)
+        attempts.append((fields.get("attempt", len(attempts) + 1), fields))
+    if not attempts:
+        return None
+    attempts.sort(key=lambda numbered: numbered[0])
+    attempt, last = attempts[-1]
+    return TranscriptStats(
+        system=last.get("system", "") or "unknown",
+        resolved=last.raw.get("failed_stage") is None and not last.raw.get("provider_error"),
+        attempts_used=attempt,
+        max_attempts=last.get("max_attempts", len(attempts)),
+        completion_tokens=sum(a.get("completion_tokens", 0) for _, a in attempts),
+        latencies=tuple(a.get("latency_seconds", 0.0) for _, a in attempts),
+    )

@@ -10,6 +10,7 @@ deployment), and 2 for usage or configuration errors.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
 import glob as _glob
 import json
@@ -83,8 +84,7 @@ def _profile(config: AppConfig, name: str | None, attempts: int | None = None):
 
 
 def _deployer(config: AppConfig, backend: str | None, real_ok: bool, cluster: str | None):
-    chosen = (backend or config.deploy_backend).lower()
-    if chosen == "shell":
+    if (backend or config.deploy_backend) == "shell":
         if not real_ok:
             raise InputError(
                 "shell backend targets a real cluster; pass "
@@ -251,12 +251,12 @@ def validate(config_file: Path, assertions_path: Path, case_id: str):
     """Statically check an existing configuration file."""
     assertions = _load_assertions(assertions_path)
     document = _read_config(config_file)
-    report = validation.evaluate(document, assertions, case_id=case_id or config_file.name)
+    report = validation.evaluate(document, assertions)
     for result in report.results:
         mark = "PASS" if result.passed else "FAIL"
         detail = f" ({result.reason})" if result.reason else ""
         click.echo(f"{mark} {result.assertion.kind.value} {result.assertion.path}{detail}")
-    click.echo(f"{'passed' if report.passed else 'failed'}: {report.case_id}")
+    click.echo(f"{'passed' if report.passed else 'failed'}: {case_id or config_file.name}")
     sys.exit(0 if report.passed else 1)
 
 
@@ -313,6 +313,12 @@ def chain_cmd(
     case = cases[case_id]
     profile = _profile(config, profile_name)
     provider = build_provider(config, extra_script=harness_mod.load_mock_scripts(dataset))
+    if not no_deploy and config.deploy_backend == "shell":
+        # chain has no opt-in flag for a real cluster; name what it accepts.
+        raise InputError(
+            "shell backend targets a real cluster, and chain does not deploy to one; "
+            "pass --no-deploy or set deploy.backend: simulator"
+        )
     deployer = None if no_deploy else _deployer(config, None, False, None)
     request = prompting.GenerationRequest(
         system=case.system, intent=case.intent, prompt=case.prompt
@@ -400,29 +406,19 @@ def report(config: AppConfig, transcripts: str, rate: float | None):
     files = [Path(p) for p in sorted(_glob.glob(transcripts, recursive=True))]
     if not files:
         raise InputError(f"no transcripts match {transcripts!r}")
-    rate = rate if rate is not None else config.rate_per_token
-    if rate <= 0:
-        raise InputError(f"rate must be > 0, got {rate}")
-    stats = []
-    for file in files:
-        try:
-            entries = chain_mod.read_transcript(file)
-        except (OSError, ValueError) as exc:
-            raise InputError(f"{file}: {exc}") from exc
-        if entries:
-            stats.append(harness_mod.transcript_stats(entries, file))
+    stats = [s for s in map(chain_mod.read_transcript, files) if s is not None]
     if not stats:
         raise InputError("matched transcripts are all empty")
+    cost_rows = harness_mod.cost_report(stats, config.rate_per_token if rate is None else rate)
+    latency_rows = harness_mod.latency_report(stats)
     curve = harness_mod.resolution_curve(stats)
     click.echo(f"chains: {len(stats)}")
     for k in sorted(curve):
         click.echo(f"resolved by attempt {k}: {curve[k]:.1f}%")
     click.echo("")
     click.echo("max completion tokens and cost per configuration (completion tokens priced):")
-    cost_rows = harness_mod.cost_report(stats, rate)
     for row in cost_rows:
-        click.echo(f"  {row.system}  {row.max_completion_tokens}  $ {row.cost_display}")
-    latency_rows = harness_mod.latency_report(stats)
+        click.echo(f"  {row.system}  {row.max_completion_tokens}  $ {row.cost_dollars}")
     if any(row.calls for row in latency_rows):
         click.echo("")
         click.echo("latency per attempt (mean ± std, seconds):")
@@ -435,23 +431,8 @@ def report(config: AppConfig, transcripts: str, rate: float | None):
     payload = {
         "chains": len(stats),
         "resolution_curve": {str(k): v for k, v in curve.items()},
-        "cost": [
-            {
-                "system": row.system,
-                "max_completion_tokens": row.max_completion_tokens,
-                "cost_dollars": row.cost_display,
-            }
-            for row in cost_rows
-        ],
-        "latency": [
-            {
-                "system": row.system,
-                "mean_seconds": row.mean_seconds,
-                "std_seconds": row.std_seconds,
-                "calls": row.calls,
-            }
-            for row in latency_rows
-        ],
+        "cost": [dataclasses.asdict(row) for row in cost_rows],
+        "latency": [dataclasses.asdict(row) for row in latency_rows],
         "meta": {"generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat()},
     }
     out = config.output_dir / "report.json"

@@ -11,12 +11,13 @@ latency statistics.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .chain import ChainDeps, ChainOutcome, run_chain
+from .chain import ChainDeps, ChainOutcome, TranscriptStats, run_chain
 from .gateway import MockScript, Provider, read_scenario
 from .preprocess import Fields, InputError
 from .prompting import FewShotExample, GenerationRequest, OptimizationProfile
@@ -134,14 +135,24 @@ class HarnessDeps:
 
 @dataclass(frozen=True)
 class AccuracyTable:
-    """Accuracy percent per (profile, level) plus per-profile totals."""
+    """(passed, total) per (profile, level); accuracy percent per cell and per profile."""
 
     profiles: tuple[str, ...]
     levels: tuple[int, ...]
-    rows: dict[tuple[str, int], float]
-    totals: dict[str, float]
     counts: dict[tuple[str, int], tuple[int, int]]
     appendix: tuple[str, ...] = ()
+
+    @property
+    def rows(self) -> dict[tuple[str, int], float]:
+        return {cell: _percent(passed, total) for cell, (passed, total) in self.counts.items()}
+
+    @property
+    def totals(self) -> dict[str, float]:
+        totals = {}
+        for profile in self.profiles:
+            cells = [self.counts[(profile, level)] for level in self.levels]
+            totals[profile] = _percent(sum(c[0] for c in cells), sum(c[1] for c in cells))
+        return totals
 
 
 def _percent(passed: int, total: int) -> float:
@@ -196,56 +207,11 @@ def run_static_eval(
         for record in outcome.attempt_history:
             if record.provider_error:
                 appendix.append(f"{case.id} [{profile_name}]: {record.provider_error}")
-    rows = {cell: _percent(passed, total) for cell, (passed, total) in counts.items()}
-    totals = {}
-    for p in profiles:
-        cells = [counts[(p.name, level)] for level in levels]
-        totals[p.name] = _percent(sum(c[0] for c in cells), sum(c[1] for c in cells))
     return AccuracyTable(
         profiles=tuple(p.name for p in profiles),
         levels=levels,
-        rows=rows,
-        totals=totals,
         counts=counts,
         appendix=tuple(sorted(appendix)),
-    )
-
-
-@dataclass(frozen=True)
-class TranscriptStats:
-    """Summary of one persisted chain transcript.
-
-    Exposes the same resolved/attempts_used/max_attempts triple as a live
-    ChainOutcome so curve aggregation accepts either.
-    """
-
-    case_id: str
-    system: str
-    resolved: bool
-    attempts_used: int
-    max_attempts: int
-    prompt_tokens: int
-    completion_tokens: int
-    latencies: tuple[float, ...]
-
-
-def transcript_stats(entries: Sequence[Mapping], file="transcript") -> TranscriptStats:
-    """Summarise transcript entries; an InputError naming ``file`` and the key
-    when a field does not read. A system left unnamed reads as "unknown"."""
-    if not entries:
-        raise ValueError("transcript has no attempts")
-    attempts = [Fields(file, entry) for entry in entries]
-    last = attempts[-1]
-    resolved = last.raw.get("failed_stage") is None and not last.raw.get("provider_error")
-    return TranscriptStats(
-        case_id=last.get("case", ""),
-        system=last.get("system", "") or "unknown",
-        resolved=resolved,
-        attempts_used=last.get("attempt", len(entries)),
-        max_attempts=last.get("max_attempts", len(entries)),
-        prompt_tokens=sum(a.get("prompt_tokens", 0) for a in attempts),
-        completion_tokens=sum(a.get("completion_tokens", 0) for a in attempts),
-        latencies=tuple(a.get("latency_seconds", 0.0) for a in attempts),
     )
 
 
@@ -268,16 +234,17 @@ def resolution_curve(outcomes: Sequence[ChainOutcome]) -> dict[int, float]:
 class CostRow:
     system: str
     max_completion_tokens: int
-    cost_display: str
+    cost_dollars: str
 
 
 def cost_report(stats: Sequence[TranscriptStats], rate_per_token: float) -> tuple[CostRow, ...]:
     """Per system: the max completion tokens over transcripts, priced at the rate.
 
     The cost column is max tokens x rate, rendered to seven decimal places.
+    A rate that is not a positive finite number is an InputError.
     """
-    if rate_per_token <= 0:
-        raise ValueError(f"rate_per_token must be > 0, got {rate_per_token}")
+    if not 0 < rate_per_token < math.inf:
+        raise InputError(f"rate per token must be > 0 and finite, got {rate_per_token}")
     by_system: dict[str, int] = {}
     for s in stats:
         current = by_system.get(s.system)
@@ -287,7 +254,7 @@ def cost_report(stats: Sequence[TranscriptStats], rate_per_token: float) -> tupl
         CostRow(
             system=system,
             max_completion_tokens=tokens,
-            cost_display=f"{tokens * rate_per_token:.7f}",
+            cost_dollars=f"{tokens * rate_per_token:.7f}",
         )
         for system, tokens in sorted(by_system.items())
     )
@@ -324,12 +291,11 @@ def latency_report(stats: Sequence[TranscriptStats]) -> tuple[LatencyRow, ...]:
 def render_accuracy_table(table: AccuracyTable) -> str:
     """Text table: levels as rows, profiles as columns, Total as the last row."""
     header = ["Level"] + [p.upper() for p in table.profiles]
+    rows, totals = table.rows, table.totals
     body: list[list[str]] = []
     for level in table.levels:
-        body.append(
-            [str(level)] + [f"{table.rows[(p, level)]:.1f}" for p in table.profiles]
-        )
-    body.append(["Total"] + [f"{table.totals[p]:.1f}" for p in table.profiles])
+        body.append([str(level)] + [f"{rows[(p, level)]:.1f}" for p in table.profiles])
+    body.append(["Total"] + [f"{totals[p]:.1f}" for p in table.profiles])
     widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]
     lines = [
         "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
@@ -343,6 +309,7 @@ def render_accuracy_table(table: AccuracyTable) -> str:
 
 
 def accuracy_table_to_json(table: AccuracyTable, meta: Mapping | None = None) -> str:
+    rows = table.rows
     payload = {
         "profiles": list(table.profiles),
         "levels": list(table.levels),
@@ -350,7 +317,7 @@ def accuracy_table_to_json(table: AccuracyTable, meta: Mapping | None = None) ->
             {
                 "profile": profile,
                 "level": level,
-                "percent": table.rows[(profile, level)],
+                "percent": rows[(profile, level)],
                 "passed": table.counts[(profile, level)][0],
                 "total": table.counts[(profile, level)][1],
             }

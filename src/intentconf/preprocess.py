@@ -9,7 +9,8 @@ diffing and deployment always see identical bytes for identical trees.
 Parsing runs on libyaml when PyYAML was built with it. Text that libyaml
 reads differently from PyYAML's own scanner, and every error report, goes
 through the pure-Python loader, so results and messages are the same
-either way. Input files are read by the same strict rule as replies:
+either way; a YAML error is worded on one line, its problem and then its
+line and column. Input files are read by the same strict rule as replies:
 ``load_yaml_file`` is the one reader of the package's YAML files and
 ``read_text_file`` of its other text files, and whatever is wrong with a
 file, a duplicate key included, the error is an InputError whose message
@@ -40,18 +41,10 @@ class StructuralErrorKind(enum.Enum):
 class StructuralError(Exception):
     """Raised when no single well-formed mapping can be recovered from a reply."""
 
-    def __init__(
-        self,
-        kind: StructuralErrorKind,
-        detail: str,
-        line: int | None = None,
-        column: int | None = None,
-    ):
+    def __init__(self, kind: StructuralErrorKind, detail: str):
         super().__init__(f"{kind.value}: {detail}")
         self.kind = kind
         self.detail = detail
-        self.line = line
-        self.column = column
 
 
 @dataclass(frozen=True)
@@ -172,11 +165,17 @@ def _load_strict(text: str) -> list:
     return _load_documents(text, _PyUniqueKeyLoader)
 
 
-def _mark_position(exc: yaml.YAMLError) -> tuple[int | None, int | None]:
+def _one_line(exc: Exception, text: str) -> str:
+    """A load error of ``text`` on one line: its problem, then its line and column."""
+    if isinstance(exc, yaml.reader.ReaderError):
+        start = text.rfind("\n", 0, exc.position) + 1
+        line, column = text.count("\n", 0, start) + 1, exc.position - start + 1
+        problem = f"unacceptable character #x{exc.character:04x}: {exc.reason}"
+        return f"{problem} at line {line}, column {column}"
     mark = getattr(exc, "problem_mark", None)
     if mark is None:
-        return None, None
-    return mark.line + 1, mark.column + 1
+        return str(exc)
+    return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
 
 
 _DOCUMENT_MARKER = re.compile(r"^(?:---|\.\.\.|%)", re.MULTILINE)
@@ -313,10 +312,7 @@ def parse_config(text: str) -> ConfigDocument:
     try:
         docs = _load_strict(text)
     except yaml.YAMLError as exc:
-        line, column = _mark_position(exc)
-        raise StructuralError(
-            StructuralErrorKind.PARSE_FAILURE, str(exc), line=line, column=column
-        ) from exc
+        raise StructuralError(StructuralErrorKind.PARSE_FAILURE, _one_line(exc, text)) from exc
     except _NON_YAML_ERRORS as exc:
         raise StructuralError(
             StructuralErrorKind.PARSE_FAILURE, f"{type(exc).__name__}: {exc}"
@@ -375,17 +371,6 @@ def read_text_file(path) -> str:
         raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-
-
-def _one_line(exc: Exception, text: str) -> str:
-    """A load error of ``text`` on one line: its problem, then its line and column."""
-    line, column = _mark_position(exc)
-    problem = getattr(exc, "problem", None)
-    if isinstance(exc, yaml.reader.ReaderError):
-        start = text.rfind("\n", 0, exc.position) + 1
-        line, column = text.count("\n", 0, start) + 1, exc.position - start + 1
-        problem = f"unacceptable character #x{exc.character:04x}: {exc.reason}"
-    return str(exc) if line is None else f"{problem} at line {line}, column {column}"
 
 
 def load_yaml_file(path):

@@ -177,14 +177,12 @@ class DeploymentOutcome:
 class BenchmarkResult:
     completion_seconds: float
     cost_dollars: float
-    resources: ResourceSpec
 
 
 @dataclass(frozen=True)
 class SystemProfile:
     """Where replicas/cpu/memory live inside one system's configuration."""
 
-    system: str
     replicas_path: str
     cpu_path: str
     memory_path: str
@@ -219,7 +217,6 @@ def load_system_profiles(path: Path | str | None = None) -> dict[str, SystemProf
         defaults = spec.section("defaults")
         profiles[str(system)] = spec.build(
             SystemProfile,
-            str(system),
             *(spec.require(key) for key in _PROFILE_PATHS),
             **{
                 f"default_{key}": defaults.get(key, getattr(SystemProfile, f"default_{key}"))
@@ -341,7 +338,7 @@ def run_workload(model: ClusterModel, spec: ResourceSpec, workload: Workload) ->
         spec.memory_bytes / GIB
     )
     cost = (completion / 3600.0) * hourly
-    return BenchmarkResult(completion_seconds=completion, cost_dollars=cost, resources=spec)
+    return BenchmarkResult(completion_seconds=completion, cost_dollars=cost)
 
 
 def _quantity(node: Fields, kind: str) -> int:

@@ -151,7 +151,6 @@ class AssertionResult:
 class ValidationReport:
     """Outcome of checking one configuration against a benchmark case."""
 
-    case_id: str
     results: tuple[AssertionResult, ...] = ()
 
     @property
@@ -190,18 +189,14 @@ def _failure(assertion: Assertion, matches: list[Any]) -> str:
     return ""
 
 
-def evaluate(
-    config: ConfigDocument,
-    assertions: Sequence[Assertion],
-    case_id: str = "",
-) -> ValidationReport:
+def evaluate(config: ConfigDocument, assertions: Sequence[Assertion]) -> ValidationReport:
     """Check a configuration against assertions."""
     results = []
     for assertion in assertions:
         matches = resolve_path(config.root, assertion.segments)
         reason = _failure(assertion, matches)
         results.append(AssertionResult(assertion, not reason, reason))
-    return ValidationReport(case_id=case_id, results=tuple(results))
+    return ValidationReport(tuple(results))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,16 @@
+import json
+
 import pytest
+
+
+@pytest.fixture
+def jsonl_entries():
+    """Reads a JSON-lines file, such as a chain transcript, back as one dict per line."""
+
+    def read(path):
+        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    return read
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -14,7 +14,14 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from intentconf.chain import ChainDeps, Stage, read_transcript, run_chain, write_transcript
+from intentconf.chain import (
+    ChainDeps,
+    Stage,
+    TranscriptStats,
+    read_transcript,
+    run_chain,
+    write_transcript,
+)
 from intentconf.cli import main as cli_main
 from intentconf.gateway import (
     MockProvider,
@@ -25,12 +32,10 @@ from intentconf.gateway import (
 )
 from intentconf.harness import (
     HarnessDeps,
-    TranscriptStats,
     cost_report,
     load_dataset,
     resolution_curve,
     run_static_eval,
-    transcript_stats,
 )
 from intentconf.preprocess import (
     StructuralError,
@@ -83,14 +88,14 @@ REQUEST = GenerationRequest(
 def test_cost_report_exact_dollar_strings():
     started = time.monotonic()
     records = [
-        TranscriptStats("d", "dask", True, 1, 1, 900, 67, ()),
-        TranscriptStats("r", "redis", True, 1, 1, 900, 183, ()),
-        TranscriptStats("y", "ray", True, 1, 1, 900, 72, ()),
+        TranscriptStats("dask", True, 1, 1, 67, ()),
+        TranscriptStats("redis", True, 1, 1, 183, ()),
+        TranscriptStats("ray", True, 1, 1, 72, ()),
     ]
     rows = {row.system: row for row in cost_report(records, rate_per_token=8.0e-7)}
-    assert rows["dask"].cost_display == "0.0000536"
-    assert rows["redis"].cost_display == "0.0001464"
-    assert rows["ray"].cost_display == "0.0000576"
+    assert rows["dask"].cost_dollars == "0.0000536"
+    assert rows["redis"].cost_dollars == "0.0001464"
+    assert rows["ray"].cost_dollars == "0.0000576"
     assert time.monotonic() - started < 1.0
 
 
@@ -283,7 +288,7 @@ def test_chain_suite_resolution_curve(tmp_path):
 
         path = tmp_path / f"{sid}.jsonl"
         write_transcript(path, outcome, case_id=sid, system="dask")
-        stats.append(transcript_stats(read_transcript(path)))
+        stats.append(read_transcript(path))
 
     curve = resolution_curve(stats)
     assert curve == {1: 40.0, 2: 70.0, 3: 94.0}
@@ -408,7 +413,7 @@ def test_quantity_grammar_table():
 
 
 @pytest.mark.acceptance(label="A10 CLI golden run repairs memory and is byte-stable")
-def test_cli_golden_run(tmp_path):
+def test_cli_golden_run(tmp_path, jsonl_entries):
     started = time.monotonic()
     (tmp_path / "mock.yaml").write_text(
         yaml.safe_dump(
@@ -453,7 +458,7 @@ def test_cli_golden_run(tmp_path):
         transcripts.append(path)
 
     assert transcripts[0].read_bytes() == transcripts[1].read_bytes()
-    entries = read_transcript(transcripts[0])
+    entries = jsonl_entries(transcripts[0])
     assert len(entries) == 2
     assert "Deployment failed after StaticValidation succeeded" in entries[0]["summary"]
     assert entries[1]["attempt"] == 2

@@ -186,9 +186,6 @@ def _reads_mapping(node) -> bool:
 
 # Reads the routing metadata of a payload the chain built, not a file.
 CONVERSION_ALLOWED = {"gateway.py:MockProvider.complete"}
-# Reads a transcript this package wrote; ``report`` names the file when it
-# does not read.
-READ_TEXT_ALLOWED = {"chain.py:read_transcript"}
 
 
 def test_file_reading_goes_through_preprocess():
@@ -213,11 +210,7 @@ def test_file_reading_goes_through_preprocess():
                 and f"{path.name}:{scope}" not in CONVERSION_ALLOWED
             ):
                 bypasses.append(f"{path.name}:{call.lineno}: {ast.unparse(call)} in {scope}")
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr == "read_text"
-                and f"{path.name}:{scope}" not in READ_TEXT_ALLOWED
-            ):
+            elif isinstance(func, ast.Attribute) and func.attr == "read_text":
                 bypasses.append(f"{path.name}:{call.lineno}: .read_text( in {scope}")
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):

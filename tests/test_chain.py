@@ -16,7 +16,6 @@ from intentconf.chain import (
     FeedbackContext,
     Stage,
     make_feedback,
-    read_transcript,
     run_chain,
     write_transcript,
 )
@@ -533,11 +532,11 @@ class TestTranscripts:
             deps_for(script_for("case", [BIG_MEMORY_CONFIG, GOOD_CONFIG])),
         )
 
-    def test_one_line_per_attempt_round_trip(self, tmp_path):
+    def test_one_line_per_attempt_round_trip(self, tmp_path, jsonl_entries):
         path = tmp_path / "chain.jsonl"
         outcome = self.outcome()
         write_transcript(path, outcome, case_id="case", system="dask")
-        entries = read_transcript(path)
+        entries = jsonl_entries(path)
         assert len(entries) == 2
         assert [e["attempt"] for e in entries] == [1, 2]
         assert entries[0]["failed_stage"] == "Deployment"
@@ -551,18 +550,18 @@ class TestTranscripts:
         write_transcript(second, self.outcome(), case_id="case", system="dask")
         assert first.read_bytes() == second.read_bytes()
 
-    def test_no_timestamps_anywhere(self, tmp_path):
+    def test_no_timestamps_anywhere(self, tmp_path, jsonl_entries):
         path = tmp_path / "chain.jsonl"
         write_transcript(path, self.outcome(), case_id="case", system="dask")
-        for entry in read_transcript(path):
+        for entry in jsonl_entries(path):
             assert not any("time" in key and key != "latency_seconds" for key in entry)
             assert "date" not in " ".join(entry.keys())
 
-    def test_stage_fields_reflect_history(self, tmp_path):
+    def test_stage_fields_reflect_history(self, tmp_path, jsonl_entries):
         path = tmp_path / "chain.jsonl"
         outcome = self.outcome()
         write_transcript(path, outcome, case_id="case", system="dask")
-        entries = read_transcript(path)
+        entries = jsonl_entries(path)
         for entry, record in zip(entries, outcome.attempt_history):
             assert entry["stages_passed"] == [s.value for s in record.stages_passed]
             assert entry["reached"] == record.reached.value

@@ -456,6 +456,27 @@ class TestValidate:
         assert result.exit_code == 2
 
 
+class TestConfigYamlErrors:
+    @pytest.mark.parametrize(
+        "args, exit_code, prefix",
+        [
+            (["complexity", "dup.yaml"], 2, "error: dup.yaml: "),
+            (["validate", "dup.yaml", "--assertions", "checks.yaml"], 1, "structural error: "),
+            (["deploy", "dup.yaml", "--system", "dask"], 1, "structural error: "),
+        ],
+        ids=["complexity", "validate", "deploy"],
+    )
+    def test_duplicate_key_is_one_line(self, tmp_path, runner, monkeypatch, args, exit_code, prefix):
+        monkeypatch.chdir(tmp_path)
+        make_workspace(tmp_path)
+        (tmp_path / "dup.yaml").write_text("a: 1\na: 2\n", encoding="utf-8")
+        result = runner.invoke(main, args)
+        assert result.exit_code == exit_code, combined(result)
+        assert result.output.splitlines() == [
+            f"{prefix}ParseFailure: duplicate key 'a' at line 2, column 1"
+        ]
+
+
 class TestDeploy:
     def test_simulated_success(self, tmp_path, runner):
         config = tmp_path / "good.yaml"
@@ -515,6 +536,20 @@ class TestChain:
         app = make_workspace(tmp_path, dataset={"c1": {"mock": {"replies": [PROSE]}}})
         result = runner.invoke(main, ["-c", str(app), "chain", "--case", "c1"])
         assert result.exit_code == 1
+
+    def test_shell_backend_names_only_what_chain_accepts(self, tmp_path, runner):
+        app = make_workspace(tmp_path, dataset={"c1": {"mock": {"replies": [GOOD]}}})
+        config = yaml.safe_load(app.read_text(encoding="utf-8"))
+        write_yaml(app, {**config, "deploy": {"backend": "shell"}})
+        result = runner.invoke(main, ["-c", str(app), "chain", "--case", "c1"])
+        assert result.exit_code == 2, combined(result)
+        assert result.output.splitlines() == [
+            "error: shell backend targets a real cluster, and chain does not deploy to one; "
+            "pass --no-deploy or set deploy.backend: simulator"
+        ]
+        assert "--i-understand" not in result.output
+        result = runner.invoke(main, ["-c", str(app), "chain", "--case", "c1", "--no-deploy"])
+        assert result.exit_code == 0, combined(result)
 
 
 class TestBench:
@@ -626,29 +661,39 @@ class TestReport:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
-        "text",
+        "content, problem",
         [
-            "[1, 2]\n",
-            '{"attempt": "x"}\n',
-            '{"attempt": 1, "latency_seconds": "slow"}\n',
-            '{"attempt": 1}\n{"attempt": "2"}\n',
+            (b"[1, 2]\n", "line 1: expected a JSON object, got list"),
+            (b'{"attempt": "x"}\n', "line 1: attempt must be an integer, got 'x'"),
+            (b'{"attempt": 1, "latency_seconds": "slow"}\n',
+             "line 1: latency_seconds must be a number, got 'slow'"),
+            (b'{"attempt": 1}\n{"attempt": true}\n', "line 2: attempt must be an integer, got True"),
+            (b'{"attempt": 1}\n{"attempt": 2,\n', "line 2: not JSON: "),
+            (b'{"attempt": 1, "system": "caf\xe9"}\n', "not UTF-8 text: "),
         ],
-        ids=["not-an-object", "attempt-not-a-number", "latency-not-a-number", "mixed-attempts"],
+        ids=["not-an-object", "attempt-not-a-number", "latency-not-a-number", "mixed-attempts",
+             "not-json", "not-utf8"],
     )
-    def test_malformed_transcript_is_a_usage_error(self, tmp_path, runner, text):
+    def test_malformed_transcript_is_a_usage_error(self, tmp_path, runner, content, problem):
         app = make_workspace(tmp_path)
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(text, encoding="utf-8")
+        bad.write_bytes(content)
         result = runner.invoke(main, ["-c", str(app), "report", "--transcripts", str(bad)])
         assert result.exit_code == 2, combined(result)
         assert isinstance(result.exception, SystemExit)
-        assert str(bad) in combined(result)
+        (line,) = result.output.splitlines()
+        assert line.startswith(f"error: {bad}: {problem}"), line
 
     def test_rate_guard(self, tmp_path, runner):
         app = self.seed_transcripts(tmp_path, runner)
-        result = runner.invoke(
-            main,
-            ["-c", str(app), "report", "--transcripts", str(tmp_path / "out" / "*.jsonl"),
-             "--rate", "0"],
-        )
-        assert result.exit_code == 2
+        for rate in ("0", "nan", "inf"):
+            result = runner.invoke(
+                main,
+                ["-c", str(app), "report", "--transcripts", str(tmp_path / "out" / "*.jsonl"),
+                 "--rate", rate],
+            )
+            assert result.exit_code == 2, combined(result)
+            assert result.output.splitlines() == [
+                f"error: rate per token must be > 0 and finite, got {float(rate)}"
+            ]
+        assert not (tmp_path / "out" / "report.json").exists()

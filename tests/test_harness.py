@@ -9,13 +9,12 @@ import pytest
 import yaml
 
 import intentconf.harness as harness_mod
-from intentconf.chain import run_chain, write_transcript, read_transcript, ChainDeps
+from intentconf.chain import ChainDeps, TranscriptStats, read_transcript, run_chain, write_transcript
 from intentconf.gateway import MockProvider, MockReply, MockScript
 from intentconf.harness import (
     AccuracyTable,
     BenchmarkCase,
     HarnessDeps,
-    TranscriptStats,
     accuracy_table_to_json,
     assertion_from_mapping,
     cost_report,
@@ -25,7 +24,6 @@ from intentconf.harness import (
     render_accuracy_table,
     resolution_curve,
     run_static_eval,
-    transcript_stats,
 )
 from intentconf.preprocess import Fields, InputError
 from intentconf.prompting import FewShotExample, GenerationRequest, OptimizationProfile
@@ -322,12 +320,10 @@ class TestStaticEval:
 
 def stat(resolved, attempts, max_attempts=3):
     return TranscriptStats(
-        case_id="c",
         system="dask",
         resolved=resolved,
         attempts_used=attempts,
         max_attempts=max_attempts,
-        prompt_tokens=0,
         completion_tokens=0,
         latencies=(),
     )
@@ -367,36 +363,35 @@ class TestCostReport:
 
     def records(self):
         return [
-            TranscriptStats("d1", "dask", True, 1, 1, 900, 67, (1.0,)),
-            TranscriptStats("r1", "redis", True, 1, 1, 900, 183, (2.0,)),
-            TranscriptStats("y1", "ray", True, 1, 1, 900, 72, (3.0,)),
+            TranscriptStats("dask", True, 1, 1, 67, (1.0,)),
+            TranscriptStats("redis", True, 1, 1, 183, (2.0,)),
+            TranscriptStats("ray", True, 1, 1, 72, (3.0,)),
         ]
 
     def test_reference_cost_rows(self):
         rows = {row.system: row for row in cost_report(self.records(), self.RATE)}
         assert rows["dask"].max_completion_tokens == 67
-        assert rows["dask"].cost_display == "0.0000536"
-        assert rows["redis"].cost_display == "0.0001464"
-        assert rows["ray"].cost_display == "0.0000576"
+        assert rows["dask"].cost_dollars == "0.0000536"
+        assert rows["redis"].cost_dollars == "0.0001464"
+        assert rows["ray"].cost_dollars == "0.0000576"
 
     def test_max_across_records(self):
-        records = self.records() + [TranscriptStats("d2", "dask", True, 2, 2, 10, 100, ())]
+        records = self.records() + [TranscriptStats("dask", True, 2, 2, 100, ())]
         rows = {row.system: row for row in cost_report(records, self.RATE)}
         assert rows["dask"].max_completion_tokens == 100
 
     def test_linear_in_rate(self):
-        single = {r.system: float(r.cost_display) for r in cost_report(self.records(), self.RATE)}
+        single = {r.system: float(r.cost_dollars) for r in cost_report(self.records(), self.RATE)}
         double = {
-            r.system: float(r.cost_display) for r in cost_report(self.records(), 2 * self.RATE)
+            r.system: float(r.cost_dollars) for r in cost_report(self.records(), 2 * self.RATE)
         }
         for system, cost in single.items():
             assert double[system] == pytest.approx(2 * cost, rel=1e-6)
 
     def test_rate_guard(self):
-        with pytest.raises(ValueError):
-            cost_report(self.records(), 0.0)
-        with pytest.raises(ValueError):
-            cost_report(self.records(), -1e-7)
+        for rate in (0.0, -1e-7, float("nan"), float("inf")):
+            with pytest.raises(InputError, match="rate per token must be > 0 and finite"):
+                cost_report(self.records(), rate)
 
     def test_rows_sorted_by_system(self):
         assert [r.system for r in cost_report(self.records(), self.RATE)] == [
@@ -409,25 +404,30 @@ class TestCostReport:
 class TestLatencyReport:
     def test_mean_and_population_std(self):
         records = [
-            TranscriptStats("a", "dask", True, 1, 1, 0, 0, (4.0,)),
-            TranscriptStats("b", "dask", True, 1, 1, 0, 0, (6.0,)),
+            TranscriptStats("dask", True, 1, 1, 0, (4.0,)),
+            TranscriptStats("dask", True, 1, 1, 0, (6.0,)),
         ]
         row = latency_report(records)[0]
         assert (row.mean_seconds, row.std_seconds, row.calls) == (5.0, 1.0, 2)
 
     def test_singleton(self):
-        row = latency_report([TranscriptStats("a", "ray", True, 1, 1, 0, 0, (9.282,))])[0]
+        row = latency_report([TranscriptStats("ray", True, 1, 1, 0, (9.282,))])[0]
         assert row.mean_seconds == pytest.approx(9.282)
         assert row.std_seconds == 0.0
 
     def test_flattens_multi_attempt_records(self):
-        records = [TranscriptStats("a", "redis", True, 2, 2, 0, 0, (1.0, 3.0))]
+        records = [TranscriptStats("redis", True, 2, 2, 0, (1.0, 3.0))]
         row = latency_report(records)[0]
         assert (row.mean_seconds, row.calls) == (2.0, 2)
 
 
 class TestTranscriptStats:
-    def test_round_trip_from_chain(self, tmp_path):
+    def write(self, tmp_path, text, name="t.jsonl"):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_round_trip_from_chain(self, tmp_path, jsonl_entries):
         script = MockScript(
             entries={("c1", 1): MockReply(PROSE, 0.5), ("c1", 2): MockReply(GOOD, 1.5)}
         )
@@ -449,19 +449,45 @@ class TestTranscriptStats:
         )
         path = tmp_path / "t.jsonl"
         write_transcript(path, outcome, case_id="c1", system="dask")
-        stats = transcript_stats(read_transcript(path))
+        stats = read_transcript(path)
         assert stats.resolved and stats.attempts_used == 2
-        assert stats.case_id == "c1" and stats.system == "dask"
+        assert stats.system == "dask"
         assert stats.latencies == (0.5, 1.5)
-        assert stats.prompt_tokens == outcome.total_prompt_tokens
+        assert stats.completion_tokens == outcome.total_completion_tokens
+        entries = jsonl_entries(path)
+        assert [e["case"] for e in entries] == ["c1", "c1"]
+        assert sum(e["prompt_tokens"] for e in entries) == outcome.total_prompt_tokens
 
-    def test_unnamed_system_is_unknown(self):
-        assert transcript_stats([{"attempt": 1, "system": ""}]).system == "unknown"
-        assert transcript_stats([{"attempt": 1}]).system == "unknown"
+    def test_unnamed_system_is_unknown(self, tmp_path):
+        named_empty = self.write(tmp_path, '{"attempt": 1, "system": ""}\n', "empty.jsonl")
+        unnamed = self.write(tmp_path, '{"attempt": 1}\n', "unnamed.jsonl")
+        assert read_transcript(named_empty).system == "unknown"
+        assert read_transcript(unnamed).system == "unknown"
 
-    def test_empty_transcript_rejected(self):
-        with pytest.raises(ValueError):
-            transcript_stats([])
+    def test_empty_transcript_has_no_record(self, tmp_path):
+        assert read_transcript(self.write(tmp_path, "")) is None
+        assert read_transcript(self.write(tmp_path, "\n  \n", "blank.jsonl")) is None
+
+    def test_highest_attempt_decides(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            '{"attempt": 2, "max_attempts": 3, "latency_seconds": 2.0}\n'
+            '{"attempt": 1, "failed_stage": "Structural", "latency_seconds": 1.0}\n',
+        )
+        stats = read_transcript(path)
+        assert (stats.resolved, stats.attempts_used, stats.max_attempts) == (True, 2, 3)
+        assert stats.latencies == (1.0, 2.0)
+
+    def test_attempt_is_read_by_the_one_scalar_rule(self, tmp_path):
+        assert read_transcript(self.write(tmp_path, '{"attempt": "2"}\n')).attempts_used == 2
+        unnumbered = self.write(tmp_path, "{}\n{}\n{}\n", "unnumbered.jsonl")
+        assert read_transcript(unnumbered).attempts_used == 3
+
+    def test_wrong_typed_field_names_the_file_line_and_key(self, tmp_path):
+        path = self.write(tmp_path, '{"attempt": 1}\n\n{"attempt": 2, "latency_seconds": "slow"}\n')
+        with pytest.raises(InputError) as info:
+            read_transcript(path)
+        assert str(info.value) == f"{path}: line 3: latency_seconds must be a number, got 'slow'"
 
 
 class TestRendering:
@@ -485,8 +511,6 @@ class TestRendering:
         amended = AccuracyTable(
             profiles=table.profiles,
             levels=table.levels,
-            rows=table.rows,
-            totals=table.totals,
             counts=table.counts,
             appendix=("c00 [ip]: connection reset",),
         )

@@ -142,7 +142,7 @@ class TestParse:
         with pytest.raises(StructuralError) as info:
             parse_config("a: [unclosed")
         assert info.value.kind is StructuralErrorKind.PARSE_FAILURE
-        assert info.value.line == 1
+        assert " at line 1, column " in info.value.detail
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(StructuralError) as info:
@@ -451,16 +451,14 @@ class TestErrorReports:
         with pytest.raises(StructuralError) as info:
             parse_config(text)
         mark = expected.value.problem_mark
-        assert info.value.detail == str(expected.value)
-        assert (info.value.line, info.value.column) == (mark.line + 1, mark.column + 1)
+        assert info.value.detail == one_line(expected.value, text)
+        assert info.value.detail.endswith(f" at line {mark.line + 1}, column {mark.column + 1}")
+        assert "\n" not in str(info.value)
 
     def test_duplicate_key_report(self):
         with pytest.raises(StructuralError) as info:
             parse_config("a: 1\na: 2")
-        assert info.value.detail == (
-            "duplicate key 'a'\n  in \"<unicode string>\", line 2, column 1:\n    a: 2\n    ^"
-        )
-        assert (info.value.line, info.value.column) == (2, 1)
+        assert info.value.detail == "duplicate key 'a' at line 2, column 1"
 
 
 # The routed loader against PyYAML's pure-Python unique-key loader, and the

@@ -151,7 +151,6 @@ class TestExtractResources:
     def test_custom_profile_paths(self):
         profiles = {
             "toy": SystemProfile(
-                system="toy",
                 replicas_path="count",
                 cpu_path="shape/cpu",
                 memory_path="shape/mem",
@@ -168,8 +167,7 @@ class TestExtractResources:
          {"default_memory": "1Ti"}, {"default_replicas": 0}],
     )
     def test_profile_rejects_what_no_reply_could_fix(self, override):
-        fields = {"system": "toy", "replicas_path": "count", "cpu_path": "shape/cpu",
-                  "memory_path": "shape/mem"}
+        fields = {"replicas_path": "count", "cpu_path": "shape/cpu", "memory_path": "shape/mem"}
         with pytest.raises(ValueError):
             SystemProfile(**{**fields, **override})
 
@@ -506,4 +504,4 @@ class TestLoaders:
         )
         profiles = load_system_profiles(path)
         assert profiles["toy"].default_replicas == 2
-        assert profiles["toy"].system == "toy"
+        assert list(profiles) == ["toy"]
