@@ -23,7 +23,7 @@ from .gateway import (
     load_mock_script,
 )
 from .preprocess import Fields, InputError
-from .prompting import MAX_CHAIN_ATTEMPTS, PROFILE_NAMES
+from .prompting import ATTEMPT_CEILING, MAX_CHAIN_ATTEMPTS, PROFILE_NAMES
 from .retrieval import DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP, DEFAULT_TOP_K
 from .simulator import Workload
 
@@ -117,8 +117,8 @@ def load_app_config(path: Path | str | None) -> AppConfig:
         raise data.fail(f"must be one of {', '.join(PROFILE_NAMES)}, got {profile!r}", "profile")
 
     attempts = data.get("max_chain_attempts", defaults.max_chain_attempts)
-    if attempts < 1:
-        raise data.fail(f"must be >= 1, got {attempts}", "max_chain_attempts")
+    if not 1 <= attempts <= ATTEMPT_CEILING:
+        raise data.fail(f"must be between 1 and {ATTEMPT_CEILING}, got {attempts}", "max_chain_attempts")
 
     rate = data.section("cost").get("rate_per_token", defaults.rate_per_token)
     if not rate > 0:

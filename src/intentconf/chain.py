@@ -20,6 +20,7 @@ from .gateway import PromptPayload, Provider, ProviderError, complete
 from .preprocess import ConfigDocument, Fields, InputError, StructuralError, preprocess_reply
 from .preprocess import read_text_file
 from .prompting import (
+    ATTEMPT_CEILING,
     GenerationRequest,
     OptimizationProfile,
     FewShotExample,
@@ -351,8 +352,8 @@ def read_transcript(path: Path | str) -> TranscriptStats | None:
     The attempt numbered highest decides the outcome, and an entry with no
     number is numbered by its place in the file. A system left unnamed
     reads as "unknown". A file that does not read, a line that is not a
-    JSON object and a field that does not read are InputErrors naming the
-    file and the line.
+    JSON object, a field that does not read and an attempt or budget above
+    ATTEMPT_CEILING are InputErrors naming the file and the line.
     """
     path = Path(path)
     attempts: list[tuple[int, Fields]] = []
@@ -372,11 +373,15 @@ def read_transcript(path: Path | str) -> TranscriptStats | None:
         return None
     attempts.sort(key=lambda numbered: numbered[0])
     attempt, last = attempts[-1]
+    max_attempts = last.get("max_attempts", len(attempts))
+    for key, count in (("attempt", attempt), ("max_attempts", max_attempts)):
+        if count > ATTEMPT_CEILING:
+            raise last.fail(f"must be at most {ATTEMPT_CEILING}, got {count}", key)
     return TranscriptStats(
         system=last.get("system", "") or "unknown",
         resolved=last.raw.get("failed_stage") is None and not last.raw.get("provider_error"),
         attempts_used=attempt,
-        max_attempts=last.get("max_attempts", len(attempts)),
+        max_attempts=max_attempts,
         completion_tokens=sum(a.get("completion_tokens", 0) for _, a in attempts),
         latencies=tuple(a.get("latency_seconds", 0.0) for _, a in attempts),
     )

@@ -109,8 +109,6 @@ class Provider(Protocol):
 def complete(payload: PromptPayload, params: SamplingParams, provider: Provider) -> RawResponse:
     """Issue one completion call through ``provider``, never streaming, with
     ``params`` clamped for determinism."""
-    if not payload.user_message:
-        raise ValueError("user_message must be non-empty")
     return provider.complete(payload, clamp_for_determinism(params))
 
 

@@ -44,6 +44,7 @@ _FLAGS = {
 PROFILE_NAMES = tuple(_FLAGS)
 
 MAX_CHAIN_ATTEMPTS = 3
+ATTEMPT_CEILING = 100  # the most attempts a chain may be given, or a transcript record
 
 INSTRUCTION_HEADER = (
     "You are a deployment engineer for distributed compute clusters.\n"
@@ -109,8 +110,8 @@ class OptimizationProfile:
     def __post_init__(self):
         if self.name not in PROFILE_NAMES:
             raise InputError(f"unknown profile {self.name!r}; choose from {PROFILE_NAMES}")
-        if self.max_chain_attempts < 1:
-            raise InputError("max_chain_attempts must be >= 1")
+        if not 1 <= self.max_chain_attempts <= ATTEMPT_CEILING:
+            raise InputError(f"max_chain_attempts must be between 1 and {ATTEMPT_CEILING}")
 
     @property
     def use_cot(self) -> bool:

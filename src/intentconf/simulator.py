@@ -276,33 +276,27 @@ def extract_resources(
 def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
     """Place each replica on the first node with room, tracking remaining capacity.
 
-    Replicas are identical, so first-fit over nodes in index order is the
-    whole heuristic. On failure the reason names memory only when memory is
-    the first constraint violated on every node; otherwise cpu.
+    Replicas are identical and capacity only shrinks, so a node that cannot
+    take one replica takes no later one: first-fit is a fill in node order,
+    one node index moving only forward. When it runs past the last node, the
+    reason is insufficient memory only when no node is short of cpu (memory
+    then binds on every node); otherwise insufficient cpu.
     """
+    cpu, memory = spec.cpu_millicores, spec.memory_bytes
     remaining = [[node.cpu_millicores, node.memory_bytes] for node in model.nodes]
     logs: list[str] = []
+    target = 0
     for replica in range(spec.replicas):
-        target = None
-        first_violations = []
-        for node_index, (cpu_left, mem_left) in enumerate(remaining):
-            if spec.cpu_millicores > cpu_left:
-                first_violations.append("cpu")
-                continue
-            if spec.memory_bytes > mem_left:
-                first_violations.append("memory")
-                continue
-            target = node_index
-            break
-        if target is None:
-            reason = (
-                "insufficient memory"
-                if first_violations and all(v == "memory" for v in first_violations)
-                else "insufficient cpu"
-            )
+        while target < len(remaining) and (
+            cpu > remaining[target][0] or memory > remaining[target][1]
+        ):
+            target += 1
+        if target == len(remaining):
+            short_of_cpu = any(cpu > cpu_left for cpu_left, _ in remaining)
+            reason = "insufficient cpu" if short_of_cpu else "insufficient memory"
             logs.append(
                 f"Error: replica {replica} unplaceable: {reason} "
-                f"(demand cpu={spec.cpu_millicores}m memory={spec.memory_bytes}B)"
+                f"(demand cpu={cpu}m memory={memory}B)"
             )
             return DeploymentOutcome(
                 success=False,
@@ -310,8 +304,8 @@ def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
                 logs="\n".join(logs),
                 resources=spec,
             )
-        remaining[target][0] -= spec.cpu_millicores
-        remaining[target][1] -= spec.memory_bytes
+        remaining[target][0] -= cpu
+        remaining[target][1] -= memory
         logs.append(
             f"placed replica {replica} on node {target} "
             f"(remaining cpu={remaining[target][0]}m memory={remaining[target][1]}B)"
@@ -382,7 +376,7 @@ class SimulatedDeployer:
         outcome = apply(self.model, extraction.spec)
         if extraction.notes:
             notes = "\n".join(f"note: {note}" for note in extraction.notes)
-            outcome = replace(outcome, logs=f"{notes}\n{outcome.logs}" if outcome.logs else notes)
+            outcome = replace(outcome, logs=f"{notes}\n{outcome.logs}")
         return outcome
 
     def benchmark(self, spec: ResourceSpec, workload: Workload) -> BenchmarkResult:

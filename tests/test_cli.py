@@ -176,6 +176,7 @@ class TestGenerate:
         "paths list": ({"paths": ["a"]}, "paths"),
         "attempts fraction": ({"max_chain_attempts": 2.9}, "max_chain_attempts"),
         "attempts zero": ({"max_chain_attempts": 0}, "max_chain_attempts"),
+        "attempts above ceiling": ({"max_chain_attempts": 101}, "max_chain_attempts"),
         "profile unknown": ({"profile": "bogus"}, "profile"),
         "max tokens fraction": ({"sampling": {"max_tokens": 10.7}}, "sampling.max_tokens"),
     }
@@ -670,9 +671,14 @@ class TestReport:
             (b'{"attempt": 1}\n{"attempt": true}\n', "line 2: attempt must be an integer, got True"),
             (b'{"attempt": 1}\n{"attempt": 2,\n', "line 2: not JSON: "),
             (b'{"attempt": 1, "system": "caf\xe9"}\n', "not UTF-8 text: "),
+            # numbers that would size report's output, not the file
+            (b'{"attempt": 1, "max_attempts": 100000, "system": "dask"}\n',
+             "line 1: max_attempts must be at most 100, got 100000"),
+            (b'{"attempt": 100000, "system": "dask"}\n',
+             "line 1: attempt must be at most 100, got 100000"),
         ],
         ids=["not-an-object", "attempt-not-a-number", "latency-not-a-number", "mixed-attempts",
-             "not-json", "not-utf8"],
+             "not-json", "not-utf8", "budget-above-ceiling", "attempt-above-ceiling"],
     )
     def test_malformed_transcript_is_a_usage_error(self, tmp_path, runner, content, problem):
         app = make_workspace(tmp_path)

@@ -19,7 +19,6 @@ from intentconf.gateway import (
     RawResponse,
     SamplingParams,
     clamp_for_determinism,
-    complete,
     load_mock_script,
     mock_script_from_dict,
 )
@@ -80,28 +79,14 @@ class TestPayloadAndResponse:
     def test_empty_user_message_rejected(self):
         with pytest.raises(ValueError):
             PromptPayload(system_instructions="s", user_message="", prompt_tokens=1)
+        given = PromptPayload(system_instructions="s", user_message="u", prompt_tokens=1)
+        with pytest.raises(ValueError):
+            dataclasses.replace(given, user_message="")
 
     def test_given_prompt_tokens_survive_replace(self):
         given = PromptPayload(system_instructions="s", user_message="u", prompt_tokens=40)
         assert given.prompt_tokens == 40
         assert dataclasses.replace(given, metadata={"case": "c"}).prompt_tokens == 40
-
-    def test_complete_guards_empty_message(self):
-        # bypass the dataclass check to make sure complete() itself guards
-        class Loose:
-            system_instructions = "s"
-            user_message = ""
-            metadata = {}
-
-        calls = []
-
-        class Spy:
-            def complete(self, payload, params):
-                calls.append(payload)
-
-        with pytest.raises(ValueError):
-            complete(Loose(), SamplingParams(), Spy())
-        assert calls == []
 
     @pytest.mark.parametrize(
         "kwargs",

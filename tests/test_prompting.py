@@ -10,6 +10,7 @@ from intentconf.chain import ChainDeps, Stage, run_chain
 from intentconf.gateway import RawResponse, SamplingParams
 from intentconf.preprocess import ConfigDocument, InputError, parse_config, serialize_config
 from intentconf.prompting import (
+    ATTEMPT_CEILING,
     COT_SUFFIX,
     FEEDBACK_LABEL,
     INSTRUCTION_HEADER,
@@ -82,6 +83,11 @@ class TestProfiles:
     def test_attempt_budget_positive(self):
         with pytest.raises(ValueError):
             OptimizationProfile.for_name("ip", max_chain_attempts=0)
+
+    def test_attempt_budget_has_a_ceiling(self):
+        with pytest.raises(ValueError, match="between 1 and 100"):
+            OptimizationProfile.for_name("ip", max_chain_attempts=ATTEMPT_CEILING + 1)
+        assert OptimizationProfile.for_name("ip", max_chain_attempts=ATTEMPT_CEILING)
 
     def test_effective_sampling_is_clamped(self):
         """Every call of a chain, the verification call included, is sent the clamped params."""

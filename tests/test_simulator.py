@@ -10,6 +10,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intentconf.preprocess import ConfigDocument, InputError, serialize_config
 from intentconf.simulator import (
@@ -18,6 +20,7 @@ from intentconf.simulator import (
     GIB,
     SHELL_DEPLOY_TIMEOUT_S,
     ClusterModel,
+    DeploymentOutcome,
     NodeSpec,
     QuantityError,
     ResourceSpec,
@@ -184,6 +187,60 @@ class TestExtractResources:
 NODE = NodeSpec(cpu_millicores=4000, memory_bytes=16 * GIB)
 
 
+def oracle_apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
+    """First-fit that scans the nodes from node 0 for every replica: the
+    reference ``apply`` must match on every output."""
+    remaining = [[node.cpu_millicores, node.memory_bytes] for node in model.nodes]
+    logs: list[str] = []
+    for replica in range(spec.replicas):
+        target = None
+        first_violations = []
+        for node_index, (cpu_left, mem_left) in enumerate(remaining):
+            if spec.cpu_millicores > cpu_left:
+                first_violations.append("cpu")
+                continue
+            if spec.memory_bytes > mem_left:
+                first_violations.append("memory")
+                continue
+            target = node_index
+            break
+        if target is None:
+            reason = (
+                "insufficient memory"
+                if first_violations and all(v == "memory" for v in first_violations)
+                else "insufficient cpu"
+            )
+            logs.append(
+                f"Error: replica {replica} unplaceable: {reason} "
+                f"(demand cpu={spec.cpu_millicores}m memory={spec.memory_bytes}B)"
+            )
+            return DeploymentOutcome(
+                success=False,
+                failure_reason=reason,
+                logs="\n".join(logs),
+                resources=spec,
+            )
+        remaining[target][0] -= spec.cpu_millicores
+        remaining[target][1] -= spec.memory_bytes
+        logs.append(
+            f"placed replica {replica} on node {target} "
+            f"(remaining cpu={remaining[target][0]}m memory={remaining[target][1]}B)"
+        )
+    return DeploymentOutcome(
+        success=True,
+        logs="\n".join(logs),
+        resources=spec,
+    )
+
+
+# Capacities 1..4000 and demands 0..4500: zero demand, and demand above every
+# node's capacity, in either dimension.
+_NODES = st.lists(
+    st.builds(NodeSpec, st.integers(1, 4000), st.integers(1, 4000)), min_size=1, max_size=8
+)
+_SPECS = st.builds(ResourceSpec, st.integers(0, 4500), st.integers(0, 4500), st.integers(1, 50))
+
+
 class TestApply:
     def test_both_replicas_fit_one_node(self):
         model = ClusterModel(nodes=(NODE,))
@@ -239,6 +296,32 @@ class TestApply:
                 rng.randrange(100, 3000), rng.randrange(GIB // 4, 2 * GIB), rng.randrange(1, 6)
             )
             assert apply(model, spec) == apply(model, spec)
+
+    @settings(max_examples=500, deadline=None)
+    @given(nodes=_NODES, spec=_SPECS)
+    def test_matches_oracle(self, nodes, spec):
+        model = ClusterModel(nodes=tuple(nodes))
+        assert apply(model, spec) == oracle_apply(model, spec)
+
+    @pytest.mark.parametrize(
+        "nodes, spec, reason",
+        [
+            # every node short of memory only
+            ((NodeSpec(4000, GIB), NodeSpec(2000, 2 * GIB)), ResourceSpec(500, GIB, 4), "memory"),
+            # memory short on node 0, cpu on node 1, after each took replicas
+            ((NodeSpec(4000, GIB), NodeSpec(1000, 8 * GIB)), ResourceSpec(400, GIB // 4, 7), "cpu"),
+            # zero demand: every replica lands on node 0
+            ((NodeSpec(1, 1), NodeSpec(4000, GIB)), ResourceSpec(0, 0, 30), None),
+        ],
+    )
+    def test_pinned_cases_match_oracle(self, nodes, spec, reason):
+        model = ClusterModel(nodes=nodes)
+        outcome = apply(model, spec)
+        assert outcome == oracle_apply(model, spec)
+        if reason is None:
+            assert outcome.success and per_node(outcome) == {0: spec.replicas}
+        else:
+            assert outcome.failure_reason == f"insufficient {reason}"
 
     def test_placement_soundness(self):
         rng = random.Random(9)
