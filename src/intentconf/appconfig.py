@@ -19,11 +19,10 @@ from .gateway import (
     MockScript,
     Provider,
     ProviderConfig,
-    SamplingParams,
     load_mock_script,
 )
 from .preprocess import Fields, InputError
-from .prompting import ATTEMPT_CEILING, MAX_CHAIN_ATTEMPTS, PROFILE_NAMES
+from .prompting import OptimizationProfile
 from .retrieval import DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP, DEFAULT_TOP_K
 from .simulator import Workload
 
@@ -45,9 +44,7 @@ class RetrievalSettings:
 @dataclass(frozen=True)
 class AppConfig:
     provider: ProviderSettings = ProviderSettings()
-    profile: str = "lads"
-    max_chain_attempts: int = MAX_CHAIN_ATTEMPTS
-    sampling: SamplingParams = SamplingParams()
+    profile: OptimizationProfile = OptimizationProfile("lads")
     retrieval: RetrievalSettings = RetrievalSettings()
     dataset_path: Path | None = None
     docs_path: Path | None = None
@@ -112,13 +109,12 @@ def load_app_config(path: Path | str | None) -> AppConfig:
     }
     default_workload = workloads.pop("default", defaults.default_workload)
 
-    profile = data.get("profile", defaults.profile).lower()
-    if profile not in PROFILE_NAMES:
-        raise data.fail(f"must be one of {', '.join(PROFILE_NAMES)}, got {profile!r}", "profile")
-
-    attempts = data.get("max_chain_attempts", defaults.max_chain_attempts)
-    if not 1 <= attempts <= ATTEMPT_CEILING:
-        raise data.fail(f"must be between 1 and {ATTEMPT_CEILING}, got {attempts}", "max_chain_attempts")
+    profile = data.build(
+        OptimizationProfile.for_name,
+        data.get("profile", defaults.profile.name),
+        data.section("sampling").fields_of(defaults.profile.sampling),
+        data.get("max_chain_attempts", defaults.profile.max_chain_attempts),
+    )
 
     rate = data.section("cost").get("rate_per_token", defaults.rate_per_token)
     if not rate > 0:
@@ -132,8 +128,6 @@ def load_app_config(path: Path | str | None) -> AppConfig:
     config = AppConfig(
         provider=ProviderSettings(kind, _input_path(provider, "script"), http),
         profile=profile,
-        max_chain_attempts=attempts,
-        sampling=data.section("sampling").fields_of(defaults.sampling),
         retrieval=retrieval,
         dataset_path=_input_path(paths, "dataset"),
         docs_path=_input_path(paths, "docs"),

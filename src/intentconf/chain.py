@@ -352,11 +352,12 @@ def read_transcript(path: Path | str) -> TranscriptStats | None:
     The attempt numbered highest decides the outcome, and an entry with no
     number is numbered by its place in the file. A system left unnamed
     reads as "unknown". A file that does not read, a line that is not a
-    JSON object, a field that does not read and an attempt or budget above
-    ATTEMPT_CEILING are InputErrors naming the file and the line.
+    JSON object, a field that does not read, an attempt below 1, a
+    negative completion_tokens or latency_seconds, and an attempt or budget
+    above ATTEMPT_CEILING are InputErrors naming the file and the line.
     """
     path = Path(path)
-    attempts: list[tuple[int, Fields]] = []
+    attempts: list[tuple[int, int, float, Fields]] = []  # attempt, tokens, latency, entry
     for number, line in enumerate(read_text_file(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -368,11 +369,19 @@ def read_transcript(path: Path | str) -> TranscriptStats | None:
         if not isinstance(entry, dict):
             raise InputError(f"{where}: expected a JSON object, got {type(entry).__name__}")
         fields = Fields(where, entry)
-        attempts.append((fields.get("attempt", len(attempts) + 1), fields))
+        attempt = fields.get("attempt", len(attempts) + 1)
+        tokens = fields.get("completion_tokens", 0)
+        latency = fields.get("latency_seconds", 0.0)
+        for key, value, least in (
+            ("attempt", attempt, 1), ("completion_tokens", tokens, 0), ("latency_seconds", latency, 0)
+        ):
+            if value < least:
+                raise fields.fail(f"must be >= {least}, got {value}", key)
+        attempts.append((attempt, tokens, latency, fields))
     if not attempts:
         return None
     attempts.sort(key=lambda numbered: numbered[0])
-    attempt, last = attempts[-1]
+    attempt, *_, last = attempts[-1]
     max_attempts = last.get("max_attempts", len(attempts))
     for key, count in (("attempt", attempt), ("max_attempts", max_attempts)):
         if count > ATTEMPT_CEILING:
@@ -382,6 +391,6 @@ def read_transcript(path: Path | str) -> TranscriptStats | None:
         resolved=last.raw.get("failed_stage") is None and not last.raw.get("provider_error"),
         attempts_used=attempt,
         max_attempts=max_attempts,
-        completion_tokens=sum(a.get("completion_tokens", 0) for _, a in attempts),
-        latencies=tuple(a.get("latency_seconds", 0.0) for _, a in attempts),
+        completion_tokens=sum(tokens for _, tokens, _, _ in attempts),
+        latencies=tuple(latency for _, _, latency, _ in attempts),
     )

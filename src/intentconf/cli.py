@@ -76,10 +76,11 @@ def _read_config(path: Path) -> ConfigDocument:
 
 def _profile(config: AppConfig, name: str | None, attempts: int | None = None):
     """The named profile, or the configured one, with the configured sampling and budget."""
+    profile = config.profile
     return prompting.OptimizationProfile.for_name(
-        name or config.profile,
-        sampling=config.sampling,
-        max_chain_attempts=config.max_chain_attempts if attempts is None else attempts,
+        name or profile.name,
+        sampling=profile.sampling,
+        max_chain_attempts=profile.max_chain_attempts if attempts is None else attempts,
     )
 
 
@@ -419,14 +420,13 @@ def report(config: AppConfig, transcripts: str, rate: float | None):
     click.echo("max completion tokens and cost per configuration (completion tokens priced):")
     for row in cost_rows:
         click.echo(f"  {row.system}  {row.max_completion_tokens}  $ {row.cost_dollars}")
-    if any(row.calls for row in latency_rows):
-        click.echo("")
-        click.echo("latency per attempt (mean ± std, seconds):")
-        for row in latency_rows:
-            click.echo(
-                f"  {row.system}  {row.mean_seconds:.3f} ± {row.std_seconds:.3f} "
-                f"({row.calls} calls)"
-            )
+    # Every transcript entry reads a latency (0.0 when unset), so every system has a row.
+    click.echo("")
+    click.echo("latency per attempt (mean ± std, seconds):")
+    for row in latency_rows:
+        click.echo(
+            f"  {row.system}  {row.mean_seconds:.3f} ± {row.std_seconds:.3f} ({row.calls} calls)"
+        )
     config.output_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "chains": len(stats),

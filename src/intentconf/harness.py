@@ -246,10 +246,8 @@ def cost_report(stats: Sequence[TranscriptStats], rate_per_token: float) -> tupl
     if not 0 < rate_per_token < math.inf:
         raise InputError(f"rate per token must be > 0 and finite, got {rate_per_token}")
     by_system: dict[str, int] = {}
-    for s in stats:
-        current = by_system.get(s.system)
-        if current is None or s.completion_tokens > current:
-            by_system[s.system] = s.completion_tokens
+    for s in stats:  # read_transcript refuses a negative token count
+        by_system[s.system] = max(by_system.get(s.system, 0), s.completion_tokens)
     return tuple(
         CostRow(
             system=system,
@@ -273,19 +271,11 @@ def latency_report(stats: Sequence[TranscriptStats]) -> tuple[LatencyRow, ...]:
     by_system: dict[str, list[float]] = {}
     for s in stats:
         by_system.setdefault(s.system, []).extend(s.latencies)
-    rows = []
-    for system, latencies in sorted(by_system.items()):
-        if not latencies:
-            continue
-        rows.append(
-            LatencyRow(
-                system=system,
-                mean_seconds=statistics.mean(latencies),
-                std_seconds=statistics.pstdev(latencies),
-                calls=len(latencies),
-            )
-        )
-    return tuple(rows)
+    return tuple(
+        LatencyRow(system, statistics.mean(latencies), statistics.pstdev(latencies), len(latencies))
+        for system, latencies in sorted(by_system.items())
+        if latencies
+    )
 
 
 def render_accuracy_table(table: AccuracyTable) -> str:

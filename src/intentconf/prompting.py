@@ -109,9 +109,12 @@ class OptimizationProfile:
 
     def __post_init__(self):
         if self.name not in PROFILE_NAMES:
-            raise InputError(f"unknown profile {self.name!r}; choose from {PROFILE_NAMES}")
+            raise InputError(f"profile must be one of {', '.join(PROFILE_NAMES)}, got {self.name!r}")
         if not 1 <= self.max_chain_attempts <= ATTEMPT_CEILING:
-            raise InputError(f"max_chain_attempts must be between 1 and {ATTEMPT_CEILING}")
+            raise InputError(
+                f"max_chain_attempts must be between 1 and {ATTEMPT_CEILING}, "
+                f"got {self.max_chain_attempts}"
+            )
 
     @property
     def use_cot(self) -> bool:

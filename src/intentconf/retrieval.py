@@ -158,16 +158,16 @@ def _terms(text: str) -> list[str]:
 class RetrievalIndex:
     """Immutable BM25 index over document chunks.
 
-    ``postings`` maps each term to the positions, in ascending order, of
-    the chunks that hold it; a term's document frequency is the length of
-    its posting list.
+    ``postings`` maps each term to a (position, frequency) pair for each
+    chunk that holds it, in ascending position order; a term's document
+    frequency is the length of its posting list. ``length_norms`` holds each
+    chunk's length normalisation, the part of a BM25 denominator that does
+    not depend on the term.
     """
 
     chunks: tuple[Chunk, ...]
-    term_frequencies: tuple[Counter, ...]
-    postings: dict[str, list[int]] = field(repr=False)
-    chunk_lengths: tuple[int, ...] = ()
-    average_length: float = 0.0
+    postings: dict[str, list[tuple[int, int]]] = field(repr=False)
+    length_norms: tuple[float, ...]
 
 
 def build_index(
@@ -181,19 +181,20 @@ def build_index(
     chunks: list[Chunk] = []
     for doc_id, text in docs:
         chunks.extend(chunk_document(text, chunk_size, overlap, doc_id=doc_id))
-    tfs = tuple(Counter(_terms(c.text)) for c in chunks)
-    postings: defaultdict[str, list[int]] = defaultdict(list)
-    for position, tf in enumerate(tfs):
-        for term in tf:
-            postings[term].append(position)
-    lengths = tuple(sum(tf.values()) for tf in tfs)
-    avg = (sum(lengths) / len(lengths)) if lengths else 0.0
+    postings: defaultdict[str, list[tuple[int, int]]] = defaultdict(list)
+    lengths = []
+    for position, chunk in enumerate(chunks):
+        terms = _terms(chunk.text)
+        for term, freq in Counter(terms).items():
+            postings[term].append((position, freq))
+        lengths.append(len(terms))
+    avg = sum(lengths) / len(lengths) if any(lengths) else 1.0
     return RetrievalIndex(
         chunks=tuple(chunks),
-        term_frequencies=tfs,
         postings=dict(postings),
-        chunk_lengths=lengths,
-        average_length=avg,
+        length_norms=tuple(
+            BM25_K1 * (1.0 - BM25_B + BM25_B * length / avg) for length in lengths
+        ),
     )
 
 
@@ -228,7 +229,7 @@ def retrieve(index: RetrievalIndex, query: str, k: int = DEFAULT_TOP_K) -> list[
         raise ValueError(f"k must be >= 1, got {k}")
     chunks = index.chunks
     n = len(chunks)
-    avg = index.average_length or 1.0
+    norms = index.length_norms
     scores: dict[int, float] = {}
     for term in sorted(set(_terms(query))):
         postings = index.postings.get(term)
@@ -236,12 +237,10 @@ def retrieve(index: RetrievalIndex, query: str, k: int = DEFAULT_TOP_K) -> list[
             continue
         df = len(postings)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        for position in postings:
-            freq = index.term_frequencies[position][term]
-            denom = freq + BM25_K1 * (
-                1.0 - BM25_B + BM25_B * index.chunk_lengths[position] / avg
+        for position, freq in postings:
+            scores[position] = (
+                scores.get(position, 0.0) + idf * freq * (BM25_K1 + 1.0) / (freq + norms[position])
             )
-            scores[position] = scores.get(position, 0.0) + idf * freq * (BM25_K1 + 1.0) / denom
     ranked = sorted(
         scores,
         key=lambda i: (-scores[i], chunks[i].doc_id, chunks[i].ordinal, i),

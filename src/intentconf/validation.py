@@ -213,22 +213,23 @@ def complexity(config: ConfigDocument | dict) -> ComplexityMeasure:
     through without adding a level.
     """
     root = config.root if isinstance(config, ConfigDocument) else config
-    keys = 0
-    deepest = 0
+    measured: dict[int, tuple[int, int]] = {}  # by id: YAML aliases repeat a node
 
-    def walk(node: Any, depth: int):
-        nonlocal keys, deepest
-        if isinstance(node, dict):
-            if node:  # an empty mapping holds no keys and contributes no depth
-                keys += len(node)
-                deepest = max(deepest, depth + 1)
-                for child in node.values():
-                    walk(child, depth + 1)
-        elif isinstance(node, list):
-            for child in node:
-                walk(child, depth)
+    def measure(node: Any) -> tuple[int, int]:
+        """The keys in ``node`` and the mapping levels it nests."""
+        if not isinstance(node, (dict, list)):
+            return 0, 0
+        if id(node) not in measured:
+            keys = height = 0
+            for child in node.values() if isinstance(node, dict) else node:
+                child_keys, child_height = measure(child)
+                keys, height = keys + child_keys, max(height, child_height)
+            if isinstance(node, dict) and node:  # an empty mapping adds nothing
+                keys, height = keys + len(node), height + 1
+            measured[id(node)] = keys, height
+        return measured[id(node)]
 
-    walk(root, 0)
+    keys, deepest = measure(root)
     return ComplexityMeasure(key_count=keys, max_depth=deepest)
 
 

@@ -127,6 +127,29 @@ class TestGenerate:
         assert result.exit_code == 2
         assert "error:" in combined(result)
 
+    @pytest.mark.parametrize(
+        "setting, flag, problem",
+        [
+            ({"profile": "bogus"}, ["--profile", "bogus"],
+             "profile must be one of ip, cot, rag, fsl, lads, got 'bogus'"),
+            ({"max_chain_attempts": 101}, ["--max-attempts", "101"],
+             "max_chain_attempts must be between 1 and 100, got 101"),
+        ],
+        ids=["profile", "attempts"],
+    )
+    def test_profile_errors_read_alike_from_file_and_flag(
+        self, tmp_path, runner, setting, flag, problem
+    ):
+        """app.yaml and the command line reach one profile check, so they
+        give one message; the file's names the file first."""
+        app = make_workspace(tmp_path)
+        args = ["generate", "--system", "dask", "--intent", "x", "--no-deploy"]
+        result = runner.invoke(main, ["-c", str(app), *args, *flag])
+        assert (result.exit_code, result.output) == (2, f"error: {problem}\n"), combined(result)
+        write_yaml(app, {**yaml.safe_load(app.read_text(encoding="utf-8")), **setting})
+        result = runner.invoke(main, ["-c", str(app), *args])
+        assert (result.exit_code, result.output) == (2, f"error: {app}: {problem}\n")
+
     def test_value_error_inside_the_chain_is_a_bug(self, tmp_path, runner, monkeypatch):
         def broken(raw):
             raise ValueError("a bug, not a usage error")
@@ -676,9 +699,18 @@ class TestReport:
              "line 1: max_attempts must be at most 100, got 100000"),
             (b'{"attempt": 100000, "system": "dask"}\n',
              "line 1: attempt must be at most 100, got 100000"),
+            # numbers no chain can have, in any entry
+            (b'{"attempt": 1}\n{"attempt": -5, "max_attempts": 3, "system": "dask"}\n',
+             "line 2: attempt must be >= 1, got -5"),
+            (b'{"attempt": 0, "system": "dask"}\n', "line 1: attempt must be >= 1, got 0"),
+            (b'{"attempt": 1, "completion_tokens": -40}\n{"attempt": 2}\n',
+             "line 1: completion_tokens must be >= 0, got -40"),
+            (b'{"attempt": 1}\n{"attempt": 2, "latency_seconds": -2.0}\n',
+             "line 2: latency_seconds must be >= 0, got -2.0"),
         ],
         ids=["not-an-object", "attempt-not-a-number", "latency-not-a-number", "mixed-attempts",
-             "not-json", "not-utf8", "budget-above-ceiling", "attempt-above-ceiling"],
+             "not-json", "not-utf8", "budget-above-ceiling", "attempt-above-ceiling",
+             "attempt-negative", "attempt-zero", "tokens-negative", "latency-negative"],
     )
     def test_malformed_transcript_is_a_usage_error(self, tmp_path, runner, content, problem):
         app = make_workspace(tmp_path)

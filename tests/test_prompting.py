@@ -85,7 +85,7 @@ class TestProfiles:
             OptimizationProfile.for_name("ip", max_chain_attempts=0)
 
     def test_attempt_budget_has_a_ceiling(self):
-        with pytest.raises(ValueError, match="between 1 and 100"):
+        with pytest.raises(ValueError, match="^max_chain_attempts must be between 1 and 100, got 101$"):
             OptimizationProfile.for_name("ip", max_chain_attempts=ATTEMPT_CEILING + 1)
         assert OptimizationProfile.for_name("ip", max_chain_attempts=ATTEMPT_CEILING)
 

@@ -382,10 +382,16 @@ class TestTerms:
         chunk_size=st.integers(1, 8),
     )
     def test_index_holds_the_oracle_term_counts(self, docs, chunk_size):
+        """Each chunk's term counts, read back from the postings, are the
+        oracle's; and every posting list runs in ascending position order."""
         index = build_index(docs, chunk_size=chunk_size, overlap=0)
-        assert list(index.term_frequencies) == [
-            Counter(oracle_terms(chunk.text)) for chunk in index.chunks
-        ]
+        counts = [Counter() for _ in index.chunks]
+        for term, postings in index.postings.items():
+            positions = [position for position, _ in postings]
+            assert positions == sorted(set(positions)), (term, postings)
+            for position, freq in postings:
+                counts[position][term] = freq
+        assert counts == [Counter(oracle_terms(chunk.text)) for chunk in index.chunks]
 
 
 def oracle_retrieve(index, query: str, k: int) -> list[int]:
@@ -452,5 +458,5 @@ class TestRetrieveAgainstOracle:
 
     def test_document_frequency_is_posting_length(self):
         index = build_index([("a", "dask dask ray"), ("b", "dask gpu")], chunk_size=10, overlap=0)
-        assert index.postings["dask"] == [0, 1]
-        assert len(index.postings["ray"]) == 1
+        assert index.postings["dask"] == [(0, 2), (1, 1)]
+        assert index.postings["ray"] == [(0, 1)]

@@ -538,6 +538,15 @@ class TestComplexity:
     def test_accepts_config_document(self):
         assert complexity(doc({"a": 1})) == ComplexityMeasure(1, 1)
 
+    def test_alias_chain_is_measured_once_per_distinct_node(self):
+        """Level n lists level n-1 twice, so the expanded tree holds 2**41 - 1
+        copies of the two-key mapping at level 0: far more than a walk of the
+        expanded tree could visit, and exact from its 43 distinct containers."""
+        lines = ["a0: &b0 {k: {j: 1}}"]
+        lines += [f"a{n}: &b{n} [*b{n - 1}, *b{n - 1}]" for n in range(1, 41)]
+        measure = complexity(parse_config("\n".join(lines)))
+        assert measure == ComplexityMeasure(key_count=41 + 2 * (2**41 - 1), max_depth=3)
+
 
 class TestAggregate:
     def test_singleton(self):
