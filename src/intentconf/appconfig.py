@@ -9,7 +9,7 @@ created on demand.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -21,7 +21,7 @@ from .gateway import (
     ProviderConfig,
     load_mock_script,
 )
-from .preprocess import Fields, InputError
+from .preprocess import Fields, quote
 from .prompting import OptimizationProfile
 from .retrieval import DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP, DEFAULT_TOP_K
 from .simulator import Workload
@@ -88,10 +88,15 @@ def load_app_config(path: Path | str | None) -> AppConfig:
     provider = data.section("provider")
     kind = provider.get("kind", defaults.provider.kind).lower()
     if kind not in ("mock", "http"):
-        raise provider.fail(f"must be mock or http, got {kind!r}", "kind")
+        raise provider.fail(f"must be mock or http, got {quote(kind)}", "kind")
     http = provider.fields_of(defaults.provider.http)
     if kind == "http" and not http.base_url:
         raise provider.fail("is required by the http provider", "base_url")
+    # A missing key only matters when a real provider will be called.
+    if kind == "http" and http.api_key_env and not os.environ.get(http.api_key_env):
+        raise provider.fail(
+            f"names {http.api_key_env}, which is not set in the environment", "api_key_env"
+        )
 
     retrieval = data.section("retrieval").fields_of(defaults.retrieval)
     if retrieval.k < 1:
@@ -122,7 +127,7 @@ def load_app_config(path: Path | str | None) -> AppConfig:
 
     backend = data.section("deploy").get("backend", defaults.deploy_backend).lower()
     if backend not in ("simulator", "shell"):
-        raise data.fail(f"must be simulator or shell, got {backend!r}", "deploy", "backend")
+        raise data.fail(f"must be simulator or shell, got {quote(backend)}", "deploy", "backend")
 
     paths = data.section("paths")
     config = AppConfig(
@@ -140,25 +145,20 @@ def load_app_config(path: Path | str | None) -> AppConfig:
         rate_per_token=rate,
         deploy_backend=backend,
     )
-    _check_api_key(config)
     return config
 
 
-def _check_api_key(config: AppConfig) -> None:
-    # A missing key only matters when a real provider will be called.
-    key_env = config.provider.http.api_key_env
-    if config.provider.kind == "http" and key_env and not os.environ.get(key_env):
-        raise InputError(
-            f"environment variable {key_env} is not set but the http provider requires it"
-        )
-
-
 def build_provider(config: AppConfig, extra_script: MockScript | None = None) -> Provider:
-    """Instantiate the configured provider; mock scripts can be overlaid."""
+    """Instantiate the configured provider; ``extra_script``'s replies and
+    scenario defaults win over the configured mock script's."""
     if config.provider.kind == "http":
         return HttpProvider(config.provider.http)
     path = config.provider.script_path
     script = load_mock_script(path) if path is not None else MockScript()
     if extra_script is not None:
-        script = script.merged_with(extra_script)
+        script = replace(
+            script,
+            entries={**script.entries, **extra_script.entries},
+            scenario_defaults={**script.scenario_defaults, **extra_script.scenario_defaults},
+        )
     return MockProvider(script)

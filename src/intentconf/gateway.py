@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
 if TYPE_CHECKING:
     import requests
 
-from .preprocess import Fields
+from .preprocess import Fields, quote
 from .retrieval import count_tokens
 
 DETERMINISTIC_CEILING = 0.1
@@ -214,81 +214,60 @@ class MockScript:
             return fallback
         return MockReply(self.default_reply, self.default_latency)
 
-    def merged_with(self, other: "MockScript") -> "MockScript":
-        """Overlay ``other`` on top of this script; other wins on conflicts."""
-        entries = dict(self.entries)
-        entries.update(other.entries)
-        defaults = dict(self.scenario_defaults)
-        defaults.update(other.scenario_defaults)
-        return MockScript(
-            entries=entries,
-            scenario_defaults=defaults,
-            default_reply=other.default_reply or self.default_reply,
-            default_latency=other.default_latency or self.default_latency,
-        )
 
-
-def _latency(fields: Fields, spec: Mapping, at: tuple, default: float) -> float:
-    """The ``latency`` of ``spec``, the mapping at ``at``: finite and >= 0; ``default`` if unset."""
-    value = spec.get("latency")
-    if value is None:
-        return default
-    latency = fields.check(value, float, *at, "latency")
+def _latency(spec: Fields, default: float) -> float:
+    """The ``latency`` of ``spec``: finite and >= 0; ``default`` if unset."""
+    latency = spec.get("latency", default)
     if latency < 0:
-        raise fields.fail(f"must be >= 0, got {value!r}", *at, "latency")
+        raise spec.fail(f"must be >= 0, got {latency}", "latency")
     return latency
 
 
 def read_scenario(
     into: MockScript,
     name: str,
-    fields: Fields,
-    spec: Mapping,
-    at: tuple = (),
+    spec: Fields,
     keys: tuple[str, str] = ("replies", "default"),
     latency: float = 0.0,
 ) -> None:
-    """Script scenario ``name`` into the entry and default dicts of ``into``.
+    """Script scenario ``name``, the mapping ``spec``, into the entry and default dicts of ``into``.
 
-    ``spec`` is the mapping at key path ``at`` under ``fields``. ``keys``
-    name its replies, a list (attempts from 1) or a mapping of attempt to
-    text, and its fallback text. Every reply takes the spec's ``latency``,
-    or ``latency`` when it sets none.
+    ``keys`` name its replies, a list (attempts from 1) or a mapping of
+    attempt to text, and its fallback text. Every reply takes the spec's
+    ``latency``, or ``latency`` when it sets none.
     """
-    latency = _latency(fields, spec, at, latency)
+    latency = _latency(spec, latency)
     replies_key, default_key = keys
-    replies = spec.get(replies_key)
+    replies = spec.raw.get(replies_key)
     if isinstance(replies, list):
         for index, text in enumerate(replies):
-            text = fields.check(text, str, *at, replies_key, index)
+            text = spec.check(text, str, replies_key, index)
             into.entries[name, index + 1] = MockReply(text, latency)
     elif isinstance(replies, dict):
         for attempt, text in replies.items():
-            text = fields.check(text, str, *at, replies_key, attempt)
-            attempt = fields.check(attempt, int, *at, replies_key, attempt)
+            text = spec.check(text, str, replies_key, attempt)
+            attempt = spec.check(attempt, int, replies_key, attempt)
             into.entries[name, attempt] = MockReply(text, latency)
     elif replies is not None:
-        raise fields.fail(f"must be a list or a mapping, got {replies!r}", *at, replies_key)
-    default = spec.get(default_key)
+        raise spec.fail(f"must be a list or a mapping, got {quote(replies)}", replies_key)
+    default = spec.raw.get(default_key)
     if default is not None:
-        default = fields.check(default, str, *at, default_key)
+        default = spec.check(default, str, default_key)
         into.scenario_defaults[name] = MockReply(default, latency)
 
 
 def mock_script_from_dict(data: Mapping, file="mock script") -> MockScript:
     """Build a MockScript from the parsed script-file structure.
 
-    A value of the wrong type is an InputError naming ``file`` and its key.
+    Each scenario is a mapping. A value of the wrong type is an InputError
+    naming ``file`` and its key.
     """
     script = Fields(file, data)
-    latency = _latency(script, data, (), 0.0)
+    latency = _latency(script, 0.0)
     built = MockScript({}, {}, script.get("default", ""), latency)
     scenarios = script.section("scenarios")
-    for name, spec in scenarios.raw.items():
-        name = str(name)
-        if not isinstance(spec, dict):  # a scenario given as just its replies
-            spec = {"replies": spec}
-        read_scenario(built, name, scenarios, spec, (name,), latency=latency)
+    for name in scenarios.raw:
+        read_scenario(built, str(name), scenarios.section(name), latency=latency)
     return built
 
 

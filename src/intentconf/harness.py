@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .chain import ChainDeps, ChainOutcome, TranscriptStats, run_chain
 from .gateway import MockScript, Provider, read_scenario
-from .preprocess import Fields, InputError
+from .preprocess import Fields, InputError, quote
 from .prompting import FewShotExample, GenerationRequest, OptimizationProfile
 from .retrieval import DEFAULT_TOP_K, RetrievalIndex
 from .validation import Assertion, AssertionKind
@@ -51,7 +51,7 @@ def assertion_from_mapping(fields: Fields) -> Assertion:
     kind = fields.require("kind")
     if kind.lower() not in _KIND_BY_NAME:
         kinds = sorted(k.value for k in AssertionKind)
-        raise fields.fail(f"must be one of {kinds}, got {kind!r}", "kind")
+        raise fields.fail(f"must be one of {kinds}, got {quote(kind)}", "kind")
     return fields.build(
         Assertion,
         path=fields.require("path"),
@@ -118,8 +118,8 @@ def load_mock_scripts(path: Path | str) -> MockScript:
                 f"(first seen in {seen[case_id]})"
             )
         seen[case_id] = file
-        read_scenario(mocks, case_id, mock, mock.raw)
-        read_scenario(mocks, f"{case_id}#verify", mock, mock.raw, keys=("verify", "verify_default"))
+        read_scenario(mocks, case_id, mock)
+        read_scenario(mocks, f"{case_id}#verify", mock, keys=("verify", "verify_default"))
     return mocks
 
 

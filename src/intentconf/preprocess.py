@@ -393,7 +393,66 @@ def load_yaml_file(path):
 
 
 _KIND_NOUNS = {int: "an integer", float: "a number", str: "a string"}
-_CONTAINERS = (dict, list, tuple, set)
+_BRACKETS = {dict: "{}", list: "[]", tuple: "()", set: "{}"}  # what repr writes around each
+_CONTAINERS = tuple(_BRACKETS)
+
+QUOTE_BUDGET = 500  # room for a whole integer past a float's range (1e308 has 309 digits)
+
+
+class _Spent(Exception):
+    """The budget of ``quote`` is spent."""
+
+
+def quote(value, budget: int = QUOTE_BUDGET) -> str:
+    """``repr(value)``, cut to its first ``budget`` characters and "..." when longer.
+
+    YAML aliases let a short text name a value whose repr is exponentially
+    long, so the work is bounded by ``budget``, not by the value: containers
+    are written only as far as the budget reaches, and text is cut before it
+    is quoted.
+    """
+    out: list[str] = []
+    size = 0
+    open_ids: set[int] = set()  # the containers being written, as repr tracks them
+
+    def write(text: str) -> None:
+        nonlocal size
+        out.append(text)
+        size += len(text)
+        if size > budget:
+            raise _Spent
+
+    def walk(node) -> None:
+        kind = type(node)
+        brackets = _BRACKETS.get(kind)
+        if brackets is None:
+            if (kind is str or kind is bytes) and len(node) > budget:
+                # The last character makes repr pick the quote it picks for the whole text.
+                single, double = ("'", '"') if kind is str else (b"'", b'"')
+                last = single if single in node and double not in node else double
+                node = node[: budget + 1] + last
+            return write(repr(node))
+        if not node:
+            return write("set()" if kind is set else brackets)
+        if id(node) in open_ids:  # a list, dict or tuple met inside itself
+            return write(f"{brackets[0]}...{brackets[1]}")
+        open_ids.add(id(node))
+        write(brackets[0])
+        for index, item in enumerate(node.items() if kind is dict else node):
+            write(", " if index else "")
+            if kind is dict:
+                walk(item[0])
+                write(": ")
+                item = item[1]
+            walk(item)
+        write("," + brackets[1] if kind is tuple and len(node) == 1 else brackets[1])
+        open_ids.discard(id(node))
+
+    try:
+        walk(value)
+    except _Spent:
+        return "".join(out)[:budget] + "..."
+    return "".join(out)
 
 
 def read_scalar(value, kind: type):
@@ -453,7 +512,7 @@ class Fields:
         """``value``, found at ``key``, read as ``kind`` by ``read_scalar``."""
         read = read_scalar(value, kind)
         if read is None:
-            raise self.fail(f"must be {_KIND_NOUNS[kind]}, got {value!r}", *key)
+            raise self.fail(f"must be {_KIND_NOUNS[kind]}, got {quote(value)}", *key)
         return read
 
     def get(self, key, default):
@@ -472,7 +531,7 @@ class Fields:
 
     def _mapping(self, value, *key) -> Fields:
         if not isinstance(value, dict):
-            raise self.fail(f"must be a mapping, got {value!r}", *key)
+            raise self.fail(f"must be a mapping, got {quote(value)}", *key)
         return Fields(self.file, value, self._path(key))
 
     def section(self, key) -> Fields:
@@ -484,7 +543,7 @@ class Fields:
         """The mappings of the non-empty list at ``key``, each under its index."""
         items = self.raw.get(key)
         if not isinstance(items, list) or not items:
-            raise self.fail(f"must be a non-empty list, got {items!r}", key)
+            raise self.fail(f"must be a non-empty list, got {quote(items)}", key)
         return [self._mapping(item, key, index) for index, item in enumerate(items)]
 
     def build(self, make, *args, **kwargs):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from .preprocess import ConfigDocument, Fields, InputError, read_scalar, serialize_config
+from .preprocess import ConfigDocument, Fields, InputError, quote, read_scalar, serialize_config
 from .validation import parse_path, resolve_path
 
 DEFAULT_CPU_RATE = 0.04  # dollars per core-hour
@@ -92,20 +92,22 @@ def parse_quantity(text, kind: str) -> int:
     if scales is None:
         raise ValueError(f"kind must be 'cpu' or 'memory', got {kind!r}")
     if isinstance(text, bool):
-        raise QuantityError(f"{kind} quantity must be a number or string, got {text!r}")
+        raise QuantityError(f"{kind} quantity must be a number or string, got {quote(text)}")
     if isinstance(text, (int, float)):
         value, suffix = text, ""
     else:
-        match = _NUMBER_RE.match(str(text).strip())
+        match = _NUMBER_RE.match(text.strip()) if isinstance(text, str) else None
         if not match:
-            raise QuantityError(f"malformed {kind} quantity {text!r}")
+            raise QuantityError(f"malformed {kind} quantity {quote(text)}")
         value, suffix = float(match.group(1)), match.group(2)
     if suffix not in scales:
-        raise QuantityError(f"suffix {suffix!r} is not valid for {kind} quantities: {text!r}")
+        raise QuantityError(
+            f"suffix {quote(suffix)} is not valid for {kind} quantities: {quote(text)}"
+        )
     # An int stays exact; NaN fails both comparisons.
     scaled = value * scales[suffix]
     if not 0 <= scaled < math.inf:
-        raise QuantityError(f"{kind} quantity must be finite and non-negative, got {text!r}")
+        raise QuantityError(f"{kind} quantity must be finite and non-negative, got {quote(text)}")
     return round(scaled)
 
 
@@ -262,9 +264,9 @@ def extract_resources(
     replicas_raw, cpu_raw, memory_raw = values
     replicas = read_scalar(replicas_raw, int)
     if replicas is None:
-        raise QuantityError(f"replicas value {replicas_raw!r} is not an integer")
+        raise QuantityError(f"replicas value {quote(replicas_raw)} is not an integer")
     if replicas < 1:
-        raise QuantityError(f"replicas value {replicas_raw!r} must be an integer >= 1")
+        raise QuantityError(f"replicas value {quote(replicas_raw)} must be an integer >= 1")
     spec = ResourceSpec(
         cpu_millicores=parse_quantity(cpu_raw, "cpu"),
         memory_bytes=parse_quantity(memory_raw, "memory"),

@@ -20,7 +20,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .preprocess import ConfigDocument
+from .preprocess import ConfigDocument, quote
 
 FLOAT_TOLERANCE = 1e-9
 
@@ -167,23 +167,23 @@ def _failure(assertion: Assertion, matches: list[Any]) -> str:
     kind, expected = assertion.kind, assertion.expected
     if kind is AssertionKind.ABSENT:
         if matches:
-            return f"path {assertion.path!r} matched {len(matches)} node(s), expected none"
+            return f"path {quote(assertion.path)} matched {len(matches)} node(s), expected none"
         return ""
     if not matches:
-        return f"path {assertion.path!r} matched nothing"
+        return f"path {quote(assertion.path)} matched nothing"
     for value in matches:
         if kind is AssertionKind.EQUALS:
             if not _values_equal(value, expected):
-                return f"expected {expected!r}, found {value!r}"
+                return f"expected {quote(expected)}, found {quote(value)}"
         elif kind is AssertionKind.COMPARE:
             if not _is_number(value):
-                return f"TypeMismatch: {value!r} is not numeric"
+                return f"TypeMismatch: {quote(value)} is not numeric"
             if not _holds(value, assertion.op, expected):
-                return f"{value!r} {_COMPARE_OPS[assertion.op]} {expected!r}"
+                return f"{quote(value)} {_COMPARE_OPS[assertion.op]} {quote(expected)}"
         elif kind is AssertionKind.LENGTH:
             # Length applies to sequences and mappings only.
             if not isinstance(value, (list, dict)):
-                return f"TypeMismatch: {value!r} is not a container"
+                return f"TypeMismatch: {quote(value)} is not a container"
             if len(value) != expected:
                 return f"length {len(value)} != {expected}"
     return ""
@@ -245,7 +245,7 @@ class ComplexitySummary:
 
 
 def aggregate_complexity(configs: Sequence[ConfigDocument | dict]) -> ComplexitySummary:
-    """Corpus-level complexity: maxima plus mean and population std."""
+    """Corpus maxima plus mean and population std; OverflowError if one does not fit a float."""
     if not configs:
         raise ValueError("cannot summarize an empty corpus")
     measures = [complexity(c) for c in configs]
@@ -255,7 +255,7 @@ def aggregate_complexity(configs: Sequence[ConfigDocument | dict]) -> Complexity
         count=len(measures),
         max_key_count=max(key_counts),
         max_depth=max(depths),
-        mean_key_count=statistics.mean(key_counts),
+        mean_key_count=float(statistics.mean(key_counts)),
         std_key_count=statistics.pstdev(key_counts),
         mean_depth=statistics.mean(depths),
         std_depth=statistics.pstdev(depths),

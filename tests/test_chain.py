@@ -26,6 +26,7 @@ from intentconf.gateway import (
     ProviderError,
     SamplingParams,
 )
+from intentconf.preprocess import QUOTE_BUDGET
 from intentconf.prompting import (
     FEEDBACK_LABEL,
     FewShotExample,
@@ -50,6 +51,12 @@ GOOD_CONFIG = (
 )
 BIG_MEMORY_CONFIG = GOOD_CONFIG.replace("512Mi", "64Gi")
 MISSING_KEY_CONFIG = "worker:\n  resources:\n    limits:\n      cpu: 500m\n      memory: 512Mi"
+# 438 characters: 19 levels of two aliases of the level below, under worker/replicas.
+ALIAS_CHAIN_REPLY = "\n".join(
+    ["a0: &b0 [1, 2]"]
+    + [f"a{n}: &b{n} [*b{n - 1}, *b{n - 1}]" for n in range(1, 20)]
+    + ["worker: {replicas: *b19}"]
+)
 
 REQUEST = GenerationRequest(
     system="dask",
@@ -282,6 +289,33 @@ class TestRunChain:
         first = outcome.attempt_history[0]
         assert first.feedback.failed_stage is Stage.STATIC_VALIDATION
         assert reason in first.feedback.render()
+
+    @pytest.mark.parametrize(
+        "reply,assertions,stage",
+        [
+            (ALIAS_CHAIN_REPLY, (), Stage.DEPLOYMENT),
+            (
+                ALIAS_CHAIN_REPLY,
+                (Assertion("worker/replicas", AssertionKind.EQUALS, 2),),
+                Stage.STATIC_VALIDATION,
+            ),
+            (
+                "worker:\n  replicas: " + "x" * 200_000,
+                (Assertion("worker/replicas", AssertionKind.EQUALS, 2),),
+                Stage.STATIC_VALIDATION,
+            ),
+        ],
+        ids=["alias chain Deployment", "alias chain Equals", "long scalar Equals"],
+    )
+    def test_feedback_quoting_the_reply_is_bounded(self, reply, assertions, stage):
+        # Quoted by repr, the alias chain's value made a 7,340,061-character failure reason.
+        deps = deps_for(script_for("case", [reply, GOOD_CONFIG]), assertions=assertions)
+        outcome = run_chain(REQUEST, OptimizationProfile.for_name("ip"), deps)
+        assert outcome.resolved and outcome.attempts_used == 2
+        feedback = outcome.attempt_history[0].feedback
+        assert feedback.failed_stage is stage and "..." in feedback.summary
+        for line in (feedback.summary, *feedback.filtered_lines):
+            assert len(line) <= 2 * QUOTE_BUDGET + 200, line[:300]
 
     def test_unknown_system_is_deployment_feedback(self):
         request = GenerationRequest(system="nosuchsystem", prompt=REQUEST.prompt, intent=REQUEST.intent)

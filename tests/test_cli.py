@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 import intentconf.chain as chain_mod
 import intentconf.cli as cli_mod
+from intentconf import prompting
 from intentconf.cli import main
 from intentconf.gateway import ProviderError
 from intentconf.preprocess import parse_config
@@ -19,6 +20,15 @@ GOOD = (
 HUNGRY = GOOD.replace("512Mi", "64Gi")
 PROSE = "I cannot produce a configuration for that."
 CHECKS = [{"path": "worker/replicas", "kind": "Compare", "op": ">=", "expected": 2}]
+SHOT = {"prompt": "p", "intent": "i", "correct_output": GOOD, "incorrect_output": HUNGRY,
+        "defect_note": "too much memory"}
+ALIGNED = "VERDICT: ALIGNED"
+
+
+def alias_chain_lines(levels, root="[1, 2]"):
+    """YAML lines whose last anchor, b<levels - 1>, names 2**(levels - 1) copies of ``root``."""
+    lines = [f"a0: &b0 {root}"] + [f"a{n}: &b{n} [*b{n - 1}, *b{n - 1}]" for n in range(1, levels)]
+    return "".join(line + "\n" for line in lines)
 
 
 @pytest.fixture
@@ -71,6 +81,20 @@ def make_workspace(tmp_path, *, scenarios=None, dataset=None, profile="ip"):
         app["paths"]["dataset"] = "dataset"
     write_yaml(tmp_path / "checks.yaml", CHECKS)
     return write_yaml(tmp_path / "app.yaml", app)
+
+
+def with_shots_and_docs(tmp_path, app, docs=True):
+    """Point ``app`` at a one-shot library for dask and, if ``docs``, a one-file docs corpus."""
+    write_yaml(tmp_path / "shots" / "dask" / "one.yaml", SHOT)
+    config = yaml.safe_load(app.read_text(encoding="utf-8"))
+    config["paths"]["shots"] = "shots"
+    if docs:
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "guide.md").write_text(
+            "Dask workers take their memory limit from the worker resources.", encoding="utf-8"
+        )
+        config["paths"]["docs"] = "docs"
+    write_yaml(app, config)
 
 
 class TestGenerate:
@@ -150,6 +174,55 @@ class TestGenerate:
         result = runner.invoke(main, ["-c", str(app), *args])
         assert (result.exit_code, result.output) == (2, f"error: {app}: {problem}\n")
 
+    @pytest.mark.parametrize("docs", [True, False], ids=["docs", "no paths.docs"])
+    def test_lads_prompt_holds_context_examples_and_reasoning(self, tmp_path, runner, docs):
+        scenarios = {"demo": {"replies": [GOOD]}, "demo#verify": {"default": ALIGNED}}
+        app = make_workspace(tmp_path, scenarios=scenarios, profile="lads")
+        with_shots_and_docs(tmp_path, app, docs=docs)
+        result = runner.invoke(
+            main,
+            ["-c", str(app), "generate", "--system", "dask", "--intent", "dask workers",
+             "--scenario", "demo", "--no-deploy"],
+        )
+        assert result.exit_code == 0, combined(result)
+        first = json.loads((tmp_path / "out" / "demo.jsonl").read_text().splitlines()[0])
+        for part in ("## Examples", prompting.COT_SUFFIX):
+            assert part in first["prompt"], part
+        for part in ("## Context", "[doc guide.md part 0]"):
+            assert (part in first["prompt"]) is docs, part
+
+    @pytest.mark.parametrize(
+        "shots, problem",
+        [
+            (None, "profile 'lads' needs few-shot examples; set paths.shots"),
+            ("shots", "no few-shot examples found for system 'dask'"),
+        ],
+        ids=["no paths.shots", "no directory for the system"],
+    )
+    def test_few_shot_profile_without_examples_is_refused(self, tmp_path, runner, shots, problem):
+        app = make_workspace(tmp_path, profile="lads")
+        if shots is not None:
+            write_yaml(tmp_path / shots / "spark" / "one.yaml", SHOT)
+            config = yaml.safe_load(app.read_text(encoding="utf-8"))
+            config["paths"]["shots"] = shots
+            write_yaml(app, config)
+        result = runner.invoke(
+            main, ["-c", str(app), "generate", "--system", "dask", "--intent", "x", "--no-deploy"]
+        )
+        assert (result.exit_code, result.output) == (2, f"error: {problem}\n")
+
+    def test_alias_chain_in_app_config_is_one_short_line(self, tmp_path, runner):
+        app = make_workspace(tmp_path)
+        text = app.read_text(encoding="utf-8") + alias_chain_lines(20)
+        app.write_text(text + "max_chain_attempts: *b19\n", encoding="utf-8")
+        result = runner.invoke(
+            main, ["-c", str(app), "generate", "--system", "dask", "--intent", "x", "--no-deploy"]
+        )
+        assert result.exit_code == 2, combined(result)
+        [line] = result.output.splitlines()
+        assert line.startswith(f"error: {app}: max_chain_attempts must be an integer, got [[[")
+        assert line.endswith("...") and len(line) <= len(str(app)) + 600, line[:300]
+
     def test_value_error_inside_the_chain_is_a_bug(self, tmp_path, runner, monkeypatch):
         def broken(raw):
             raise ValueError("a bug, not a usage error")
@@ -202,6 +275,16 @@ class TestGenerate:
         "attempts above ceiling": ({"max_chain_attempts": 101}, "max_chain_attempts"),
         "profile unknown": ({"profile": "bogus"}, "profile"),
         "max tokens fraction": ({"sampling": {"max_tokens": 10.7}}, "sampling.max_tokens"),
+        "paths entry missing": ({"paths": {"output": "out", "docs": "absent"}}, "paths.docs"),
+        "provider kind unknown": ({"provider": {"kind": "grpc"}}, "provider.kind"),
+        "http without base_url": ({"provider": {"kind": "http"}}, "provider.base_url"),
+        "rate zero": ({"cost": {"rate_per_token": 0}}, "cost.rate_per_token"),
+        "deploy backend unknown": ({"deploy": {"backend": "k8s"}}, "deploy.backend"),
+        "api key variable unset": (
+            {"provider": {"kind": "http", "base_url": "http://localhost:9",
+                          "api_key_env": "INTENTCONF_TEST_UNSET_KEY"}},
+            "provider.api_key_env",
+        ),
     }
 
     # Values of the wrong type or range in the other input files: the file
@@ -227,6 +310,7 @@ class TestGenerate:
             "script", {"scenarios": {"demo": {"replies": [GOOD], "latency": float("inf")}}},
             "scenarios.demo.latency",
         ),
+        "scenario a bare list": ("script", {"scenarios": {"demo": [GOOD]}}, "scenarios.demo"),
         "shot defect note empty": ("shot", {"defect_note": None}, "defect_note"),
         "cluster rate bool": ("cluster", {"cpu_rate": True}, "cpu_rate"),
         "cluster cpu malformed": (
@@ -301,6 +385,7 @@ class TestGenerate:
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, runner, bad, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("INTENTCONF_TEST_UNSET_KEY", raising=False)
         dataset = {"c1": {"mock": {"replies": [GOOD]}}}
         app = make_workspace(tmp_path, scenarios={"demo": {"replies": [GOOD]}}, dataset=dataset)
         args = ["-c", str(app), "generate", "--system", "dask", "--scenario", "demo"]
@@ -596,6 +681,17 @@ class TestBench:
         assert rows[("ip", 2)] == 100.0
         assert "generated_at" in payload["meta"]
 
+    def test_few_shot_and_retrieval_profiles_side_by_side(self, tmp_path, runner):
+        mock = {"replies": [GOOD], "verify_default": ALIGNED}
+        app = make_workspace(tmp_path, dataset={"b1": {"mock": mock}})
+        with_shots_and_docs(tmp_path, app)
+        result = runner.invoke(main, ["-c", str(app), "bench", "--profiles", "ip,lads"])
+        assert result.exit_code == 0, combined(result)
+        payload = json.loads((tmp_path / "out" / "accuracy.json").read_text())
+        assert payload["profiles"] == ["ip", "lads"]
+        rows = {(r["profile"], r["level"]): r["percent"] for r in payload["rows"]}
+        assert rows == {("ip", 1): 100.0, ("lads", 1): 100.0}
+
     def test_missing_dataset_is_usage_error(self, tmp_path, runner):
         app = make_workspace(tmp_path)
         result = runner.invoke(main, ["-c", str(app), "bench", "--profiles", "ip"])
@@ -629,6 +725,17 @@ class TestComplexity:
         assert lines[2].split() == ["Max", "Depth", "2"]
         assert "2.00 ± 1.00" in lines[3]
         assert "1.50 ± 0.50" in lines[4]
+
+    def test_key_counts_too_large_to_average_are_one_line(self, tmp_path, runner):
+        # 1,030 levels over a one-key mapping: over 2**1029 keys, past a float's range.
+        chain = tmp_path / "chain.yaml"
+        chain.write_text(alias_chain_lines(1030, root="{k: 1}"), encoding="utf-8")
+        write_yaml(tmp_path / "small.yaml", {"x": 1})
+        for files in ([chain], [chain, tmp_path / "small.yaml"]):
+            result = runner.invoke(main, ["complexity", *map(str, files)])
+            assert result.exit_code == 2, combined(result)
+            [line] = result.output.splitlines()
+            assert line.startswith("error: key counts too large to average: "), line
 
     def test_no_matches(self, tmp_path, runner):
         result = runner.invoke(main, ["complexity", str(tmp_path / "nothing-*.yaml")])

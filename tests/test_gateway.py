@@ -7,6 +7,7 @@ import pytest
 import requests
 
 import intentconf.gateway as gateway_mod
+from intentconf.appconfig import build_provider, load_app_config
 from intentconf.gateway import (
     HttpProvider,
     MockProvider,
@@ -120,11 +121,23 @@ class TestMockScript:
         reply = self.script.lookup("nope", 1)
         assert reply.text == "global" and reply.latency_seconds == 0.25
 
-    def test_merge_overlay_wins(self):
-        overlay = MockScript(entries={("dask-01", 1): MockReply("patched")})
-        merged = self.script.merged_with(overlay)
-        assert merged.lookup("dask-01", 1).text == "patched"
-        assert merged.lookup("dask-01", 2).text == "second"
+    def test_build_provider_overlay_wins(self, tmp_path):
+        (tmp_path / "mock.yaml").write_text(
+            "default: global\nlatency: 0.25\nscenarios:\n"
+            "  dask-01: {replies: [first, second], default: fallback}\n",
+            encoding="utf-8",
+        )
+        app = tmp_path / "app.yaml"
+        app.write_text("provider: {kind: mock, script: mock.yaml}\n", encoding="utf-8")
+        overlay = MockScript(
+            entries={("dask-01", 1): MockReply("patched")},
+            scenario_defaults={"dask-01": MockReply("dataset fallback")},
+        )
+        script = build_provider(load_app_config(app), extra_script=overlay).script
+        assert script.lookup("dask-01", 1).text == "patched"
+        assert script.lookup("dask-01", 2).text == "second"
+        assert script.lookup("dask-01", 9).text == "dataset fallback"
+        assert script.lookup("nope", 1) == MockReply("global", 0.25)
 
     def test_from_dict_list_and_map(self):
         script = mock_script_from_dict(

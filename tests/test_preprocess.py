@@ -20,6 +20,7 @@ from intentconf.preprocess import (
     load_yaml_file,
     parse_config,
     preprocess_reply,
+    quote,
     read_scalar,
     serialize_config,
 )
@@ -851,3 +852,55 @@ class TestFields:
         node = Fields("f.yaml", {"nodes": [{}]}).each("nodes")[0]
         with pytest.raises(InputError, match=r"^f\.yaml: nodes\[0\]: must hold$"):
             node.build(invariant)
+
+
+# Values as YAML builds them, plus the tuples, sets and bytes repr also writes.
+QUOTE_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.dates()
+    | st.text(max_size=30) | st.binary(max_size=12)
+)
+QUOTE_VALUES = st.recursive(
+    QUOTE_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.dictionaries(st.text(max_size=6) | st.integers(), inner, max_size=5)
+        | st.tuples(inner) | st.tuples(inner, inner) | st.builds(tuple)
+        | st.sets(st.integers() | st.text(max_size=6), max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+def alias_chain(levels):
+    """What ``a0: &b0 [1, 2]`` and then ``aN: &bN [*bN-1, *bN-1]`` name at their last line."""
+    node = [1, 2]
+    for _ in range(levels):
+        node = [node, node]
+    return node
+
+
+class TestQuote:
+    @settings(max_examples=500, deadline=None)
+    @given(value=QUOTE_VALUES, budget=st.integers(0, 120))
+    def test_is_repr_cut_at_the_budget(self, value, budget):
+        written, quoted = repr(value), quote(value, budget)
+        assert quoted == (written if len(written) <= budget else written[:budget] + "...")
+
+    def test_a_container_met_inside_itself_reads_as_repr_writes_it(self):
+        looped, mapping, shared = [1], {"a": 1}, [2]
+        looped.append(looped)
+        mapping["self"] = mapping
+        for value in (looped, mapping, (looped,), [shared, shared], {1, 2}, set()):
+            assert quote(value) == repr(value)
+
+    @pytest.mark.parametrize("text", ["ab" * 10**5, "a'" * 10**5, "a'" * 10**5 + '"', '"' * 10**5])
+    def test_long_text_is_cut_where_repr_would_be(self, text):
+        for value in (text, text.encode()):
+            assert quote(value, 50) == repr(value)[:50] + "..."
+
+    def test_work_is_bounded_by_the_budget_not_the_value(self):
+        # 2**80 leaves: repr would never end. Its text opens with 68 brackets,
+        # then the text of the chain 68 levels down.
+        written = "[" * 68 + repr(alias_chain(12))
+        assert quote(alias_chain(80), 100) == written[:100] + "..."
+

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intentconf.preprocess import (
+    QUOTE_BUDGET,
     ConfigDocument,
     parse_config,
     serialize_config,
@@ -323,35 +324,41 @@ def oracle_values_equal(observed, expected):
     return type(observed) is type(expected) and observed == expected
 
 
+def oracle_quote(value):
+    """A value as a failure reason writes it: its repr, cut to QUOTE_BUDGET characters and "..."."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_BUDGET else text[:QUOTE_BUDGET] + "..."
+
+
 def oracle_check(assertion, root):
     matches = oracle_resolve_path(root, assertion.path)
     if assertion.kind is AssertionKind.ABSENT:
         if matches:
-            return AssertionResult(assertion, False, f"path {assertion.path!r} matched {len(matches)} node(s), expected none")
+            return AssertionResult(assertion, False, f"path {oracle_quote(assertion.path)} matched {len(matches)} node(s), expected none")
         return AssertionResult(assertion, True)
     if not matches:
-        return AssertionResult(assertion, False, f"path {assertion.path!r} matched nothing")
+        return AssertionResult(assertion, False, f"path {oracle_quote(assertion.path)} matched nothing")
     if assertion.kind is AssertionKind.EXISTS:
         return AssertionResult(assertion, True)
     if assertion.kind is AssertionKind.EQUALS:
         for value in matches:
             if not oracle_values_equal(value, assertion.expected):
-                return AssertionResult(assertion, False, f"expected {assertion.expected!r}, found {value!r}")
+                return AssertionResult(assertion, False, f"expected {oracle_quote(assertion.expected)}, found {oracle_quote(value)}")
         return AssertionResult(assertion, True)
     if assertion.kind is AssertionKind.COMPARE:
         for value in matches:
             if not oracle_is_number(value):
-                return AssertionResult(assertion, False, f"TypeMismatch: {value!r} is not numeric")
+                return AssertionResult(assertion, False, f"TypeMismatch: {oracle_quote(value)} is not numeric")
             if assertion.op == ">=" and not value >= assertion.expected - ORACLE_TOLERANCE:
-                return AssertionResult(assertion, False, f"{value!r} < {assertion.expected!r}")
+                return AssertionResult(assertion, False, f"{oracle_quote(value)} < {oracle_quote(assertion.expected)}")
             if assertion.op == "<=" and not value <= assertion.expected + ORACLE_TOLERANCE:
-                return AssertionResult(assertion, False, f"{value!r} > {assertion.expected!r}")
+                return AssertionResult(assertion, False, f"{oracle_quote(value)} > {oracle_quote(assertion.expected)}")
             if assertion.op == "=" and not oracle_values_equal(value, assertion.expected):
-                return AssertionResult(assertion, False, f"{value!r} != {assertion.expected!r}")
+                return AssertionResult(assertion, False, f"{oracle_quote(value)} != {oracle_quote(assertion.expected)}")
         return AssertionResult(assertion, True)
     for value in matches:
         if not isinstance(value, (list, dict)):
-            return AssertionResult(assertion, False, f"TypeMismatch: {value!r} is not a container")
+            return AssertionResult(assertion, False, f"TypeMismatch: {oracle_quote(value)} is not a container")
         if len(value) != assertion.expected:
             return AssertionResult(assertion, False, f"length {len(value)} != {assertion.expected}")
     return AssertionResult(assertion, True)
