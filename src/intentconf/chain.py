@@ -16,11 +16,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .gateway import PromptPayload, Provider, ProviderError, complete
+from .gateway import ATTEMPT_CEILING, PromptPayload, Provider, ProviderError, complete
 from .preprocess import ConfigDocument, Fields, InputError, StructuralError, preprocess_reply
 from .preprocess import read_text_file
 from .prompting import (
-    ATTEMPT_CEILING,
     GenerationRequest,
     OptimizationProfile,
     FewShotExample,

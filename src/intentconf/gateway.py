@@ -16,11 +16,12 @@ from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
 if TYPE_CHECKING:
     import requests
 
-from .preprocess import Fields, quote
+from .preprocess import Fields, InputError, quote
 from .retrieval import count_tokens
 
 DETERMINISTIC_CEILING = 0.1
 DEFAULT_MAX_TOKENS = 2048
+ATTEMPT_CEILING = 100  # the most attempts a chain may be given, or a transcript record
 
 
 class ProviderError(Exception):
@@ -223,6 +224,11 @@ def _latency(spec: Fields, default: float) -> float:
     return latency
 
 
+def _unservable(spec: Fields, attempt: int, *key) -> InputError:
+    """The error for the reply at ``key``, scripted for an attempt no chain reaches."""
+    return spec.fail(f"is for attempt {attempt}; attempts run from 1 to {ATTEMPT_CEILING}", *key)
+
+
 def read_scenario(
     into: MockScript,
     name: str,
@@ -240,6 +246,8 @@ def read_scenario(
     replies_key, default_key = keys
     replies = spec.raw.get(replies_key)
     if isinstance(replies, list):
+        if len(replies) > ATTEMPT_CEILING:
+            raise _unservable(spec, ATTEMPT_CEILING + 1, replies_key, ATTEMPT_CEILING)
         for index, text in enumerate(replies):
             text = spec.check(text, str, replies_key, index)
             into.entries[name, index + 1] = MockReply(text, latency)
@@ -247,6 +255,8 @@ def read_scenario(
         for attempt, text in replies.items():
             text = spec.check(text, str, replies_key, attempt)
             attempt = spec.check(attempt, int, replies_key, attempt)
+            if not 1 <= attempt <= ATTEMPT_CEILING:
+                raise _unservable(spec, attempt, replies_key, attempt)
             into.entries[name, attempt] = MockReply(text, latency)
     elif replies is not None:
         raise spec.fail(f"must be a list or a mapping, got {quote(replies)}", replies_key)

@@ -6,11 +6,13 @@ parses it strictly (duplicate keys are an error, the root must be a
 mapping), and re-serializes it into one canonical form so downstream
 diffing and deployment always see identical bytes for identical trees.
 
-Parsing runs on libyaml when PyYAML was built with it. Text that libyaml
-reads differently from PyYAML's own scanner, and every error report, goes
-through the pure-Python loader, so results and messages are the same
-either way; a YAML error is worded on one line, its problem and then its
-line and column. Input files are read by the same strict rule as replies:
+Parsing runs on libyaml when PyYAML was built with it, building trees from
+the parser's events; what that builder does not make goes to PyYAML's
+composing loader on libyaml. Text that libyaml reads differently from
+PyYAML's own scanner, and every error report, goes through the pure-Python
+loader, so results and messages are the same either way; a YAML error is
+worded on one line, its problem and then its line and column. Input files
+are read by the same strict rule as replies:
 ``load_yaml_file`` is the one reader of the package's YAML files and
 ``read_text_file`` of its other text files, and whatever is wrong with a
 file, a duplicate key included, the error is an InputError whose message
@@ -23,6 +25,7 @@ trees the package builds.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass, fields, replace
@@ -150,6 +153,105 @@ def _load_documents(text: str, loader) -> list:
     return [d for d in yaml.load_all(text, Loader=loader) if d is not None]
 
 
+class _Fallback(Exception):
+    """The event builder met what it leaves to the composing loader."""
+
+
+_RESOLVE = yaml.resolver.Resolver().resolve  # SafeLoader's resolver; it keeps no state
+_CONSTRUCTOR = yaml.constructor.SafeConstructor()  # its scalar makers keep no state either
+_MAKERS = {
+    tag: yaml.constructor.SafeConstructor.yaml_constructors[tag]
+    for tag in (
+        f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "bool", "null", "timestamp")
+    )
+}
+# The first characters some implicit resolver is registered for ('' for the
+# empty scalar). SafeLoader registers none for every character, so a plain
+# scalar that opens with any other character is a string.
+_RESOLVED_FIRST = frozenset(yaml.resolver.Resolver.yaml_implicit_resolvers)
+_NO_KEY = object()
+_SCALAR, _ALIAS = yaml.ScalarEvent, yaml.AliasEvent
+_MAPPING_START, _MAPPING_END = yaml.MappingStartEvent, yaml.MappingEndEvent
+_SEQUENCE_START, _SEQUENCE_END = yaml.SequenceStartEvent, yaml.SequenceEndEvent
+
+
+@functools.lru_cache(maxsize=256)
+def _plain_value(text: str):
+    """What SafeLoader builds for the untagged plain scalar ``text``. A tag the
+    builder does not make ('<<' and '=' among them), or a value its maker
+    refuses, raises _Fallback. The values are immutable, so trees can share
+    them."""
+    tag = _RESOLVE(yaml.ScalarNode, text, (True, False))
+    maker = _MAKERS.get(tag)
+    if maker is None:
+        raise _Fallback
+    try:
+        return maker(_CONSTRUCTOR, yaml.ScalarNode(tag, text))
+    except _VALUE_ERRORS:
+        raise _Fallback from None
+
+
+def _built_documents(text: str) -> list:
+    """``_load_documents(text, _UniqueKeyLoader)``, built from the parser's events.
+
+    A plain scalar is resolved and made as SafeLoader does, and any other
+    scalar is its text. A repeated key raises _KeyClash at its own event, so
+    the load stops there. An anchor, an alias, an explicit tag ('!'
+    included), a key that is not a scalar and a plain scalar refused by
+    ``_plain_value`` raise _Fallback.
+    """
+    docs: list = []
+    filling: list = []  # the open collections, innermost last
+    keys: list = []  # for each: the key awaiting its value, or _NO_KEY
+    for event in yaml.parse(text, Loader=_UniqueKeyLoader):
+        kind = type(event)
+        if kind is _SCALAR:
+            if event.tag is not None or event.anchor is not None:
+                raise _Fallback
+            value = event.value
+            if event.implicit[0] and value[:1] in _RESOLVED_FIRST:
+                value = _plain_value(value)
+        elif kind is _MAPPING_START or kind is _SEQUENCE_START:
+            if event.tag is not None or event.anchor is not None:
+                raise _Fallback
+            value = {} if kind is _MAPPING_START else []
+        elif kind is _MAPPING_END or kind is _SEQUENCE_END:
+            filling.pop()
+            keys.pop()
+            continue
+        elif kind is _ALIAS:
+            raise _Fallback
+        else:  # the stream's and documents' own events
+            continue
+        if not filling:
+            if value is not None:
+                docs.append(value)
+        elif type(parent := filling[-1]) is list:
+            parent.append(value)
+        elif keys[-1] is _NO_KEY:
+            if kind is not _SCALAR:
+                raise _Fallback
+            if value in parent:
+                raise _KeyClash(f"duplicate key {value!r}", event)
+            keys[-1] = value
+        else:
+            parent[keys[-1]] = value
+            keys[-1] = _NO_KEY
+        if kind is not _SCALAR:
+            filling.append(value)
+            keys.append(_NO_KEY)
+    return docs
+
+
+def _libyaml_documents(text: str) -> list:
+    """``_load_documents(text, _UniqueKeyLoader)``: built from events where the
+    builder can, composed where it falls back, so the same trees and errors."""
+    try:
+        return _built_documents(text)
+    except _Fallback:
+        return _load_documents(text, _UniqueKeyLoader)
+
+
 def _load_strict(text: str) -> list:
     """The non-empty documents of ``text``, loaded strictly.
 
@@ -159,7 +261,7 @@ def _load_strict(text: str) -> list:
     """
     if _libyaml_reads_alike(text):
         try:
-            return _load_documents(text, _UniqueKeyLoader)
+            return _libyaml_documents(text)
         except _LOAD_ERRORS:
             pass
     return _load_documents(text, _PyUniqueKeyLoader)
@@ -195,15 +297,19 @@ def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
       its mark, reading no further than the next line;
     - a value no constructor can build is decided by the lines up to the
       end of its node and the next, and so is a key clash, unless an alias
-      ('*') brought the key node back from earlier;
+      ('*') brought the key node back from earlier. The libyaml route stops
+      at a clash, so a clash met before a later syntax error gives the
+      clash's keep, which still bounds every longer prefix;
     - with no document marker or directive there is one document, and the
       first line with content decides whether its root is a mapping.
     Any other failure gives keep = all lines but the last.
     """
     last = text.count("\n")
     try:
-        loader = _UniqueKeyLoader if _libyaml_reads_alike(text) else _PyUniqueKeyLoader
-        docs = _load_documents(text, loader)
+        if _libyaml_reads_alike(text):
+            docs = _libyaml_documents(text)
+        else:
+            docs = _load_documents(text, _PyUniqueKeyLoader)
     except _NodeError as exc:
         if isinstance(exc, _KeyClash) and "*" in text:
             return None, last
@@ -570,7 +676,6 @@ _PLAIN = re.compile(
     r"(?!---|\.\.\.|[-?:](?: |\Z)|[ #,\[\]{}&*!|>'\"%@`])"
     r"(?:(?!: |:\Z| #| \Z)[\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd])+"
 )
-_RESOLVE = yaml.resolver.Resolver().resolve
 _REPRESENTER = yaml.representer.SafeRepresenter()
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .gateway import (
+    ATTEMPT_CEILING,
     PromptPayload,
     Provider,
     RawResponse,
@@ -44,7 +45,6 @@ _FLAGS = {
 PROFILE_NAMES = tuple(_FLAGS)
 
 MAX_CHAIN_ATTEMPTS = 3
-ATTEMPT_CEILING = 100  # the most attempts a chain may be given, or a transcript record
 
 INSTRUCTION_HEADER = (
     "You are a deployment engineer for distributed compute clusters.\n"

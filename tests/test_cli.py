@@ -311,6 +311,9 @@ class TestGenerate:
             "scenarios.demo.latency",
         ),
         "scenario a bare list": ("script", {"scenarios": {"demo": [GOOD]}}, "scenarios.demo"),
+        "scenario attempt zero": (
+            "script", {"scenarios": {"demo": {"replies": {0: GOOD}}}}, "scenarios.demo.replies[0]"
+        ),
         "shot defect note empty": ("shot", {"defect_note": None}, "defect_note"),
         "cluster rate bool": ("cluster", {"cpu_rate": True}, "cpu_rate"),
         "cluster cpu malformed": (

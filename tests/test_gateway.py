@@ -9,6 +9,7 @@ import requests
 import intentconf.gateway as gateway_mod
 from intentconf.appconfig import build_provider, load_app_config
 from intentconf.gateway import (
+    ATTEMPT_CEILING,
     HttpProvider,
     MockProvider,
     MockReply,
@@ -23,6 +24,7 @@ from intentconf.gateway import (
     load_mock_script,
     mock_script_from_dict,
 )
+from intentconf.preprocess import InputError
 from intentconf.retrieval import count_tokens
 
 
@@ -153,6 +155,33 @@ class TestMockScript:
         assert script.lookup("a", 2) == MockReply("two", 2.0)
         assert script.lookup("b", 3).text == "third"
         assert script.lookup("b", 1).text == "dflt"
+
+    # A reply no chain can be served: attempts run from 1 to ATTEMPT_CEILING.
+    @pytest.mark.parametrize(
+        "replies, key, attempt",
+        [
+            ({0: "zero"}, 0, 0),
+            ({-3: "neg"}, -3, -3),
+            ({10**6: "far"}, 10**6, 10**6),
+            ({ATTEMPT_CEILING + 1: "past"}, ATTEMPT_CEILING + 1, ATTEMPT_CEILING + 1),
+            (["r"] * (ATTEMPT_CEILING + 1), ATTEMPT_CEILING, ATTEMPT_CEILING + 1),
+        ],
+        ids=["zero", "negative", "far", "past-ceiling", "list-past-ceiling"],
+    )
+    def test_unservable_attempt_is_refused(self, replies, key, attempt):
+        with pytest.raises(InputError) as info:
+            mock_script_from_dict({"scenarios": {"d": {"replies": replies}}})
+        assert str(info.value) == (
+            f"mock script: scenarios.d.replies[{key}] is for attempt {attempt}; "
+            f"attempts run from 1 to {ATTEMPT_CEILING}"
+        )
+
+    @pytest.mark.parametrize(
+        "replies", [{1: "first", ATTEMPT_CEILING: "last"}, ["r"] * ATTEMPT_CEILING]
+    )
+    def test_attempts_up_to_the_ceiling_are_scripted(self, replies):
+        script = mock_script_from_dict({"scenarios": {"d": {"replies": replies}}})
+        assert script.lookup("d", ATTEMPT_CEILING).text in ("last", "r")
 
     def test_load_from_yaml(self, tmp_path):
         path = tmp_path / "script.yaml"

@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -370,17 +371,29 @@ class TestAgainstBruteForce:
 
 
 class CountingYaml:
-    """Stands in for ``yaml`` inside the preprocess module, counting load_all
-    calls and the characters handed to them."""
+    """Stands in for ``yaml`` inside the preprocess module, counting loads (calls
+    of load_all and parse), the characters handed to them and the events
+    drawn from parse."""
 
     def __init__(self):
-        self.load_all_calls = 0
-        self.load_all_chars = 0
+        self.loads = 0
+        self.load_chars = 0
+        self.events = 0
 
     def load_all(self, stream, *args, **kwargs):
-        self.load_all_calls += 1
-        self.load_all_chars += len(stream)
+        self.loads += 1
+        self.load_chars += len(stream)
         return yaml.load_all(stream, *args, **kwargs)
+
+    def parse(self, stream, *args, **kwargs):
+        self.loads += 1
+        self.load_chars += len(stream)
+        return self._counted(yaml.parse(stream, *args, **kwargs))
+
+    def _counted(self, events):
+        for event in events:
+            self.events += 1
+            yield event
 
     def __getattr__(self, name):
         return getattr(yaml, name)
@@ -400,13 +413,13 @@ class TestWorkBound:
         with pytest.raises(StructuralError) as info:
             preprocess_reply("\n".join(lines))
         assert info.value.kind is StructuralErrorKind.NO_YAML_FOUND
-        assert counter.load_all_calls == 1
+        assert counter.loads == 1
 
     def test_bulleted_reply_reads_each_character_at_most_twice(self, counter):
         raw = "\n".join(bulleted(480))
         with pytest.raises(StructuralError):
             preprocess_reply(raw)
-        assert counter.load_all_chars <= 2 * len(raw)
+        assert counter.load_chars <= 2 * len(raw)
 
     def test_prose_config_prose_needs_at_most_a_load_per_line(self, counter):
         prose = [
@@ -415,11 +428,19 @@ class TestWorkBound:
         ]
         raw = "\n".join([*prose, YAML_BODY, *prose])
         assert preprocess_reply(raw).source_text == YAML_BODY
-        assert counter.load_all_calls <= len(raw.splitlines())
+        assert counter.loads <= len(raw.splitlines())
 
     def test_clean_reply_parses_once(self, counter):
         assert preprocess_reply(YAML_BODY).root == YAML_TREE
-        assert counter.load_all_calls == 1
+        assert counter.loads == 1
+
+    @pytest.mark.parametrize("lines", [240, 960])
+    def test_repeated_key_reply_stops_each_load_at_its_clash(self, counter, lines):
+        # Each start streams to the first repeated key below it, where its
+        # load stops, instead of building the rest of the reply first.
+        raw = "\n".join(f"k: {i}" for i in range(lines))
+        assert preprocess_reply(raw).root == {"k": 0}
+        assert 0 < counter.events < 16 * lines
 
     def test_deep_nesting_fails_without_crashing(self):
         # 50,000 nested sequences overflow the C stack in libyaml's composer.
@@ -603,6 +624,106 @@ class TestLoadYaml:
         yaml_file.write_text("- " * 1500 + "a", encoding="utf-8")
         with pytest.raises(InputError, match="not valid YAML: maximum recursion depth"):
             load_yaml_file(yaml_file)
+
+
+# The libyaml route builds trees from the parser's events; the composing
+# loader on libyaml, which it falls back on, is its oracle. Plain scalars
+# at the edges of SafeLoader's resolver join the reply lines as keys,
+# values and sequence entries.
+HOSTILE_SCALARS = (
+    ".inf", ".nan", "1e400", "0x1F", "0o17", "1_000", "190:20:30", "2024-01-01", "2024-02-30",
+    "~", "yes", "=", "<<",
+)
+BUILDER_LINES = REPLY_LINES + tuple(
+    line for scalar in HOSTILE_SCALARS for line in (f"h: {scalar}", f"{scalar}: h", f"- {scalar}")
+)
+
+
+def built_outcome(text):
+    """("ok", repr of the tree) or ("error",): what the libyaml route gives."""
+    try:
+        return "ok", repr(preprocess_mod._libyaml_documents(text))
+    except Exception:  # the oracle's own failures, whatever they are
+        return ("error",)
+
+
+def composed_outcome(text):
+    """The same for the composing loader on libyaml; None when it recursed too deep."""
+    outcome = load_outcome(c_strict, text)
+    return outcome if outcome is None or outcome[0] == "ok" else ("error",)
+
+
+class TestEventBuilder:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(BUILDER_LINES), max_size=10), st.booleans())
+    def test_same_tree_or_both_raise(self, lines, trailing_newline):
+        # By repr, so that 1, 1.0 and True stay apart.
+        text = "\n".join(lines) + ("\n" if trailing_newline else "")
+        expected = composed_outcome(text)
+        if expected is not None:
+            assert built_outcome(text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a: &a 1\nb: 2",  # an anchor
+            "- &a x\n- *a",
+            "b: *a",  # an alias, here an undefined one
+            "a: !!str 5",  # an explicit tag
+            "a: !",  # the non-specific tag
+            "? [1]\n: v",  # a key that is not a scalar
+            "<<: *a",  # a merge key
+            "=: 1",  # the value key, which SafeConstructor cannot build
+            "e: 2024-02-30",  # a value its maker refuses
+        ],
+    )
+    def test_fallback_gives_the_composing_loaders_result(self, text):
+        with pytest.raises(preprocess_mod._Fallback):
+            preprocess_mod._built_documents(text)
+        assert load_outcome(preprocess_mod._libyaml_documents, text) == load_outcome(c_strict, text)
+
+    def test_repeated_key_raises_at_its_event(self):
+        # The clash is met before the open flow sequence below it.
+        with pytest.raises(preprocess_mod._KeyClash) as info:
+            preprocess_mod._built_documents("a: 1\na: 2\nb: [")
+        assert info.value.end_line == 1
+
+    def test_threads_share_the_scalar_cache(self):
+        # More threads than cores, each churning the bounded cache in its own
+        # order: a value built for one scalar and handed out for another shows.
+        texts = [
+            f"a: {i}\nb: {i}.5\nc: 2024-01-{i % 28 + 1:02d}\nd: {'yes' if i % 2 else 'no'}"
+            for i in range(600)
+        ]
+        expected = [repr(c_strict(text)) for text in texts]
+        checked, wrong = [], []
+
+        def check(offset):
+            for i in range(len(texts)):
+                j = (i + offset) % len(texts)
+                if repr(preprocess_mod._libyaml_documents(texts[j])) != expected[j]:
+                    wrong.append(j)
+                checked.append(j)
+
+        threads = [threading.Thread(target=check, args=(k * 150,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(checked) == 4 * len(texts) and wrong == []
+
+    @pytest.mark.parametrize("text", [".nan: 1\n.NaN: 2", "1: a\n1.0: b", "1: a\ntrue: b"])
+    def test_keys_clash_as_the_composing_loader_has_them(self, text):
+        # SafeConstructor gives every .nan one float, so repeated .nan keys clash.
+        expected = load_outcome(c_strict, text)
+        assert expected[:2] == ("error", preprocess_mod._KeyClash)
+        assert load_outcome(preprocess_mod._libyaml_documents, text) == expected
 
 
 # The safe_dump call whose bytes serialize_config writes.
