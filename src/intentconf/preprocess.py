@@ -7,11 +7,12 @@ mapping), and re-serializes it into one canonical form so downstream
 diffing and deployment always see identical bytes for identical trees.
 
 Parsing runs on libyaml when PyYAML was built with it, building trees from
-the parser's events; what that builder does not make goes to PyYAML's
-composing loader on libyaml. Text that libyaml reads differently from
-PyYAML's own scanner, and every error report, goes through the pure-Python
-loader, so results and messages are the same either way; a YAML error is
-worded on one line, its problem and then its line and column. Input files
+the parser's events. What that builder does not make, text that libyaml
+reads differently from PyYAML's own scanner, and every error report go
+through PyYAML's pure-Python loader, so results and messages are the same
+either way; a YAML error is worded on one line, its problem and then its
+line and column. Both loaders refuse nesting deeper than ``MAX_DEPTH``
+collections where the collection that breaks the limit opens. Input files
 are read by the same strict rule as replies:
 ``load_yaml_file`` is the one reader of the package's YAML files and
 ``read_text_file`` of its other text files, and whatever is wrong with a
@@ -76,24 +77,39 @@ class _KeyClash(_NodeError):
 # an empty "!!int", AttributeError for "!!timestamp x", TypeError for
 # "!!map" over a sequence.
 _VALUE_ERRORS = (ValueError, TypeError, LookupError, AttributeError)
+# What loading can raise besides a YAMLError: UnicodeEncodeError from libyaml
+# for a lone surrogate, and the value errors above when they come from the
+# part of a collection constructor that runs after its node returned.
+_LOAD_ERRORS = (yaml.YAMLError, *_VALUE_ERRORS)
+
+# The most collections a text may hold open. The composer, constructor, serialize_config
+# and safe_dump recurse one to three frames per level, so 64 levels stay far below the
+# recursion limit, worker threads included; configurations nest about 15 deep.
+MAX_DEPTH = 64
+_TOO_DEEP = f"nesting deeper than {MAX_DEPTH} levels"
 
 
-class _ValueErrorsAtNodes:
-    """Loader mixin: a constructor that fails on a node's value raises _NodeError."""
+class _PyUniqueKeyLoader(yaml.SafeLoader):
+    """Pure-Python SafeLoader that rejects duplicate mapping keys instead of
+    last-wins, nesting deeper than MAX_DEPTH where it opens, and a value its
+    constructor refuses as a _NodeError at the value's node."""
+
+    _depth = 0  # the collections open around the node being composed
+
+    def compose_node(self, parent, index):
+        opens = self.check_event(yaml.CollectionStartEvent)
+        if opens and self._depth == MAX_DEPTH:
+            raise yaml.MarkedYAMLError(problem=_TOO_DEEP, problem_mark=self.peek_event().start_mark)
+        self._depth += opens
+        node = super().compose_node(parent, index)
+        self._depth -= opens
+        return node
 
     def construct_object(self, node, deep=False):
         try:
             return super().construct_object(node, deep=deep)
         except _VALUE_ERRORS as exc:
             raise _NodeError(f"invalid {node.tag} value: {exc}", node) from exc
-
-
-class _PyUniqueKeyLoader(_ValueErrorsAtNodes, yaml.SafeLoader):
-    """Pure-Python SafeLoader that rejects duplicate mapping keys instead of last-wins."""
-
-
-class _UniqueKeyLoader(_ValueErrorsAtNodes, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The same loader on libyaml, when PyYAML was built with it."""
 
 
 def _construct_mapping(loader, node, deep=False):
@@ -108,15 +124,7 @@ def _construct_mapping(loader, node, deep=False):
     return mapping
 
 
-for _loader in (_PyUniqueKeyLoader, _UniqueKeyLoader):
-    _loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping)
-
-# What loading can raise besides a YAMLError: RecursionError for nesting
-# deeper than the interpreter allows, UnicodeEncodeError from libyaml for a
-# lone surrogate, and the value errors above when they come from the part
-# of a collection constructor that runs after its node returned.
-_NON_YAML_ERRORS = (*_VALUE_ERRORS, RecursionError)
-_LOAD_ERRORS = (yaml.YAMLError, *_NON_YAML_ERRORS)
+_PyUniqueKeyLoader.add_constructor(_PyUniqueKeyLoader.DEFAULT_MAPPING_TAG, _construct_mapping)
 
 # Where libyaml and PyYAML's scanner disagree, found by comparing the two
 # on generated text. libyaml accepts tabs PyYAML rejects, skips a byte
@@ -132,31 +140,23 @@ _LIBYAML_DIFFERS = re.compile(
     r"|\|(?=[-+\d]*#)|>(?=[-+\d]*#)|:(?=[,\[\]{}])",
     re.MULTILINE,
 )
-# libyaml's composer recurses on the C stack once per nesting level, and
-# every level opens with one of these characters. 1000 levels fit in a
-# 512 KiB thread stack.
-_NESTING_CHARS = "[{-?:"
-_MAX_LIBYAML_NESTING = 1000
 
 
 def _libyaml_reads_alike(text: str) -> bool:
     """Whether libyaml scans and parses ``text`` as PyYAML's own scanner does."""
-    return not (
-        _LIBYAML_DIFFERS.search(text)
-        or ("?" in text and ("[" in text or "{" in text))
-        or sum(map(text.count, _NESTING_CHARS)) > _MAX_LIBYAML_NESTING
-    )
+    return not (_LIBYAML_DIFFERS.search(text) or ("?" in text and ("[" in text or "{" in text)))
 
 
-def _load_documents(text: str, loader) -> list:
-    """The non-empty documents of ``text``; raises what the loader raises."""
-    return [d for d in yaml.load_all(text, Loader=loader) if d is not None]
+def _py_documents(text: str) -> list:
+    """The non-empty documents of ``text`` by the pure-Python loader; raises what it raises."""
+    return [d for d in yaml.load_all(text, Loader=_PyUniqueKeyLoader) if d is not None]
 
 
 class _Fallback(Exception):
-    """The event builder met what it leaves to the composing loader."""
+    """The event builder met what it leaves to the pure-Python loader."""
 
 
+_LIBYAML = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser, when PyYAML has it
 _RESOLVE = yaml.resolver.Resolver().resolve  # SafeLoader's resolver; it keeps no state
 _CONSTRUCTOR = yaml.constructor.SafeConstructor()  # its scalar makers keep no state either
 _MAKERS = {
@@ -192,79 +192,91 @@ def _plain_value(text: str):
 
 
 def _built_documents(text: str) -> list:
-    """``_load_documents(text, _UniqueKeyLoader)``, built from the parser's events.
+    """``_py_documents(text)``, built from libyaml's events.
 
     A plain scalar is resolved and made as SafeLoader does, and any other
-    scalar is its text. A repeated key raises _KeyClash at its own event, so
-    the load stops there. An anchor, an alias, an explicit tag ('!'
-    included), a key that is not a scalar and a plain scalar refused by
-    ``_plain_value`` raise _Fallback.
+    scalar is its text. A repeated key raises _KeyClash and a collection
+    opening past MAX_DEPTH the nesting error, each at its own event, so the
+    load stops there. An anchor, an alias, an explicit tag ('!' included), a
+    key that is not a scalar and a plain scalar refused by ``_plain_value``
+    raise _Fallback, once the rest of the events have been read for depth.
     """
     docs: list = []
     filling: list = []  # the open collections, innermost last
     keys: list = []  # for each: the key awaiting its value, or _NO_KEY
-    for event in yaml.parse(text, Loader=_UniqueKeyLoader):
-        kind = type(event)
-        if kind is _SCALAR:
-            if event.tag is not None or event.anchor is not None:
+    events = yaml.parse(text, Loader=_LIBYAML)
+    try:
+        for event in events:
+            kind = type(event)
+            if kind is _SCALAR:
+                if event.tag is not None or event.anchor is not None:
+                    raise _Fallback
+                value = event.value
+                if event.implicit[0] and value[:1] in _RESOLVED_FIRST:
+                    value = _plain_value(value)
+            elif kind is _MAPPING_START or kind is _SEQUENCE_START:
+                if len(filling) == MAX_DEPTH:
+                    raise yaml.MarkedYAMLError(problem=_TOO_DEEP, problem_mark=event.start_mark)
+                if event.tag is not None or event.anchor is not None:
+                    raise _Fallback
+                value = {} if kind is _MAPPING_START else []
+            elif kind is _MAPPING_END or kind is _SEQUENCE_END:
+                filling.pop()
+                keys.pop()
+                continue
+            elif kind is _ALIAS:
                 raise _Fallback
-            value = event.value
-            if event.implicit[0] and value[:1] in _RESOLVED_FIRST:
-                value = _plain_value(value)
-        elif kind is _MAPPING_START or kind is _SEQUENCE_START:
-            if event.tag is not None or event.anchor is not None:
-                raise _Fallback
-            value = {} if kind is _MAPPING_START else []
-        elif kind is _MAPPING_END or kind is _SEQUENCE_END:
-            filling.pop()
-            keys.pop()
-            continue
-        elif kind is _ALIAS:
-            raise _Fallback
-        else:  # the stream's and documents' own events
-            continue
-        if not filling:
-            if value is not None:
-                docs.append(value)
-        elif type(parent := filling[-1]) is list:
-            parent.append(value)
-        elif keys[-1] is _NO_KEY:
+            else:  # the stream's and documents' own events
+                continue
+            if not filling:
+                if value is not None:
+                    docs.append(value)
+            elif type(parent := filling[-1]) is list:
+                parent.append(value)
+            elif keys[-1] is _NO_KEY:
+                if kind is not _SCALAR:
+                    raise _Fallback
+                if value in parent:
+                    raise _KeyClash(f"duplicate key {value!r}", event)
+                keys[-1] = value
+            else:
+                parent[keys[-1]] = value
+                keys[-1] = _NO_KEY
             if kind is not _SCALAR:
-                raise _Fallback
-            if value in parent:
-                raise _KeyClash(f"duplicate key {value!r}", event)
-            keys[-1] = value
-        else:
-            parent[keys[-1]] = value
-            keys[-1] = _NO_KEY
-        if kind is not _SCALAR:
-            filling.append(value)
-            keys.append(_NO_KEY)
+                filling.append(value)
+                keys.append(_NO_KEY)
+    except _Fallback:
+        # PyYAML's scanner looks ahead across every open flow level, so libyaml
+        # reads on for depth before the pure-Python loader is handed the text.
+        depth = len(filling) + isinstance(event, yaml.CollectionStartEvent)
+        for event in events:
+            depth += isinstance(event, yaml.CollectionStartEvent)
+            if depth > MAX_DEPTH:
+                raise yaml.MarkedYAMLError(problem=_TOO_DEEP, problem_mark=event.start_mark)
+            depth -= isinstance(event, yaml.CollectionEndEvent)
+        raise
     return docs
 
 
-def _libyaml_documents(text: str) -> list:
-    """``_load_documents(text, _UniqueKeyLoader)``: built from events where the
-    builder can, composed where it falls back, so the same trees and errors."""
-    try:
-        return _built_documents(text)
-    except _Fallback:
-        return _load_documents(text, _UniqueKeyLoader)
+def _documents(text: str) -> list:
+    """The non-empty documents of ``text``, loaded strictly: built from libyaml's
+    events where libyaml reads ``text`` as PyYAML's scanner does, and by the
+    pure-Python loader elsewhere and where the builder falls back."""
+    if _libyaml_reads_alike(text):
+        try:
+            return _built_documents(text)
+        except _Fallback:
+            pass
+    return _py_documents(text)
 
 
 def _load_strict(text: str) -> list:
-    """The non-empty documents of ``text``, loaded strictly.
-
-    libyaml words and places its errors differently, so every failure is
-    re-run on the pure-Python loader, which decides it and raises its own
-    error: results and messages read the same with or without libyaml.
-    """
-    if _libyaml_reads_alike(text):
-        try:
-            return _libyaml_documents(text)
-        except _LOAD_ERRORS:
-            pass
-    return _load_documents(text, _PyUniqueKeyLoader)
+    """``_documents(text)``. libyaml words and places its errors differently, so
+    every failure is re-run on the pure-Python loader, which raises its own."""
+    try:
+        return _documents(text)
+    except _LOAD_ERRORS:
+        return _py_documents(text)
 
 
 def _one_line(exc: Exception, text: str) -> str:
@@ -295,6 +307,9 @@ def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
       that whole line is in it: keep is the line before the key's;
     - any other scanner, parser or composer error is found on the line of
       its mark, reading no further than the next line;
+    - so is nesting deeper than MAX_DEPTH, at the collection that breaks
+      the limit: keep is its line + 1, as every longer text opens the same
+      collections before it;
     - a value no constructor can build is decided by the lines up to the
       end of its node and the next, and so is a key clash, unless an alias
       ('*') brought the key node back from earlier. The libyaml route stops
@@ -306,10 +321,7 @@ def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
     """
     last = text.count("\n")
     try:
-        if _libyaml_reads_alike(text):
-            docs = _libyaml_documents(text)
-        else:
-            docs = _load_documents(text, _PyUniqueKeyLoader)
+        docs = _documents(text)
     except _NodeError as exc:
         if isinstance(exc, _KeyClash) and "*" in text:
             return None, last
@@ -419,7 +431,7 @@ def parse_config(text: str) -> ConfigDocument:
         docs = _load_strict(text)
     except yaml.YAMLError as exc:
         raise StructuralError(StructuralErrorKind.PARSE_FAILURE, _one_line(exc, text)) from exc
-    except _NON_YAML_ERRORS as exc:
+    except _VALUE_ERRORS as exc:
         raise StructuralError(
             StructuralErrorKind.PARSE_FAILURE, f"{type(exc).__name__}: {exc}"
         ) from exc

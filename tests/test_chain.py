@@ -317,6 +317,19 @@ class TestRunChain:
         for line in (feedback.summary, *feedback.filtered_lines):
             assert len(line) <= 2 * QUOTE_BUDGET + 200, line[:300]
 
+    @pytest.mark.parametrize("profile", ["ip", "cot"])
+    def test_deep_nesting_is_structural_feedback(self, profile):
+        # 2 KB of flow sequences 995 deep, with no assertion to stop it before
+        # the verify prompt, which serializes the tree, recursing once per level.
+        reply = "a: " + "[" * 995 + "]" * 995
+        deps = deps_for(script_for("case", [reply, GOOD_CONFIG]), assertions=())
+        outcome = run_chain(REQUEST, OptimizationProfile.for_name(profile), deps)
+        assert outcome.resolved and outcome.attempts_used == 2
+        first = outcome.attempt_history[0]
+        assert first.feedback.failed_stage is Stage.STRUCTURAL
+        assert first.stages_passed == (Stage.GENERATION,)
+        assert "no contiguous region of the reply parses" in first.feedback.summary
+
     def test_unknown_system_is_deployment_feedback(self):
         request = GenerationRequest(system="nosuchsystem", prompt=REQUEST.prompt, intent=REQUEST.intent)
         outcome = run_chain(

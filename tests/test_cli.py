@@ -588,6 +588,26 @@ class TestConfigYamlErrors:
             f"{prefix}ParseFailure: duplicate key 'a' at line 2, column 1"
         ]
 
+    @pytest.mark.parametrize(
+        "args, exit_code, prefix",
+        [
+            (["complexity", "deep.yaml"], 2, "error: deep.yaml: "),
+            (["validate", "deep.yaml", "--assertions", "checks.yaml"], 1, "structural error: "),
+            (["deploy", "deep.yaml", "--system", "dask"], 1, "structural error: "),
+        ],
+        ids=["complexity", "validate", "deploy"],
+    )
+    def test_deep_nesting_is_one_line(self, tmp_path, runner, monkeypatch, args, exit_code, prefix):
+        # 995 levels; complexity measured the tree's depth by recursion.
+        monkeypatch.chdir(tmp_path)
+        make_workspace(tmp_path)
+        (tmp_path / "deep.yaml").write_text("a: " + "[" * 995 + "]" * 995 + "\n", encoding="utf-8")
+        result = runner.invoke(main, args)
+        assert result.exit_code == exit_code, combined(result)
+        assert result.output.splitlines() == [
+            f"{prefix}ParseFailure: nesting deeper than 64 levels at line 1, column 67"
+        ]
+
 
 class TestDeploy:
     def test_simulated_success(self, tmp_path, runner):

@@ -237,7 +237,7 @@ class TestRoundTrip:
 # The brute-force extraction the pruned search must reproduce: every span,
 # longest first, earliest first among equals, parsed by the pure-Python
 # loader, with constructor errors counted as failures.
-ORACLE_ERRORS = (yaml.YAMLError, ValueError, TypeError, LookupError, AttributeError, RecursionError)
+ORACLE_ERRORS = (yaml.YAMLError, ValueError, TypeError, LookupError, AttributeError)
 
 
 def oracle_mapping(text):
@@ -323,6 +323,9 @@ REPLY_LINES = (
     # lines that open no mapping on their own, or only with what comes after them
     "&a", "&a !!map", "-", "-foo: bar", "key", ": value", "[a,", " b]: c", "'a", "b': c",
     "word", "  word",
+    # nesting 40 deep, flow and block, closed and open: a line that leaves a flow
+    # collection open and a flow line below it nest past the limit together
+    "k: " + "[" * 40 + "]" * 40, "k: " + "[" * 40, "[" * 40, "- " * 40 + "k: 1", "- " * 39 + "k: [",
 )
 
 
@@ -359,6 +362,9 @@ class TestAgainstBruteForce:
             "\u3000: v\nwords",  # a key led by what Python's \s, not YAML, calls a space
             "words\n\ufeff\na: 1",  # the loader skips a byte order mark that opens the text
             "\n".join(bulleted(12)),
+            # nesting past the limit on the third line, inside a flow opened above it
+            "a: 1\nk: " + "[" * 40 + "\n" + "[" * 40 + "\n" + "]" * 80 + "\nb: 2",
+            "- " * 39 + "k: [\n" + "k: " + "[" * 40 + "]" * 40 + "]\nwords\na: 1",
         ],
     )
     def test_known_hard_replies(self, raw):
@@ -372,17 +378,19 @@ class TestAgainstBruteForce:
 
 class CountingYaml:
     """Stands in for ``yaml`` inside the preprocess module, counting loads (calls
-    of load_all and parse), the characters handed to them and the events
-    drawn from parse."""
+    of load_all, the pure-Python loader, and of parse), the characters handed
+    to them, those handed to load_all alone, and the events drawn from parse."""
 
     def __init__(self):
         self.loads = 0
         self.load_chars = 0
+        self.composed_chars = 0
         self.events = 0
 
     def load_all(self, stream, *args, **kwargs):
         self.loads += 1
         self.load_chars += len(stream)
+        self.composed_chars += len(stream)
         return yaml.load_all(stream, *args, **kwargs)
 
     def parse(self, stream, *args, **kwargs):
@@ -443,10 +451,28 @@ class TestWorkBound:
         assert 0 < counter.events < 16 * lines
 
     def test_deep_nesting_fails_without_crashing(self):
-        # 50,000 nested sequences overflow the C stack in libyaml's composer.
+        # 50,000 nested sequences: the load stops at the one past MAX_DEPTH.
         with pytest.raises(StructuralError) as info:
             preprocess_reply("- " * 50_000 + "a: 1")
         assert info.value.kind is StructuralErrorKind.NO_YAML_FOUND
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("a: " + "[" * 2000 + "]" * 2000, ("error", StructuralErrorKind.NO_YAML_FOUND)),
+            ("- " * 50_000 + "a: 1", ("error", StructuralErrorKind.NO_YAML_FOUND)),
+            ("x: &a 1\na: " + "[" * 2000, ("ok", "x: &a 1", {"x": 1})),
+        ],
+        ids=["flow", "block", "after an anchor"],
+    )
+    def test_deep_reply_reads_no_further_than_the_limit(self, counter, raw, expected):
+        # Each load stops at the collection that opens past MAX_DEPTH. After
+        # the anchor libyaml reads on for depth first, so the pure-Python
+        # loader, whose scanner looks ahead across every open flow level, is
+        # handed only the anchor's line.
+        assert outcome(raw) == expected
+        assert 0 < counter.events < 4 * preprocess_mod.MAX_DEPTH
+        assert counter.composed_chars <= len("x: &a 1")
 
 
 class TestConstructorErrors:
@@ -489,11 +515,9 @@ needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML bui
 
 
 def load_outcome(load, text):
-    """("ok", repr of the tree) or ("error", type, message); None when it recursed too deep."""
+    """("ok", repr of the tree) or ("error", type, message)."""
     try:
         return "ok", repr(load(text))
-    except RecursionError:
-        return None
     except Exception as exc:  # the oracle's own exception, whatever it is
         return "error", type(exc), str(exc)
 
@@ -503,7 +527,7 @@ def strict_documents(loader):
 
 
 py_strict = strict_documents(preprocess_mod._PyUniqueKeyLoader)
-c_strict = strict_documents(preprocess_mod._UniqueKeyLoader)
+c_strict = strict_documents(getattr(yaml, "CSafeLoader", None))  # SafeLoader on libyaml
 
 
 @pytest.fixture(scope="module")
@@ -540,8 +564,6 @@ def strict_file_load(path):
     def load(text):
         try:
             docs = py_strict(text)
-        except RecursionError:
-            raise
         except Exception as exc:  # the oracle's own exception, whatever it is
             raise InputError(f"{path}: not valid YAML: {one_line(exc, text)}") from exc
         if len(docs) > 1:
@@ -557,8 +579,7 @@ class TestLoadYaml:
     def test_same_tree_or_error_as_strict_loader(self, yaml_file, lines, trailing_newline):
         text = "\n".join(lines) + ("\n" if trailing_newline else "")
         expected = load_outcome(strict_file_load(yaml_file), text)
-        if expected is not None:
-            assert load_outcome(file_load(yaml_file), text) == expected
+        assert load_outcome(file_load(yaml_file), text) == expected
 
     def test_duplicate_key_names_the_file_and_line(self, yaml_file):
         yaml_file.write_text("profile: cot\nprofile: ip\n", encoding="utf-8")
@@ -612,6 +633,7 @@ class TestLoadYaml:
             "a: [unclosed",  # both fail; the message must be PyYAML's
             "a: 1\n b: 2\nc",
             "expires: 2024-02-30",  # a constructor error
+            "k: " + "[" * 40 + "\n" + "[" * 40 + "]" * 80,  # nesting past the limit
         ],
     )
     def test_failures_are_decided_by_pyyaml(self, yaml_file, text):
@@ -619,17 +641,20 @@ class TestLoadYaml:
         assert load_outcome(file_load(yaml_file), text) == expected
 
     def test_deep_nesting_stays_off_libyaml(self, yaml_file):
-        # libyaml's composer recurses on the C stack; PyYAML's stops at the
-        # interpreter's recursion limit, and the file reads as bad input.
+        # Both loaders stop at the sequence past MAX_DEPTH, and the error is
+        # the pure-Python loader's, as for any failure.
         yaml_file.write_text("- " * 1500 + "a", encoding="utf-8")
-        with pytest.raises(InputError, match="not valid YAML: maximum recursion depth"):
+        with pytest.raises(InputError) as info:
             load_yaml_file(yaml_file)
+        assert str(info.value) == (
+            f"{yaml_file}: not valid YAML: nesting deeper than 64 levels at line 1, column 129"
+        )
 
 
-# The libyaml route builds trees from the parser's events; the composing
-# loader on libyaml, which it falls back on, is its oracle. Plain scalars
-# at the edges of SafeLoader's resolver join the reply lines as keys,
-# values and sequence entries.
+# The libyaml route builds trees from the parser's events; the pure-Python
+# loader, which it falls back on, is its oracle. Plain scalars at the edges
+# of SafeLoader's resolver join the reply lines as keys, values and
+# sequence entries.
 HOSTILE_SCALARS = (
     ".inf", ".nan", "1e400", "0x1F", "0o17", "1_000", "190:20:30", "2024-01-01", "2024-02-30",
     "~", "yes", "=", "<<",
@@ -637,31 +662,31 @@ HOSTILE_SCALARS = (
 BUILDER_LINES = REPLY_LINES + tuple(
     line for scalar in HOSTILE_SCALARS for line in (f"h: {scalar}", f"{scalar}: h", f"- {scalar}")
 )
+TOO_DEEP = f"nesting deeper than {preprocess_mod.MAX_DEPTH} levels"
 
 
-def built_outcome(text):
-    """("ok", repr of the tree) or ("error",): what the libyaml route gives."""
+def marked_outcome(load, text):
+    """("ok", repr of the tree) or ("error", type, the error on one line). libyaml's
+    marks carry no snippet of the text, so its errors' messages read shorter."""
     try:
-        return "ok", repr(preprocess_mod._libyaml_documents(text))
-    except Exception:  # the oracle's own failures, whatever they are
-        return ("error",)
-
-
-def composed_outcome(text):
-    """The same for the composing loader on libyaml; None when it recursed too deep."""
-    outcome = load_outcome(c_strict, text)
-    return outcome if outcome is None or outcome[0] == "ok" else ("error",)
+        return "ok", repr(load(text))
+    except Exception as exc:  # the oracle's own exception, whatever it is
+        return "error", type(exc), one_line(exc, text)
 
 
 class TestEventBuilder:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.sampled_from(BUILDER_LINES), max_size=10), st.booleans())
     def test_same_tree_or_both_raise(self, lines, trailing_newline):
-        # By repr, so that 1, 1.0 and True stay apart.
+        # By repr, so that 1, 1.0 and True stay apart. libyaml words its own
+        # syntax errors, but the nesting error is the same on both.
         text = "\n".join(lines) + ("\n" if trailing_newline else "")
-        expected = composed_outcome(text)
-        if expected is not None:
-            assert built_outcome(text) == expected
+        expected = marked_outcome(py_strict, text)
+        got = marked_outcome(preprocess_mod._documents, text)
+        if expected[0] == "ok" or TOO_DEEP in expected[-1] + got[-1]:
+            assert got == expected
+        else:
+            assert got[0] == "error"
 
     @pytest.mark.parametrize(
         "text",
@@ -680,7 +705,7 @@ class TestEventBuilder:
     def test_fallback_gives_the_composing_loaders_result(self, text):
         with pytest.raises(preprocess_mod._Fallback):
             preprocess_mod._built_documents(text)
-        assert load_outcome(preprocess_mod._libyaml_documents, text) == load_outcome(c_strict, text)
+        assert load_outcome(preprocess_mod._documents, text) == load_outcome(py_strict, text)
 
     def test_repeated_key_raises_at_its_event(self):
         # The clash is met before the open flow sequence below it.
@@ -695,13 +720,13 @@ class TestEventBuilder:
             f"a: {i}\nb: {i}.5\nc: 2024-01-{i % 28 + 1:02d}\nd: {'yes' if i % 2 else 'no'}"
             for i in range(600)
         ]
-        expected = [repr(c_strict(text)) for text in texts]
+        expected = [repr(py_strict(text)) for text in texts]
         checked, wrong = [], []
 
         def check(offset):
             for i in range(len(texts)):
                 j = (i + offset) % len(texts)
-                if repr(preprocess_mod._libyaml_documents(texts[j])) != expected[j]:
+                if repr(preprocess_mod._documents(texts[j])) != expected[j]:
                     wrong.append(j)
                 checked.append(j)
 
@@ -721,9 +746,51 @@ class TestEventBuilder:
     @pytest.mark.parametrize("text", [".nan: 1\n.NaN: 2", "1: a\n1.0: b", "1: a\ntrue: b"])
     def test_keys_clash_as_the_composing_loader_has_them(self, text):
         # SafeConstructor gives every .nan one float, so repeated .nan keys clash.
-        expected = load_outcome(c_strict, text)
+        expected = marked_outcome(py_strict, text)
         assert expected[:2] == ("error", preprocess_mod._KeyClash)
-        assert load_outcome(preprocess_mod._libyaml_documents, text) == expected
+        assert marked_outcome(preprocess_mod._documents, text) == expected
+
+
+def nested_flow(depth):
+    """A mapping holding sequences ``depth`` levels deep in all, closed."""
+    return "a: " + "[" * (depth - 1) + "]" * (depth - 1)
+
+
+class TestNestingLimit:
+    # Each text nests MAX_DEPTH levels at 64 and one more at 65, where the
+    # collection past the limit opens at the line and column given.
+    @pytest.mark.parametrize(
+        "make, line, column, route",
+        [
+            (nested_flow, 1, 67, "builder"),
+            (lambda depth: "- " * (depth - 1) + "a: 1", 1, 129, "builder"),
+            (lambda depth: "x: &a 1\n" + nested_flow(depth), 2, 67, "drain"),
+            (lambda depth: "- &a x\n" + "- " * (depth - 1) + "a: 1", 2, 129, "drain"),
+            (lambda depth: "a: &x " + "[" * (depth - 1) + "]" * (depth - 1), 1, 70, "drain"),
+            (lambda depth: "? k\n: v\n" + nested_flow(depth), 3, 67, "pure Python"),
+        ],
+        ids=[
+            "flow", "block", "flow after an anchor", "block after an anchor",
+            "flow from an anchored sequence", "read differently",
+        ],
+    )
+    def test_depth_64_loads_and_65_fails_alike(self, make, line, column, route):
+        problem = f"{TOO_DEEP} at line {line}, column {column}"
+        for load in (preprocess_mod._documents, py_strict):
+            assert marked_outcome(load, make(64))[0] == "ok"
+            assert marked_outcome(load, make(65)) == ("error", yaml.MarkedYAMLError, problem)
+        with pytest.raises(StructuralError) as info:
+            parse_config(make(65))
+        assert str(info.value) == f"ParseFailure: {problem}"
+        # Where the error comes from: the builder meets the limit itself, and
+        # after a fallback trigger reads on for depth before it falls back.
+        assert preprocess_mod._libyaml_reads_alike(make(65)) is (route != "pure Python")
+        if route != "pure Python":
+            with pytest.raises(yaml.MarkedYAMLError, match=TOO_DEEP):
+                preprocess_mod._built_documents(make(65))
+        if route == "drain":
+            with pytest.raises(preprocess_mod._Fallback):
+                preprocess_mod._built_documents(make(64))
 
 
 # The safe_dump call whose bytes serialize_config writes.
