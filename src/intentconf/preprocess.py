@@ -292,6 +292,8 @@ def _one_line(exc: Exception, text: str) -> str:
     return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
 
 
+# The contexts of errors decided once the line of their context mark is in the text.
+_OPENED_ABOVE = ("while scanning a simple key", "while scanning a quoted scalar")
 _DOCUMENT_MARKER = re.compile(r"^(?:---|\.\.\.|%)", re.MULTILINE)
 _FIRST_CONTENT = re.compile(r"^[ \t]*[^\s#]", re.MULTILINE)
 
@@ -305,6 +307,10 @@ def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
     - a required simple key (a line of a block mapping at the mapping's
       indent) with no ':' on its line fails wherever the text ends, once
       that whole line is in it: keep is the line before the key's;
+    - so does a quoted scalar that the loader read to the end of the text
+      or to a document marker without closing it: a shorter text that holds
+      the line the quote opened on, which both loaders mark, meets the same
+      error or ends inside the quote;
     - any other scanner, parser or composer error is found on the line of
       its mark, reading no further than the next line;
     - so is nesting deeper than MAX_DEPTH, at the collection that breaks
@@ -329,7 +335,7 @@ def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
     except yaml.constructor.ConstructorError:  # its mark need not bound what it read
         return None, last
     except yaml.MarkedYAMLError as exc:
-        if exc.context == "while scanning a simple key" and exc.context_mark is not None:
+        if exc.context in _OPENED_ABOVE and exc.context_mark is not None:
             return None, exc.context_mark.line
         mark = exc.problem_mark
         return None, last if mark is None else min(last, mark.line + 1)
@@ -373,48 +379,80 @@ _NON_PRINTABLE = yaml.reader.Reader.NON_PRINTABLE
 _BLANK_LINE = re.compile(r"[ \t]*(?:#|$)")
 _MAPPING_OPENER = re.compile(r"[:{?!&*%]")
 _BLOCK_ENTRY = re.compile(r"[ \t]*-(?:[ \t]|$)")
+# A plain line opens no quote, flow collection, block scalar, tag, anchor,
+# alias, comment or directive, so each of its tokens ends on it. A key
+# colon is a ':' followed by a space or the end of the line.
+_PLAIN_LINE = re.compile(r" *[A-Za-z0-9_][^'\"\[\]{}|>&*!%#?@`\t\ufeff]*")
+_KEY_COLON = re.compile(r":(?: |$)")
 
 
-def _largest_parsable_span(text: str) -> tuple[str, dict] | None:
+def _largest_parsable_span(text: str, keep: int) -> tuple[str, dict] | None:
     """Largest contiguous run of lines that parses as a mapping root, and its tree.
 
+    ``keep`` is what ``_try_parse_mapping(text)`` gave when ``text`` failed.
     The longest span wins; among equal lengths the earliest wins. Each
     start line is tried with the longest end that could still win, and the
     end only moves down, past every end that ``_try_parse_mapping`` shows
     must fail. Nothing is parsed for a span without a mapping signal or
-    holding a character YAML forbids, nor for a start whose first line
-    with content cannot open a mapping root. That last rule needs one
-    document per span, so it holds only when no line of ``text`` is a
-    document marker or a directive, and not for a start line led by a
-    byte order mark, which the loader skips.
+    holding a character YAML forbids. With one document per span, which
+    holds when no line of ``text`` is a document marker or a directive,
+    two more rules bound each start by its first line with content, f:
+    - nothing is parsed when f cannot open a mapping root, unless f is led
+      by a byte order mark, which the loader skips;
+    - when f is plain at column c, let L be the first later line with
+      content left of c, or plain at c with no key colon or with f's key.
+      If every line with content between f and L is plain, no span holding
+      both parses: the root has ended and YAML would need '---', or L is a
+      required simple key with no ':' on its line, or it repeats f's key
+      in the root mapping.
+    Both are found for every start in one backward pass over the lines.
     """
     lines = text.splitlines()
     n = len(lines)
     # first_signal[i] / first_forbidden[i]: the first such line at or after i;
-    # can_open[i]: whether the first line with content at or after i can
-    # open a mapping root. Lines split at "\r" and the other breaks too, so
-    # markers are looked for line by line.
+    # first_end[i]: the first end no span from i reaches, by the two rules for
+    # one document. Lines split at "\r" and the other breaks too, so markers
+    # are looked for line by line.
     first_signal = [n] * (n + 1)
     first_forbidden = [n] * (n + 1)
-    can_open = [False] * (n + 1)
+    first_end = [0] * (n + 1)
     one_document = True
+    opens, bound = False, n  # of the first line with content at or after i
+    lefts: list[tuple[int, int]] = []  # later lines with content, columns rising to the top
+    # (column, key) -> the nearest later plain line there with that key, None for no key colon
+    closers: dict[tuple[int, str | None], int] = {}
+    barrier = n  # the nearest later line with content that is not plain
     for i in range(n - 1, -1, -1):
         line = lines[i]
         first_signal[i] = i if _MAPPING_SIGNAL.search(line) else first_signal[i + 1]
         first_forbidden[i] = i if _NON_PRINTABLE.search(line) else first_forbidden[i + 1]
         one_document = one_document and not _DOCUMENT_MARKER.match(line)
-        if line.startswith("\ufeff"):
-            can_open[i] = True
-        elif _BLANK_LINE.match(line):
-            can_open[i] = can_open[i + 1]
-        else:
-            can_open[i] = bool(_MAPPING_OPENER.search(line)) and not _BLOCK_ENTRY.match(line)
+        if not _BLANK_LINE.match(line):
+            column = len(line) - len(line.lstrip(" "))
+            while lefts and lefts[-1][0] >= column:
+                lefts.pop()
+            left = lefts[-1][1] if lefts else n
+            lefts.append((column, i))
+            if _PLAIN_LINE.fullmatch(line):
+                opens = ":" in line  # the one opener a plain line can hold
+                colon = _KEY_COLON.search(line)
+                key = line[column : colon.start()].rstrip(" ") if colon else None
+                end = min(left, closers.get((column, None), n), closers.get((column, key), n))
+                bound = end if end <= barrier else n
+                closers[column, key] = i
+            else:
+                opens = line.startswith("\ufeff") or (
+                    bool(_MAPPING_OPENER.search(line)) and not _BLOCK_ENTRY.match(line)
+                )
+                bound, barrier = n, i
+        first_end[i] = min(first_forbidden[i], bound) if opens else i
+    ends = first_end if one_document else first_forbidden
+    if "\n".join(lines) == text:  # the whole text, already tried
+        ends[0] = min(ends[0], keep)
     best = None
     best_len = 0
     for start in range(n):
-        if one_document and not can_open[start]:
-            continue
-        end = first_forbidden[start]
+        end = ends[start]
         while end - start > best_len and end > first_signal[start]:
             candidate = "\n".join(lines[start:end])
             tree, keep = _try_parse_mapping(candidate)
@@ -460,14 +498,14 @@ def preprocess_reply(raw: str) -> ConfigDocument:
     then the first fenced block that does, then the largest contiguous
     line span that does. The document keeps the tree extraction parsed.
     """
-    tree, _ = _try_parse_mapping(raw)
+    tree, keep = _try_parse_mapping(raw)
     if tree is not None:
         return ConfigDocument(root=tree, source_text=raw)
     for block in _fenced_blocks(raw):
         tree, _ = _try_parse_mapping(block)
         if tree is not None:
             return ConfigDocument(root=tree, source_text=block)
-    span = _largest_parsable_span(raw)
+    span = _largest_parsable_span(raw, keep)
     if span is not None:
         text, tree = span
         return ConfigDocument(root=tree, source_text=text)

@@ -19,7 +19,15 @@ from dataclasses import dataclass, field, replace
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from .preprocess import ConfigDocument, Fields, InputError, quote, read_scalar, serialize_config
+from .preprocess import (
+    QUOTE_BUDGET,
+    ConfigDocument,
+    Fields,
+    InputError,
+    quote,
+    read_scalar,
+    serialize_config,
+)
 from .validation import parse_path, resolve_path
 
 DEFAULT_CPU_RATE = 0.04  # dollars per core-hour
@@ -41,6 +49,9 @@ SEVERITY_MARKERS = (
 LOG_LINE_CAP = 50
 _HEAD = 25
 _TAIL = 25
+# The most characters kept of one log line: above every line the package writes
+# from its own bounded parts, two quoted values and the words around them.
+LOG_LINE_BUDGET = 4 * QUOTE_BUDGET
 
 _NUMBER_RE = re.compile(r"^(\d+(?:\.\d+)?)([A-Za-z]*)$")
 
@@ -62,7 +73,8 @@ class UnknownSystemProfile(ValueError):
 def filter_logs(raw: str) -> list[str]:
     """Keep only failure-relevant lines from raw output.
 
-    Lines survive when they contain a severity marker (case-insensitive);
+    Lines survive when they contain a severity marker (case-insensitive),
+    each cut to its first LOG_LINE_BUDGET characters and "..." when longer;
     consecutive duplicates collapse to one; above 50 lines the middle is
     elided, keeping the first and last 25.
     """
@@ -71,6 +83,8 @@ def filter_logs(raw: str) -> list[str]:
         lowered = line.lower()
         if not any(marker in lowered for marker in SEVERITY_MARKERS):
             continue
+        if len(line) > LOG_LINE_BUDGET:
+            line = line[:LOG_LINE_BUDGET] + "..."
         if kept and kept[-1] == line:
             continue
         kept.append(line)

@@ -323,6 +323,12 @@ REPLY_LINES = (
     # lines that open no mapping on their own, or only with what comes after them
     "&a", "&a !!map", "-", "-foo: bar", "key", ": value", "[a,", " b]: c", "'a", "b': c",
     "word", "  word",
+    # plain lines at other columns, a keyless sentence, a key over a sequence at its
+    # column, a quote and a block scalar running past a dedent, colons that are no key's
+    " one: 1", "   three: 3", "Word words here.", "key:", "- x", "k: 'x", "y'", "  k: |",
+    "http://a", "k: v # c",
+    # keys repeated at a column, one with a space before its colon
+    "a : 3", "  c: 4",
     # nesting 40 deep, flow and block, closed and open: a line that leaves a flow
     # collection open and a flow line below it nest past the limit together
     "k: " + "[" * 40 + "]" * 40, "k: " + "[" * 40, "[" * 40, "- " * 40 + "k: 1", "- " * 39 + "k: [",
@@ -362,6 +368,10 @@ class TestAgainstBruteForce:
             "\u3000: v\nwords",  # a key led by what Python's \s, not YAML, calls a space
             "words\n\ufeff\na: 1",  # the loader skips a byte order mark that opens the text
             "\n".join(bulleted(12)),
+            # a quote opened above a keyless sentence closes below it
+            "Some words.\na: 1\nk: 'x\nword\ny'",
+            "a: 1\nk: 'x\n---\ny'\nb: 2",  # a document marker inside a quote
+            "Some words.\na: 1\nb:\n  a: 2\nc: 3",  # a key repeated one level down is no clash
             # nesting past the limit on the third line, inside a flow opened above it
             "a: 1\nk: " + "[" * 40 + "\n" + "[" * 40 + "\n" + "]" * 80 + "\nb: 2",
             "- " * 39 + "k: [\n" + "k: " + "[" * 40 + "]" * 40 + "]\nwords\na: 1",
@@ -438,6 +448,47 @@ class TestWorkBound:
         assert preprocess_reply(raw).source_text == YAML_BODY
         assert counter.loads <= len(raw.splitlines())
 
+    @pytest.mark.parametrize("indent", ["", "  "])
+    def test_chatty_reply_needs_at_most_two_span_loads(self, counter, indent):
+        # A start's first end is the first prose line that ends its root: one
+        # left of it, or a sentence at its column with no key colon.
+        raw = "\n".join(
+            [
+                "Here is the configuration you asked for.",
+                "It keeps the defaults where it can.",
+                *(indent + line for line in YAML_BODY.splitlines()),
+                "Note: memory is set to 4Gi.",
+                "Every value above was checked twice.",
+                "Tip: raise the retries when the network is slow.",
+            ]
+        )
+        assert outcome(raw) == oracle_preprocess(raw)
+        assert counter.loads <= 1 + 2
+
+    def test_unterminated_quote_needs_at_most_a_load_per_line(self, counter):
+        # The quote runs to the end of every span that holds the line it opens
+        # on, so the first failure from each start drops its end above that line.
+        lines = [*(f"a{i}: v" for i in range(240)), "q: 'open", *(f"b{i}: v" for i in range(239))]
+        assert preprocess_reply("\n".join(lines)).root == {f"a{i}": "v" for i in range(240)}
+        assert counter.loads <= len(lines) + 1
+
+    @pytest.mark.parametrize(
+        "breaks, tail, lengths",
+        [("\n", "", [2011, 7]), ("\r\n", "", [2013, 2011, 7]), ("\n", "\n", [2012, 2011, 7])],
+        ids=["same text", "cr breaks", "trailing newline"],
+    )
+    def test_failed_whole_reply_is_not_parsed_again(self, monkeypatch, breaks, tail, lengths):
+        # The span search starts from the keep of the whole reply's parse, when
+        # its lines joined are that reply.
+        parsed = []
+        parse = preprocess_mod._try_parse_mapping
+        monkeypatch.setattr(
+            preprocess_mod, "_try_parse_mapping", lambda text: parsed.append(len(text)) or parse(text)
+        )
+        raw = breaks.join(["? k", ": v", "a: " + "[" * 2000]) + tail
+        assert preprocess_reply(raw).root == {"k": "v"}
+        assert parsed == lengths
+
     def test_clean_reply_parses_once(self, counter):
         assert preprocess_reply(YAML_BODY).root == YAML_TREE
         assert counter.loads == 1
@@ -449,6 +500,13 @@ class TestWorkBound:
         raw = "\n".join(f"k: {i}" for i in range(lines))
         assert preprocess_reply(raw).root == {"k": 0}
         assert 0 < counter.events < 16 * lines
+
+    def test_repeated_plain_key_bounds_each_start(self, counter):
+        # The line below each start repeats its key at its column, so each
+        # start's first end is its own line: one span load in all.
+        raw = "\n".join(f"k: {i}" for i in range(1920))
+        assert preprocess_reply(raw).source_text == "k: 0"
+        assert counter.loads == 1 + 1
 
     def test_deep_nesting_fails_without_crashing(self):
         # 50,000 nested sequences: the load stops at the one past MAX_DEPTH.

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intentconf.chain import Stage, make_feedback
 from intentconf.preprocess import ConfigDocument, InputError, serialize_config
 from intentconf.simulator import (
     DEFAULT_CPU_RATE,
     DEFAULT_MEM_RATE,
     GIB,
+    LOG_LINE_BUDGET,
     SHELL_DEPLOY_TIMEOUT_S,
     ClusterModel,
     DeploymentOutcome,
@@ -462,6 +464,24 @@ class TestShellDeploy:
         assert not outcome.success
         assert outcome.failure_reason == "Error: denied by quota"
         assert "applying manifest" in outcome.logs
+
+    def test_a_huge_stderr_line_is_cut_to_the_budget(self, tmp_path, monkeypatch):
+        """One 10 MB stderr line holding "error" becomes a bounded reason and feedback."""
+        script = (
+            f"#!{sys.executable}\n"
+            "import sys\n"
+            "sys.stderr.write('error: ' + 'x' * 10_000_000 + '\\n')\n"
+            "sys.exit(1)\n"
+        )
+        name = fake_cli(tmp_path, monkeypatch, "hugectl", script)
+        outcome = ShellDeployer(opt_in=True, cli=name).deploy(self.CONFIG, "dask")
+        assert not outcome.success
+        assert outcome.failure_reason == "error: " + "x" * (LOG_LINE_BUDGET - 7) + "..."
+        feedback = make_feedback(
+            Stage.DEPLOYMENT, Stage.STRUCTURAL, outcome.failure_reason, outcome.logs
+        )
+        assert feedback.filtered_lines == (outcome.failure_reason,)
+        assert len(feedback.render()) < 3 * LOG_LINE_BUDGET
 
     def test_timeout_becomes_failure_outcome(self, tmp_path, monkeypatch):
         name = fake_cli(tmp_path, monkeypatch, "slowctl", "#!/bin/sh\nexit 0\n")
