@@ -52,6 +52,10 @@ _TAIL = 25
 # The most characters kept of one log line: above every line the package writes
 # from its own bounded parts, two quoted values and the words around them.
 LOG_LINE_BUDGET = 4 * QUOTE_BUDGET
+# Every line break str.splitlines knows, "\n" first.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
+_OTHER_BREAK = re.compile(f"[{_LINE_BREAKS[1:]}]")
 
 _NUMBER_RE = re.compile(r"^(\d+(?:\.\d+)?)([A-Za-z]*)$")
 
@@ -70,6 +74,19 @@ class UnknownSystemProfile(ValueError):
     """No resource-path profile is registered for the requested system."""
 
 
+def _line_around(text: str, lo: int, hit: int) -> tuple[int, int]:
+    """Start and end of the line holding text[hit], a line starting at lo or later.
+
+    It looks back no further than lo and forward only to the line's end.
+    """
+    start = text.rfind("\n", lo, hit) + 1 or lo
+    if start < hit and _OTHER_BREAK.search(text, start, hit):
+        for brk in _LINE_BREAKS[1:]:
+            start = max(start, text.rfind(brk, start, hit) + 1)
+    found = _LINE_BREAK.search(text, hit)
+    return start, found.start() if found else len(text)
+
+
 def filter_logs(raw: str) -> list[str]:
     """Keep only failure-relevant lines from raw output.
 
@@ -77,17 +94,36 @@ def filter_logs(raw: str) -> list[str]:
     each cut to its first LOG_LINE_BUDGET characters and "..." when longer;
     consecutive duplicates collapse to one; above 50 lines the middle is
     elided, keeping the first and last 25.
+
+    The text is lowered once and each marker found with str.find, so only
+    lines holding a marker cost Python work. U+0130 is the one character
+    whose lower case is longer (two characters), and it can be part of no
+    marker: a space in its place keeps the lowered text's positions those of
+    raw. A marker is looked for again only past the line of its last hit,
+    so the work is linear in the text.
     """
+    text = raw.replace("\u0130", " ").lower()
+    size = len(text)
+    hits = [size if at < 0 else at for at in map(text.find, SEVERITY_MARKERS)]
+    hit = min(hits)
     kept: list[str] = []
-    for line in raw.splitlines():
-        lowered = line.lower()
-        if not any(marker in lowered for marker in SEVERITY_MARKERS):
-            continue
-        if len(line) > LOG_LINE_BUDGET:
-            line = line[:LOG_LINE_BUDGET] + "..."
-        if kept and kept[-1] == line:
-            continue
-        kept.append(line)
+    lo = 0  # where the line after the last hit line starts
+    while hit < size:
+        start, end = _line_around(text, lo, hit)
+        if end - start > LOG_LINE_BUDGET:
+            line = raw[start : start + LOG_LINE_BUDGET] + "..."
+        else:
+            line = raw[start:end]
+        if not kept or kept[-1] != line:
+            kept.append(line)
+        if end == size:
+            break
+        lo = end + 1
+        for index, at in enumerate(hits):
+            if at < end:
+                at = text.find(SEVERITY_MARKERS[index], lo)
+                hits[index] = size if at < 0 else at
+        hit = min(hits)
     if len(kept) > LOG_LINE_CAP:
         omitted = len(kept) - _HEAD - _TAIL
         kept = kept[:_HEAD] + [f"... {omitted} lines elided ..."] + kept[-_TAIL:]
@@ -294,41 +330,60 @@ def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
 
     Replicas are identical and capacity only shrinks, so a node that cannot
     take one replica takes no later one: first-fit is a fill in node order,
-    one node index moving only forward. When it runs past the last node, the
+    each node taking as many replicas as its cpu and memory left hold (a
+    dimension with zero demand holds any number). Every placement still logs
+    its own `placed replica i on node j` line. When the nodes run out, the
     reason is insufficient memory only when no node is short of cpu (memory
     then binds on every node); otherwise insufficient cpu.
     """
     cpu, memory = spec.cpu_millicores, spec.memory_bytes
-    remaining = [[node.cpu_millicores, node.memory_bytes] for node in model.nodes]
-    logs: list[str] = []
-    target = 0
-    for replica in range(spec.replicas):
-        while target < len(remaining) and (
-            cpu > remaining[target][0] or memory > remaining[target][1]
-        ):
-            target += 1
-        if target == len(remaining):
-            short_of_cpu = any(cpu > cpu_left for cpu_left, _ in remaining)
-            reason = "insufficient cpu" if short_of_cpu else "insufficient memory"
-            logs.append(
-                f"Error: replica {replica} unplaceable: {reason} "
-                f"(demand cpu={cpu}m memory={memory}B)"
-            )
-            return DeploymentOutcome(
-                success=False,
-                failure_reason=reason,
-                logs="\n".join(logs),
-                resources=spec,
-            )
-        remaining[target][0] -= cpu
-        remaining[target][1] -= memory
-        logs.append(
-            f"placed replica {replica} on node {target} "
-            f"(remaining cpu={remaining[target][0]}m memory={remaining[target][1]}B)"
-        )
+    placed = 0
+    blocks: list[str] = []  # one block of log lines per node that took replicas
+    short_of_cpu = False  # some node the fill has passed holds less cpu than a replica
+    last_fill = tails = None
+    for index, node in enumerate(model.nodes):
+        cpu_left, mem_left = node.cpu_millicores, node.memory_bytes
+        room = spec.replicas - placed
+        if cpu:
+            room = min(room, cpu_left // cpu)
+        if memory:
+            room = min(room, mem_left // memory)
+        if room > 0:
+            middle = f" on node {index} (remaining cpu="
+            fill = (cpu_left, mem_left, room)
+            if fill != last_fill:
+                last_fill, tails = fill, None
+                lines = [
+                    f"placed replica {placed + taken - 1}{middle}{cpu_left - cpu * taken}m"
+                    f" memory={mem_left - memory * taken}B)"
+                    for taken in range(1, room + 1)
+                ]
+            else:
+                # A run of nodes filled alike logs the same remaining
+                # capacities: they are written once, for the run's second node.
+                if tails is None:
+                    tails = [
+                        f"{cpu_left - cpu * taken}m memory={mem_left - memory * taken}B)"
+                        for taken in range(1, room + 1)
+                    ]
+                lines = [
+                    f"placed replica {replica}{middle}{tail}"
+                    for replica, tail in zip(range(placed, placed + room), tails)
+                ]
+            blocks.append("\n".join(lines))
+            placed += room
+            if placed == spec.replicas:
+                return DeploymentOutcome(success=True, logs="\n".join(blocks), resources=spec)
+            cpu_left -= cpu * room
+        short_of_cpu = short_of_cpu or cpu > cpu_left
+    reason = "insufficient cpu" if short_of_cpu else "insufficient memory"
+    blocks.append(
+        f"Error: replica {placed} unplaceable: {reason} (demand cpu={cpu}m memory={memory}B)"
+    )
     return DeploymentOutcome(
-        success=True,
-        logs="\n".join(logs),
+        success=False,
+        failure_reason=reason,
+        logs="\n".join(blocks),
         resources=spec,
     )
 

@@ -5,10 +5,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import intentconf.chain as chain_mod
 import intentconf.gateway as gateway_mod
 import intentconf.prompting as prompting_mod
+import intentconf.simulator as simulator_mod
 from intentconf.chain import (
     GATES,
     ChainDeps,
@@ -36,6 +39,7 @@ from intentconf.prompting import (
 from intentconf.retrieval import build_index, count_tokens
 from intentconf.simulator import (
     GIB,
+    LOG_LINE_BUDGET,
     LOG_LINE_CAP,
     SEVERITY_MARKERS,
     ClusterModel,
@@ -87,6 +91,55 @@ def script_for(case_id, replies, verify_default="VERDICT: ALIGNED"):
     return MockScript(entries=entries, scenario_defaults=defaults)
 
 
+def oracle_filter_logs(raw: str) -> list[str]:
+    """The per-line loop: split, lower each line, test every marker on it.
+    ``filter_logs`` must match it on every text."""
+    kept: list[str] = []
+    for line in raw.splitlines():
+        lowered = line.lower()
+        if not any(marker in lowered for marker in SEVERITY_MARKERS):
+            continue
+        if len(line) > LOG_LINE_BUDGET:
+            line = line[:LOG_LINE_BUDGET] + "..."
+        if kept and kept[-1] == line:
+            continue
+        kept.append(line)
+    if len(kept) > LOG_LINE_CAP:
+        omitted = len(kept) - 25 - 25
+        kept = kept[:25] + [f"... {omitted} lines elided ..."] + kept[-25:]
+    return kept
+
+
+# Every break str.splitlines knows, and "\r\n" as one.
+LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_MIXED_CASE_MARKERS = st.sampled_from(SEVERITY_MARKERS).flatmap(
+    lambda marker: st.lists(st.booleans(), min_size=len(marker), max_size=len(marker)).map(
+        lambda upper: "".join(c.upper() if up else c for c, up in zip(marker, upper))
+    )
+)
+# U+0130 lowers to "i" and U+0307; U+212A (Kelvin) to "k"; "ſ" stays itself;
+# "Σ" lowers by its context. Pieces of markers, and a run that puts a line
+# over LOG_LINE_BUDGET with one more piece.
+_PIECES = st.one_of(
+    _MIXED_CASE_MARKERS,
+    st.sampled_from(
+        ["\u0130", "\u212a", "\u017f", "\u03a3", "x", " ", "err", "or", "i", "\u0307", "in\u017fufficient"]
+    ),
+    st.just("y" * LOG_LINE_BUDGET),
+)
+_LINES = st.lists(_PIECES, max_size=5).map("".join)
+
+
+@st.composite
+def _logs(draw):
+    """Lines drawn from a small pool, so repeats are common, joined by any break."""
+    pool = draw(st.lists(_LINES, min_size=1, max_size=6))
+    lines = draw(st.lists(st.sampled_from(pool), max_size=70))
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text[: -len(breaks[-1])] if breaks and draw(st.booleans()) else text
+
+
 class TestFilterLogs:
     def test_severity_filter(self):
         raw = "\n".join([f"INFO step {i}" for i in range(100)] + ["Error: OOMKilled"])
@@ -128,6 +181,62 @@ class TestFilterLogs:
 
     def test_empty_input(self):
         assert filter_logs("") == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw=_logs())
+    @example(raw="\n".join(f"Fatal {i}" for i in range(60)))
+    @example(raw="\u0130error\r\nok\u2028\u212aWARN\x85\u03a3 denied\u03a3\x1e" + "z" * 3000 + "failed")
+    def test_matches_oracle(self, raw):
+        assert filter_logs(raw) == oracle_filter_logs(raw)
+
+    def test_lowering_and_line_breaks_it_rests_on(self):
+        # filter_logs lowers the whole text once and reads its positions on the
+        # raw text: only U+0130 may change length when lowered (it is replaced
+        # first), and its line breaks must be exactly those of str.splitlines.
+        # A new Unicode table that breaks either fails here.
+        longer, breaks = [], []
+        for code in range(sys.maxunicode + 1):
+            char = chr(code)
+            if len(char.lower()) != 1:
+                longer.append(code)
+            if len(f"a{char}b".splitlines()) == 2:
+                breaks.append(char)
+        assert longer == [0x130]
+        assert sorted(breaks) == sorted(simulator_mod._LINE_BREAKS)
+        # U+0130 lowers to "i" and U+0307: a marker holding it would end in "i".
+        assert all(marker.isascii() and not marker.endswith("i") for marker in SEVERITY_MARKERS)
+
+    @pytest.mark.parametrize(
+        "raw, hit_lines",
+        [
+            ("\x0b" + "\n".join(f"error {i}" for i in range(100_000)), 100_000),
+            ("error " * 1_700_000, 1),
+            (
+                "\n".join(
+                    f"placed replica {i} on node {i // 16} (remaining cpu=100m memory=1B)"
+                    for i in range(200_000)
+                )
+                + "\nError: replica 200000 unplaceable: insufficient cpu",
+                1,
+            ),
+        ],
+        ids=["100k-hit-lines-after-vt", "10MB-line", "200k-placed-lines"],
+    )
+    def test_hostile_shapes_take_one_step_per_hit_line(self, monkeypatch, raw, hit_lines):
+        # Work is counted, not timed: one line lookup per line holding a marker,
+        # and the lookups together scan each character of the text at most once.
+        real = simulator_mod._line_around
+        scanned = []
+
+        def counting(text, lo, hit):
+            start, end = real(text, lo, hit)
+            scanned.append(end - lo)
+            return start, end
+
+        monkeypatch.setattr(simulator_mod, "_line_around", counting)
+        assert filter_logs(raw) == oracle_filter_logs(raw)
+        assert len(scanned) == hit_lines
+        assert sum(scanned) <= len(raw)
 
 
 class TestMakeFeedback:

@@ -1,5 +1,6 @@
 """Quantity grammar, resource extraction, placement, and the cost model."""
 
+import math
 import os
 import random
 import re
@@ -243,6 +244,34 @@ _NODES = st.lists(
 _SPECS = st.builds(ResourceSpec, st.integers(0, 4500), st.integers(0, 4500), st.integers(1, 50))
 
 
+@st.composite
+def _edge_fills(draw):
+    """Where a fill by `//` can be off by one: capacities at a multiple of the
+    demand or one off it, replicas at the cluster's total capacity or one off
+    it, and zero demand in one dimension (or both)."""
+    demand = st.one_of(st.just(0), st.integers(1, 600))
+    cpu, memory = draw(demand), draw(demand)
+
+    def capacity(per_replica):
+        return max(1, per_replica * draw(st.integers(0, 6)) + draw(st.sampled_from((0, 0, 1, -1))))
+
+    nodes = tuple(
+        NodeSpec(capacity(cpu), capacity(memory)) for _ in range(draw(st.integers(1, 6)))
+    )
+    total = sum(
+        min(
+            node.cpu_millicores // cpu if cpu else math.inf,
+            node.memory_bytes // memory if memory else math.inf,
+        )
+        for node in nodes
+    )
+    if total == math.inf:
+        replicas = draw(st.integers(1, 40))
+    else:
+        replicas = max(1, total + draw(st.sampled_from((-1, 0, 1))))
+    return ClusterModel(nodes=nodes), ResourceSpec(cpu, memory, replicas)
+
+
 class TestApply:
     def test_both_replicas_fit_one_node(self):
         model = ClusterModel(nodes=(NODE,))
@@ -303,6 +332,12 @@ class TestApply:
     @given(nodes=_NODES, spec=_SPECS)
     def test_matches_oracle(self, nodes, spec):
         model = ClusterModel(nodes=tuple(nodes))
+        assert apply(model, spec) == oracle_apply(model, spec)
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=_edge_fills())
+    def test_edge_fills_match_oracle(self, case):
+        model, spec = case
         assert apply(model, spec) == oracle_apply(model, spec)
 
     @pytest.mark.parametrize(
