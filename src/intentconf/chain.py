@@ -216,8 +216,9 @@ def _alignment(a: AttemptRecord, request, profile, deps) -> _Failure:
 
 
 def _deployment(a: AttemptRecord, request, profile, deps) -> _Failure:
-    # Only what was placed is kept: the outcome's logs would otherwise live
-    # as long as the chain's outcome.
+    # Reading .logs formats one line per placed replica, so it is read only
+    # on failure, for the feedback: a placement that fits costs its node
+    # count, not its replica count. The attempt keeps only the placed spec.
     deployed = deps.deployer.deploy(a.config, request.system)
     if not deployed.success:
         return deployed.failure_reason or "deployment failed", deployed.logs

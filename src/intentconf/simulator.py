@@ -219,12 +219,49 @@ class Workload:
             raise ValueError("parallel_core_seconds must be >= 0")
 
 
+# One fill: (node, first, count, cpu_free, mem_free), replicas first to
+# first + count - 1 placed on the node, which had cpu_free millicores and
+# mem_free bytes left before them. A plain tuple: a fitting placement builds
+# one per node it passes, and a named tuple costs a third of that loop.
+_Fill = tuple[int, int, int, int, int]
+
+
+def _placed_lines(fill: _Fill, cpu: int, memory: int) -> str:
+    """The fill's `placed replica i on node j (remaining ...)` lines, one per replica."""
+    node, first, count, cpu_free, mem_free = fill
+    middle = f" on node {node} (remaining cpu="
+    return "\n".join([
+        f"placed replica {first + taken - 1}{middle}{cpu_free - cpu * taken}m"
+        f" memory={mem_free - memory * taken}B)"
+        for taken in range(1, count + 1)
+    ])
+
+
 @dataclass(frozen=True)
 class DeploymentOutcome:
+    """What one deploy did. A simulated placement keeps what it computed, one
+    fill per node that took replicas, and its log text is formatted only when
+    `logs` is read: a placement costs its node count, not its replica count,
+    until then. A backend with its own output passes it as ready text.
+    """
+
     success: bool
     failure_reason: str = ""
-    logs: str = ""
+    text: str = ""  # ready log text, after the notes and placed lines
     resources: ResourceSpec | None = None
+    fills: tuple[_Fill, ...] = ()
+    notes: tuple[str, ...] = ()  # defaults the resource extraction applied
+
+    @property
+    def logs(self) -> str:
+        """The deploy's log: `note:` lines, then one line per placed replica, then the text."""
+        blocks = [f"note: {note}" for note in self.notes]
+        if self.fills:
+            cpu, memory = self.resources.cpu_millicores, self.resources.memory_bytes
+            blocks += (_placed_lines(fill, cpu, memory) for fill in self.fills)
+        if self.text:
+            blocks.append(self.text)
+        return "\n".join(blocks)
 
 
 @dataclass(frozen=True)
@@ -333,14 +370,16 @@ def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
     Replicas are identical and capacity only shrinks, so a node that cannot
     take one replica takes no later one: first-fit is a fill in node order,
     each node taking as many replicas as its cpu and memory left hold (a
-    dimension with zero demand holds any number). Every placement still logs
-    its own `placed replica i on node j` line. When the nodes run out, the
-    reason is insufficient memory only when no node is short of cpu (memory
-    then binds on every node); otherwise insufficient cpu.
+    dimension with zero demand holds any number). The outcome keeps one fill
+    per node that took replicas, so the work is linear in the node count;
+    reading its logs formats the `placed replica i on node j` line of every
+    placement, the same bytes as a replica-by-replica fill. When the nodes
+    run out, the reason is insufficient memory only when no node is short of
+    cpu (memory then binds on every node); otherwise insufficient cpu.
     """
     cpu, memory = spec.cpu_millicores, spec.memory_bytes
     placed = 0
-    blocks: list[str] = []  # one block of log lines per node that took replicas
+    fills: list[_Fill] = []
     short_of_cpu = False  # some node the fill has passed holds less cpu than a replica
     for index, node in enumerate(model.nodes):
         cpu_left, mem_left = node.cpu_millicores, node.memory_bytes
@@ -350,27 +389,19 @@ def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
         if memory:
             room = min(room, mem_left // memory)
         if room > 0:
-            middle = f" on node {index} (remaining cpu="
-            lines = [
-                f"placed replica {placed + taken - 1}{middle}{cpu_left - cpu * taken}m"
-                f" memory={mem_left - memory * taken}B)"
-                for taken in range(1, room + 1)
-            ]
-            blocks.append("\n".join(lines))
+            fills.append((index, placed, room, cpu_left, mem_left))
             placed += room
             if placed == spec.replicas:
-                return DeploymentOutcome(success=True, logs="\n".join(blocks), resources=spec)
+                return DeploymentOutcome(success=True, resources=spec, fills=tuple(fills))
             cpu_left -= cpu * room
         short_of_cpu = short_of_cpu or cpu > cpu_left
     reason = "insufficient cpu" if short_of_cpu else "insufficient memory"
-    blocks.append(
-        f"Error: replica {placed} unplaceable: {reason} (demand cpu={cpu}m memory={memory}B)"
-    )
     return DeploymentOutcome(
         success=False,
         failure_reason=reason,
-        logs="\n".join(blocks),
+        text=f"Error: replica {placed} unplaceable: {reason} (demand cpu={cpu}m memory={memory}B)",
         resources=spec,
+        fills=tuple(fills),
     )
 
 
@@ -429,12 +460,8 @@ class SimulatedDeployer:
             extraction = extract_resources(config, system, self.profiles)
         except (QuantityError, UnknownSystemProfile) as exc:
             reason = str(exc)
-            return DeploymentOutcome(success=False, failure_reason=reason, logs=f"Error: {reason}")
-        outcome = apply(self.model, extraction.spec)
-        if extraction.notes:
-            notes = "\n".join(f"note: {note}" for note in extraction.notes)
-            outcome = replace(outcome, logs=f"{notes}\n{outcome.logs}")
-        return outcome
+            return DeploymentOutcome(success=False, failure_reason=reason, text=f"Error: {reason}")
+        return replace(apply(self.model, extraction.spec), notes=extraction.notes)
 
     def benchmark(self, spec: ResourceSpec, workload: Workload) -> BenchmarkResult:
         return run_workload(self.model, spec, workload)
@@ -472,10 +499,10 @@ class ShellDeployer:
                 )
             except subprocess.TimeoutExpired:
                 reason = f"{self.cli} did not finish within {SHELL_DEPLOY_TIMEOUT_S:g} s"
-                return DeploymentOutcome(success=False, failure_reason=reason, logs=f"Error: {reason}")
+                return DeploymentOutcome(success=False, failure_reason=reason, text=f"Error: {reason}")
         logs = proc.stdout + ("\n" + proc.stderr if proc.stderr else "")
         if proc.returncode == 0:
-            return DeploymentOutcome(success=True, logs=logs)
+            return DeploymentOutcome(success=True, text=logs)
         stderr_lines = filter_logs(proc.stderr)
         reason = stderr_lines[0] if stderr_lines else f"{self.cli} exited with code {proc.returncode}"
-        return DeploymentOutcome(success=False, failure_reason=reason, logs=logs)
+        return DeploymentOutcome(success=False, failure_reason=reason, text=logs)

@@ -800,3 +800,49 @@ class TestTokenCountingWork:
             )
             chars = sum(len(text) for n, text in counted if n == number)
             assert chars <= 300 + shot_chars + 2 * varying
+
+
+def resources_reply(cpu, memory, replicas):
+    return (
+        f"worker:\n  replicas: {replicas}\n  resources:\n    limits:\n"
+        f"      cpu: {cpu}\n      memory: {memory}"
+    )
+
+
+class TestPlacementLogWork:
+    """The chain reads a deploy's log only when the deploy fails, so a
+    placement that fits formats none of its per-replica lines."""
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        """Fills whose lines were formatted. Formatting one fails the chain
+        at once, so work that follows the replica count cannot hang the test."""
+        fills = []
+
+        def refuse(fill, cpu, memory):
+            fills.append(fill)
+            raise AssertionError(f"formatted the placement log lines of {fill}")
+
+        monkeypatch.setattr(simulator_mod, "_placed_lines", refuse)
+        return fills
+
+    def test_a_million_replicas_that_fit_format_no_line(self, formatted):
+        model = ClusterModel(nodes=(NodeSpec(64000, 16 * GIB),) * 200)
+        deps = deps_for(script_for("case", [resources_reply("1m", 1, 1_000_000)]))
+        deps = dataclasses.replace(deps, deployer=SimulatedDeployer(model=model))
+        outcome = run_chain(REQUEST, OptimizationProfile.for_name("ip"), deps)
+        assert outcome.resolved and outcome.attempts_used == 1
+        assert outcome.attempt_history[0].resources.replicas == 1_000_000
+        assert formatted == []
+
+    def test_zero_demand_at_any_replica_count_is_benchmark_feedback(self, formatted):
+        reply = resources_reply(0, 0, 10**30)
+        assert "replicas: 1000000000000000000000000000000" in reply
+        outcome = run_chain(
+            REQUEST, OptimizationProfile.for_name("ip"), deps_for(script_for("case", [reply] * 3))
+        )
+        assert not outcome.resolved and outcome.attempts_used == 3
+        for attempt in outcome.attempt_history:
+            assert attempt.feedback.failed_stage is Stage.RUNTIME_BENCHMARK
+            assert "spec allocates zero cores" in attempt.feedback.summary
+        assert formatted == []

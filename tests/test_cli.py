@@ -12,6 +12,8 @@ from intentconf import prompting
 from intentconf.cli import main
 from intentconf.gateway import ProviderError
 from intentconf.preprocess import parse_config
+from intentconf.simulator import ResourceSpec
+from test_simulator import oracle_apply
 
 GOOD = (
     "worker:\n  replicas: 2\n  resources:\n    limits:\n"
@@ -615,15 +617,19 @@ class TestDeploy:
         config.write_text(GOOD, encoding="utf-8")
         result = runner.invoke(main, ["deploy", str(config), "--system", "dask"])
         assert result.exit_code == 0
-        assert "placed replica" in result.output
-        assert "deployed" in result.output
+        oracle = oracle_apply(cli_mod.DEFAULT_CLUSTER, ResourceSpec(500, 512 * 2**20, 2))
+        assert oracle.success
+        assert result.stdout == f"{oracle.logs}\ndeployed\n"
 
     def test_simulated_failure(self, tmp_path, runner):
         config = tmp_path / "hungry.yaml"
         config.write_text(HUNGRY, encoding="utf-8")
         result = runner.invoke(main, ["deploy", str(config), "--system", "dask"])
         assert result.exit_code == 1
-        assert "insufficient memory" in combined(result)
+        oracle = oracle_apply(cli_mod.DEFAULT_CLUSTER, ResourceSpec(500, 64 * 2**30, 2))
+        assert oracle.failure_reason == "insufficient memory"
+        assert result.stdout == f"{oracle.logs}\n"
+        assert result.stderr == "deployment failed: insufficient memory\n"
 
     def test_shell_guard(self, tmp_path, runner):
         config = tmp_path / "good.yaml"

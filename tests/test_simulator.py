@@ -190,6 +190,11 @@ class TestExtractResources:
 NODE = NodeSpec(cpu_millicores=4000, memory_bytes=16 * GIB)
 
 
+def observed(outcome: DeploymentOutcome) -> tuple:
+    """What a caller reads of an outcome, its log text formatted."""
+    return outcome.success, outcome.failure_reason, outcome.logs, outcome.resources
+
+
 def oracle_apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
     """First-fit that scans the nodes from node 0 for every replica: the
     reference ``apply`` must match on every output."""
@@ -220,7 +225,7 @@ def oracle_apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
             return DeploymentOutcome(
                 success=False,
                 failure_reason=reason,
-                logs="\n".join(logs),
+                text="\n".join(logs),
                 resources=spec,
             )
         remaining[target][0] -= spec.cpu_millicores
@@ -231,7 +236,7 @@ def oracle_apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
         )
     return DeploymentOutcome(
         success=True,
-        logs="\n".join(logs),
+        text="\n".join(logs),
         resources=spec,
     )
 
@@ -327,18 +332,19 @@ class TestApply:
                 rng.randrange(100, 3000), rng.randrange(GIB // 4, 2 * GIB), rng.randrange(1, 6)
             )
             assert apply(model, spec) == apply(model, spec)
+            assert observed(apply(model, spec)) == observed(oracle_apply(model, spec))
 
     @settings(max_examples=500, deadline=None)
     @given(nodes=_NODES, spec=_SPECS)
     def test_matches_oracle(self, nodes, spec):
         model = ClusterModel(nodes=tuple(nodes))
-        assert apply(model, spec) == oracle_apply(model, spec)
+        assert observed(apply(model, spec)) == observed(oracle_apply(model, spec))
 
     @settings(max_examples=500, deadline=None)
     @given(case=_edge_fills())
     def test_edge_fills_match_oracle(self, case):
         model, spec = case
-        assert apply(model, spec) == oracle_apply(model, spec)
+        assert observed(apply(model, spec)) == observed(oracle_apply(model, spec))
 
     @pytest.mark.parametrize(
         "nodes, spec, reason",
@@ -354,7 +360,7 @@ class TestApply:
     def test_pinned_cases_match_oracle(self, nodes, spec, reason):
         model = ClusterModel(nodes=nodes)
         outcome = apply(model, spec)
-        assert outcome == oracle_apply(model, spec)
+        assert observed(outcome) == observed(oracle_apply(model, spec))
         if reason is None:
             assert outcome.success and per_node(outcome) == {0: spec.replicas}
         else:
@@ -607,6 +613,19 @@ class TestSimulatedDeployer:
         outcome = deployer.deploy(doc({}), "dask")
         assert outcome.success
         assert "note: replicas not set" in outcome.logs
+
+    @pytest.mark.parametrize("worker", [{"replicas": 3}, {"resources": {"limits": {"cpu": "6"}}}])
+    def test_notes_come_before_the_oracles_lines(self, worker):
+        model = ClusterModel(nodes=(NODE, NODE))
+        config = doc({"worker": worker})
+        extraction = extract_resources(config, "dask", PROFILES)
+        oracle = oracle_apply(model, extraction.spec)
+        notes = "".join(f"note: {note}\n" for note in extraction.notes)
+        assert extraction.notes
+        outcome = SimulatedDeployer(model=model).deploy(config, "dask")
+        assert observed(outcome) == (
+            oracle.success, oracle.failure_reason, notes + oracle.logs, oracle.resources
+        )
 
 
 class TestLoaders:
