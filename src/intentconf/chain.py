@@ -216,12 +216,13 @@ def _alignment(a: AttemptRecord, request, profile, deps) -> _Failure:
 
 
 def _deployment(a: AttemptRecord, request, profile, deps) -> _Failure:
-    # Reading .logs formats one line per placed replica, so it is read only
-    # on failure, for the feedback: a placement that fits costs its node
-    # count, not its replica count. The attempt keeps only the placed spec.
+    # The feedback filters the log down to its severity-marked lines, and no
+    # placed-replica line holds a marker, so the chain reads feedback_logs and
+    # formats none of them on any path: a deploy costs its node count, not its
+    # replica count. The attempt keeps only the placed spec.
     deployed = deps.deployer.deploy(a.config, request.system)
     if not deployed.success:
-        return deployed.failure_reason or "deployment failed", deployed.logs
+        return deployed.failure_reason or "deployment failed", deployed.feedback_logs
     a.resources = deployed.resources
     return None
 

@@ -240,9 +240,10 @@ def _placed_lines(fill: _Fill, cpu: int, memory: int) -> str:
 @dataclass(frozen=True)
 class DeploymentOutcome:
     """What one deploy did. A simulated placement keeps what it computed, one
-    fill per node that took replicas, and its log text is formatted only when
-    `logs` is read: a placement costs its node count, not its replica count,
-    until then. A backend with its own output passes it as ready text.
+    fill per node that took replicas, and its placed-replica lines are
+    formatted only when `logs` is read: a placement costs its node count, not
+    its replica count, until then. A backend with its own output passes it as
+    ready text.
     """
 
     success: bool
@@ -259,6 +260,21 @@ class DeploymentOutcome:
         if self.fills:
             cpu, memory = self.resources.cpu_millicores, self.resources.memory_bytes
             blocks += (_placed_lines(fill, cpu, memory) for fill in self.fills)
+        if self.text:
+            blocks.append(self.text)
+        return "\n".join(blocks)
+
+    @property
+    def feedback_logs(self) -> str:
+        """The log without its placed-replica lines: the `note:` lines, then the text.
+
+        A `placed replica {int} on node {int} (remaining cpu={int}m
+        memory={int}B)` line holds no severity marker and no line break, and
+        filter_logs keeps, dedupes and elides only lines holding a marker. So
+        filter_logs(feedback_logs) == filter_logs(logs), and no placed line
+        is formatted for it.
+        """
+        blocks = [f"note: {note}" for note in self.notes]
         if self.text:
             blocks.append(self.text)
         return "\n".join(blocks)

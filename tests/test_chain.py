@@ -810,8 +810,9 @@ def resources_reply(cpu, memory, replicas):
 
 
 class TestPlacementLogWork:
-    """The chain reads a deploy's log only when the deploy fails, so a
-    placement that fits formats none of its per-replica lines."""
+    """The chain formats no per-replica line on any path: a placement that
+    fits reads no log, and a failed one hands the feedback only its notes and
+    its Error line."""
 
     @pytest.fixture
     def formatted(self, monkeypatch):
@@ -845,4 +846,33 @@ class TestPlacementLogWork:
         for attempt in outcome.attempt_history:
             assert attempt.feedback.failed_stage is Stage.RUNTIME_BENCHMARK
             assert "spec allocates zero cores" in attempt.feedback.summary
+        assert formatted == []
+
+    @pytest.mark.parametrize(
+        "nodes, reply, error",
+        [
+            pytest.param(
+                (NodeSpec(64000, 16 * GIB),) * 3,
+                resources_reply(0, 1, 10**30),
+                "Error: replica 51539607552 unplaceable: insufficient memory"
+                " (demand cpu=0m memory=1B)",
+                id="a-byte-a-replica-at-10**30",
+            ),
+            pytest.param(
+                (NodeSpec(8000, 32 * GIB),) * 200,
+                resources_reply("500m", "256Mi", 3600),
+                "Error: replica 3200 unplaceable: insufficient cpu"
+                " (demand cpu=500m memory=268435456B)",
+                id="wide-placement-oversubscribed",
+            ),
+        ],
+    )
+    def test_a_failed_fill_feeds_back_only_its_error_line(self, formatted, nodes, reply, error):
+        deployer = SimulatedDeployer(model=ClusterModel(nodes=nodes))
+        deps = dataclasses.replace(deps_for(script_for("case", [reply] * 3)), deployer=deployer)
+        outcome = run_chain(REQUEST, OptimizationProfile.for_name("ip"), deps)
+        assert not outcome.resolved and outcome.attempts_used == 3
+        for attempt in outcome.attempt_history:
+            assert attempt.feedback.failed_stage is Stage.DEPLOYMENT
+            assert attempt.feedback.filtered_lines == (error,)
         assert formatted == []

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,10 +18,12 @@ from hypothesis import strategies as st
 from intentconf.chain import Stage, make_feedback
 from intentconf.preprocess import ConfigDocument, InputError, serialize_config
 from intentconf.simulator import (
+    _LINE_BREAKS,
     DEFAULT_CPU_RATE,
     DEFAULT_MEM_RATE,
     GIB,
     LOG_LINE_BUDGET,
+    SEVERITY_MARKERS,
     SHELL_DEPLOY_TIMEOUT_S,
     ClusterModel,
     DeploymentOutcome,
@@ -32,13 +35,16 @@ from intentconf.simulator import (
     SystemProfile,
     UnknownSystemProfile,
     Workload,
+    _placed_lines,
     apply,
     extract_resources,
+    filter_logs,
     load_cluster_model,
     load_system_profiles,
     parse_quantity,
     run_workload,
 )
+from test_chain import oracle_filter_logs
 
 
 PROFILES = load_system_profiles()
@@ -383,6 +389,64 @@ class TestApply:
                 assert count * spec.memory_bytes <= nodes[node_index].memory_bytes
             if outcome.success:
                 assert sum(counts.values()) == spec.replicas
+
+
+# The notes extraction writes, and notes holding a marker, so that a kept note
+# meets the Error line, the dedupe and the elision.
+_NOTES = st.lists(
+    st.sampled_from((
+        "replicas not set; default 1 applied",
+        "memory not set; default 512Mi applied",
+        "insufficient memory assumed",
+        "Warn: cpu not set",
+    )),
+    max_size=60,
+)
+
+
+class TestFeedbackLogs:
+    """feedback_logs filters as the whole log does, and holds no placed line."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        case=st.one_of(
+            st.tuples(st.builds(ClusterModel, _NODES.map(tuple)), _SPECS), _edge_fills()
+        ),
+        notes=st.one_of(st.just([]), _NOTES),
+    )
+    def test_filters_as_the_oracles_logs(self, case, notes):
+        model, spec = case
+        outcome = replace(apply(model, spec), notes=tuple(notes))
+        oracle_logs = "".join(f"note: {note}\n" for note in notes) + oracle_apply(model, spec).logs
+        assert filter_logs(outcome.feedback_logs) == oracle_filter_logs(oracle_logs)
+        assert "placed replica" not in outcome.feedback_logs
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        success=st.booleans(),
+        text=st.lists(st.sampled_from(["a", "Error", " ", "warn", ":", *_LINE_BREAKS])).map(
+            "".join
+        ),
+    )
+    def test_ready_text_is_the_whole_log(self, success, text):
+        """ShellDeployer passes the CLI's output, and a refused extraction `Error: {reason}`."""
+        for outcome in (
+            DeploymentOutcome(success=success, text=text),
+            DeploymentOutcome(success=False, failure_reason=text, text=f"Error: {text}"),
+        ):
+            assert outcome.feedback_logs == outcome.logs
+            assert filter_logs(outcome.feedback_logs) == oracle_filter_logs(outcome.logs)
+
+    @pytest.mark.parametrize("cpu, memory", [(0, 0), (1, 1), (10**29, 10**29)])
+    def test_placed_lines_hold_no_marker_and_no_other_break(self, cpu, memory):
+        free = 10**30
+        text = _placed_lines((10**6, free, 3, free, free), cpu, memory)
+        lines = text.split("\n")
+        assert len(lines) == 3
+        assert lines[0].startswith(f"placed replica {free} on node {10**6} (remaining cpu=")
+        for line in lines:
+            assert not any(marker in line.lower() for marker in SEVERITY_MARKERS)
+            assert not any(brk in line for brk in _LINE_BREAKS)
 
 
 class TestRunWorkload:
