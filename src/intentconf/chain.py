@@ -217,9 +217,8 @@ def _alignment(a: AttemptRecord, request, profile, deps) -> _Failure:
 
 def _deployment(a: AttemptRecord, request, profile, deps) -> _Failure:
     # The feedback filters the log down to its severity-marked lines, and no
-    # placed-replica line holds a marker, so the chain reads feedback_logs and
-    # formats none of them on any path: a deploy costs its node count, not its
-    # replica count. The attempt keeps only the placed spec.
+    # placed line holds a marker, so the chain reads feedback_logs and formats
+    # none of them on any path. The attempt keeps only the placed spec.
     deployed = deps.deployer.deploy(a.config, request.system)
     if not deployed.success:
         return deployed.failure_reason or "deployment failed", deployed.feedback_logs

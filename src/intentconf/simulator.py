@@ -4,9 +4,11 @@ The simulator places replicas onto modeled nodes first-fit, reports the
 binding resource on failure, and prices a benchmark run with a closed-form
 speedup model: a workload is a serial part plus a perfectly parallel part,
 so completion = t_s + t_p / R for R total cores, and cost grows with the
-core- and memory-hours held. The shell backend hands the canonical YAML to
-a real cluster CLI and is gated behind an explicit opt-in. filter_logs
-cuts a backend's output down to the lines worth feeding back to the model.
+core- and memory-hours held. A deploy's log holds one placed line per node
+that took replicas. The shell backend hands the canonical YAML to a real
+cluster CLI and is gated behind an explicit opt-in. filter_logs cuts a
+backend's output down to the lines worth feeding back to the model: line by
+line, it keeps those holding a severity marker.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ _TAIL = 25
 # The most characters kept of one log line: above every line the package writes
 # from its own bounded parts, two quoted values and the words around them.
 LOG_LINE_BUDGET = 4 * QUOTE_BUDGET
-# Every line break str.splitlines knows, "\n" first.
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
-_OTHER_BREAK = re.compile(f"[{_LINE_BREAKS[1:]}]")
 
 _NUMBER_RE = re.compile(r"^(\d+(?:\.\d+)?)([A-Za-z]*)$")
 
@@ -74,58 +72,24 @@ class UnknownSystemProfile(ValueError):
     """No resource-path profile is registered for the requested system."""
 
 
-def _line_around(text: str, lo: int, hit: int) -> tuple[int, int]:
-    """Start and end of the line holding text[hit], a line starting at lo or later.
-
-    It looks back no further than lo and forward only to the line's end.
-    The other breaks are looked for only when the line's head holds one:
-    an rfind for each of the ten breaks nearly doubles a one-line log's cost.
-    """
-    start = text.rfind("\n", lo, hit) + 1 or lo
-    if start < hit and _OTHER_BREAK.search(text, start, hit):
-        for brk in _LINE_BREAKS[1:]:
-            start = max(start, text.rfind(brk, start, hit) + 1)
-    found = _LINE_BREAK.search(text, hit)
-    return start, found.start() if found else len(text)
-
-
 def filter_logs(raw: str) -> list[str]:
     """Keep only failure-relevant lines from raw output.
 
-    Lines survive when they contain a severity marker (case-insensitive),
-    each cut to its first LOG_LINE_BUDGET characters and "..." when longer;
+    The text splits into lines at every break str.splitlines knows. Lines
+    survive when they contain a severity marker (case-insensitive), each cut
+    to its first LOG_LINE_BUDGET characters and "..." when longer;
     consecutive duplicates collapse to one; above 50 lines the middle is
     elided, keeping the first and last 25.
-
-    The text is lowered once and each marker found with str.find, so only
-    lines holding a marker cost Python work. U+0130 is the one character
-    whose lower case is longer (two characters), and it can be part of no
-    marker: a space in its place keeps the lowered text's positions those of
-    raw. A marker is looked for again only past the line of its last hit,
-    so the work is linear in the text.
     """
-    text = raw.replace("\u0130", " ").lower()
-    size = len(text)
-    hits = [size if at < 0 else at for at in map(text.find, SEVERITY_MARKERS)]
-    hit = min(hits)
     kept: list[str] = []
-    lo = 0  # where the line after the last hit line starts
-    while hit < size:
-        start, end = _line_around(text, lo, hit)
-        if end - start > LOG_LINE_BUDGET:
-            line = raw[start : start + LOG_LINE_BUDGET] + "..."
-        else:
-            line = raw[start:end]
+    for line in raw.splitlines():
+        lowered = line.lower()
+        if not any(marker in lowered for marker in SEVERITY_MARKERS):
+            continue
+        if len(line) > LOG_LINE_BUDGET:
+            line = line[:LOG_LINE_BUDGET] + "..."
         if not kept or kept[-1] != line:
             kept.append(line)
-        if end == size:
-            break
-        lo = end + 1
-        for index, at in enumerate(hits):
-            if at < end:
-                at = text.find(SEVERITY_MARKERS[index], lo)
-                hits[index] = size if at < 0 else at
-        hit = min(hits)
     if len(kept) > LOG_LINE_CAP:
         omitted = len(kept) - _HEAD - _TAIL
         kept = kept[:_HEAD] + [f"... {omitted} lines elided ..."] + kept[-_TAIL:]
@@ -226,23 +190,21 @@ class Workload:
 _Fill = tuple[int, int, int, int, int]
 
 
-def _placed_lines(fill: _Fill, cpu: int, memory: int) -> str:
-    """The fill's `placed replica i on node j (remaining ...)` lines, one per replica."""
+def _placed_line(fill: _Fill, cpu: int, memory: int) -> str:
+    """The fill's one `placed replicas a-b on node j (remaining ...)` line, at any count."""
     node, first, count, cpu_free, mem_free = fill
-    middle = f" on node {node} (remaining cpu="
-    return "\n".join([
-        f"placed replica {first + taken - 1}{middle}{cpu_free - cpu * taken}m"
-        f" memory={mem_free - memory * taken}B)"
-        for taken in range(1, count + 1)
-    ])
+    return (
+        f"placed replicas {first}-{first + count - 1} on node {node}"
+        f" (remaining cpu={cpu_free - cpu * count}m memory={mem_free - memory * count}B)"
+    )
 
 
 @dataclass(frozen=True)
 class DeploymentOutcome:
     """What one deploy did. A simulated placement keeps what it computed, one
-    fill per node that took replicas, and its placed-replica lines are
-    formatted only when `logs` is read: a placement costs its node count, not
-    its replica count, until then. A backend with its own output passes it as
+    fill per node that took replicas, and formats one placed line per fill
+    only when `logs` is read: a placement costs its node count, not its
+    replica count, on every path. A backend with its own output passes it as
     ready text.
     """
 
@@ -255,20 +217,20 @@ class DeploymentOutcome:
 
     @property
     def logs(self) -> str:
-        """The deploy's log: `note:` lines, then one line per placed replica, then the text."""
+        """The deploy's log: `note:` lines, then one placed line per fill, then the text."""
         blocks = [f"note: {note}" for note in self.notes]
         if self.fills:
             cpu, memory = self.resources.cpu_millicores, self.resources.memory_bytes
-            blocks += (_placed_lines(fill, cpu, memory) for fill in self.fills)
+            blocks += (_placed_line(fill, cpu, memory) for fill in self.fills)
         if self.text:
             blocks.append(self.text)
         return "\n".join(blocks)
 
     @property
     def feedback_logs(self) -> str:
-        """The log without its placed-replica lines: the `note:` lines, then the text.
+        """The log without its placed lines: the `note:` lines, then the text.
 
-        A `placed replica {int} on node {int} (remaining cpu={int}m
+        A `placed replicas {int}-{int} on node {int} (remaining cpu={int}m
         memory={int}B)` line holds no severity marker and no line break, and
         filter_logs keeps, dedupes and elides only lines holding a marker. So
         filter_logs(feedback_logs) == filter_logs(logs), and no placed line
@@ -388,10 +350,10 @@ def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
     each node taking as many replicas as its cpu and memory left hold (a
     dimension with zero demand holds any number). The outcome keeps one fill
     per node that took replicas, so the work is linear in the node count;
-    reading its logs formats the `placed replica i on node j` line of every
-    placement, the same bytes as a replica-by-replica fill. When the nodes
-    run out, the reason is insufficient memory only when no node is short of
-    cpu (memory then binds on every node); otherwise insufficient cpu.
+    reading its logs formats one `placed replicas a-b on node j` line per
+    fill, the runs a replica-by-replica fill places on each node. When the
+    nodes run out, the reason is insufficient memory only when no node is
+    short of cpu (memory then binds on every node); otherwise insufficient cpu.
     """
     cpu, memory = spec.cpu_millicores, spec.memory_bytes
     placed = 0

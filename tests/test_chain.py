@@ -49,6 +49,7 @@ from intentconf.simulator import (
     filter_logs,
 )
 from intentconf.validation import Assertion, AssertionKind
+from test_retrieval import peak
 
 GOOD_CONFIG = (
     "worker:\n  replicas: 2\n  resources:\n    limits:\n      cpu: 500m\n      memory: 512Mi"
@@ -189,54 +190,28 @@ class TestFilterLogs:
     def test_matches_oracle(self, raw):
         assert filter_logs(raw) == oracle_filter_logs(raw)
 
-    def test_lowering_and_line_breaks_it_rests_on(self):
-        # filter_logs lowers the whole text once and reads its positions on the
-        # raw text: only U+0130 may change length when lowered (it is replaced
-        # first), and its line breaks must be exactly those of str.splitlines.
-        # A new Unicode table that breaks either fails here.
-        longer, breaks = [], []
-        for code in range(sys.maxunicode + 1):
-            char = chr(code)
-            if len(char.lower()) != 1:
-                longer.append(code)
-            if len(f"a{char}b".splitlines()) == 2:
-                breaks.append(char)
-        assert longer == [0x130]
-        assert sorted(breaks) == sorted(simulator_mod._LINE_BREAKS)
-        # U+0130 lowers to "i" and U+0307: a marker holding it would end in "i".
-        assert all(marker.isascii() and not marker.endswith("i") for marker in SEVERITY_MARKERS)
-
     @pytest.mark.parametrize(
-        "raw, hit_lines",
+        "raw",
         [
-            ("\x0b" + "\n".join(f"error {i}" for i in range(100_000)), 100_000),
-            ("error " * 1_700_000, 1),
+            "\x0b" + "\n".join(f"error {i}" for i in range(100_000)),
+            "error " * 1_700_000,
             (
                 "\n".join(
                     f"placed replica {i} on node {i // 16} (remaining cpu=100m memory=1B)"
                     for i in range(200_000)
                 )
-                + "\nError: replica 200000 unplaceable: insufficient cpu",
-                1,
+                + "\nError: replica 200000 unplaceable: insufficient cpu"
             ),
         ],
         ids=["100k-hit-lines-after-vt", "10MB-line", "200k-placed-lines"],
     )
-    def test_hostile_shapes_take_one_step_per_hit_line(self, monkeypatch, raw, hit_lines):
-        # Work is counted, not timed: one line lookup per line holding a marker,
-        # and the lookups together scan each character of the text at most once.
-        real = simulator_mod._line_around
-        scanned = []
-
-        def counting(text, lo, hit):
-            start, end = real(text, lo, hit)
-            scanned.append(end - lo)
-            return start, end
-
-        monkeypatch.setattr(simulator_mod, "_line_around", counting)
+    def test_hostile_shapes_take_one_step_per_hit_line(self, raw):
+        # Work is counted, not timed. The loop holds the text's lines, each a
+        # str of about 50 bytes plus its characters, the kept lines and one
+        # lowered line at a time: a few bytes per character of the text.
         assert filter_logs(raw) == oracle_filter_logs(raw)
-        assert len(scanned) == hit_lines
-        assert sum(scanned) <= len(raw)
+        held = peak(lambda: filter_logs(raw))
+        assert held <= 8 * len(raw), (held, len(raw))
 
 
 class TestMakeFeedback:
@@ -810,21 +785,20 @@ def resources_reply(cpu, memory, replicas):
 
 
 class TestPlacementLogWork:
-    """The chain formats no per-replica line on any path: a placement that
+    """The chain formats no placed line on any path: a placement that
     fits reads no log, and a failed one hands the feedback only its notes and
     its Error line."""
 
     @pytest.fixture
     def formatted(self, monkeypatch):
-        """Fills whose lines were formatted. Formatting one fails the chain
-        at once, so work that follows the replica count cannot hang the test."""
+        """Fills whose line was formatted. Formatting one fails the chain at once."""
         fills = []
 
         def refuse(fill, cpu, memory):
             fills.append(fill)
-            raise AssertionError(f"formatted the placement log lines of {fill}")
+            raise AssertionError(f"formatted the placed line of {fill}")
 
-        monkeypatch.setattr(simulator_mod, "_placed_lines", refuse)
+        monkeypatch.setattr(simulator_mod, "_placed_line", refuse)
         return fills
 
     def test_a_million_replicas_that_fit_format_no_line(self, formatted):

@@ -12,7 +12,7 @@ from intentconf import prompting
 from intentconf.cli import main
 from intentconf.gateway import ProviderError
 from intentconf.preprocess import parse_config
-from intentconf.simulator import ResourceSpec
+from intentconf.simulator import ResourceSpec, load_cluster_model
 from test_simulator import oracle_apply
 
 GOOD = (
@@ -630,6 +630,25 @@ class TestDeploy:
         assert oracle.failure_reason == "insufficient memory"
         assert result.stdout == f"{oracle.logs}\n"
         assert result.stderr == "deployment failed: insufficient memory\n"
+
+    def test_output_is_one_line_per_node_at_any_replica_count(self, tmp_path, runner):
+        # One byte a replica: each 1000-byte node takes 1000 of the 10**30.
+        # Small nodes keep a replica-by-replica log short enough to finish.
+        cluster = tmp_path / "cluster.yaml"
+        cluster.write_text("nodes:\n" + "  - cpu: 1\n    memory: 1000\n" * 3, encoding="utf-8")
+        config = tmp_path / "countless.yaml"
+        reply = GOOD.replace("500m", "0").replace("512Mi", "1")
+        config.write_text(reply.replace("replicas: 2", f"replicas: {10**30}"), encoding="utf-8")
+        result = runner.invoke(
+            main, ["deploy", str(config), "--system", "dask", "--cluster", str(cluster)]
+        )
+        assert result.exit_code == 1
+        lines = result.stdout.splitlines()
+        assert len(lines) <= 3 + 1, len(lines)
+        oracle = oracle_apply(load_cluster_model(cluster), ResourceSpec(0, 1, 10**30))
+        assert result.stdout == f"{oracle.logs}\n"
+        assert lines[0] == "placed replicas 0-999 on node 0 (remaining cpu=1000m memory=0B)"
+        assert lines[-1].startswith("Error: replica 3000 unplaceable: insufficient memory")
 
     def test_shell_guard(self, tmp_path, runner):
         config = tmp_path / "good.yaml"

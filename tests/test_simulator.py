@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from intentconf.chain import Stage, make_feedback
 from intentconf.preprocess import ConfigDocument, InputError, serialize_config
 from intentconf.simulator import (
-    _LINE_BREAKS,
     DEFAULT_CPU_RATE,
     DEFAULT_MEM_RATE,
     GIB,
@@ -35,7 +35,7 @@ from intentconf.simulator import (
     SystemProfile,
     UnknownSystemProfile,
     Workload,
-    _placed_lines,
+    _placed_line,
     apply,
     extract_resources,
     filter_logs,
@@ -44,7 +44,7 @@ from intentconf.simulator import (
     parse_quantity,
     run_workload,
 )
-from test_chain import oracle_filter_logs
+from test_chain import LINE_BREAKS, oracle_filter_logs
 
 
 PROFILES = load_system_profiles()
@@ -55,9 +55,12 @@ def doc(tree):
 
 
 def per_node(outcome):
-    """Replicas placed on each node, counted from the ``placed replica i on node j`` log lines."""
-    nodes = re.findall(r"^placed replica \d+ on node (\d+) ", outcome.logs, re.M)
-    return Counter(int(node) for node in nodes)
+    """Replicas placed on each node, read from the ``placed replicas a-b on node j`` log lines."""
+    fills = re.findall(r"^placed replicas (\d+)-(\d+) on node (\d+) ", outcome.logs, re.M)
+    counts = Counter()
+    for first, last, node in fills:
+        counts[int(node)] += int(last) - int(first) + 1
+    return counts
 
 
 DASK_CONFIG = {
@@ -202,10 +205,11 @@ def observed(outcome: DeploymentOutcome) -> tuple:
 
 
 def oracle_apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
-    """First-fit that scans the nodes from node 0 for every replica: the
+    """First-fit that scans the nodes from node 0 for every replica, then
+    writes one line per run of replicas placed on the same node: the
     reference ``apply`` must match on every output."""
     remaining = [[node.cpu_millicores, node.memory_bytes] for node in model.nodes]
-    logs: list[str] = []
+    placed: list[tuple[int, int, int, int]] = []  # (replica, node, cpu left, memory left)
     for replica in range(spec.replicas):
         target = None
         first_violations = []
@@ -224,27 +228,38 @@ def oracle_apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
                 if first_violations and all(v == "memory" for v in first_violations)
                 else "insufficient cpu"
             )
-            logs.append(
+            error = (
                 f"Error: replica {replica} unplaceable: {reason} "
                 f"(demand cpu={spec.cpu_millicores}m memory={spec.memory_bytes}B)"
             )
             return DeploymentOutcome(
                 success=False,
                 failure_reason=reason,
-                text="\n".join(logs),
+                text="\n".join([*_oracle_placed_lines(placed), error]),
                 resources=spec,
             )
         remaining[target][0] -= spec.cpu_millicores
         remaining[target][1] -= spec.memory_bytes
-        logs.append(
-            f"placed replica {replica} on node {target} "
-            f"(remaining cpu={remaining[target][0]}m memory={remaining[target][1]}B)"
-        )
+        placed.append((replica, target, *remaining[target]))
     return DeploymentOutcome(
         success=True,
-        text="\n".join(logs),
+        text="\n".join(_oracle_placed_lines(placed)),
         resources=spec,
     )
+
+
+def _oracle_placed_lines(placed: list[tuple[int, int, int, int]]) -> list[str]:
+    """One line per run of consecutive replicas on the same node, with the
+    capacity that node had left after the run's last replica."""
+    lines = []
+    for node, run in groupby(placed, key=lambda replica: replica[1]):
+        run = list(run)
+        _, _, cpu_left, mem_left = run[-1]
+        lines.append(
+            f"placed replicas {run[0][0]}-{run[-1][0]} on node {node} "
+            f"(remaining cpu={cpu_left}m memory={mem_left}B)"
+        )
+    return lines
 
 
 # Capacities 1..4000 and demands 0..4500: zero demand, and demand above every
@@ -289,7 +304,9 @@ class TestApply:
         outcome = apply(model, ResourceSpec(500, 512 * 1024 * 1024, 2))
         assert outcome.success
         assert per_node(outcome) == {0: 2}
-        assert len(outcome.logs.splitlines()) == 2
+        assert outcome.logs.splitlines() == [
+            "placed replicas 0-1 on node 0 (remaining cpu=3000m memory=16106127360B)"
+        ]
 
     def test_insufficient_memory(self):
         model = ClusterModel(nodes=(NODE,))
@@ -424,7 +441,7 @@ class TestFeedbackLogs:
     @settings(max_examples=300, deadline=None)
     @given(
         success=st.booleans(),
-        text=st.lists(st.sampled_from(["a", "Error", " ", "warn", ":", *_LINE_BREAKS])).map(
+        text=st.lists(st.sampled_from(["a", "Error", " ", "warn", ":", *LINE_BREAKS])).map(
             "".join
         ),
     )
@@ -440,13 +457,13 @@ class TestFeedbackLogs:
     @pytest.mark.parametrize("cpu, memory", [(0, 0), (1, 1), (10**29, 10**29)])
     def test_placed_lines_hold_no_marker_and_no_other_break(self, cpu, memory):
         free = 10**30
-        text = _placed_lines((10**6, free, 3, free, free), cpu, memory)
-        lines = text.split("\n")
-        assert len(lines) == 3
-        assert lines[0].startswith(f"placed replica {free} on node {10**6} (remaining cpu=")
-        for line in lines:
-            assert not any(marker in line.lower() for marker in SEVERITY_MARKERS)
-            assert not any(brk in line for brk in _LINE_BREAKS)
+        line = _placed_line((10**6, free, 3, free, free), cpu, memory)
+        assert line == (
+            f"placed replicas {free}-{free + 2} on node {10**6}"
+            f" (remaining cpu={free - 3 * cpu}m memory={free - 3 * memory}B)"
+        )
+        assert not any(marker in line.lower() for marker in SEVERITY_MARKERS)
+        assert not any(brk in line for brk in LINE_BREAKS)
 
 
 class TestRunWorkload:
