@@ -6,14 +6,13 @@ parses it strictly (duplicate keys are an error, the root must be a
 mapping), and re-serializes it into one canonical form so downstream
 diffing and deployment always see identical bytes for identical trees.
 
-Parsing runs on libyaml when PyYAML was built with it, building trees from
-the parser's events. What that builder does not make, text that libyaml
-reads differently from PyYAML's own scanner, and every error report go
-through PyYAML's pure-Python loader, so results and messages are the same
-either way; a YAML error is worded on one line, its problem and then its
-line and column. Both loaders refuse nesting deeper than ``MAX_DEPTH``
-collections where the collection that breaks the limit opens. Input files
-are read by the same strict rule as replies:
+Parsing runs on libyaml, PyYAML's C parser (on PyYAML's own parser where it
+was built without libyaml), building trees from the parser's events; what
+that builder does not make is composed by the same parser's loader. A YAML
+error is the parser's, worded on one line: its problem, then its line and
+column. Nesting deeper than ``MAX_DEPTH`` collections is refused where the
+collection that breaks the limit opens. Input files are read by the same
+strict rule as replies:
 ``load_yaml_file`` is the one reader of the package's YAML files and
 ``read_text_file`` of its other text files, and whatever is wrong with a
 file, a duplicate key included, the error is an InputError whose message
@@ -89,21 +88,13 @@ MAX_DEPTH = 64
 _TOO_DEEP = f"nesting deeper than {MAX_DEPTH} levels"
 
 
-class _PyUniqueKeyLoader(yaml.SafeLoader):
-    """Pure-Python SafeLoader that rejects duplicate mapping keys instead of
-    last-wins, nesting deeper than MAX_DEPTH where it opens, and a value its
-    constructor refuses as a _NodeError at the value's node."""
+_LIBYAML = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser, when PyYAML has it
 
-    _depth = 0  # the collections open around the node being composed
 
-    def compose_node(self, parent, index):
-        opens = self.check_event(yaml.CollectionStartEvent)
-        if opens and self._depth == MAX_DEPTH:
-            raise yaml.MarkedYAMLError(problem=_TOO_DEEP, problem_mark=self.peek_event().start_mark)
-        self._depth += opens
-        node = super().compose_node(parent, index)
-        self._depth -= opens
-        return node
+class _UniqueKeyLoader(_LIBYAML):
+    """SafeLoader on ``_LIBYAML`` that rejects duplicate mapping keys instead
+    of last-wins, and a value its constructor refuses as a _NodeError at the
+    value's node."""
 
     def construct_object(self, node, deep=False):
         try:
@@ -124,39 +115,13 @@ def _construct_mapping(loader, node, deep=False):
     return mapping
 
 
-_PyUniqueKeyLoader.add_constructor(_PyUniqueKeyLoader.DEFAULT_MAPPING_TAG, _construct_mapping)
-
-# Where libyaml and PyYAML's scanner disagree, found by comparing the two
-# on generated text. libyaml accepts tabs PyYAML rejects, skips a byte
-# order mark at the start of any line, rejects %-directives PyYAML
-# accepts, reads an empty node tagged "!" as '' where PyYAML reads None,
-# lets a block scalar header run into a comment ("|#"), rejects a ':'
-# followed by a flow indicator ("{a:}"), decodes %-escapes in tags
-# differently, and lets a plain scalar inside a flow collection hold a '?'.
-# Every branch opens with a literal, so the regex engine skips ahead to
-# those characters instead of trying each branch at every position.
-_LIBYAML_DIFFERS = re.compile(
-    r"\t|\ufeff|%(?<![^\n]%)|!(?<![^\s\[{,:?-]!)(?=[\s,\[\]{}]|$)|!(?=\S*%)"
-    r"|\|(?=[-+\d]*#)|>(?=[-+\d]*#)|:(?=[,\[\]{}])",
-    re.MULTILINE,
-)
-
-
-def _libyaml_reads_alike(text: str) -> bool:
-    """Whether libyaml scans and parses ``text`` as PyYAML's own scanner does."""
-    return not (_LIBYAML_DIFFERS.search(text) or ("?" in text and ("[" in text or "{" in text)))
-
-
-def _py_documents(text: str) -> list:
-    """The non-empty documents of ``text`` by the pure-Python loader; raises what it raises."""
-    return [d for d in yaml.load_all(text, Loader=_PyUniqueKeyLoader) if d is not None]
+_UniqueKeyLoader.add_constructor(_UniqueKeyLoader.DEFAULT_MAPPING_TAG, _construct_mapping)
 
 
 class _Fallback(Exception):
-    """The event builder met what it leaves to the pure-Python loader."""
+    """The event builder met what it leaves to libyaml's composer."""
 
 
-_LIBYAML = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser, when PyYAML has it
 _RESOLVE = yaml.resolver.Resolver().resolve  # SafeLoader's resolver; it keeps no state
 _CONSTRUCTOR = yaml.constructor.SafeConstructor()  # its scalar makers keep no state either
 _MAKERS = {
@@ -192,7 +157,7 @@ def _plain_value(text: str):
 
 
 def _built_documents(text: str) -> list:
-    """``_py_documents(text)``, built from libyaml's events.
+    """The non-empty documents of ``text``, built from libyaml's events.
 
     A plain scalar is resolved and made as SafeLoader does, and any other
     scalar is its text. A repeated key raises _KeyClash and a collection
@@ -246,8 +211,9 @@ def _built_documents(text: str) -> list:
                 filling.append(value)
                 keys.append(_NO_KEY)
     except _Fallback:
-        # PyYAML's scanner looks ahead across every open flow level, so libyaml
-        # reads on for depth before the pure-Python loader is handed the text.
+        # libyaml's composer recurses on the C stack, where no recursion limit
+        # stops it: it crashes near 25,000 levels, or 2,000 on a 512 KiB thread
+        # stack. So the rest of the events are read for depth before it gets the text.
         depth = len(filling) + isinstance(event, yaml.CollectionStartEvent)
         for event in events:
             depth += isinstance(event, yaml.CollectionStartEvent)
@@ -260,30 +226,21 @@ def _built_documents(text: str) -> list:
 
 def _documents(text: str) -> list:
     """The non-empty documents of ``text``, loaded strictly: built from libyaml's
-    events where libyaml reads ``text`` as PyYAML's scanner does, and by the
-    pure-Python loader elsewhere and where the builder falls back."""
-    if _libyaml_reads_alike(text):
-        try:
-            return _built_documents(text)
-        except _Fallback:
-            pass
-    return _py_documents(text)
-
-
-def _load_strict(text: str) -> list:
-    """``_documents(text)``. libyaml words and places its errors differently, so
-    every failure is re-run on the pure-Python loader, which raises its own."""
+    events, or composed by ``_UniqueKeyLoader`` where the builder falls back."""
     try:
-        return _documents(text)
-    except _LOAD_ERRORS:
-        return _py_documents(text)
+        return _built_documents(text)
+    except _Fallback:
+        return [d for d in yaml.load_all(text, Loader=_UniqueKeyLoader) if d is not None]
 
 
 def _one_line(exc: Exception, text: str) -> str:
     """A load error of ``text`` on one line: its problem, then its line and column."""
     if isinstance(exc, yaml.reader.ReaderError):
-        start = text.rfind("\n", 0, exc.position) + 1
-        line, column = text.count("\n", 0, start) + 1, exc.position - start + 1
+        # libyaml gives the position in UTF-8 bytes. A reader stops at the first
+        # character it forbids, so the character's first place in the text is it.
+        position = text.find(chr(exc.character))
+        start = text.rfind("\n", 0, position) + 1
+        line, column = text.count("\n", 0, start) + 1, position - start + 1
         problem = f"unacceptable character #x{exc.character:04x}: {exc.reason}"
         return f"{problem} at line {line}, column {column}"
     mark = getattr(exc, "problem_mark", None)
@@ -309,7 +266,7 @@ def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
       that whole line is in it: keep is the line before the key's;
     - so does a quoted scalar that the loader read to the end of the text
       or to a document marker without closing it: a shorter text that holds
-      the line the quote opened on, which both loaders mark, meets the same
+      the line the quote opened on, which the error marks, meets the same
       error or ends inside the quote;
     - any other scanner, parser or composer error is found on the line of
       its mark, reading no further than the next line;
@@ -318,7 +275,7 @@ def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
       collections before it;
     - a value no constructor can build is decided by the lines up to the
       end of its node and the next, and so is a key clash, unless an alias
-      ('*') brought the key node back from earlier. The libyaml route stops
+      ('*') brought the key node back from earlier. The event builder stops
       at a clash, so a clash met before a later syntax error gives the
       clash's keep, which still bounds every longer prefix;
     - with no document marker or directive there is one document, and the
@@ -466,7 +423,7 @@ def _largest_parsable_span(text: str, keep: int) -> tuple[str, dict] | None:
 def parse_config(text: str) -> ConfigDocument:
     """Parse extracted text strictly into a ConfigDocument."""
     try:
-        docs = _load_strict(text)
+        docs = _documents(text)
     except yaml.YAMLError as exc:
         raise StructuralError(StructuralErrorKind.PARSE_FAILURE, _one_line(exc, text)) from exc
     except _VALUE_ERRORS as exc:
@@ -540,7 +497,7 @@ def load_yaml_file(path):
         path = Path(path)
     text = read_text_file(path)
     try:
-        docs = _load_strict(text)
+        docs = _documents(text)
     except _LOAD_ERRORS as exc:
         raise InputError(f"{path}: not valid YAML: {_one_line(exc, text)}") from exc
     if len(docs) > 1:

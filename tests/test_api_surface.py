@@ -139,8 +139,8 @@ YAML_IO = {"load", "safe_load", "load_all", "safe_load_all", "dump", "safe_dump"
 
 def test_yaml_io_goes_through_preprocess():
     """Only ``preprocess`` uses PyYAML's loaders and dumpers; the rest call
-    ``load_yaml_file`` and ``parse_config``, which load on libyaml only where
-    it reads as PyYAML does, and ``serialize_config``, which writes safe_dump's bytes."""
+    ``load_yaml_file`` and ``parse_config``, which load strictly on libyaml,
+    and ``serialize_config``, which writes safe_dump's bytes."""
     bypasses = []
     for path in sorted(PACKAGE.rglob("*.py")):
         if path.name == "preprocess.py":
