@@ -233,16 +233,21 @@ def _documents(text: str) -> list:
         return [d for d in yaml.load_all(text, Loader=_UniqueKeyLoader) if d is not None]
 
 
+# The line breaks YAML marks count, "\r\n" as one.
+_LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
+
+
 def _one_line(exc: Exception, text: str) -> str:
     """A load error of ``text`` on one line: its problem, then its line and column."""
     if isinstance(exc, yaml.reader.ReaderError):
         # libyaml gives the position in UTF-8 bytes. A reader stops at the first
         # character it forbids, so the character's first place in the text is it.
         position = text.find(chr(exc.character))
-        start = text.rfind("\n", 0, position) + 1
-        line, column = text.count("\n", 0, start) + 1, position - start + 1
+        line, start = 1, 0
+        for brk in _LINE_BREAK.finditer(text, 0, position):
+            line, start = line + 1, brk.end()
         problem = f"unacceptable character #x{exc.character:04x}: {exc.reason}"
-        return f"{problem} at line {line}, column {column}"
+        return f"{problem} at line {line}, column {position - start + 1}"
     mark = getattr(exc, "problem_mark", None)
     if mark is None:
         return str(exc)
@@ -362,6 +367,8 @@ def _largest_parsable_span(text: str, keep: int) -> tuple[str, dict] | None:
       both parses: the root has ended and YAML would need '---', or L is a
       required simple key with no ':' on its line, or it repeats f's key
       in the root mapping.
+    Columns are the loader's: it skips a byte order mark that leads a line
+    as one column, so a line of only one and blanks or a comment is blank.
     Both are found for every start in one backward pass over the lines.
     """
     lines = text.splitlines()
@@ -384,8 +391,9 @@ def _largest_parsable_span(text: str, keep: int) -> tuple[str, dict] | None:
         first_signal[i] = i if _MAPPING_SIGNAL.search(line) else first_signal[i + 1]
         first_forbidden[i] = i if _NON_PRINTABLE.search(line) else first_forbidden[i + 1]
         one_document = one_document and not _DOCUMENT_MARKER.match(line)
-        if not _BLANK_LINE.match(line):
-            column = len(line) - len(line.lstrip(" "))
+        body = line[1:] if line.startswith("\ufeff") else line
+        if not _BLANK_LINE.match(body):
+            column = len(line) - len(body.lstrip(" "))
             while lefts and lefts[-1][0] >= column:
                 lefts.pop()
             left = lefts[-1][1] if lefts else n

@@ -4,11 +4,14 @@ The simulator places replicas onto modeled nodes first-fit, reports the
 binding resource on failure, and prices a benchmark run with a closed-form
 speedup model: a workload is a serial part plus a perfectly parallel part,
 so completion = t_s + t_p / R for R total cores, and cost grows with the
-core- and memory-hours held. A deploy's log holds one placed line per node
-that took replicas. The shell backend hands the canonical YAML to a real
-cluster CLI and is gated behind an explicit opt-in. filter_logs cuts a
-backend's output down to the lines worth feeding back to the model: line by
-line, it keeps those holding a severity marker.
+core- and memory-hours held. Placement walks the cluster's runs of identical
+consecutive nodes (its node pools), so a deploy costs time in the number of
+runs, not of nodes or replicas; a mixed cluster is runs of one node. A
+deploy's log holds one placed line per node that took replicas. The shell
+backend hands the canonical YAML to a real cluster CLI and is gated behind
+an explicit opt-in. filter_logs cuts a backend's output down to the lines
+worth feeding back to the model: line by line, it keeps those holding a
+severity marker.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
 from importlib import resources as importlib_resources
+from itertools import groupby
 from pathlib import Path
 
 from .preprocess import (
@@ -161,12 +165,23 @@ class ClusterModel:
     nodes: tuple[NodeSpec, ...]
     cpu_rate: float = DEFAULT_CPU_RATE
     mem_rate: float = DEFAULT_MEM_RATE
+    # The nodes as runs of consecutive equal capacities, in node order:
+    # (first node, node count, cpu millicores, memory bytes) each.
+    runs: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.nodes:
             raise ValueError("cluster model needs at least one node")
         if self.cpu_rate < 0 or self.mem_rate < 0:
             raise ValueError("cpu_rate and mem_rate must be >= 0")
+        runs = []
+        first = 0
+        shapes = ((node.cpu_millicores, node.memory_bytes) for node in self.nodes)
+        for (cpu, memory), same in groupby(shapes):
+            count = sum(1 for _ in same)
+            runs.append((first, count, cpu, memory))
+            first += count
+        object.__setattr__(self, "runs", tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -183,15 +198,20 @@ class Workload:
             raise ValueError("parallel_core_seconds must be >= 0")
 
 
-# One fill: (node, first, count, cpu_free, mem_free), replicas first to
-# first + count - 1 placed on the node, which had cpu_free millicores and
-# mem_free bytes left before them. A plain tuple: a fitting placement builds
-# one per node it passes, and a named tuple costs a third of that loop.
-_Fill = tuple[int, int, int, int, int]
+# One fill: (node, nodes, first, count, cpu_free, mem_free), `nodes` equal
+# nodes from `node` on, each taking `count` replicas: node + i took replicas
+# first + i * count onwards, with cpu_free millicores and mem_free bytes left
+# before them. A plain tuple: a placement builds one per run it passes, and a
+# named tuple costs a third of that loop.
+_Fill = tuple[int, int, int, int, int, int]
 
 
-def _placed_line(fill: _Fill, cpu: int, memory: int) -> str:
-    """The fill's one `placed replicas a-b on node j (remaining ...)` line, at any count."""
+def _placed_line(fill: tuple[int, int, int, int, int], cpu: int, memory: int) -> str:
+    """One node's `placed replicas a-b on node j (remaining ...)` line, at any count.
+
+    ``fill`` is (node, first, count, cpu_free, mem_free): the node took
+    replicas first to first + count - 1 with cpu_free and mem_free left.
+    """
     node, first, count, cpu_free, mem_free = fill
     return (
         f"placed replicas {first}-{first + count - 1} on node {node}"
@@ -202,10 +222,11 @@ def _placed_line(fill: _Fill, cpu: int, memory: int) -> str:
 @dataclass(frozen=True)
 class DeploymentOutcome:
     """What one deploy did. A simulated placement keeps what it computed, one
-    fill per node that took replicas, and formats one placed line per fill
-    only when `logs` is read: a placement costs its node count, not its
-    replica count, on every path. A backend with its own output passes it as
-    ready text.
+    fill per run of equal nodes that took replicas, and formats one placed
+    line per node only when `logs` is read: a placement costs its number of
+    runs of identical consecutive nodes, not its node or replica count, on
+    every path; a mixed cluster is runs of one node. A backend with its own
+    output passes it as ready text.
     """
 
     success: bool
@@ -217,11 +238,16 @@ class DeploymentOutcome:
 
     @property
     def logs(self) -> str:
-        """The deploy's log: `note:` lines, then one placed line per fill, then the text."""
+        """The deploy's log: `note:` lines, then one placed line per node that
+        took replicas, then the text."""
         blocks = [f"note: {note}" for note in self.notes]
         if self.fills:
             cpu, memory = self.resources.cpu_millicores, self.resources.memory_bytes
-            blocks += (_placed_line(fill, cpu, memory) for fill in self.fills)
+            blocks += (
+                _placed_line((node + i, first + i * count, count, cpu_free, mem_free), cpu, memory)
+                for node, nodes, first, count, cpu_free, mem_free in self.fills
+                for i in range(nodes)
+            )
         if self.text:
             blocks.append(self.text)
         return "\n".join(blocks)
@@ -348,29 +374,39 @@ def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
     Replicas are identical and capacity only shrinks, so a node that cannot
     take one replica takes no later one: first-fit is a fill in node order,
     each node taking as many replicas as its cpu and memory left hold (a
-    dimension with zero demand holds any number). The outcome keeps one fill
-    per node that took replicas, so the work is linear in the node count;
-    reading its logs formats one `placed replicas a-b on node j` line per
-    fill, the runs a replica-by-replica fill places on each node. When the
-    nodes run out, the reason is insufficient memory only when no node is
-    short of cpu (memory then binds on every node); otherwise insufficient cpu.
+    dimension with zero demand holds any number). Equal nodes take equal
+    shares, so the fill walks the cluster's runs of identical consecutive
+    nodes: a run either takes all that is left, on its first full nodes and
+    at most one partial node after them, or fills up whole. The outcome
+    keeps one fill per run that took replicas, and one more for a last
+    partial node, so the work is linear in the number of runs (a mixed
+    cluster is runs of one node); reading its logs formats one `placed
+    replicas a-b on node j` line per node, the runs a replica-by-replica
+    fill places on each node. When the nodes run out, the reason is
+    insufficient memory only when no node is short of cpu (memory then binds
+    on every node); otherwise insufficient cpu.
     """
     cpu, memory = spec.cpu_millicores, spec.memory_bytes
     placed = 0
     fills: list[_Fill] = []
     short_of_cpu = False  # some node the fill has passed holds less cpu than a replica
-    for index, node in enumerate(model.nodes):
-        cpu_left, mem_left = node.cpu_millicores, node.memory_bytes
-        room = spec.replicas - placed
+    for first, count, cpu_left, mem_left in model.runs:
+        left = spec.replicas - placed
+        room = left  # replicas each node of the run takes
         if cpu:
             room = min(room, cpu_left // cpu)
         if memory:
             room = min(room, mem_left // memory)
         if room > 0:
-            fills.append((index, placed, room, cpu_left, mem_left))
-            placed += room
-            if placed == spec.replicas:
+            taken = room * count
+            if taken >= left:
+                full, rest = divmod(left, room)
+                fills.append((first, full, placed, room, cpu_left, mem_left))
+                if rest:
+                    fills.append((first + full, 1, placed + full * room, rest, cpu_left, mem_left))
                 return DeploymentOutcome(success=True, resources=spec, fills=tuple(fills))
+            fills.append((first, count, placed, room, cpu_left, mem_left))
+            placed += taken
             cpu_left -= cpu * room
         short_of_cpu = short_of_cpu or cpu > cpu_left
     reason = "insufficient cpu" if short_of_cpu else "insufficient memory"

@@ -46,6 +46,7 @@ from intentconf.simulator import (
     NodeSpec,
     SimulatedDeployer,
     Workload,
+    apply,
     filter_logs,
 )
 from intentconf.validation import Assertion, AssertionKind
@@ -801,7 +802,14 @@ class TestPlacementLogWork:
         monkeypatch.setattr(simulator_mod, "_placed_line", refuse)
         return fills
 
-    def test_a_million_replicas_that_fit_format_no_line(self, formatted):
+    def test_a_million_replicas_that_fit_format_no_line(self, formatted, monkeypatch):
+        placements = []
+
+        def recorded(model, spec):
+            placements.append(apply(model, spec))
+            return placements[-1]
+
+        monkeypatch.setattr(simulator_mod, "apply", recorded)
         model = ClusterModel(nodes=(NodeSpec(64000, 16 * GIB),) * 200)
         deps = deps_for(script_for("case", [resources_reply("1m", 1, 1_000_000)]))
         deps = dataclasses.replace(deps, deployer=SimulatedDeployer(model=model))
@@ -809,6 +817,11 @@ class TestPlacementLogWork:
         assert outcome.resolved and outcome.attempts_used == 1
         assert outcome.attempt_history[0].resources.replicas == 1_000_000
         assert formatted == []
+        # One pool: 15 full nodes in one fill, the last 40,000 replicas on node 15.
+        assert [placement.fills for placement in placements] == [(
+            (0, 15, 0, 64000, 64000, 16 * GIB),
+            (15, 1, 960_000, 40_000, 64000, 16 * GIB),
+        )]
 
     def test_zero_demand_at_any_replica_count_is_benchmark_feedback(self, formatted):
         reply = resources_reply(0, 0, 10**30)

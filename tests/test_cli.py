@@ -650,6 +650,40 @@ class TestDeploy:
         assert lines[0] == "placed replicas 0-999 on node 0 (remaining cpu=1000m memory=0B)"
         assert lines[-1].startswith("Error: replica 3000 unplaceable: insufficient memory")
 
+    @pytest.mark.parametrize(
+        "replicas, exit_code, lines",
+        # The pools hold 4, 2 and 4 replicas a node, 40 in all: 30 take ten
+        # nodes, then `deployed`; 41 take all twelve, then the Error line.
+        [(30, 0, 11), (41, 1, 13)],
+        ids=["fits", "oversubscribed"],
+    )
+    def test_pooled_cluster_output_is_the_oracles(
+        self, tmp_path, runner, replicas, exit_code, lines
+    ):
+        cluster = tmp_path / "cluster.yaml"
+        pools = [("2000m", "4Gi"), ("1", "1Gi"), ("4", "2Gi")]
+        cluster.write_text(
+            "nodes:\n" + "".join(
+                f"  - cpu: {cpu}\n    memory: {memory}\n" * 4 for cpu, memory in pools
+            ),
+            encoding="utf-8",
+        )
+        config = tmp_path / "pooled.yaml"
+        config.write_text(GOOD.replace("replicas: 2", f"replicas: {replicas}"), encoding="utf-8")
+        result = runner.invoke(
+            main, ["deploy", str(config), "--system", "dask", "--cluster", str(cluster)]
+        )
+        assert result.exit_code == exit_code, combined(result)
+        model = load_cluster_model(cluster)
+        assert len(model.runs) == 3
+        oracle = oracle_apply(model, ResourceSpec(500, 512 * 2**20, replicas))
+        if oracle.success:
+            assert result.stdout == f"{oracle.logs}\ndeployed\n"
+        else:
+            assert result.stdout == f"{oracle.logs}\n"
+            assert result.stderr == "deployment failed: insufficient cpu\n"
+        assert len(result.stdout.splitlines()) == lines
+
     def test_shell_guard(self, tmp_path, runner):
         config = tmp_path / "good.yaml"
         config.write_text(GOOD, encoding="utf-8")

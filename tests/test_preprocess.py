@@ -329,8 +329,9 @@ REPLY_LINES = (
     "q: 'open", 'r: "open', "close'",
     # block scalars
     "s: |", "t: >-", "  text line", "u: |#x",
-    # tabs, which libyaml accepts in more places than PyYAML, and a byte order mark
-    "\tk: v", "k:\tv", "k: v\tw", "\ufeffb: 2",
+    # tabs, which libyaml accepts in more places than PyYAML, and byte order marks
+    # leading a line, which the loader skips as one column
+    "\tk: v", "k:\tv", "k: v\tw", "\ufeffb: 2", "\ufeff", "\ufeff  # c",
     # directives
     "%YAML 1.1", "%YAML 1.2", "%YAML 1.3", "%FOO bar",
     # a character YAML forbids
@@ -374,6 +375,10 @@ HARD_REPLIES = [
     "a: 1\r~\r---\ra: 1",  # the same, with lines split at "\r"
     "\u3000: v\nwords",  # a key led by what Python's \s, not YAML, calls a space
     "words\n\ufeff\na: 1",  # the loader skips a byte order mark that opens the text
+    # a byte order mark leading a line is a column wide, and alone it is a blank line
+    "a: 1\n one: 1\n\ufeffb: 2",
+    "  a: 1\n\ufeff\n  b: 2\nc: 3",
+    "words\n  a: 1\n\ufeff  # note\n  b: 2",
     "\n".join(bulleted(12)),
     # a quote opened above a keyless sentence closes below it
     "Some words.\na: 1\nk: 'x\nword\ny'",
@@ -581,6 +586,10 @@ class TestConstructorErrors:
         assert preprocess_reply("expires: 2024-02-30\na: 1\nb: 2").source_text == "a: 1\nb: 2"
 
 
+# The line breaks of YAML marks: "\r\n" is one break.
+YAML_BREAKS = ["\n", "\r", "\r\n", "\x85", "\u2028", "\u2029"]
+
+
 class TestErrorReports:
     @pytest.mark.parametrize(
         "text",
@@ -601,6 +610,18 @@ class TestErrorReports:
         if mark is not None:
             assert info.value.detail.endswith(f" at line {mark.line + 1}, column {mark.column + 1}")
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("brk", YAML_BREAKS, ids=repr)
+    def test_reader_error_counts_the_breaks_libyaml_marks_count(self, brk):
+        # A reader error has no mark; libyaml's marks put "b: c: d" on line 2.
+        with pytest.raises(yaml.YAMLError) as marked:
+            list(yaml.load_all("a: 1" + brk + "b: c: d", Loader=preprocess_mod._LIBYAML))
+        assert marked.value.problem_mark.line + 1 == 2
+        with pytest.raises(StructuralError) as info:
+            parse_config("a: 1" + brk + "b: \x07")
+        assert info.value.detail == (
+            "unacceptable character #x0007: control characters are not allowed at line 2, column 4"
+        )
 
     def test_duplicate_key_report(self):
         with pytest.raises(StructuralError) as info:
@@ -643,7 +664,7 @@ def one_line(exc, text):
         position = exc.position
         if preprocess_mod._LIBYAML is not yaml.SafeLoader:
             position = len(text.encode("utf-8")[:position].decode("utf-8"))
-        before = text[:position].split("\n")
+        before = re.split("\r\n|[\r\n\x85\u2028\u2029]", text[:position])
         problem = f"unacceptable character #x{exc.character:04x}: {exc.reason}"
         return f"{problem} at line {len(before)}, column {len(before[-1]) + 1}"
     mark = getattr(exc, "problem_mark", None)

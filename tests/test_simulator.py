@@ -270,31 +270,61 @@ _NODES = st.lists(
 _SPECS = st.builds(ResourceSpec, st.integers(0, 4500), st.integers(0, 4500), st.integers(1, 50))
 
 
+_DEMANDS = st.one_of(st.just(0), st.integers(1, 600))
+
+
+def _capacity(draw, per_replica):
+    """A node capacity at a multiple of the demand or one off it."""
+    return max(1, per_replica * draw(st.integers(0, 6)) + draw(st.sampled_from((0, 0, 1, -1))))
+
+
+def _share(node, cpu, memory):
+    """Replicas an empty node holds; any number at zero demand in both dimensions."""
+    return min(
+        node.cpu_millicores // cpu if cpu else math.inf,
+        node.memory_bytes // memory if memory else math.inf,
+    )
+
+
 @st.composite
 def _edge_fills(draw):
     """Where a fill by `//` can be off by one: capacities at a multiple of the
     demand or one off it, replicas at the cluster's total capacity or one off
     it, and zero demand in one dimension (or both)."""
-    demand = st.one_of(st.just(0), st.integers(1, 600))
-    cpu, memory = draw(demand), draw(demand)
-
-    def capacity(per_replica):
-        return max(1, per_replica * draw(st.integers(0, 6)) + draw(st.sampled_from((0, 0, 1, -1))))
-
+    cpu, memory = draw(_DEMANDS), draw(_DEMANDS)
     nodes = tuple(
-        NodeSpec(capacity(cpu), capacity(memory)) for _ in range(draw(st.integers(1, 6)))
+        NodeSpec(_capacity(draw, cpu), _capacity(draw, memory))
+        for _ in range(draw(st.integers(1, 6)))
     )
-    total = sum(
-        min(
-            node.cpu_millicores // cpu if cpu else math.inf,
-            node.memory_bytes // memory if memory else math.inf,
-        )
-        for node in nodes
-    )
+    total = sum(_share(node, cpu, memory) for node in nodes)
     if total == math.inf:
         replicas = draw(st.integers(1, 40))
     else:
         replicas = max(1, total + draw(st.sampled_from((-1, 0, 1))))
+    return ClusterModel(nodes=nodes), ResourceSpec(cpu, memory, replicas)
+
+
+@st.composite
+def _pools(draw):
+    """Node pools: 1-4 node shapes, each repeated 1-8 times, adjacent pools
+    sometimes equal. Replicas reach into one pool at its total capacity or
+    at a multiple of its per-node share, either of them or one off it."""
+    cpu, memory = draw(_DEMANDS), draw(_DEMANDS)
+    pools = []
+    for _ in range(draw(st.integers(1, 4))):
+        if pools and draw(st.booleans()):
+            shape = pools[-1][0]
+        else:
+            shape = NodeSpec(_capacity(draw, cpu), _capacity(draw, memory))
+        pools.append((shape, draw(st.integers(1, 8))))
+    nodes = tuple(shape for shape, count in pools for _ in range(count))
+    if not cpu and not memory:
+        return ClusterModel(nodes=nodes), ResourceSpec(cpu, memory, draw(st.integers(1, 40)))
+    shares = [_share(shape, cpu, memory) for shape, _ in pools]
+    pool = draw(st.integers(0, len(pools) - 1))
+    before = sum(share * count for share, (_, count) in zip(shares[:pool], pools))
+    reach = shares[pool] * draw(st.integers(0, pools[pool][1]))
+    replicas = max(1, before + reach + draw(st.sampled_from((-1, 0, 1))))
     return ClusterModel(nodes=nodes), ResourceSpec(cpu, memory, replicas)
 
 
@@ -369,6 +399,42 @@ class TestApply:
         model, spec = case
         assert observed(apply(model, spec)) == observed(oracle_apply(model, spec))
 
+    @settings(max_examples=500, deadline=None)
+    @given(case=_pools())
+    def test_pooled_clusters_match_oracle(self, case):
+        model, spec = case
+        assert observed(apply(model, spec)) == observed(oracle_apply(model, spec))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_pools())
+    def test_at_most_one_fill_per_run_and_one_more(self, case):
+        model, spec = case
+        assert len(apply(model, spec).fills) <= len(model.runs) + 1
+
+    def test_a_wide_pool_places_a_million_replicas_in_two_fills(self):
+        # 30 replicas a node: 33,333 full nodes, then 10 replicas on one more.
+        model = ClusterModel(nodes=(NodeSpec(30, GIB),) * 100_000)
+        outcome = apply(model, ResourceSpec(1, 1, 1_000_000))
+        assert outcome.success
+        assert outcome.fills == (
+            (0, 33_333, 0, 30, 30, GIB),
+            (33_333, 1, 999_990, 10, 30, GIB),
+        )
+
+    def test_runs_are_the_maximal_runs_of_equal_nodes(self):
+        small, large = NodeSpec(1000, GIB), NodeSpec(4000, GIB)
+        model = ClusterModel(nodes=(small, small, large, small, NodeSpec(1000, GIB)))
+        assert model.runs == ((0, 2, 1000, GIB), (2, 1, 4000, GIB), (3, 2, 1000, GIB))
+        assert replace(model, nodes=(large,) * 3).runs == ((0, 3, 4000, GIB),)
+
+    def test_runs_are_left_out_of_equality_and_repr(self):
+        model = ClusterModel(nodes=(NODE,) * 2)
+        other = ClusterModel(nodes=(NODE,) * 2)
+        object.__setattr__(other, "runs", ())
+        assert model == other and hash(model) == hash(other)
+        assert repr(model) == repr(other)
+        assert "runs" not in repr(model)
+
     @pytest.mark.parametrize(
         "nodes, spec, reason",
         [
@@ -427,7 +493,9 @@ class TestFeedbackLogs:
     @settings(max_examples=500, deadline=None)
     @given(
         case=st.one_of(
-            st.tuples(st.builds(ClusterModel, _NODES.map(tuple)), _SPECS), _edge_fills()
+            st.tuples(st.builds(ClusterModel, _NODES.map(tuple)), _SPECS),
+            _edge_fills(),
+            _pools(),
         ),
         notes=st.one_of(st.just([]), _NOTES),
     )
