@@ -26,6 +26,7 @@ from .prompting import (
     VerdictUnparseable,
     build_prompt,
     verify_alignment,
+    with_feedback,
 )
 from .retrieval import DEFAULT_TOP_K, Chunk, RetrievalIndex, retrieve
 from .simulator import BenchmarkResult, ResourceSpec, Workload, filter_logs
@@ -268,15 +269,10 @@ def run_chain(
             retrieve(deps.index, f"{request.system} {request.intent}", k=deps.retrieval_k)
         )
 
+    first = build_prompt(profile, request, shots=deps.shots, context_chunks=context_chunks)
     history: list[AttemptRecord] = []
     for attempt in range(1, profile.max_chain_attempts + 1):
-        payload = build_prompt(
-            profile,
-            request,
-            shots=deps.shots,
-            context_chunks=context_chunks,
-            feedback=history[-1].feedback.render() if history else "",
-        )
+        payload = with_feedback(first, history[-1].feedback.render()) if history else first
         a = AttemptRecord(
             attempt, replace(payload, metadata={"case": deps.case_id, "attempt": str(attempt)})
         )

@@ -140,7 +140,19 @@ _MAPPING_START, _MAPPING_END = yaml.MappingStartEvent, yaml.MappingEndEvent
 _SEQUENCE_START, _SEQUENCE_END = yaml.SequenceStartEvent, yaml.SequenceEndEvent
 
 
-@functools.lru_cache(maxsize=256)
+# The longest scalar text whose reading or writing is memoized.
+_MEMO_CHARS = 128
+
+
+def _memo_short(make):
+    """``make`` with its answers for texts of up to _MEMO_CHARS characters kept
+    in a fixed-size cache. A cache keeps its texts alive, so a longer text, a
+    large scalar in a reply, is made afresh each time."""
+    cached = functools.lru_cache(maxsize=1024)(make)
+    return lambda text: cached(text) if len(text) <= _MEMO_CHARS else make(text)
+
+
+@_memo_short
 def _plain_value(text: str):
     """What SafeLoader builds for the untagged plain scalar ``text``. A tag the
     builder does not make ('<<' and '=' among them), or a value its maker
@@ -462,18 +474,21 @@ def preprocess_reply(raw: str) -> ConfigDocument:
     Preference order: the whole reply if it already parses as a mapping,
     then the first fenced block that does, then the largest contiguous
     line span that does. The document keeps the tree extraction parsed.
+    A reply with no mapping signal holds no span that could be a mapping,
+    so nothing of it is parsed.
     """
-    tree, keep = _try_parse_mapping(raw)
-    if tree is not None:
-        return ConfigDocument(root=tree, source_text=raw)
-    for block in _fenced_blocks(raw):
-        tree, _ = _try_parse_mapping(block)
+    if _MAPPING_SIGNAL.search(raw):
+        tree, keep = _try_parse_mapping(raw)
         if tree is not None:
-            return ConfigDocument(root=tree, source_text=block)
-    span = _largest_parsable_span(raw, keep)
-    if span is not None:
-        text, tree = span
-        return ConfigDocument(root=tree, source_text=text)
+            return ConfigDocument(root=tree, source_text=raw)
+        for block in _fenced_blocks(raw):
+            tree, _ = _try_parse_mapping(block)
+            if tree is not None:
+                return ConfigDocument(root=tree, source_text=block)
+        span = _largest_parsable_span(raw, keep)
+        if span is not None:
+            text, tree = span
+            return ConfigDocument(root=tree, source_text=text)
     raise StructuralError(
         StructuralErrorKind.NO_YAML_FOUND,
         "no contiguous region of the reply parses as a YAML mapping",
@@ -694,6 +709,17 @@ _PLAIN = re.compile(
 _REPRESENTER = yaml.representer.SafeRepresenter()
 
 
+def _plain_text(text: str, tag: str = "tag:yaml.org,2002:str") -> str | None:
+    """``text`` if safe_dump writes it plain for a scalar tagged ``tag``, or None."""
+    plain = _PLAIN.fullmatch(text) and _RESOLVE(yaml.ScalarNode, text, (True, False)) == tag
+    return text if plain else None
+
+
+# Whether a string is written plain depends on the string alone; where it
+# lands, for the fold at column 80, is checked by the caller.
+_plain_str = _memo_short(_plain_text)
+
+
 def _plain(value) -> str | None:
     """The text safe_dump writes plain for the scalar ``value``, or None."""
     kind = type(value)
@@ -702,14 +728,11 @@ def _plain(value) -> str | None:
     if kind is bool or value is None:
         return "null" if value is None else "true" if value else "false"
     if kind is str:
-        text, tag = value, "tag:yaml.org,2002:str"
-    elif kind is float:
+        return _plain_str(value)
+    if kind is float:
         node = _REPRESENTER.represent_float(value)
-        text, tag = node.value, node.tag
-    else:
-        return None
-    plain = _PLAIN.fullmatch(text) and _RESOLVE(yaml.ScalarNode, text, (True, False)) == tag
-    return text if plain else None
+        return _plain_text(node.value, node.tag)
+    return None
 
 
 def _write_block(node, indent: int, inline: bool, out: list, seen: set) -> bool:

@@ -9,7 +9,7 @@ always appear in the same order so transcripts stay reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -189,6 +189,12 @@ class GenerationRequest:
         if not self.intent:
             raise ValueError("intent must be non-empty")
 
+    @cached_property
+    def _sections(self) -> tuple[_Section, _Section]:
+        """The user intent and task sections, which the generation and the
+        alignment prompts share; counted on first use."""
+        return _counted(f"## User intent\n{self.intent}"), _counted(f"## Task\n{self.prompt}")
+
 
 def _context_section(chunks: Sequence[Chunk]) -> _Section:
     parts = [_CONTEXT_LABEL]
@@ -217,14 +223,13 @@ def build_prompt(
     request: GenerationRequest,
     shots: Sequence[FewShotExample] = (),
     context_chunks: Sequence[Chunk] = (),
-    feedback: str = "",
 ) -> PromptPayload:
-    """Assemble the generation payload for one attempt.
+    """Assemble the generation payload for a chain's first attempt.
 
     Sections appear in fixed order: instruction header (as the system
-    role), retrieved context, examples, the user intent, the task prompt,
-    the reasoning suffix, and finally the feedback block when the chain is
-    retrying. Disabled sections are absent, never empty.
+    role), retrieved context, examples, the user intent, the task prompt
+    and the reasoning suffix; ``with_feedback`` appends the feedback block
+    for a retry. Disabled sections are absent, never empty.
     """
     sections: list[_Section] = []
     if profile.use_retrieval and context_chunks:
@@ -235,17 +240,25 @@ def build_prompt(
                 f"profile {profile.name!r} requires few-shot examples but none were provided"
             )
         sections.append(_examples_section(shots))
-    sections.append(_counted(f"## User intent\n{request.intent}"))
-    sections.append(_counted(f"## Task\n{request.prompt}"))
+    sections.extend(request._sections)
     if profile.use_cot:
         sections.append(_COT_SECTION)
-    if feedback:
-        sections.append(_counted(f"{FEEDBACK_LABEL}\n{feedback}"))
     user_message, tokens = _joined(sections)
     return PromptPayload(
         system_instructions=INSTRUCTION_HEADER,
         user_message=user_message,
         prompt_tokens=_INSTRUCTION_HEADER_TOKENS + tokens,
+    )
+
+
+def with_feedback(payload: PromptPayload, feedback: str) -> PromptPayload:
+    """A retry's payload: the first attempt's ``payload`` with the feedback
+    section last. Only the new section is counted."""
+    text, tokens = _counted(f"{FEEDBACK_LABEL}\n{feedback}")
+    return replace(
+        payload,
+        user_message=f"{payload.user_message}\n\n{text}",
+        prompt_tokens=payload.prompt_tokens + tokens,
     )
 
 
@@ -283,8 +296,7 @@ def verify_alignment(
     """
     user_message, tokens = _joined(
         [
-            _counted(f"## User intent\n{request.intent}"),
-            _counted(f"## Task\n{request.prompt}"),
+            *request._sections,
             _counted(f"## Generated configuration\n{serialize_config(config)}"),
             _COT_SECTION,
         ]

@@ -709,60 +709,70 @@ class TestTranscripts:
 
 
 class TestTokenCountingWork:
-    def test_fixed_prompt_text_is_counted_at_most_once(self, monkeypatch):
-        """Chunk and shot texts are counted once at most; what else an
-        attempt counts is bounded by the text that changes per attempt."""
-        docs = [
-            (f"guide{d}.md", " ".join(f"dask worker memory note{d}x{j}." for j in range(150)))
-            for d in range(3)
-        ]
-        index = build_index(docs, chunk_size=200, overlap=20)
-        shot = FewShotExample(
-            prompt="Scale the dask cluster.",
-            intent="three workers",
-            correct_output="worker:\n  replicas: 3",
-            incorrect_output="worker:\n  replicas: 0",
-            defect_note="zero workers run nothing",
-        )
-        request = GenerationRequest(
-            system="dask",
-            prompt="Write the dask configuration that satisfies the intent.",
-            intent="two dask workers with half a gig of memory each",
-        )
-        counted: list[tuple[int, str]] = []
-        attempt = 0
-        real_build_prompt = chain_mod.build_prompt
+    """What a chain counts: the fixed prompt text once, and per attempt only
+    what changes. Texts are attributed to attempts by the feedback the chain
+    has made so far: attempt n's texts are those counted after the feedback
+    of attempt n-1 and before its own, the retry prompt's feedback section
+    and the alignment check included."""
 
-        def build_prompt(*args, **kwargs):
+    DOCS = [
+        (f"guide{d}.md", " ".join(f"dask worker memory note{d}x{j}." for j in range(150)))
+        for d in range(3)
+    ]
+    SHOT = FewShotExample(
+        prompt="Scale the dask cluster.",
+        intent="three workers",
+        correct_output="worker:\n  replicas: 3",
+        incorrect_output="worker:\n  replicas: 0",
+        defect_note="zero workers run nothing",
+    )
+    REQUEST = GenerationRequest(
+        system="dask",
+        prompt="Write the dask configuration that satisfies the intent.",
+        intent="two dask workers with half a gig of memory each",
+    )
+
+    def run(self, monkeypatch, replies, verify_replies):
+        """The chain's outcome, its index and every counted text with its attempt."""
+        index = build_index(self.DOCS, chunk_size=200, overlap=20)
+        counted: list[tuple[int, str]] = []
+        attempt = 1
+        real_make_feedback = chain_mod.make_feedback
+
+        def make_feedback(*args):
             nonlocal attempt
             attempt += 1
-            return real_build_prompt(*args, **kwargs)
+            return real_make_feedback(*args)
 
         def counting(text):
             counted.append((attempt, text))
             return count_tokens(text)
 
-        monkeypatch.setattr(chain_mod, "build_prompt", build_prompt)
+        monkeypatch.setattr(chain_mod, "make_feedback", make_feedback)
         monkeypatch.setattr(prompting_mod, "count_tokens", counting)
         monkeypatch.setattr(gateway_mod, "count_tokens", counting)
-        replies = ["::broken::", MISSING_KEY_CONFIG, GOOD_CONFIG]
-        verify_reply = "VERDICT: ALIGNED"
+        script = script_for("case", replies)
+        for number, text in enumerate(verify_replies, start=1):
+            script.entries["case#verify", number] = MockReply(text)
         deps = ChainDeps(
-            provider=MockProvider(script_for("case", replies, verify_reply)),
-            shots=(shot,),
+            provider=MockProvider(script),
+            shots=(self.SHOT,),
             index=index,
             assertions=ASSERTIONS,
             deployer=SimulatedDeployer(model=MODEL),
             workload=WORKLOAD,
             case_id="case",
         )
-        outcome = run_chain(request, OptimizationProfile.for_name("lads"), deps)
-        assert outcome.resolved and outcome.attempts_used == 3
+        outcome = run_chain(self.REQUEST, OptimizationProfile.for_name("lads"), deps)
+        assert outcome.resolved and outcome.attempts_used == len(replies)
         assert "## Context" in outcome.attempt_history[0].user_message
+        return outcome, index, counted
 
+    def check_bounds(self, outcome, index, counted, verify_replies):
+        request, shot = self.REQUEST, self.SHOT
         fixed = [chunk.text for chunk in index.chunks] + [shot.correct_output, shot.incorrect_output]
-        for text in fixed:
-            assert sum(text in seen for _, seen in counted) <= 1
+        for text in fixed + [request.intent, request.prompt]:
+            assert sum(text in seen for _, seen in counted) <= 1, text
 
         # The shot's two blocks are counted once, in the first attempt.
         shot_chars = 2 * len(shot.prompt + shot.intent) + len(
@@ -772,10 +782,28 @@ class TestTokenCountingWork:
             feedback = outcome.attempt_history[number - 2].feedback.render() if number > 1 else ""
             varying = (
                 len(request.intent) + len(request.prompt)
-                + len(feedback) + len(record.response_text) + len(verify_reply)
+                + len(feedback) + len(record.response_text) + len(verify_replies[number - 1])
             )
             chars = sum(len(text) for n, text in counted if n == number)
             assert chars <= 300 + shot_chars + 2 * varying
+
+    def test_fixed_prompt_text_is_counted_at_most_once(self, monkeypatch):
+        """Chunk, shot, intent and task texts are counted once at most; what
+        else an attempt counts is bounded by the text that changes per attempt."""
+        replies = ["::broken::", MISSING_KEY_CONFIG, GOOD_CONFIG]
+        verify_replies = ["VERDICT: ALIGNED"] * 3
+        outcome, index, counted = self.run(monkeypatch, replies, verify_replies)
+        self.check_bounds(outcome, index, counted, verify_replies)
+
+    def test_each_alignment_check_reuses_the_counted_intent_and_task(self, monkeypatch):
+        """Three attempts reach the alignment check; the intent and the task
+        are still counted once in the chain."""
+        replies = [GOOD_CONFIG] * 3
+        verify_replies = ["VERDICT: MISALIGNED: too few", "VERDICT: MISALIGNED: no", "VERDICT: ALIGNED"]
+        outcome, index, counted = self.run(monkeypatch, replies, verify_replies)
+        assert [r.reached for r in outcome.attempt_history[:2]] == [Stage.COT_VERIFICATION] * 2
+        assert sum("## Generated configuration" in seen for _, seen in counted) == 3
+        self.check_bounds(outcome, index, counted, verify_replies)
 
 
 def resources_reply(cpu, memory, replicas):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -465,12 +466,12 @@ def counter(monkeypatch):
 
 class TestWorkBound:
     def test_colon_free_prose_needs_linear_parses(self, counter):
-        # No line can open a mapping, so only the whole reply is loaded.
+        # No line holds a mapping signal, so nothing is loaded.
         lines = [f"Sentence number {i} says nothing about the deployment at all." for i in range(120)]
         with pytest.raises(StructuralError) as info:
             preprocess_reply("\n".join(lines))
         assert info.value.kind is StructuralErrorKind.NO_YAML_FOUND
-        assert counter.loads == 1
+        assert counter.loads == 0
 
     def test_bulleted_reply_reads_each_character_at_most_twice(self, counter):
         raw = "\n".join(bulleted(480))
@@ -570,6 +571,45 @@ class TestWorkBound:
         assert outcome(raw) == expected
         assert 0 < counter.events < 4 * preprocess_mod.MAX_DEPTH
         assert counter.composed_chars <= len("x: &a 1")
+
+
+class TestScalarMemo:
+    def test_serializing_again_resolves_no_string(self, monkeypatch):
+        """The writer's answer for a short string is kept; a float's text is
+        resolved on every pass."""
+        resolved = []
+        resolve = preprocess_mod._RESOLVE
+        monkeypatch.setattr(
+            preprocess_mod, "_RESOLVE", lambda kind, text, implicit: resolved.append(text) or resolve(kind, text, implicit)
+        )
+        tree = {
+            "memo-check": {"policy": "memo-spread", "retries": 2, "enabled": True},
+            "memo-items": ["memo-a", "memo b", "memo-a"],
+            "memo-ratio": 0.5,
+        }
+        text = serialize_config(tree)
+        assert {"memo-check", "memo-spread", "memo b"} <= set(resolved)
+        resolved.clear()
+        assert serialize_config(tree) == text == yaml.safe_dump(
+            tree, default_flow_style=False, indent=2, sort_keys=False, allow_unicode=True
+        )
+        assert resolved == ["0.5"]
+
+    def test_replies_with_large_scalars_leave_little_behind(self):
+        """A memo keeps only short scalar texts, so the memory many replies
+        with a large scalar leave held is far below one reply's size."""
+        size = 1_000_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(20):
+                config = parse_config(f"a: {i} {'x' * size}")
+                assert len(serialize_config(config)) == len(f"a: {i} \n") + size
+            del config
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < size / 10, held
 
 
 class TestConstructorErrors:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import intentconf.prompting as prompting_mod
 from intentconf.chain import ChainDeps, Stage, run_chain
 from intentconf.gateway import RawResponse, SamplingParams
 from intentconf.preprocess import ConfigDocument, InputError, parse_config, serialize_config
@@ -22,6 +23,7 @@ from intentconf.prompting import (
     build_prompt,
     load_shot_library,
     verify_alignment,
+    with_feedback,
 )
 from intentconf.retrieval import Chunk, chunk_document, count_tokens
 
@@ -159,8 +161,8 @@ class TestBuildPrompt:
             REQUEST,
             shots=SHOTS,
             context_chunks=(CHUNK,),
-            feedback="summary line\nError: detail",
         )
+        payload = with_feedback(payload, "summary line\nError: detail")
         offsets = section_offsets(
             payload.user_message,
             ["## Context", "## Examples", "## User intent", "## Task",
@@ -199,8 +201,8 @@ class TestBuildPrompt:
         assert "replicas: 0" in message[incorrect:]
 
     def test_feedback_is_final_section(self):
-        payload = build_prompt(
-            OptimizationProfile.for_name("ip"), REQUEST, feedback="it broke\nError: x"
+        payload = with_feedback(
+            build_prompt(OptimizationProfile.for_name("ip"), REQUEST), "it broke\nError: x"
         )
         assert payload.user_message.endswith("it broke\nError: x")
         tail = payload.user_message[payload.user_message.index(FEEDBACK_LABEL):]
@@ -383,15 +385,61 @@ class TestPromptTokens:
     ):
         profile = OptimizationProfile.for_name(name)
         request = GenerationRequest(system="dask", prompt=prompt + "p", intent=intent + "i")
-        # The second build reuses the examples' counted blocks.
-        for attempt_feedback in ("", feedback):
-            payload = build_prompt(profile, request, examples, context, attempt_feedback)
+        # The second build reuses the examples' and the request's counted sections.
+        for _ in range(2):
+            payload = build_prompt(profile, request, examples, context)
             assert payload.prompt_tokens == counted_from_texts(payload)
+            retry = with_feedback(payload, feedback)
+            assert retry.prompt_tokens == counted_from_texts(retry)
         provider = _CaptureProvider("VERDICT: ALIGNED")
         config = parse_config(examples[0].correct_output)
         verify_alignment(config, request, provider, SamplingParams())
         verify_payload, _ = provider.calls[0]
         assert verify_payload.prompt_tokens == counted_from_texts(verify_payload)
+
+
+def oracle_build_prompt(profile, request, shots=(), context_chunks=(), feedback=""):
+    """The payload one call builds for any attempt, feedback section last:
+    ``build_prompt`` then ``with_feedback`` must give the same bytes and count."""
+    sections = []
+    if profile.use_retrieval and context_chunks:
+        sections.append(prompting_mod._context_section(context_chunks))
+    if profile.use_few_shot:
+        sections.append(prompting_mod._examples_section(shots))
+    sections.append(prompting_mod._counted(f"## User intent\n{request.intent}"))
+    sections.append(prompting_mod._counted(f"## Task\n{request.prompt}"))
+    if profile.use_cot:
+        sections.append(prompting_mod._COT_SECTION)
+    if feedback:
+        sections.append(prompting_mod._counted(f"{FEEDBACK_LABEL}\n{feedback}"))
+    user_message, tokens = prompting_mod._joined(sections)
+    return user_message, count_tokens(INSTRUCTION_HEADER) + tokens
+
+
+class TestRetryPrompt:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(PROFILE_NAMES),
+        prompt=HOSTILE,
+        intent=HOSTILE,
+        feedbacks=st.lists(st.one_of(HOSTILE, st.text()).filter(bool), min_size=1, max_size=3),
+        examples=shots(),
+        context=contexts(),
+    )
+    def test_first_prompt_plus_feedback_is_the_single_call_build(
+        self, name, prompt, intent, feedbacks, examples, context
+    ):
+        """Every retry of one chain, each from the same first payload."""
+        profile = OptimizationProfile.for_name(name)
+        request = GenerationRequest(system="dask", prompt=prompt + "p", intent=intent + "i")
+        first = build_prompt(profile, request, examples, context)
+        want = oracle_build_prompt(profile, request, examples, context)
+        assert (first.user_message, first.prompt_tokens) == want
+        for feedback in feedbacks:
+            retry = with_feedback(first, feedback)
+            want = oracle_build_prompt(profile, request, examples, context, feedback)
+            assert (retry.user_message, retry.prompt_tokens) == want
+            assert retry.system_instructions == first.system_instructions
 
 
 class TestShotLibrary:
