@@ -22,6 +22,7 @@ from .prompting import (
     OptimizationProfile,
     build_prompt,
     verify_alignment,
+    with_feedback,
 )
 from .retrieval import Chunk, RetrievalIndex, build_index, chunk_document, count_tokens, retrieve
 from .simulator import (
@@ -73,6 +74,7 @@ __all__ = [
     "run_workload",
     "serialize_config",
     "verify_alignment",
+    "with_feedback",
 ]
 
 __version__ = "0.1.0"

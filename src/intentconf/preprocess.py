@@ -147,7 +147,9 @@ _MEMO_CHARS = 128
 def _memo_short(make):
     """``make`` with its answers for texts of up to _MEMO_CHARS characters kept
     in a fixed-size cache. A cache keeps its texts alive, so a longer text, a
-    large scalar in a reply, is made afresh each time."""
+    large scalar in a reply, is made afresh each time. One pass of a 240-case
+    dataset under two profiles reads 358 distinct short scalars, more than
+    256 entries hold."""
     cached = functools.lru_cache(maxsize=1024)(make)
     return lambda text: cached(text) if len(text) <= _MEMO_CHARS else make(text)
 
@@ -716,7 +718,8 @@ def _plain_text(text: str, tag: str = "tag:yaml.org,2002:str") -> str | None:
 
 
 # Whether a string is written plain depends on the string alone; where it
-# lands, for the fold at column 80, is checked by the caller.
+# lands, for the fold at column 80, is checked by the caller. Each attempt's
+# alignment check writes the chain's keys again, so the answer is kept.
 _plain_str = _memo_short(_plain_text)
 
 

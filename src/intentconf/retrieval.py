@@ -163,35 +163,11 @@ class RetrievalIndex:
     frequency is the length of its posting list. ``length_norms`` holds each
     chunk's length normalisation, the part of a BM25 denominator that does
     not depend on the term.
-
-    A term's BM25 weight in each chunk that holds it is worked out the first
-    time a query reads the term, and kept for the index's life. Only terms
-    the index holds are kept, so the memo is bounded by the index.
     """
 
     chunks: tuple[Chunk, ...]
     postings: dict[str, list[tuple[int, int]]] = field(repr=False)
     length_norms: tuple[float, ...]
-    _weights: dict[str, list[tuple[int, float]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def _weighted(self, term: str) -> list[tuple[int, float]]:
-        """(position, weight) for each chunk holding ``term``, in posting
-        order. Two threads may both work out a term's list; the lists are
-        equal, so either may be kept."""
-        weighted = self._weights.get(term)
-        if weighted is None:
-            postings = self.postings.get(term)
-            if postings is None:
-                return []
-            n, df, norms = len(self.chunks), len(postings), self.length_norms
-            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-            weighted = self._weights[term] = [
-                (position, idf * freq * (BM25_K1 + 1.0) / (freq + norms[position]))
-                for position, freq in postings
-            ]
-        return weighted
 
 
 def build_index(
@@ -253,10 +229,18 @@ def retrieve(index: RetrievalIndex, query: str, k: int = DEFAULT_TOP_K) -> list[
         raise ValueError(f"k must be >= 1, got {k}")
     chunks = index.chunks
     n = len(chunks)
+    norms = index.length_norms
     scores: dict[int, float] = {}
     for term in sorted(set(_terms(query))):
-        for position, weight in index._weighted(term):
-            scores[position] = scores.get(position, 0.0) + weight
+        postings = index.postings.get(term)
+        if postings is None:
+            continue
+        df = len(postings)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        for position, freq in postings:
+            scores[position] = (
+                scores.get(position, 0.0) + idf * freq * (BM25_K1 + 1.0) / (freq + norms[position])
+            )
     ranked = sorted(
         scores,
         key=lambda i: (-scores[i], chunks[i].doc_id, chunks[i].ordinal, i),

@@ -719,21 +719,23 @@ class TestTokenCountingWork:
         (f"guide{d}.md", " ".join(f"dask worker memory note{d}x{j}." for j in range(150)))
         for d in range(3)
     ]
-    SHOT = FewShotExample(
-        prompt="Scale the dask cluster.",
-        intent="three workers",
-        correct_output="worker:\n  replicas: 3",
-        incorrect_output="worker:\n  replicas: 0",
-        defect_note="zero workers run nothing",
-    )
-    REQUEST = GenerationRequest(
-        system="dask",
-        prompt="Write the dask configuration that satisfies the intent.",
-        intent="two dask workers with half a gig of memory each",
-    )
 
     def run(self, monkeypatch, replies, verify_replies):
-        """The chain's outcome, its index and every counted text with its attempt."""
+        """The chain's outcome, its index and every counted text with its attempt.
+        The request and the shot are made here: both keep their counted
+        sections, so objects shared between tests would arrive counted."""
+        self.shot = FewShotExample(
+            prompt="Scale the dask cluster.",
+            intent="three workers",
+            correct_output="worker:\n  replicas: 3",
+            incorrect_output="worker:\n  replicas: 0",
+            defect_note="zero workers run nothing",
+        )
+        self.request = GenerationRequest(
+            system="dask",
+            prompt="Write the dask configuration that satisfies the intent.",
+            intent="two dask workers with half a gig of memory each",
+        )
         index = build_index(self.DOCS, chunk_size=200, overlap=20)
         counted: list[tuple[int, str]] = []
         attempt = 1
@@ -756,23 +758,24 @@ class TestTokenCountingWork:
             script.entries["case#verify", number] = MockReply(text)
         deps = ChainDeps(
             provider=MockProvider(script),
-            shots=(self.SHOT,),
+            shots=(self.shot,),
             index=index,
             assertions=ASSERTIONS,
             deployer=SimulatedDeployer(model=MODEL),
             workload=WORKLOAD,
             case_id="case",
         )
-        outcome = run_chain(self.REQUEST, OptimizationProfile.for_name("lads"), deps)
+        outcome = run_chain(self.request, OptimizationProfile.for_name("lads"), deps)
         assert outcome.resolved and outcome.attempts_used == len(replies)
         assert "## Context" in outcome.attempt_history[0].user_message
         return outcome, index, counted
 
     def check_bounds(self, outcome, index, counted, verify_replies):
-        request, shot = self.REQUEST, self.SHOT
-        fixed = [chunk.text for chunk in index.chunks] + [shot.correct_output, shot.incorrect_output]
-        for text in fixed + [request.intent, request.prompt]:
-            assert sum(text in seen for _, seen in counted) <= 1, text
+        request, shot = self.request, self.shot
+        for text in [request.intent, request.prompt, shot.correct_output, shot.incorrect_output]:
+            assert sum(text in seen for _, seen in counted) == 1, text
+        for chunk in index.chunks:
+            assert sum(chunk.text in seen for _, seen in counted) <= 1, chunk.text
 
         # The shot's two blocks are counted once, in the first attempt.
         shot_chars = 2 * len(shot.prompt + shot.intent) + len(
@@ -788,8 +791,9 @@ class TestTokenCountingWork:
             assert chars <= 300 + shot_chars + 2 * varying
 
     def test_fixed_prompt_text_is_counted_at_most_once(self, monkeypatch):
-        """Chunk, shot, intent and task texts are counted once at most; what
-        else an attempt counts is bounded by the text that changes per attempt."""
+        """The intent, the task and the shot's outputs are counted once, a chunk
+        text once at most; what else an attempt counts is bounded by the text
+        that changes per attempt."""
         replies = ["::broken::", MISSING_KEY_CONFIG, GOOD_CONFIG]
         verify_replies = ["VERDICT: ALIGNED"] * 3
         outcome, index, counted = self.run(monkeypatch, replies, verify_replies)
