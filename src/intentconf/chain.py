@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -217,12 +218,13 @@ def _alignment(a: AttemptRecord, request, profile, deps) -> _Failure:
 
 
 def _deployment(a: AttemptRecord, request, profile, deps) -> _Failure:
-    # The feedback filters the log down to its severity-marked lines, and no
-    # placed line holds a marker, so the chain reads feedback_logs and formats
-    # none of them on any path. The attempt keeps only the placed spec.
+    # The feedback filters the log down to its severity-marked lines. Neither
+    # a placed line nor a `note:` line holds a marker, so the chain filters
+    # the ready text and formats no placed line on any path. The attempt
+    # keeps only the placed spec.
     deployed = deps.deployer.deploy(a.config, request.system)
-    if not deployed.success:
-        return deployed.failure_reason or "deployment failed", deployed.feedback_logs
+    if deployed.failure_reason:
+        return deployed.failure_reason, deployed.text
     a.resources = deployed.resources
     return None
 
@@ -349,11 +351,14 @@ def read_transcript(path: Path | str) -> TranscriptStats | None:
     number is numbered by its place in the file. A system left unnamed
     reads as "unknown". A file that does not read, a line that is not a
     JSON object, a field that does not read, an attempt below 1, a
-    negative completion_tokens or latency_seconds, and an attempt or budget
-    above ATTEMPT_CEILING are InputErrors naming the file and the line.
+    negative completion_tokens or latency_seconds, completion_tokens that
+    take the total past the float range (the cost report prices it as a
+    float) and an attempt or budget above ATTEMPT_CEILING are InputErrors
+    naming the file and the line.
     """
     path = Path(path)
-    attempts: list[tuple[int, int, float, Fields]] = []  # attempt, tokens, latency, entry
+    attempts: list[tuple[int, float, Fields]] = []  # attempt, latency, entry
+    total_tokens = 0
     for number, line in enumerate(read_text_file(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -373,11 +378,15 @@ def read_transcript(path: Path | str) -> TranscriptStats | None:
         ):
             if value < least:
                 raise fields.fail(f"must be >= {least}, got {value}", key)
-        attempts.append((attempt, tokens, latency, fields))
+        total_tokens += tokens
+        if total_tokens > sys.float_info.max:
+            problem = f"must keep the total within the float range, got {tokens}"
+            raise fields.fail(problem, "completion_tokens")
+        attempts.append((attempt, latency, fields))
     if not attempts:
         return None
     attempts.sort(key=lambda numbered: numbered[0])
-    attempt, *_, last = attempts[-1]
+    attempt, _, last = attempts[-1]
     max_attempts = last.get("max_attempts", len(attempts))
     for key, count in (("attempt", attempt), ("max_attempts", max_attempts)):
         if count > ATTEMPT_CEILING:
@@ -387,6 +396,6 @@ def read_transcript(path: Path | str) -> TranscriptStats | None:
         resolved=last.raw.get("failed_stage") is None and not last.raw.get("provider_error"),
         attempts_used=attempt,
         max_attempts=max_attempts,
-        completion_tokens=sum(tokens for _, tokens, _, _ in attempts),
-        latencies=tuple(latency for _, _, latency, _ in attempts),
+        completion_tokens=total_tokens,
+        latencies=tuple(latency for _, latency, _ in attempts),
     )

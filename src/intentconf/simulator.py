@@ -53,8 +53,6 @@ SEVERITY_MARKERS = (
 )
 
 LOG_LINE_CAP = 50
-_HEAD = 25
-_TAIL = 25
 # The most characters kept of one log line: above every line the package writes
 # from its own bounded parts, two quoted values and the words around them.
 LOG_LINE_BUDGET = 4 * QUOTE_BUDGET
@@ -82,8 +80,8 @@ def filter_logs(raw: str) -> list[str]:
     The text splits into lines at every break str.splitlines knows. Lines
     survive when they contain a severity marker (case-insensitive), each cut
     to its first LOG_LINE_BUDGET characters and "..." when longer;
-    consecutive duplicates collapse to one; above 50 lines the middle is
-    elided, keeping the first and last 25.
+    consecutive duplicates collapse to one; above LOG_LINE_CAP lines the
+    middle is elided, keeping the first and last half of the cap.
     """
     kept: list[str] = []
     for line in raw.splitlines():
@@ -95,8 +93,8 @@ def filter_logs(raw: str) -> list[str]:
         if not kept or kept[-1] != line:
             kept.append(line)
     if len(kept) > LOG_LINE_CAP:
-        omitted = len(kept) - _HEAD - _TAIL
-        kept = kept[:_HEAD] + [f"... {omitted} lines elided ..."] + kept[-_TAIL:]
+        half = LOG_LINE_CAP // 2
+        kept = kept[:half] + [f"... {len(kept) - 2 * half} lines elided ..."] + kept[-half:]
     return kept
 
 
@@ -226,15 +224,18 @@ class DeploymentOutcome:
     line per node only when `logs` is read: a placement costs its number of
     runs of identical consecutive nodes, not its node or replica count, on
     every path; a mixed cluster is runs of one node. A backend with its own
-    output passes it as ready text.
+    output passes it as ready text. A deploy failed when it has a reason.
     """
 
-    success: bool
     failure_reason: str = ""
     text: str = ""  # ready log text, after the notes and placed lines
     resources: ResourceSpec | None = None
     fills: tuple[_Fill, ...] = ()
     notes: tuple[str, ...] = ()  # defaults the resource extraction applied
+
+    @property
+    def success(self) -> bool:
+        return not self.failure_reason
 
     @property
     def logs(self) -> str:
@@ -248,21 +249,6 @@ class DeploymentOutcome:
                 for node, nodes, first, count, cpu_free, mem_free in self.fills
                 for i in range(nodes)
             )
-        if self.text:
-            blocks.append(self.text)
-        return "\n".join(blocks)
-
-    @property
-    def feedback_logs(self) -> str:
-        """The log without its placed lines: the `note:` lines, then the text.
-
-        A `placed replicas {int}-{int} on node {int} (remaining cpu={int}m
-        memory={int}B)` line holds no severity marker and no line break, and
-        filter_logs keeps, dedupes and elides only lines holding a marker. So
-        filter_logs(feedback_logs) == filter_logs(logs), and no placed line
-        is formatted for it.
-        """
-        blocks = [f"note: {note}" for note in self.notes]
         if self.text:
             blocks.append(self.text)
         return "\n".join(blocks)
@@ -321,21 +307,15 @@ def load_system_profiles(path: Path | str | None = None) -> dict[str, SystemProf
     return profiles
 
 
-@dataclass(frozen=True)
-class ResourceExtraction:
-    spec: ResourceSpec
-    notes: tuple[str, ...] = ()
-
-
 def extract_resources(
     config: ConfigDocument | dict,
     system: str,
     profiles: dict[str, SystemProfile],
-) -> ResourceExtraction:
+) -> tuple[ResourceSpec, tuple[str, ...]]:
     """Read (cpu, memory, replicas) out of a config via the system's path profile.
 
-    Missing paths fall back to the profile defaults; each fallback is noted
-    so deployment logs show what was assumed.
+    Returns the spec and its notes. Missing paths fall back to the profile
+    defaults; each fallback is noted so deployment logs show what was assumed.
     """
     profile = profiles.get(system)
     if profile is None:
@@ -365,7 +345,7 @@ def extract_resources(
         memory_bytes=parse_quantity(memory_raw, "memory"),
         replicas=replicas,
     )
-    return ResourceExtraction(spec=spec, notes=tuple(notes))
+    return spec, tuple(notes)
 
 
 def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
@@ -404,14 +384,13 @@ def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
                 fills.append((first, full, placed, room, cpu_left, mem_left))
                 if rest:
                     fills.append((first + full, 1, placed + full * room, rest, cpu_left, mem_left))
-                return DeploymentOutcome(success=True, resources=spec, fills=tuple(fills))
+                return DeploymentOutcome(resources=spec, fills=tuple(fills))
             fills.append((first, count, placed, room, cpu_left, mem_left))
             placed += taken
             cpu_left -= cpu * room
         short_of_cpu = short_of_cpu or cpu > cpu_left
     reason = "insufficient cpu" if short_of_cpu else "insufficient memory"
     return DeploymentOutcome(
-        success=False,
         failure_reason=reason,
         text=f"Error: replica {placed} unplaceable: {reason} (demand cpu={cpu}m memory={memory}B)",
         resources=spec,
@@ -424,15 +403,19 @@ def run_workload(model: ClusterModel, spec: ResourceSpec, workload: Workload) ->
 
     With R = replicas x cores per replica: completion = t_s + t_p / R, and
     cost charges cpu_rate per core-hour on R cores plus mem_rate per
-    GiB-hour on the memory held by every replica for the whole run.
+    GiB-hour on the memory held by every replica for the whole run. Totals
+    past the float range are a ValueError, as zero cores are.
     """
-    total_cores = spec.total_cores
-    if total_cores == 0:
-        raise ValueError("spec allocates zero cores; completion time is undefined")
+    try:
+        total_cores = spec.total_cores
+        if total_cores == 0:
+            raise ValueError("spec allocates zero cores; completion time is undefined")
+        hourly = model.cpu_rate * total_cores + model.mem_rate * spec.replicas * (
+            spec.memory_bytes / GIB
+        )
+    except OverflowError as exc:
+        raise ValueError(f"spec totals are past the float range: {exc}") from exc
     completion = workload.serial_seconds + workload.parallel_core_seconds / total_cores
-    hourly = model.cpu_rate * total_cores + model.mem_rate * spec.replicas * (
-        spec.memory_bytes / GIB
-    )
     cost = (completion / 3600.0) * hourly
     return BenchmarkResult(completion_seconds=completion, cost_dollars=cost)
 
@@ -471,11 +454,10 @@ class SimulatedDeployer:
 
     def deploy(self, config: ConfigDocument, system: str) -> DeploymentOutcome:
         try:
-            extraction = extract_resources(config, system, self.profiles)
+            spec, notes = extract_resources(config, system, self.profiles)
         except (QuantityError, UnknownSystemProfile) as exc:
-            reason = str(exc)
-            return DeploymentOutcome(success=False, failure_reason=reason, text=f"Error: {reason}")
-        return replace(apply(self.model, extraction.spec), notes=extraction.notes)
+            return DeploymentOutcome(failure_reason=str(exc), text=f"Error: {exc}")
+        return replace(apply(self.model, spec), notes=notes)
 
     def benchmark(self, spec: ResourceSpec, workload: Workload) -> BenchmarkResult:
         return run_workload(self.model, spec, workload)
@@ -513,10 +495,10 @@ class ShellDeployer:
                 )
             except subprocess.TimeoutExpired:
                 reason = f"{self.cli} did not finish within {SHELL_DEPLOY_TIMEOUT_S:g} s"
-                return DeploymentOutcome(success=False, failure_reason=reason, text=f"Error: {reason}")
+                return DeploymentOutcome(failure_reason=reason, text=f"Error: {reason}")
         logs = proc.stdout + ("\n" + proc.stderr if proc.stderr else "")
         if proc.returncode == 0:
-            return DeploymentOutcome(success=True, text=logs)
+            return DeploymentOutcome(text=logs)
         stderr_lines = filter_logs(proc.stderr)
         reason = stderr_lines[0] if stderr_lines else f"{self.cli} exited with code {proc.returncode}"
-        return DeploymentOutcome(success=False, failure_reason=reason, text=logs)
+        return DeploymentOutcome(failure_reason=reason, text=logs)

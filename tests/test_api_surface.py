@@ -1,6 +1,6 @@
 """Every public module-level name in the package has a caller outside the
-tests, every public exception class is caught by name, and every dataclass
-field is read."""
+tests, as has every public method and property of its classes; every public
+exception class is caught by name, and every dataclass field is read."""
 
 import ast
 import dataclasses
@@ -41,6 +41,17 @@ def _references(tree):
                 yield alias.name, node.lineno
 
 
+def _public_members(tree):
+    """(``Class.name``, node) for each public method and property of the
+    module's public classes."""
+    for cls in _public_definitions(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not node.name.startswith("_"):
+                        yield f"{cls.name}.{node.name}", node
+
+
 def _caller_trees():
     return {
         path: ast.parse(path.read_text(encoding="utf-8"))
@@ -58,12 +69,14 @@ def _package_classes():
                 yield path.name, cls
 
 
-def test_public_names_have_a_caller_in_src_or_bench():
+def _unread(definitions):
+    """``file:label`` for each (label, node) that ``definitions(tree)`` yields
+    whose name nothing in src/ or bench/ reads outside the node itself."""
     trees = _caller_trees()
     references = {path: list(_references(tree)) for path, tree in trees.items()}
-    unused = []
+    unread = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in _public_definitions(trees[path]):
+        for label, node in definitions(trees[path]):
             own = range(node.lineno, node.end_lineno + 1)
             used = any(
                 name == node.name and (other != path or line not in own)
@@ -71,8 +84,20 @@ def test_public_names_have_a_caller_in_src_or_bench():
                 for name, line in refs
             )
             if not used:
-                unused.append(f"{path.name}:{node.name}")
+                unread.append(f"{path.name}:{label}")
+    return unread
+
+
+def test_public_names_have_a_caller_in_src_or_bench():
+    unused = _unread(lambda tree: ((node.name, node) for node in _public_definitions(tree)))
     assert unused == [], f"public names only tests call: {unused}"
+
+
+def test_public_methods_and_properties_have_a_reader_in_src_or_bench():
+    """Matched by name, as the public names are: a method or property that
+    only tests read is dead weight on every class that carries it."""
+    unread = _unread(_public_members)
+    assert unread == [], f"methods and properties only tests read: {unread}"
 
 
 def _type_names(node):

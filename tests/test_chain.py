@@ -819,8 +819,8 @@ def resources_reply(cpu, memory, replicas):
 
 class TestPlacementLogWork:
     """The chain formats no placed line on any path: a placement that
-    fits reads no log, and a failed one hands the feedback only its notes and
-    its Error line."""
+    fits reads no log, and a failed one hands the feedback only its ready
+    text, the Error line."""
 
     @pytest.fixture
     def formatted(self, monkeypatch):
@@ -865,6 +865,29 @@ class TestPlacementLogWork:
         for attempt in outcome.attempt_history:
             assert attempt.feedback.failed_stage is Stage.RUNTIME_BENCHMARK
             assert "spec allocates zero cores" in attempt.feedback.summary
+        assert formatted == []
+
+    @pytest.mark.parametrize(
+        "cpu, memory, replicas, overflow",
+        [
+            (1, "1Gi", 10**350, "int too large to convert to float"),
+            (1, 10**400, 2, "integer division result too large for a float"),
+        ],
+        ids=["cores", "memory"],
+    )
+    def test_totals_past_the_float_range_are_benchmark_feedback(
+        self, formatted, cpu, memory, replicas, overflow
+    ):
+        deployer = SimulatedDeployer(model=ClusterModel(nodes=(NodeSpec(10**401, 10**401),)))
+        reply = resources_reply(cpu, memory, replicas)
+        deps = dataclasses.replace(deps_for(script_for("case", [reply] * 3)), deployer=deployer)
+        outcome = run_chain(REQUEST, OptimizationProfile.for_name("ip"), deps)
+        assert not outcome.resolved and outcome.attempts_used == 3
+        for attempt in outcome.attempt_history:
+            assert attempt.feedback.failed_stage is Stage.RUNTIME_BENCHMARK
+            assert attempt.feedback.summary.endswith(
+                f"due to spec totals are past the float range: {overflow}"
+            )
         assert formatted == []
 
     @pytest.mark.parametrize(

@@ -318,6 +318,7 @@ class TestGenerate:
         ),
         "shot defect note empty": ("shot", {"defect_note": None}, "defect_note"),
         "cluster rate bool": ("cluster", {"cpu_rate": True}, "cpu_rate"),
+        "cluster rate negative": ("cluster", {"cpu_rate": -1}, "cpu_rate and mem_rate must be >= 0"),
         "cluster cpu malformed": (
             "cluster", {"nodes": [{"cpu": "1", "memory": "1Gi"}, {"cpu": "lots"}]}, "nodes[1].cpu"
         ),
@@ -723,6 +724,14 @@ class TestChain:
         assert result.exit_code == 2
         assert "not found" in combined(result)
 
+    def test_missing_dataset_is_usage_error(self, tmp_path, runner):
+        app = make_workspace(tmp_path)
+        result = runner.invoke(main, ["-c", str(app), "chain", "--case", "c1"])
+        assert result.exit_code == 2, combined(result)
+        assert result.output.splitlines() == [
+            "error: no dataset configured; pass --dataset or set paths.dataset"
+        ]
+
     def test_unresolved_case_exits_one(self, tmp_path, runner):
         app = make_workspace(tmp_path, dataset={"c1": {"mock": {"replies": [PROSE]}}})
         result = runner.invoke(main, ["-c", str(app), "chain", "--case", "c1"])
@@ -778,6 +787,21 @@ class TestBench:
         app = make_workspace(tmp_path)
         result = runner.invoke(main, ["-c", str(app), "bench", "--profiles", "ip"])
         assert result.exit_code == 2
+
+    def test_empty_dataset_is_usage_error(self, tmp_path, runner):
+        app = make_workspace(tmp_path)
+        (tmp_path / "empty").mkdir()
+        result = runner.invoke(
+            main, ["-c", str(app), "bench", "--dataset", str(tmp_path / "empty"), "--profiles", "ip"]
+        )
+        assert result.exit_code == 2, combined(result)
+        assert result.output.splitlines() == [f"error: no cases found under {tmp_path / 'empty'}"]
+
+    def test_no_profiles_is_usage_error(self, tmp_path, runner):
+        app = make_workspace(tmp_path, dataset={"b1": {}})
+        result = runner.invoke(main, ["-c", str(app), "bench", "--profiles", ","])
+        assert result.exit_code == 2, combined(result)
+        assert result.output.splitlines() == ["error: no profiles requested"]
 
     def test_unknown_profile_is_usage_error(self, tmp_path, runner):
         app = make_workspace(tmp_path, dataset={"b1": {}})
@@ -896,10 +920,16 @@ class TestReport:
              "line 1: completion_tokens must be >= 0, got -40"),
             (b'{"attempt": 1}\n{"attempt": 2, "latency_seconds": -2.0}\n',
              "line 2: latency_seconds must be >= 0, got -2.0"),
+            # token counts the cost report could not price as a float
+            (b'{"completion_tokens": 1%s}\n' % (b"0" * 400),
+             f"line 1: completion_tokens must keep the total within the float range, got 1{'0' * 400}"),
+            (b'{"completion_tokens": 1%s}\n{"completion_tokens": 1%s}\n' % (b"0" * 308, b"0" * 308),
+             f"line 2: completion_tokens must keep the total within the float range, got 1{'0' * 308}"),
         ],
         ids=["not-an-object", "attempt-not-a-number", "latency-not-a-number", "mixed-attempts",
              "not-json", "not-utf8", "budget-above-ceiling", "attempt-above-ceiling",
-             "attempt-negative", "attempt-zero", "tokens-negative", "latency-negative"],
+             "attempt-negative", "attempt-zero", "tokens-negative", "latency-negative",
+             "tokens-past-float", "token-total-past-float"],
     )
     def test_malformed_transcript_is_a_usage_error(self, tmp_path, runner, content, problem):
         app = make_workspace(tmp_path)
@@ -910,6 +940,16 @@ class TestReport:
         assert isinstance(result.exception, SystemExit)
         (line,) = result.output.splitlines()
         assert line.startswith(f"error: {bad}: {problem}"), line
+
+    def test_all_empty_transcripts(self, tmp_path, runner):
+        app = make_workspace(tmp_path)
+        for name in ("a.jsonl", "b.jsonl"):
+            (tmp_path / name).write_text("\n \n", encoding="utf-8")
+        result = runner.invoke(
+            main, ["-c", str(app), "report", "--transcripts", str(tmp_path / "*.jsonl")]
+        )
+        assert result.exit_code == 2, combined(result)
+        assert result.output.splitlines() == ["error: matched transcripts are all empty"]
 
     def test_rate_guard(self, tmp_path, runner):
         app = self.seed_transcripts(tmp_path, runner)

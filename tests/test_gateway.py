@@ -26,6 +26,7 @@ from intentconf.gateway import (
 )
 from intentconf.preprocess import InputError
 from intentconf.retrieval import count_tokens
+from intentconf.simulator import Workload
 
 
 class TestSamplingParams:
@@ -191,6 +192,20 @@ class TestMockScript:
         script = load_mock_script(path)
         assert script.lookup("s", 1).text == "hello"
         assert script.lookup("s", 2).text == "d"
+
+
+class TestLoadAppConfig:
+    def test_workloads_per_system_and_default(self, tmp_path):
+        app = tmp_path / "app.yaml"
+        app.write_text(
+            "workloads:\n"
+            "  dask: {serial_seconds: 5, parallel_core_seconds: 50}\n"
+            "  default: {serial_seconds: 7}\n",
+            encoding="utf-8",
+        )
+        config = load_app_config(app)
+        assert config.workload_for("dask") == Workload(5.0, 50.0)
+        assert config.workload_for("redis") == Workload(7.0, 100.0)
 
 
 class TestMockProvider:

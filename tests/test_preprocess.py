@@ -150,6 +150,12 @@ class TestParse:
         assert info.value.kind is StructuralErrorKind.PARSE_FAILURE
         assert info.value.detail.endswith(" at line 2, column 1")  # libyaml's stream end
 
+    def test_text_the_loader_cannot_encode_is_a_parse_failure(self):
+        with pytest.raises(StructuralError) as info:
+            parse_config("a: \ud800")
+        assert info.value.kind is StructuralErrorKind.PARSE_FAILURE
+        assert info.value.detail.startswith("UnicodeEncodeError: ")
+
     def test_duplicate_keys_rejected(self):
         with pytest.raises(StructuralError) as info:
             parse_config("a: 1\na: 2")
@@ -761,6 +767,12 @@ class TestLoadYaml:
         else:
             assert got == expected
 
+    def test_two_documents_are_an_error(self, yaml_file):
+        yaml_file.write_text("a: 1\n---\nb: 2\n", encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            load_yaml_file(yaml_file)
+        assert str(info.value) == f"{yaml_file}: holds 2 YAML documents; expected one"
+
     def test_duplicate_key_names_the_file_and_line(self, yaml_file):
         yaml_file.write_text("profile: cot\nprofile: ip\n", encoding="utf-8")
         with pytest.raises(InputError) as info:
@@ -1198,6 +1210,13 @@ class TestFields:
             fields.section("nodes")
         with pytest.raises(InputError, match=r"^f\.yaml: s must be a non-empty list"):
             fields.each("s")
+
+    def test_a_top_level_list_is_an_error(self, tmp_path):
+        path = tmp_path / "f.yaml"
+        path.write_text("- a\n- b\n", encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            Fields.load(path)
+        assert str(info.value) == f"{path}: the top level must be a YAML mapping, got list"
 
     def test_unset_and_null_read_as_the_default(self):
         fields = Fields("f.yaml", {"a": None})

@@ -136,22 +136,20 @@ class TestParseQuantity:
 
 class TestExtractResources:
     def test_dask_paths(self):
-        extraction = extract_resources(doc(DASK_CONFIG), "dask", PROFILES)
-        assert extraction.spec == ResourceSpec(
-            cpu_millicores=500, memory_bytes=536870912, replicas=2
-        )
-        assert extraction.notes == ()
+        spec, notes = extract_resources(doc(DASK_CONFIG), "dask", PROFILES)
+        assert spec == ResourceSpec(cpu_millicores=500, memory_bytes=536870912, replicas=2)
+        assert notes == ()
 
     def test_missing_memory_falls_back_with_note(self):
         config = {"worker": {"replicas": 2, "resources": {"limits": {"cpu": "500m"}}}}
-        extraction = extract_resources(config, "dask", PROFILES)
-        assert extraction.spec.memory_bytes == parse_quantity("512Mi", "memory")
-        assert any("memory not set" in note for note in extraction.notes)
+        spec, notes = extract_resources(config, "dask", PROFILES)
+        assert spec.memory_bytes == parse_quantity("512Mi", "memory")
+        assert notes == ("memory not set; default 512Mi applied",)
 
     def test_empty_config_uses_all_defaults(self):
-        extraction = extract_resources({}, "dask", PROFILES)
-        assert extraction.spec == ResourceSpec(500, 536870912, 1)
-        assert len(extraction.notes) == 3
+        spec, notes = extract_resources({}, "dask", PROFILES)
+        assert spec == ResourceSpec(500, 536870912, 1)
+        assert len(notes) == 3
 
     def test_unknown_system(self):
         with pytest.raises(UnknownSystemProfile):
@@ -161,7 +159,8 @@ class TestExtractResources:
         for value in ("many", 0, 2.7, 0.5, float("inf"), float("nan")):
             with pytest.raises(QuantityError):
                 extract_resources({"worker": {"replicas": value}}, "dask", PROFILES)
-        assert extract_resources({"worker": {"replicas": 3.0}}, "dask", PROFILES).spec.replicas == 3
+        spec, _ = extract_resources({"worker": {"replicas": 3.0}}, "dask", PROFILES)
+        assert spec.replicas == 3
 
     def test_custom_profile_paths(self):
         profiles = {
@@ -171,10 +170,8 @@ class TestExtractResources:
                 memory_path="shape/mem",
             )
         }
-        extraction = extract_resources(
-            {"count": 3, "shape": {"cpu": "2", "mem": "1Gi"}}, "toy", profiles
-        )
-        assert extraction.spec == ResourceSpec(2000, GIB, 3)
+        spec, _ = extract_resources({"count": 3, "shape": {"cpu": "2", "mem": "1Gi"}}, "toy", profiles)
+        assert spec == ResourceSpec(2000, GIB, 3)
 
     @pytest.mark.parametrize(
         "override",
@@ -188,12 +185,12 @@ class TestExtractResources:
 
     def test_bundled_profiles_cover_target_systems(self):
         assert {"dask", "redis", "ray"} <= set(PROFILES)
-        redis = extract_resources(
+        redis, _ = extract_resources(
             {"replica": {"replicaCount": 4, "resources": {"limits": {"cpu": "250m", "memory": "1Gi"}}}},
             "redis",
             PROFILES,
         )
-        assert redis.spec == ResourceSpec(250, GIB, 4)
+        assert redis == ResourceSpec(250, GIB, 4)
 
 
 NODE = NodeSpec(cpu_millicores=4000, memory_bytes=16 * GIB)
@@ -233,7 +230,6 @@ def oracle_apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
                 f"(demand cpu={spec.cpu_millicores}m memory={spec.memory_bytes}B)"
             )
             return DeploymentOutcome(
-                success=False,
                 failure_reason=reason,
                 text="\n".join([*_oracle_placed_lines(placed), error]),
                 resources=spec,
@@ -241,11 +237,7 @@ def oracle_apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
         remaining[target][0] -= spec.cpu_millicores
         remaining[target][1] -= spec.memory_bytes
         placed.append((replica, target, *remaining[target]))
-    return DeploymentOutcome(
-        success=True,
-        text="\n".join(_oracle_placed_lines(placed)),
-        resources=spec,
-    )
+    return DeploymentOutcome(text="\n".join(_oracle_placed_lines(placed)), resources=spec)
 
 
 def _oracle_placed_lines(placed: list[tuple[int, int, int, int]]) -> list[str]:
@@ -474,21 +466,44 @@ class TestApply:
                 assert sum(counts.values()) == spec.replicas
 
 
-# The notes extraction writes, and notes holding a marker, so that a kept note
-# meets the Error line, the dedupe and the elision.
-_NOTES = st.lists(
-    st.sampled_from((
-        "replicas not set; default 1 applied",
-        "memory not set; default 512Mi applied",
-        "insufficient memory assumed",
-        "Warn: cpu not set",
-    )),
-    max_size=60,
-)
+# Whitespace that parse_quantity strips from a quantity's ends, line breaks included.
+_PADDING = st.lists(st.sampled_from((" ", "\t", *LINE_BREAKS)), max_size=2).map("".join)
+
+
+def _quantities(suffixes):
+    """Quantities parse_quantity accepts with one of ``suffixes``: numbers, and
+    text in its grammar with the whitespace it strips."""
+    text = st.builds(
+        "{}{}{}{}".format,
+        _PADDING,
+        st.from_regex(r"\d{1,6}(\.\d{1,3})?", fullmatch=True),
+        st.sampled_from(suffixes),
+        _PADDING,
+    )
+    return st.one_of(text, st.integers(0, 10**30), st.floats(0, 1e9))
+
+
+@st.composite
+def _notes(draw):
+    """The notes extract_resources writes, for profile defaults drawn as
+    parse_quantity accepts them and a config that leaves some paths unset."""
+    profile = SystemProfile(
+        "replicas",
+        "cpu",
+        "memory",
+        default_replicas=draw(st.integers(1, 10**30)),
+        default_cpu=draw(_quantities(("", "m"))),
+        default_memory=draw(_quantities(("", "Ki", "Mi", "Gi"))),
+    )
+    values = {"replicas": 2, "cpu": "1", "memory": "1Gi"}
+    config = {key: value for key, value in values.items() if draw(st.booleans())}
+    _, notes = extract_resources(config, "toy", {"toy": profile})
+    return notes
 
 
 class TestFeedbackLogs:
-    """feedback_logs filters as the whole log does, and holds no placed line."""
+    """The chain filters a deploy's ready text: it filters as the whole log
+    does, since neither a note nor a placed line holds a marker."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -497,30 +512,36 @@ class TestFeedbackLogs:
             _edge_fills(),
             _pools(),
         ),
-        notes=st.one_of(st.just([]), _NOTES),
+        notes=_notes(),
     )
     def test_filters_as_the_oracles_logs(self, case, notes):
         model, spec = case
-        outcome = replace(apply(model, spec), notes=tuple(notes))
+        assert not any(marker in note.lower() for note in notes for marker in SEVERITY_MARKERS)
+        outcome = replace(apply(model, spec), notes=notes)
         oracle_logs = "".join(f"note: {note}\n" for note in notes) + oracle_apply(model, spec).logs
-        assert filter_logs(outcome.feedback_logs) == oracle_filter_logs(oracle_logs)
-        assert "placed replica" not in outcome.feedback_logs
+        assert filter_logs(outcome.text) == oracle_filter_logs(oracle_logs)
+        assert "placed replica" not in outcome.text
 
     @settings(max_examples=300, deadline=None)
     @given(
-        success=st.booleans(),
+        reason=st.sampled_from(["", "insufficient cpu"]),
         text=st.lists(st.sampled_from(["a", "Error", " ", "warn", ":", *LINE_BREAKS])).map(
             "".join
         ),
     )
-    def test_ready_text_is_the_whole_log(self, success, text):
+    def test_ready_text_is_the_whole_log(self, reason, text):
         """ShellDeployer passes the CLI's output, and a refused extraction `Error: {reason}`."""
         for outcome in (
-            DeploymentOutcome(success=success, text=text),
-            DeploymentOutcome(success=False, failure_reason=text, text=f"Error: {text}"),
+            DeploymentOutcome(failure_reason=reason, text=text),
+            DeploymentOutcome(failure_reason=text, text=f"Error: {text}"),
         ):
-            assert outcome.feedback_logs == outcome.logs
-            assert filter_logs(outcome.feedback_logs) == oracle_filter_logs(outcome.logs)
+            assert outcome.text == outcome.logs
+            assert filter_logs(outcome.text) == oracle_filter_logs(outcome.logs)
+
+    def test_a_deploy_succeeds_when_it_has_no_reason(self):
+        assert DeploymentOutcome().success
+        assert DeploymentOutcome(text="Error: x").success
+        assert not DeploymentOutcome(failure_reason="insufficient cpu").success
 
     @pytest.mark.parametrize("cpu, memory", [(0, 0), (1, 1), (10**29, 10**29)])
     def test_placed_lines_hold_no_marker_and_no_other_break(self, cpu, memory):
@@ -767,13 +788,13 @@ class TestSimulatedDeployer:
     def test_notes_come_before_the_oracles_lines(self, worker):
         model = ClusterModel(nodes=(NODE, NODE))
         config = doc({"worker": worker})
-        extraction = extract_resources(config, "dask", PROFILES)
-        oracle = oracle_apply(model, extraction.spec)
-        notes = "".join(f"note: {note}\n" for note in extraction.notes)
-        assert extraction.notes
+        spec, notes = extract_resources(config, "dask", PROFILES)
+        assert notes
+        oracle = oracle_apply(model, spec)
+        lines = "".join(f"note: {note}\n" for note in notes)
         outcome = SimulatedDeployer(model=model).deploy(config, "dask")
         assert observed(outcome) == (
-            oracle.success, oracle.failure_reason, notes + oracle.logs, oracle.resources
+            oracle.success, oracle.failure_reason, lines + oracle.logs, oracle.resources
         )
 
 
