@@ -390,10 +390,7 @@ def complexity(patterns: tuple[str, ...]):
             documents.append(parse_config(text))
         except StructuralError as exc:
             raise InputError(f"{path}: {exc}") from exc
-    try:
-        summary = validation.aggregate_complexity(documents)
-    except OverflowError as exc:
-        raise InputError(f"key counts too large to average: {exc}") from exc
+    summary = validation.aggregate_complexity(documents)
     click.echo(f"Configs    {summary.count}")
     click.echo(f"Max Keys   {summary.max_key_count}")
     click.echo(f"Max Depth  {summary.max_depth}")

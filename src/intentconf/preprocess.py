@@ -7,12 +7,14 @@ mapping), and re-serializes it into one canonical form so downstream
 diffing and deployment always see identical bytes for identical trees.
 
 Parsing runs on libyaml, PyYAML's C parser (on PyYAML's own parser where it
-was built without libyaml), building trees from the parser's events; what
-that builder does not make is composed by the same parser's loader. A YAML
-error is the parser's, worded on one line: its problem, then its line and
-column. Nesting deeper than ``MAX_DEPTH`` collections is refused where the
-collection that breaks the limit opens. Input files are read by the same
-strict rule as replies:
+was built without libyaml), and one builder makes every tree from the
+parser's events: dicts, lists and scalars, in which an alias is a fresh copy
+of the node its anchor names. A YAML error is the parser's, worded on one
+line: its problem, then its line and column. What the builder refuses is
+worded the same way, at the event where it meets it: a repeated key, a tag
+it does not read, a collection opening past ``MAX_DEPTH`` levels, and aliases
+that copy more nodes than the text's length allows. Input files are read by
+the same strict rule as replies:
 ``load_yaml_file`` is the one reader of the package's YAML files and
 ``read_text_file`` of its other text files, and whatever is wrong with a
 file, a duplicate key included, the error is an InputError whose message
@@ -58,70 +60,38 @@ class ConfigDocument:
     source_text: str = ""
 
 
-class _NodeError(yaml.constructor.ConstructorError):
-    """A constructor failure at one node, with the 0-based line the node ends on."""
+class _NodeError(yaml.MarkedYAMLError):
+    """What the event builder refuses, at the event it met it on, with the
+    0-based line that event ends on."""
 
-    def __init__(self, problem: str, node):
-        super().__init__(None, None, problem, node.start_mark)
-        self.end_line = node.end_mark.line
-
-
-class _KeyClash(_NodeError):
-    """A repeated or unhashable mapping key."""
+    def __init__(self, problem: str, event):
+        super().__init__(problem=problem, problem_mark=event.start_mark)
+        self.end_line = event.end_mark.line
 
 
-# Well-formed YAML can still name values no constructor can build, and
-# PyYAML's constructors then raise plain exceptions: ValueError for
-# "2024-02-30" or "!!int abc", KeyError for "!!bool maybe", IndexError for
-# an empty "!!int", AttributeError for "!!timestamp x", TypeError for
-# "!!map" over a sequence.
+class _Refused(Exception):
+    """What a helper of the builder refuses, raised as a _NodeError at the event being read."""
+
+
+# PyYAML's scalar makers raise plain exceptions on a value they refuse:
+# ValueError for "2024-02-30" or "!!int abc", KeyError for "!!bool maybe",
+# IndexError for an empty "!!int", AttributeError for "!!timestamp x".
 _VALUE_ERRORS = (ValueError, TypeError, LookupError, AttributeError)
-# What loading can raise besides a YAMLError: UnicodeEncodeError from libyaml
-# for a lone surrogate, and the value errors above when they come from the
-# part of a collection constructor that runs after its node returned.
-_LOAD_ERRORS = (yaml.YAMLError, *_VALUE_ERRORS)
+# What loading can raise besides a YAMLError: libyaml's UnicodeEncodeError for a lone surrogate.
+_LOAD_ERRORS = (yaml.YAMLError, UnicodeEncodeError)
 
-# The most collections a text may hold open. The composer, constructor, serialize_config
-# and safe_dump recurse one to three frames per level, so 64 levels stay far below the
-# recursion limit, worker threads included; configurations nest about 15 deep.
+# The most collections a text may hold open. serialize_config and safe_dump recurse one to
+# three frames per level, so 64 levels stay far below the recursion limit, worker threads
+# included; configurations nest about 15 deep.
 MAX_DEPTH = 64
 _TOO_DEEP = f"nesting deeper than {MAX_DEPTH} levels"
+# The nodes a text's aliases may copy, per character of the text. A configuration's
+# aliases copy a node or two per character; a chain of aliases that each name the one
+# before twice would double with every line.
+_COPIES_PER_CHAR = 4
 
 
 _LIBYAML = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser, when PyYAML has it
-
-
-class _UniqueKeyLoader(_LIBYAML):
-    """SafeLoader on ``_LIBYAML`` that rejects duplicate mapping keys instead
-    of last-wins, and a value its constructor refuses as a _NodeError at the
-    value's node."""
-
-    def construct_object(self, node, deep=False):
-        try:
-            return super().construct_object(node, deep=deep)
-        except _VALUE_ERRORS as exc:
-            raise _NodeError(f"invalid {node.tag} value: {exc}", node) from exc
-
-
-def _construct_mapping(loader, node, deep=False):
-    mapping = {}
-    for key_node, value_node in node.value:
-        key = loader.construct_object(key_node, deep=deep)
-        if isinstance(key, (dict, list)):
-            raise _KeyClash("unhashable mapping key", key_node)
-        if key in mapping:
-            raise _KeyClash(f"duplicate key {key!r}", key_node)
-        mapping[key] = loader.construct_object(value_node, deep=deep)
-    return mapping
-
-
-_UniqueKeyLoader.add_constructor(_UniqueKeyLoader.DEFAULT_MAPPING_TAG, _construct_mapping)
-
-
-class _Fallback(Exception):
-    """The event builder met what it leaves to libyaml's composer."""
-
-
 _RESOLVE = yaml.resolver.Resolver().resolve  # SafeLoader's resolver; it keeps no state
 _CONSTRUCTOR = yaml.constructor.SafeConstructor()  # its scalar makers keep no state either
 _MAKERS = {
@@ -130,6 +100,7 @@ _MAKERS = {
         f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "bool", "null", "timestamp")
     )
 }
+_MAP_TAG = "tag:yaml.org,2002:map"
 # The first characters some implicit resolver is registered for ('' for the
 # empty scalar). SafeLoader registers none for every character, so a plain
 # scalar that opens with any other character is a string.
@@ -138,6 +109,8 @@ _NO_KEY = object()
 _SCALAR, _ALIAS = yaml.ScalarEvent, yaml.AliasEvent
 _MAPPING_START, _MAPPING_END = yaml.MappingStartEvent, yaml.MappingEndEvent
 _SEQUENCE_START, _SEQUENCE_END = yaml.SequenceStartEvent, yaml.SequenceEndEvent
+# The tags a collection may carry: "!", which asks for its kind's own, and that one.
+_COLLECTION_TAGS = {_MAPPING_START: ("!", _MAP_TAG), _SEQUENCE_START: ("!", "tag:yaml.org,2002:seq")}
 
 
 # The longest scalar text whose reading or writing is memoized.
@@ -154,58 +127,95 @@ def _memo_short(make):
     return lambda text: cached(text) if len(text) <= _MEMO_CHARS else make(text)
 
 
-@_memo_short
-def _plain_value(text: str):
-    """What SafeLoader builds for the untagged plain scalar ``text``. A tag the
-    builder does not make ('<<' and '=' among them), or a value its maker
-    refuses, raises _Fallback. The values are immutable, so trees can share
-    them."""
-    tag = _RESOLVE(yaml.ScalarNode, text, (True, False))
+def _made(tag: str, text: str):
+    """What SafeLoader builds for the scalar ``text`` tagged ``tag``, of the six
+    kinds the builder makes. Any other tag ('<<' and '=' resolve to two) and a
+    value its maker refuses raise _Refused. The values are immutable, so trees
+    can share them."""
     maker = _MAKERS.get(tag)
     if maker is None:
-        raise _Fallback
+        raise _Refused(f"could not determine a constructor for the tag {tag!r}")
     try:
         return maker(_CONSTRUCTOR, yaml.ScalarNode(tag, text))
-    except _VALUE_ERRORS:
-        raise _Fallback from None
+    except _VALUE_ERRORS as exc:
+        raise _Refused(f"invalid {tag} value: {exc}") from None
+
+
+@_memo_short
+def _plain_value(text: str):
+    """What SafeLoader builds for the untagged plain scalar ``text``."""
+    return _made(_RESOLVE(yaml.ScalarNode, text, (True, False)), text)
+
+
+def _copy(node, depth: int, copied: int, limit: int):
+    """A fresh copy of the tree ``node`` landing under ``depth`` open
+    collections, and ``copied`` plus its nodes. The node past ``limit`` and a
+    collection past MAX_DEPTH raise _Refused, so the work is at most ``limit``."""
+    if copied == limit:
+        raise _Refused(f"aliases expand past {limit} nodes")
+    copied += 1
+    kind = type(node)
+    if kind is not dict and kind is not list:
+        return node, copied
+    if depth == MAX_DEPTH:
+        raise _Refused(_TOO_DEEP)
+    copy = dict.fromkeys(node) if kind is dict else [None] * len(node)
+    for key, item in node.items() if kind is dict else enumerate(node):
+        copy[key], copied = _copy(item, depth + 1, copied, limit)
+    return copy, copied
 
 
 def _built_documents(text: str) -> list:
     """The non-empty documents of ``text``, built from libyaml's events.
 
-    A plain scalar is resolved and made as SafeLoader does, and any other
-    scalar is its text. A repeated key raises _KeyClash and a collection
-    opening past MAX_DEPTH the nesting error, each at its own event, so the
-    load stops there. An anchor, an alias, an explicit tag ('!' included), a
-    key that is not a scalar and a plain scalar refused by ``_plain_value``
-    raise _Fallback, once the rest of the events have been read for depth.
+    A plain scalar is resolved and made as SafeLoader does, a tagged one is
+    made by its tag, and any other scalar is its text; a collection may carry
+    its own kind's tag. An anchor names its node within the document, and an
+    alias is a fresh copy of a named node that is no longer open, so every
+    document is a tree. Whatever the builder does not read raises a _NodeError
+    at its own event, so the load stops there: a repeated or unhashable key, a
+    tag or value it does not make (``!!set``, ``!!binary``, ``!!omap`` and
+    ``!!pairs`` among them), an anchor named twice, an alias to no node or to
+    one it is inside, a collection opening past MAX_DEPTH (a copy's where it
+    lands), and the alias whose copy takes the nodes aliases copied past
+    _COPIES_PER_CHAR per character of ``text``.
     """
     docs: list = []
     filling: list = []  # the open collections, innermost last
     keys: list = []  # for each: the key awaiting its value, or _NO_KEY
-    events = yaml.parse(text, Loader=_LIBYAML)
+    anchors: dict = {}  # the nodes the document's anchors name
+    copied, limit = 0, _COPIES_PER_CHAR * len(text)
     try:
-        for event in events:
+        for event in yaml.parse(text, Loader=_LIBYAML):
             kind = type(event)
             if kind is _SCALAR:
-                if event.tag is not None or event.anchor is not None:
-                    raise _Fallback
                 value = event.value
-                if event.implicit[0] and value[:1] in _RESOLVED_FIRST:
+                if event.tag is not None and event.tag != "!":  # "!" reads as if untagged
+                    value = {} if event.tag == _MAP_TAG and not value else _made(event.tag, value)
+                elif event.implicit[0] and value[:1] in _RESOLVED_FIRST:
                     value = _plain_value(value)
             elif kind is _MAPPING_START or kind is _SEQUENCE_START:
                 if len(filling) == MAX_DEPTH:
-                    raise yaml.MarkedYAMLError(problem=_TOO_DEEP, problem_mark=event.start_mark)
-                if event.tag is not None or event.anchor is not None:
-                    raise _Fallback
+                    raise _NodeError(_TOO_DEEP, event)
                 value = {} if kind is _MAPPING_START else []
+                if event.tag is not None and event.tag not in _COLLECTION_TAGS[kind]:
+                    problem = f"could not determine a constructor for the tag {event.tag!r}"
+                    raise _NodeError(problem, event)
             elif kind is _MAPPING_END or kind is _SEQUENCE_END:
                 filling.pop()
                 keys.pop()
                 continue
             elif kind is _ALIAS:
-                raise _Fallback
-            else:  # the stream's and documents' own events
+                if event.anchor not in anchors:
+                    raise _NodeError(f"found undefined alias {event.anchor!r}", event)
+                value = anchors[event.anchor]
+                if any(value is node for node in filling):
+                    raise _NodeError(f"alias {event.anchor!r} is inside the node it names", event)
+                value, copied = _copy(value, len(filling), copied, limit)
+                kind = _SCALAR  # a finished node, placed as a scalar is
+            else:  # the stream's and documents' own events; an anchor names a node in its document
+                if anchors:
+                    anchors.clear()
                 continue
             if not filling:
                 if value is not None:
@@ -213,10 +223,11 @@ def _built_documents(text: str) -> list:
             elif type(parent := filling[-1]) is list:
                 parent.append(value)
             elif keys[-1] is _NO_KEY:
-                if kind is not _SCALAR:
-                    raise _Fallback
-                if value in parent:
-                    raise _KeyClash(f"duplicate key {value!r}", event)
+                try:
+                    if value in parent:
+                        raise _NodeError(f"duplicate key {value!r}", event)
+                except TypeError:  # a mapping or a list
+                    raise _NodeError("unhashable mapping key", event) from None
                 keys[-1] = value
             else:
                 parent[keys[-1]] = value
@@ -224,27 +235,13 @@ def _built_documents(text: str) -> list:
             if kind is not _SCALAR:
                 filling.append(value)
                 keys.append(_NO_KEY)
-    except _Fallback:
-        # libyaml's composer recurses on the C stack, where no recursion limit
-        # stops it: it crashes near 25,000 levels, or 2,000 on a 512 KiB thread
-        # stack. So the rest of the events are read for depth before it gets the text.
-        depth = len(filling) + isinstance(event, yaml.CollectionStartEvent)
-        for event in events:
-            depth += isinstance(event, yaml.CollectionStartEvent)
-            if depth > MAX_DEPTH:
-                raise yaml.MarkedYAMLError(problem=_TOO_DEEP, problem_mark=event.start_mark)
-            depth -= isinstance(event, yaml.CollectionEndEvent)
-        raise
+            if event.anchor is not None and type(event) is not _ALIAS:
+                if event.anchor in anchors:
+                    raise _NodeError(f"found duplicate anchor {event.anchor!r}", event)
+                anchors[event.anchor] = value
+    except _Refused as exc:
+        raise _NodeError(str(exc), event) from None
     return docs
-
-
-def _documents(text: str) -> list:
-    """The non-empty documents of ``text``, loaded strictly: built from libyaml's
-    events, or composed by ``_UniqueKeyLoader`` where the builder falls back."""
-    try:
-        return _built_documents(text)
-    except _Fallback:
-        return [d for d in yaml.load_all(text, Loader=_UniqueKeyLoader) if d is not None]
 
 
 # The line breaks YAML marks count, "\r\n" as one.
@@ -252,7 +249,8 @@ _LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
 
 
 def _one_line(exc: Exception, text: str) -> str:
-    """A load error of ``text`` on one line: its problem, then its line and column."""
+    """A load error of ``text`` on one line: its problem, then its line and column
+    (an error with no mark, as libyaml's UnicodeEncodeError, is its type and message)."""
     if isinstance(exc, yaml.reader.ReaderError):
         # libyaml gives the position in UTF-8 bytes. A reader stops at the first
         # character it forbids, so the character's first place in the text is it.
@@ -264,7 +262,7 @@ def _one_line(exc: Exception, text: str) -> str:
         return f"{problem} at line {line}, column {position - start + 1}"
     mark = getattr(exc, "problem_mark", None)
     if mark is None:
-        return str(exc)
+        return f"{type(exc).__name__}: {exc}"
     return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
 
 
@@ -287,29 +285,25 @@ def _try_parse_mapping(text: str) -> tuple[dict | None, int]:
       or to a document marker without closing it: a shorter text that holds
       the line the quote opened on, which the error marks, meets the same
       error or ends inside the quote;
-    - any other scanner, parser or composer error is found on the line of
-      its mark, reading no further than the next line;
-    - so is nesting deeper than MAX_DEPTH, at the collection that breaks
-      the limit: keep is its line + 1, as every longer text opens the same
-      collections before it;
-    - a value no constructor can build is decided by the lines up to the
-      end of its node and the next, and so is a key clash, unless an alias
-      ('*') brought the key node back from earlier. The event builder stops
-      at a clash, so a clash met before a later syntax error gives the
-      clash's keep, which still bounds every longer prefix;
+    - any other scanner or parser error is found on the line of its mark,
+      reading no further than the next line;
+    - what the event builder refuses is decided by the lines up to the end
+      of the event it refuses at and the next, as a shorter text that holds
+      them yields the same events up to it: a repeated or unhashable key, a
+      tag or value it does not make, an anchor named twice, an alias to no
+      node or to one it is inside, a collection past MAX_DEPTH, and an alias
+      whose copy spends the budget, which is smaller for a shorter text.
+      The builder stops at the first of these, so one met before a later
+      syntax error gives its own keep, which still bounds every longer prefix;
     - with no document marker or directive there is one document, and the
       first line with content decides whether its root is a mapping.
     Any other failure gives keep = all lines but the last.
     """
     last = text.count("\n")
     try:
-        docs = _documents(text)
+        docs = _built_documents(text)
     except _NodeError as exc:
-        if isinstance(exc, _KeyClash) and "*" in text:
-            return None, last
         return None, min(last, exc.end_line + 1)
-    except yaml.constructor.ConstructorError:  # its mark need not bound what it read
-        return None, last
     except yaml.MarkedYAMLError as exc:
         if exc.context in _OPENED_ABOVE and exc.context_mark is not None:
             return None, exc.context_mark.line
@@ -445,13 +439,9 @@ def _largest_parsable_span(text: str, keep: int) -> tuple[str, dict] | None:
 def parse_config(text: str) -> ConfigDocument:
     """Parse extracted text strictly into a ConfigDocument."""
     try:
-        docs = _documents(text)
-    except yaml.YAMLError as exc:
+        docs = _built_documents(text)
+    except _LOAD_ERRORS as exc:
         raise StructuralError(StructuralErrorKind.PARSE_FAILURE, _one_line(exc, text)) from exc
-    except _VALUE_ERRORS as exc:
-        raise StructuralError(
-            StructuralErrorKind.PARSE_FAILURE, f"{type(exc).__name__}: {exc}"
-        ) from exc
     if len(docs) > 1:
         raise StructuralError(
             StructuralErrorKind.MULTIPLE_DOCUMENTS_AMBIGUOUS,
@@ -522,7 +512,7 @@ def load_yaml_file(path):
         path = Path(path)
     text = read_text_file(path)
     try:
-        docs = _documents(text)
+        docs = _built_documents(text)
     except _LOAD_ERRORS as exc:
         raise InputError(f"{path}: not valid YAML: {_one_line(exc, text)}") from exc
     if len(docs) > 1:
@@ -531,8 +521,7 @@ def load_yaml_file(path):
 
 
 _KIND_NOUNS = {int: "an integer", float: "a number", str: "a string"}
-_BRACKETS = {dict: "{}", list: "[]", tuple: "()", set: "{}"}  # what repr writes around each
-_CONTAINERS = tuple(_BRACKETS)
+_BRACKETS = {dict: "{}", list: "[]"}  # what repr writes around each
 
 QUOTE_BUDGET = 500  # room for a whole integer past a float's range (1e308 has 309 digits)
 
@@ -544,14 +533,12 @@ class _Spent(Exception):
 def quote(value, budget: int = QUOTE_BUDGET) -> str:
     """``repr(value)``, cut to its first ``budget`` characters and "..." when longer.
 
-    YAML aliases let a short text name a value whose repr is exponentially
-    long, so the work is bounded by ``budget``, not by the value: containers
-    are written only as far as the budget reaches, and text is cut before it
-    is quoted.
+    A value read from a long reply can be large, so the work is bounded by
+    ``budget``, not by the value: containers are written only as far as the
+    budget reaches, and text is cut before it is quoted.
     """
     out: list[str] = []
     size = 0
-    open_ids: set[int] = set()  # the containers being written, as repr tracks them
 
     def write(text: str) -> None:
         nonlocal size
@@ -564,17 +551,11 @@ def quote(value, budget: int = QUOTE_BUDGET) -> str:
         kind = type(node)
         brackets = _BRACKETS.get(kind)
         if brackets is None:
-            if (kind is str or kind is bytes) and len(node) > budget:
+            if kind is str and len(node) > budget:
                 # The last character makes repr pick the quote it picks for the whole text.
-                single, double = ("'", '"') if kind is str else (b"'", b'"')
-                last = single if single in node and double not in node else double
+                last = "'" if "'" in node and '"' not in node else '"'
                 node = node[: budget + 1] + last
             return write(repr(node))
-        if not node:
-            return write("set()" if kind is set else brackets)
-        if id(node) in open_ids:  # a list, dict or tuple met inside itself
-            return write(f"{brackets[0]}...{brackets[1]}")
-        open_ids.add(id(node))
         write(brackets[0])
         for index, item in enumerate(node.items() if kind is dict else node):
             write(", " if index else "")
@@ -583,8 +564,7 @@ def quote(value, budget: int = QUOTE_BUDGET) -> str:
                 write(": ")
                 item = item[1]
             walk(item)
-        write("," + brackets[1] if kind is tuple and len(node) == 1 else brackets[1])
-        open_ids.discard(id(node))
+        write(brackets[1])
 
     try:
         walk(value)
@@ -602,7 +582,7 @@ def read_scalar(value, kind: type):
     """
     if type(value) is kind and kind is not float:
         return value
-    if value is None or type(value) is bool or isinstance(value, _CONTAINERS):
+    if value is None or type(value) is bool or isinstance(value, (dict, list)):
         return None
     if kind is int and type(value) is float and not value.is_integer():
         return None
@@ -699,8 +679,8 @@ class Fields:
 
 
 # serialize_config writes block YAML itself where it can vouch for PyYAML's bytes: a dict
-# or list root, each container met once (PyYAML anchors one met twice), keys PyYAML writes
-# as simple keys (under 128 characters with the "!!str" tag) and leaves it writes plain.
+# or list root, keys PyYAML writes as simple keys (under 128 characters with the "!!str"
+# tag) and leaves it writes plain.
 # A plain leaf reads back as its own type by the Resolver and keeps to a conservative
 # character set without line breaks: no leading indicator, space or document marker, no
 # ": ", " #" or trailing ":" or space, and no space past column 80, where PyYAML folds.
@@ -738,7 +718,7 @@ def _plain(value) -> str | None:
     return None
 
 
-def _write_block(node, indent: int, inline: bool, out: list, seen: set) -> bool:
+def _write_block(node, indent: int, inline: bool, out: list) -> bool:
     """Append the dict or list ``node`` to ``out`` at ``indent``, its first entry on
     the current line if ``inline``; False where safe_dump could write it otherwise."""
     pad = "" if inline else " " * indent
@@ -755,13 +735,10 @@ def _write_block(node, indent: int, inline: bool, out: list, seen: set) -> bool:
         pad = " " * indent
         kind = type(value)
         if kind is dict or kind is list:
-            if id(value) in seen:
-                return False
-            seen.add(id(value))
             if value:  # under a key on the next line, a list not indented; under "-" inline
                 inner = indent if is_mapping and kind is list else indent + 2
                 out.append("\n" if is_mapping else " ")
-                if not _write_block(value, inner, not is_mapping, out, seen):
+                if not _write_block(value, inner, not is_mapping, out):
                     return False
                 continue
             text = "{}" if kind is dict else "[]"
@@ -774,11 +751,12 @@ def _write_block(node, indent: int, inline: bool, out: list, seen: set) -> bool:
 
 
 def serialize_config(document: ConfigDocument | dict) -> str:
-    """Canonical YAML form: ``yaml.safe_dump`` in block style, two-space indent,
-    key order preserved and non-ASCII text written as it is."""
+    """Canonical YAML form of a tree, as the loader builds: ``yaml.safe_dump`` in
+    block style, two-space indent, key order preserved and non-ASCII text
+    written as it is."""
     tree = document.root if isinstance(document, ConfigDocument) else document
     out: list[str] = []
-    if type(tree) in (dict, list) and _write_block(tree, 0, False, out, {id(tree)}):
+    if type(tree) in (dict, list) and _write_block(tree, 0, False, out):
         return "".join(out) or ("{}\n" if type(tree) is dict else "[]\n")
     options = dict(default_flow_style=False, indent=2, sort_keys=False, allow_unicode=True)
     return yaml.safe_dump(tree, **options)

@@ -20,7 +20,7 @@ import math
 import re
 import shutil
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from itertools import groupby
 from pathlib import Path
@@ -348,8 +348,9 @@ def extract_resources(
     return spec, tuple(notes)
 
 
-def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
-    """Place each replica on the first node with room, tracking remaining capacity.
+def apply(model: ClusterModel, spec: ResourceSpec, notes: tuple[str, ...] = ()) -> DeploymentOutcome:
+    """Place each replica on the first node with room, tracking remaining capacity;
+    the outcome carries ``notes``, the defaults its spec was read with.
 
     Replicas are identical and capacity only shrinks, so a node that cannot
     take one replica takes no later one: first-fit is a fill in node order,
@@ -384,7 +385,7 @@ def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
                 fills.append((first, full, placed, room, cpu_left, mem_left))
                 if rest:
                     fills.append((first + full, 1, placed + full * room, rest, cpu_left, mem_left))
-                return DeploymentOutcome(resources=spec, fills=tuple(fills))
+                return DeploymentOutcome(resources=spec, fills=tuple(fills), notes=notes)
             fills.append((first, count, placed, room, cpu_left, mem_left))
             placed += taken
             cpu_left -= cpu * room
@@ -395,6 +396,7 @@ def apply(model: ClusterModel, spec: ResourceSpec) -> DeploymentOutcome:
         text=f"Error: replica {placed} unplaceable: {reason} (demand cpu={cpu}m memory={memory}B)",
         resources=spec,
         fills=tuple(fills),
+        notes=notes,
     )
 
 
@@ -457,7 +459,7 @@ class SimulatedDeployer:
             spec, notes = extract_resources(config, system, self.profiles)
         except (QuantityError, UnknownSystemProfile) as exc:
             return DeploymentOutcome(failure_reason=str(exc), text=f"Error: {exc}")
-        return replace(apply(self.model, spec), notes=notes)
+        return apply(self.model, spec, notes)
 
     def benchmark(self, spec: ResourceSpec, workload: Workload) -> BenchmarkResult:
         return run_workload(self.model, spec, workload)

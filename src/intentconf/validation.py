@@ -213,21 +213,18 @@ def complexity(config: ConfigDocument | dict) -> ComplexityMeasure:
     through without adding a level.
     """
     root = config.root if isinstance(config, ConfigDocument) else config
-    measured: dict[int, tuple[int, int]] = {}  # by id: YAML aliases repeat a node
 
     def measure(node: Any) -> tuple[int, int]:
         """The keys in ``node`` and the mapping levels it nests."""
         if not isinstance(node, (dict, list)):
             return 0, 0
-        if id(node) not in measured:
-            keys = height = 0
-            for child in node.values() if isinstance(node, dict) else node:
-                child_keys, child_height = measure(child)
-                keys, height = keys + child_keys, max(height, child_height)
-            if isinstance(node, dict) and node:  # an empty mapping adds nothing
-                keys, height = keys + len(node), height + 1
-            measured[id(node)] = keys, height
-        return measured[id(node)]
+        keys = height = 0
+        for child in node.values() if isinstance(node, dict) else node:
+            child_keys, child_height = measure(child)
+            keys, height = keys + child_keys, max(height, child_height)
+        if isinstance(node, dict) and node:  # an empty mapping adds nothing
+            keys, height = keys + len(node), height + 1
+        return keys, height
 
     keys, deepest = measure(root)
     return ComplexityMeasure(key_count=keys, max_depth=deepest)
@@ -245,7 +242,7 @@ class ComplexitySummary:
 
 
 def aggregate_complexity(configs: Sequence[ConfigDocument | dict]) -> ComplexitySummary:
-    """Corpus maxima plus mean and population std; OverflowError if one does not fit a float."""
+    """Corpus maxima plus mean and population std."""
     if not configs:
         raise ValueError("cannot summarize an empty corpus")
     measures = [complexity(c) for c in configs]

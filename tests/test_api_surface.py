@@ -162,29 +162,40 @@ def test_dataclass_fields_are_read():
 YAML_IO = {"load", "safe_load", "load_all", "safe_load_all", "dump", "safe_dump", "dump_all", "safe_dump_all"}
 
 
+def _yaml_names(path):
+    """(line, name) for each ``yaml.<name>`` and ``from yaml import <name>`` in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "yaml":
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "yaml":
+            yield from ((node.lineno, alias.name) for alias in node.names)
+
+
+def _is_loader(name):
+    """Whether ``name`` is one of PyYAML's loading functions, which compose trees themselves."""
+    return name in ("load", "load_all", "compose", "compose_all") or name.startswith(
+        ("safe_load", "full_load", "unsafe_load")
+    )
+
+
 def test_yaml_io_goes_through_preprocess():
     """Only ``preprocess`` uses PyYAML's loaders and dumpers; the rest call
     ``load_yaml_file`` and ``parse_config``, which load strictly on libyaml,
-    and ``serialize_config``, which writes safe_dump's bytes."""
-    bypasses = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "preprocess.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in YAML_IO
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "yaml"
-            ):
-                bypasses.append(f"{path.name}:{node.lineno}: yaml.{node.attr}")
-            elif isinstance(node, ast.ImportFrom) and node.module == "yaml":
-                bypasses.extend(
-                    f"{path.name}:{node.lineno}: from yaml import {alias.name}"
-                    for alias in node.names
-                    if alias.name in YAML_IO
-                )
+    and ``serialize_config``, which writes safe_dump's bytes. ``preprocess``
+    itself loads only through ``yaml.parse``, whose events its builder reads,
+    so no second reader, which could share a node, can come back."""
+    bypasses = [
+        f"{path.name}:{line}: yaml.{name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "preprocess.py"
+        for line, name in _yaml_names(path)
+        if name in YAML_IO
+    ]
     assert bypasses == [], f"YAML I/O outside preprocess: {bypasses}"
+    names = list(_yaml_names(PACKAGE / "preprocess.py"))
+    loaders = [f"preprocess.py:{line}: yaml.{name}" for line, name in names if _is_loader(name)]
+    assert loaders == [], f"YAML loaders besides yaml.parse: {loaders}"
+    assert "parse" in {name for _, name in names}
 
 
 def _scoped_calls(node, scope=()):

@@ -57,8 +57,9 @@ GOOD_CONFIG = (
 )
 BIG_MEMORY_CONFIG = GOOD_CONFIG.replace("512Mi", "64Gi")
 MISSING_KEY_CONFIG = "worker:\n  resources:\n    limits:\n      cpu: 500m\n      memory: 512Mi"
-# 438 characters: 19 levels of two aliases of the level below, under worker/replicas.
-ALIAS_CHAIN_REPLY = "\n".join(
+# 460 characters on one line: 19 levels of two aliases of the level below, under
+# worker/replicas, which name 2**20 copies of the first list.
+ALIAS_CHAIN_REPLY = "{%s}" % ", ".join(
     ["a0: &b0 [1, 2]"]
     + [f"a{n}: &b{n} [*b{n - 1}, *b{n - 1}]" for n in range(1, 20)]
     + ["worker: {replicas: *b19}"]
@@ -378,22 +379,15 @@ class TestRunChain:
     @pytest.mark.parametrize(
         "reply,assertions,stage",
         [
-            (ALIAS_CHAIN_REPLY, (), Stage.DEPLOYMENT),
-            (
-                ALIAS_CHAIN_REPLY,
-                (Assertion("worker/replicas", AssertionKind.EQUALS, 2),),
-                Stage.STATIC_VALIDATION,
-            ),
             (
                 "worker:\n  replicas: " + "x" * 200_000,
                 (Assertion("worker/replicas", AssertionKind.EQUALS, 2),),
                 Stage.STATIC_VALIDATION,
             ),
         ],
-        ids=["alias chain Deployment", "alias chain Equals", "long scalar Equals"],
+        ids=["long scalar Equals"],
     )
     def test_feedback_quoting_the_reply_is_bounded(self, reply, assertions, stage):
-        # Quoted by repr, the alias chain's value made a 7,340,061-character failure reason.
         deps = deps_for(script_for("case", [reply, GOOD_CONFIG]), assertions=assertions)
         outcome = run_chain(REQUEST, OptimizationProfile.for_name("ip"), deps)
         assert outcome.resolved and outcome.attempts_used == 2
@@ -401,6 +395,25 @@ class TestRunChain:
         assert feedback.failed_stage is stage and "..." in feedback.summary
         for line in (feedback.summary, *feedback.filtered_lines):
             assert len(line) <= 2 * QUOTE_BUDGET + 200, line[:300]
+
+    @pytest.mark.parametrize(
+        "assertions",
+        [(), (Assertion("worker/replicas", AssertionKind.EQUALS, 2),)],
+        ids=["alias chain Deployment", "alias chain Equals"],
+    )
+    def test_alias_chain_is_one_short_structural_line(self, assertions):
+        # Expanded, the chain would reach Deployment or Equals with 2**20 lists,
+        # which repr once quoted in 7,340,061 characters. Its aliases copy past
+        # the budget, so the reply, all on one line, holds no span that parses.
+        deps = deps_for(script_for("case", [ALIAS_CHAIN_REPLY, GOOD_CONFIG]), assertions=assertions)
+        outcome = run_chain(REQUEST, OptimizationProfile.for_name("ip"), deps)
+        assert outcome.resolved and outcome.attempts_used == 2
+        first = outcome.attempt_history[0]
+        assert first.feedback.failed_stage is Stage.STRUCTURAL
+        assert first.stages_passed == (Stage.GENERATION,)
+        assert "no contiguous region of the reply parses" in first.feedback.summary
+        for line in (first.feedback.summary, *first.feedback.filtered_lines):
+            assert len(line) <= 200 and "\n" not in line, line[:300]
 
     @pytest.mark.parametrize("profile", ["ip", "cot"])
     def test_deep_nesting_is_structural_feedback(self, profile):
@@ -837,8 +850,8 @@ class TestPlacementLogWork:
     def test_a_million_replicas_that_fit_format_no_line(self, formatted, monkeypatch):
         placements = []
 
-        def recorded(model, spec):
-            placements.append(apply(model, spec))
+        def recorded(model, spec, notes):
+            placements.append(apply(model, spec, notes))
             return placements[-1]
 
         monkeypatch.setattr(simulator_mod, "apply", recorded)

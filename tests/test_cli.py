@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour through click's test runner."""
 
 import json
+import re
 
 import pytest
 import yaml
@@ -220,10 +221,11 @@ class TestGenerate:
         result = runner.invoke(
             main, ["-c", str(app), "generate", "--system", "dask", "--intent", "x", "--no-deploy"]
         )
+        # The aliases copy past the budget: the file does not load.
         assert result.exit_code == 2, combined(result)
         [line] = result.output.splitlines()
-        assert line.startswith(f"error: {app}: max_chain_attempts must be an integer, got [[[")
-        assert line.endswith("...") and len(line) <= len(str(app)) + 600, line[:300]
+        assert line.startswith(f"error: {app}: not valid YAML: aliases expand past ")
+        assert len(line) <= len(str(app)) + 100, line[:300]
 
     def test_value_error_inside_the_chain_is_a_bug(self, tmp_path, runner, monkeypatch):
         def broken(raw):
@@ -833,15 +835,29 @@ class TestComplexity:
         assert "1.50 ± 0.50" in lines[4]
 
     def test_key_counts_too_large_to_average_are_one_line(self, tmp_path, runner):
-        # 1,030 levels over a one-key mapping: over 2**1029 keys, past a float's range.
+        # 1,030 levels over a one-key mapping would name over 2**1029 keys, past
+        # a float's range. The aliases copy past the budget long before.
         chain = tmp_path / "chain.yaml"
-        chain.write_text(alias_chain_lines(1030, root="{k: 1}"), encoding="utf-8")
+        text = alias_chain_lines(1030, root="{k: 1}")
+        chain.write_text(text, encoding="utf-8")
         write_yaml(tmp_path / "small.yaml", {"x": 1})
+        refusal = rf"aliases expand past {4 * len(text)} nodes at line \d+, column \d+"
         for files in ([chain], [chain, tmp_path / "small.yaml"]):
             result = runner.invoke(main, ["complexity", *map(str, files)])
             assert result.exit_code == 2, combined(result)
             [line] = result.output.splitlines()
-            assert line.startswith("error: key counts too large to average: "), line
+            assert re.fullmatch(rf"error: {re.escape(str(chain))}: ParseFailure: {refusal}", line), line
+
+    def test_recursive_alias_is_one_line(self, tmp_path, runner):
+        # The composer read a list that holds itself, which complexity walked
+        # into a RecursionError.
+        loop = tmp_path / "loop.yaml"
+        loop.write_text("a: &x [*x]\n", encoding="utf-8")
+        result = runner.invoke(main, ["complexity", str(loop)])
+        assert (result.exit_code, result.output) == (
+            2,
+            f"error: {loop}: ParseFailure: alias 'x' is inside the node it names at line 1, column 8\n",
+        )
 
     def test_no_matches(self, tmp_path, runner):
         result = runner.invoke(main, ["complexity", str(tmp_path / "nothing-*.yaml")])

@@ -517,7 +517,7 @@ class TestFeedbackLogs:
     def test_filters_as_the_oracles_logs(self, case, notes):
         model, spec = case
         assert not any(marker in note.lower() for note in notes for marker in SEVERITY_MARKERS)
-        outcome = replace(apply(model, spec), notes=notes)
+        outcome = apply(model, spec, notes)
         oracle_logs = "".join(f"note: {note}\n" for note in notes) + oracle_apply(model, spec).logs
         assert filter_logs(outcome.text) == oracle_filter_logs(oracle_logs)
         assert "placed replica" not in outcome.text

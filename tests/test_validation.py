@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from intentconf.preprocess import (
     QUOTE_BUDGET,
     ConfigDocument,
+    StructuralError,
     parse_config,
     serialize_config,
 )
@@ -545,14 +546,16 @@ class TestComplexity:
     def test_accepts_config_document(self):
         assert complexity(doc({"a": 1})) == ComplexityMeasure(1, 1)
 
-    def test_alias_chain_is_measured_once_per_distinct_node(self):
-        """Level n lists level n-1 twice, so the expanded tree holds 2**41 - 1
-        copies of the two-key mapping at level 0: far more than a walk of the
-        expanded tree could visit, and exact from its 43 distinct containers."""
+    def test_alias_copies_are_measured_as_written_out(self):
+        """Level n lists level n-1 twice, so the tree holds 2**7 - 1 copies of
+        the two-key mapping at level 0, each a node of its own. A chain of 41
+        levels, which would hold 2**41 - 1, is refused as it loads."""
         lines = ["a0: &b0 {k: {j: 1}}"]
         lines += [f"a{n}: &b{n} [*b{n - 1}, *b{n - 1}]" for n in range(1, 41)]
-        measure = complexity(parse_config("\n".join(lines)))
-        assert measure == ComplexityMeasure(key_count=41 + 2 * (2**41 - 1), max_depth=3)
+        measure = complexity(parse_config("\n".join(lines[:7])))
+        assert measure == ComplexityMeasure(key_count=7 + 2 * (2**7 - 1), max_depth=3)
+        with pytest.raises(StructuralError, match="aliases expand past"):
+            parse_config("\n".join(lines))
 
 
 class TestAggregate:
